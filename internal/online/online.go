@@ -2,15 +2,17 @@
 // process and reacts to processor crashes while it runs — the reactive
 // counterpart of package sim's clairvoyant replays (see DESIGN.md S7).
 //
-// The engine maintains a priority queue over two event kinds: operation
-// completions (replica executions and communications finishing) and
-// processor crashes (a failure trace, processor -> fail-stop instant).
-// Operations start as soon as every constraint is resolved — the
-// per-resource reservation order committed by the scheduler, the source
-// replica of a transfer, and one input arrival per predecessor
-// (first-arrival semantics) — so with an empty failure trace the engine
-// computes exactly the least-fixpoint times of sim.Replayer, and the
-// root TestOnlineStaticEquivalence pins the two engines bit for bit.
+// The engine evaluates the same constraint graph as sim.Replayer — a
+// sim.Wiring built once per schedule — but causally: it maintains a
+// priority queue over two event kinds, operation completions (replica
+// executions and communications finishing) and processor crashes (a
+// failure trace, processor -> fail-stop instant). Operations start as
+// soon as every constraint is resolved — the per-resource reservation
+// order committed by the scheduler, the source replica of a transfer,
+// and one input arrival per predecessor (first-arrival semantics) — so
+// with an empty failure trace, or crashes at time zero and no
+// rescheduling, the engine computes exactly sim.Replayer's times, and
+// the root TestOnlineStaticEquivalence pins the two bit for bit.
 //
 // When a crash arrives at time tau, work that finished by tau survives;
 // unfinished work on the crashed processor dies, along with everything
@@ -37,15 +39,10 @@ package online
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"caft/internal/dag"
 	"caft/internal/sched"
-)
-
-const (
-	opRep = iota
-	opComm
+	"caft/internal/sim"
 )
 
 type opState uint8
@@ -57,31 +54,18 @@ const (
 	opDead                   // cancelled by a crash or starved of inputs
 )
 
-const noOp = int32(-1)
+const noOp = sim.NoOp
 
-// op is one executable operation. Identity fields are fixed at wiring
-// time; state, waits, acc, minStart, start and finish are per-replay.
-type op struct {
-	kind     int8
+// opRun is the per-replay state of one op of the engine's wiring.
+type opRun struct {
 	state    opState
 	reactive bool
-	task     dag.TaskID
-	rep      sched.Replica
-	comm     sched.Comm
-	dur      float64
-	seq      int32
-
-	src              int32 // comm: op index of its source replica
-	resBase, nRes    int32 // occupied resources in Engine.resIDs
-	slotBase, nSlots int32 // rep: predecessor input slots
-	feedBase, nFeeds int32 // comm: fed slots in Engine.feedAdj
-	waits0           int32 // static constraint count
-
-	waits         int32
-	acc           float64 // running max of resolved constraint values
-	minStart      float64 // causal floor (crash instant for reactive work)
-	start, finish float64
-	placedAt      float64 // reactive ops: the crash that placed them
+	waits    int32   // unresolved constraints
+	acc      float64 // running max of resolved constraint values
+	minStart float64 // causal floor (crash instant for reactive work)
+	start    float64
+	finish   float64
+	placedAt float64 // reactive ops: the crash that placed them
 }
 
 // ev is one queued completion event.
@@ -98,19 +82,13 @@ type crashEv struct {
 }
 
 // Engine replays one schedule against failure traces. A single Engine
-// precomputes the static wiring once and reuses every scratch buffer
-// across Run/Makespan calls; it is not safe for concurrent use.
+// builds the schedule's sim.Wiring once and reuses it and every scratch
+// buffer across Run/Makespan calls; it is not safe for concurrent use.
 //
 //caft:confined
 type Engine struct {
-	s     *sched.Schedule
-	p     *sched.Problem
-	g     *dag.DAG
-	cg    *dag.Compiled
-	m     int
-	net   sched.Network
-	macro bool
-
+	w    *sim.Wiring // static prefix + this replay's reactive suffix
+	m    int
 	st   *sched.State
 	body func() error // prebuilt Speculate body (alloc-free Run)
 
@@ -120,28 +98,13 @@ type Engine struct {
 	rankNode []float64
 	rankUnit float64
 
-	// Static tables (prefix [0, n0) of every dynamic slice).
-	ops      []op
-	n0       int
-	taskOps  [][]int32 // per task: replica op indices, schedule order first
-	taskOps0 []int32
-	repOf    [][]int32 // task -> copy -> replica op index
-	repOf0   []int32
+	ops      []opRun   // per op of w
 	out      [][]int32 // per replica op: comm ops it feeds
 	out0     []int32
-	resIDs   []int32
-	nResIDs0 int
-	slotOf   []int32 // slot -> owning replica op
-	slotInit []int32 // static feeder count per slot
-	nSlots0  int
-	feedAdj  []int32
-	nFeeds0  int
+	nextCopy []int32 // per task: copy index of its next reactive replica
 	topoIdx  []int32
 
 	// Per-replay resource state.
-	nRes     int
-	members  [][]int32 // per resource: member ops in placement (seq) order
-	members0 []int32
 	nextIdx  []int32
 	resAvail []float64
 	holder   []int32 // op currently holding the resource token, -1 if free
@@ -152,8 +115,6 @@ type Engine struct {
 	taskDone    []bool
 	taskFinish  []float64
 	unrecover   []bool
-	nextCopy    []int32
-	nextCopy0   []int32
 	heap        []ev
 	crashes     []crashEv
 	deadList    []int32
@@ -165,12 +126,11 @@ type Engine struct {
 	opt         Options
 }
 
-// NewEngine builds the static wiring for s. The schedule must be well
-// formed (every communication referencing placed replicas); schedules
-// produced by this repository's schedulers always are.
+// NewEngine builds the wiring for s (see sim.NewWiring for the
+// schedules it rejects) and the scheduler state reactive placements
+// extend.
 func NewEngine(s *sched.Schedule) (*Engine, error) {
-	g := s.P.G
-	cg, err := g.Compile()
+	w, err := sim.NewWiring(s)
 	if err != nil {
 		return nil, err
 	}
@@ -178,173 +138,49 @@ func NewEngine(s *sched.Schedule) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{s: s, p: s.P, g: g, cg: cg, m: s.P.Plat.M, net: s.P.Network(), st: st}
-	e.macro = s.P.Model == sched.MacroDataflow
+	e := &Engine{w: w, m: s.P.Plat.M, st: st}
 	e.body = func() error { return e.exec() }
 	// The compiled view's topological index is read-only here; aliasing
 	// is safe because the engine freezes the graph at construction.
-	e.topoIdx = cg.TopoIndex()
+	e.topoIdx = w.CG.TopoIndex()
 
-	// Replica ops, task-major in schedule order (sim.Replayer's order).
-	nRep := s.ReplicaCount()
-	e.ops = make([]op, 0, nRep+len(s.Comms))
-	e.taskOps = make([][]int32, g.NumTasks())
-	e.repOf = make([][]int32, g.NumTasks())
-	for t := range s.Reps {
-		maxCopy := -1
-		for _, rep := range s.Reps[t] {
-			if rep.Copy > maxCopy {
-				maxCopy = rep.Copy
-			}
-		}
-		e.repOf[t] = make([]int32, maxCopy+1)
-		for c := range e.repOf[t] {
-			e.repOf[t][c] = noOp
-		}
-		for _, rep := range s.Reps[t] {
-			i := int32(len(e.ops))
-			e.repOf[t][rep.Copy] = i
-			e.taskOps[t] = append(e.taskOps[t], i)
-			o := op{kind: opRep, task: dag.TaskID(t), rep: rep, dur: rep.Finish - rep.Start, seq: rep.Seq, src: noOp}
-			o.slotBase = int32(len(e.slotOf))
-			o.nSlots = int32(cg.InDegree(dag.TaskID(t)))
-			for j := int32(0); j < o.nSlots; j++ {
-				e.slotOf = append(e.slotOf, i)
-				e.slotInit = append(e.slotInit, 0)
-			}
-			o.resBase = int32(len(e.resIDs))
-			e.resIDs = append(e.resIDs, int32(e.computeID(rep.Proc)))
-			o.nRes = 1
-			e.ops = append(e.ops, o)
+	n0 := len(w.Ops)
+	e.ops = make([]opRun, n0)
+	e.out = make([][]int32, n0)
+	for i := range w.Ops {
+		if o := &w.Ops[i]; o.Kind == sim.OpComm {
+			e.out[o.Src] = append(e.out[o.Src], int32(i))
 		}
 	}
-	// Communication ops in schedule order.
-	for i, c := range s.Comms {
-		o := op{kind: opComm, comm: c, dur: c.Dur, seq: c.Seq, src: noOp}
-		o.src = e.lookup(c.From, c.SrcCopy)
-		if o.src < 0 {
-			return nil, fmt.Errorf("online: comm %d references missing replica (%d,%d)", i, c.From, c.SrcCopy)
-		}
-		di := e.lookup(c.To, c.DstCopy)
-		if di < 0 {
-			return nil, fmt.Errorf("online: comm %d references missing replica (%d,%d)", i, c.To, c.DstCopy)
-		}
-		o.feedBase = int32(len(e.feedAdj))
-		dst := &e.ops[di]
-		from, _ := cg.Pred(c.To)
-		for j, f := range from {
-			if dag.TaskID(f) == c.From {
-				slot := dst.slotBase + int32(j)
-				e.feedAdj = append(e.feedAdj, slot)
-				e.slotInit[slot]++
-			}
-		}
-		o.nFeeds = int32(len(e.feedAdj)) - o.feedBase
-		o.resBase = int32(len(e.resIDs))
-		if !c.Intra && !e.macro {
-			e.resIDs = append(e.resIDs, int32(e.sendID(c.SrcProc)), int32(e.recvID(c.DstProc)))
-			for _, l := range e.net.Route(c.SrcProc, c.DstProc) {
-				e.resIDs = append(e.resIDs, int32(e.linkID(l)))
-			}
-		}
-		o.nRes = int32(len(e.resIDs)) - o.resBase
-		e.ops = append(e.ops, o)
-	}
-	e.n0 = len(e.ops)
-	e.nResIDs0 = len(e.resIDs)
-	e.nSlots0 = len(e.slotOf)
-	e.nFeeds0 = len(e.feedAdj)
-
-	// Source -> communications index.
-	e.out = make([][]int32, e.n0)
-	for i := range e.ops {
-		if e.ops[i].kind == opComm {
-			e.out[e.ops[i].src] = append(e.out[e.ops[i].src], int32(i))
-		}
-	}
-
-	// Per-resource membership in placement (seq) order, as in
-	// sim.Replayer: the chain order is crash-independent.
-	e.nRes = 3*e.m + e.net.NumLinks()
-	e.members = make([][]int32, e.nRes)
-	for i := range e.ops {
-		o := &e.ops[i]
-		for k := o.resBase; k < o.resBase+o.nRes; k++ {
-			r := e.resIDs[k]
-			e.members[r] = append(e.members[r], int32(i))
-		}
-	}
-	for r := range e.members {
-		mem := e.members[r]
-		sort.Slice(mem, func(a, b int) bool {
-			sa, sb := e.ops[mem[a]].seq, e.ops[mem[b]].seq
-			if sa != sb {
-				return sa < sb
-			}
-			return mem[a] < mem[b]
-		})
-	}
-
-	// Static dependency counts.
-	for i := range e.ops {
-		o := &e.ops[i]
-		o.waits0 = o.nRes
-		if o.kind == opRep {
-			o.waits0 += o.nSlots
-		} else {
-			o.waits0++
-		}
-	}
-
-	// Frozen lengths and per-replay scratch.
-	e.taskOps0 = make([]int32, len(e.taskOps))
-	e.repOf0 = make([]int32, len(e.repOf))
-	e.nextCopy0 = make([]int32, len(e.repOf))
-	for t := range e.taskOps {
-		e.taskOps0[t] = int32(len(e.taskOps[t]))
-		e.repOf0[t] = int32(len(e.repOf[t]))
-		e.nextCopy0[t] = int32(len(e.repOf[t]))
-	}
-	e.out0 = make([]int32, e.n0)
+	e.out0 = make([]int32, n0)
 	for i := range e.out {
 		e.out0[i] = int32(len(e.out[i]))
 	}
-	e.members0 = make([]int32, e.nRes)
-	for r := range e.members {
-		e.members0[r] = int32(len(e.members[r]))
-	}
-	e.nextIdx = make([]int32, e.nRes)
-	e.resAvail = make([]float64, e.nRes)
-	e.holder = make([]int32, e.nRes)
-	e.slotLeft = make([]int32, e.nSlots0)
-	e.slotDone = make([]bool, e.nSlots0)
-	e.taskDone = make([]bool, g.NumTasks())
-	e.taskFinish = make([]float64, g.NumTasks())
-	e.unrecover = make([]bool, g.NumTasks())
-	e.nextCopy = make([]int32, g.NumTasks())
-	e.inNeed = make([]bool, g.NumTasks())
+	n := w.CG.NumTasks()
+	nRes := len(w.Members)
+	e.nextIdx = make([]int32, nRes)
+	e.resAvail = make([]float64, nRes)
+	e.holder = make([]int32, nRes)
+	e.slotLeft = make([]int32, len(w.SlotOf))
+	e.slotDone = make([]bool, len(w.SlotOf))
+	e.taskDone = make([]bool, n)
+	e.taskFinish = make([]float64, n)
+	e.unrecover = make([]bool, n)
+	e.nextCopy = make([]int32, n)
+	e.inNeed = make([]bool, n)
 	e.procDead = make([]bool, e.m)
 	return e, nil
 }
 
+// waitsOf is op o's constraint count: its resources, plus its source
+// replica (a transfer) or one arrival per input slot (a replica).
+//
 //caft:zeroalloc
-func (e *Engine) computeID(proc int) int { return proc }
-
-//caft:zeroalloc
-func (e *Engine) sendID(proc int) int { return e.m + proc }
-
-//caft:zeroalloc
-func (e *Engine) recvID(proc int) int { return 2*e.m + proc }
-
-//caft:zeroalloc
-func (e *Engine) linkID(l int) int { return 3*e.m + l }
-
-//caft:zeroalloc
-func (e *Engine) lookup(t dag.TaskID, copy int) int32 {
-	if copy < 0 || copy >= len(e.repOf[t]) {
-		return noOp
+func waitsOf(o *sim.Op) int32 {
+	if o.Kind == sim.OpRep {
+		return o.NRes + o.NSlots
 	}
-	return e.repOf[t][copy]
+	return o.NRes + 1
 }
 
 // reset restores every dynamic table to the static prefix and loads the
@@ -352,41 +188,29 @@ func (e *Engine) lookup(t dag.TaskID, copy int) int32 {
 //
 //caft:zeroalloc
 func (e *Engine) reset(trace map[int]float64) {
-	e.ops = e.ops[:e.n0]
-	e.resIDs = e.resIDs[:e.nResIDs0]
-	e.slotOf = e.slotOf[:e.nSlots0]
-	e.slotInit = e.slotInit[:e.nSlots0]
-	e.slotLeft = e.slotLeft[:e.nSlots0]
-	e.slotDone = e.slotDone[:e.nSlots0]
-	e.feedAdj = e.feedAdj[:e.nFeeds0]
-	e.out = e.out[:e.n0]
+	e.w.Truncate()
+	n0, nSlots := len(e.w.Ops), len(e.w.SlotOf)
+	e.ops = e.ops[:n0]
+	e.out = e.out[:n0]
+	e.slotLeft = e.slotLeft[:nSlots]
+	e.slotDone = e.slotDone[:nSlots]
 	for i := range e.ops {
-		o := &e.ops[i]
-		o.state = opPending
-		o.waits = o.waits0
-		o.acc = 0
-		o.minStart = 0
-		o.start = 0
-		o.finish = 0
-		o.placedAt = 0
+		e.ops[i] = opRun{waits: waitsOf(&e.w.Ops[i])}
 		e.out[i] = e.out[i][:e.out0[i]]
 	}
-	for t := range e.taskOps {
-		e.taskOps[t] = e.taskOps[t][:e.taskOps0[t]]
-		e.repOf[t] = e.repOf[t][:e.repOf0[t]]
-		e.nextCopy[t] = e.nextCopy0[t]
+	for t := range e.nextCopy {
+		e.nextCopy[t] = int32(len(e.w.RepOf[t]))
 		e.taskDone[t] = false
 		e.taskFinish[t] = 0
 		e.unrecover[t] = false
 	}
-	for r := range e.members {
-		e.members[r] = e.members[r][:e.members0[r]]
+	for r := range e.holder {
 		e.nextIdx[r] = 0
 		e.resAvail[r] = 0
 		e.holder[r] = noOp
 	}
-	for s := 0; s < e.nSlots0; s++ {
-		e.slotLeft[s] = e.slotInit[s]
+	for s := range e.slotLeft {
+		e.slotLeft[s] = e.w.SlotFeeds[s]
 		e.slotDone[s] = false
 	}
 	for p := range e.procDead {
@@ -422,7 +246,7 @@ func (e *Engine) reset(trace map[int]float64) {
 //
 //caft:zeroalloc
 func (e *Engine) exec() error {
-	for r := 0; r < e.nRes; r++ {
+	for r := range e.holder {
 		e.releaseToken(int32(r), 0)
 	}
 	ci := 0
@@ -445,7 +269,7 @@ func (e *Engine) exec() error {
 	}
 	for i := range e.ops {
 		if st := e.ops[i].state; st == opPending || st == opRunning {
-			return fmt.Errorf("online: event loop stalled with op %d (seq %d) unresolved", i, e.ops[i].seq) //caft:alloc-ok stalled-loop diagnostic; unreachable on a validated schedule
+			return fmt.Errorf("online: event loop stalled with op %d (seq %d) unresolved", i, e.w.Ops[i].Seq) //caft:alloc-ok stalled-loop diagnostic; unreachable on a validated schedule
 		}
 	}
 	return nil
@@ -460,8 +284,9 @@ func (e *Engine) releaseToken(r int32, avail float64) {
 	if avail > e.resAvail[r] {
 		e.resAvail[r] = avail
 	}
-	for e.nextIdx[r] < int32(len(e.members[r])) {
-		i := e.members[r][e.nextIdx[r]]
+	members := e.w.Members[r]
+	for e.nextIdx[r] < int32(len(members)) {
+		i := members[e.nextIdx[r]]
 		e.nextIdx[r]++
 		if e.ops[i].state == opDead {
 			continue
@@ -471,17 +296,6 @@ func (e *Engine) releaseToken(r int32, avail float64) {
 		return
 	}
 	e.holder[r] = noOp
-}
-
-// addMember appends a reactively placed op to resource r's chain; if
-// the token is free it is granted immediately.
-//
-//caft:zeroalloc
-func (e *Engine) addMember(r, i int32) {
-	e.members[r] = append(e.members[r], i)
-	if e.holder[r] == noOp {
-		e.releaseToken(r, e.resAvail[r])
-	}
 }
 
 // resolve folds one constraint value into op i and starts it when it
@@ -502,13 +316,14 @@ func (e *Engine) resolve(i int32, v float64) {
 		if o.minStart > o.start {
 			o.start = o.minStart
 		}
-		dur := o.dur
-		if o.kind == opRep && e.opt.ExecScale != nil {
-			dur *= e.opt.ExecScale[o.task]
+		w := &e.w.Ops[i]
+		dur := w.Dur
+		if w.Kind == sim.OpRep && e.opt.ExecScale != nil {
+			dur *= e.opt.ExecScale[w.Rep.Task]
 		}
 		o.finish = o.start + dur
 		o.state = opRunning
-		e.push(ev{t: o.finish, seq: o.seq, idx: i})
+		e.push(ev{t: o.finish, seq: w.Seq, idx: i})
 	}
 }
 
@@ -524,27 +339,28 @@ func (e *Engine) complete(i int32) {
 	}
 	o.state = opDone
 	e.events++
-	for k := o.resBase; k < o.resBase+o.nRes; k++ {
-		r := e.resIDs[k]
+	w := &e.w.Ops[i]
+	for k := w.ResBase; k < w.ResBase+w.NRes; k++ {
+		r := e.w.ResIDs[k]
 		if e.holder[r] == i {
 			e.releaseToken(r, o.finish)
 		}
 	}
-	if o.kind == opRep {
-		if !e.taskDone[o.task] {
-			e.taskDone[o.task] = true
-			e.taskFinish[o.task] = o.finish
+	if w.Kind == sim.OpRep {
+		if t := w.Rep.Task; !e.taskDone[t] {
+			e.taskDone[t] = true
+			e.taskFinish[t] = o.finish
 		}
 		for _, j := range e.out[i] {
 			e.resolve(j, o.finish)
 		}
 		return
 	}
-	for k := o.feedBase; k < o.feedBase+o.nFeeds; k++ {
-		s := e.feedAdj[k]
+	for k := w.FeedBase; k < w.FeedBase+w.NFeeds; k++ {
+		s := e.w.Feeds[k]
 		if !e.slotDone[s] {
 			e.slotDone[s] = true
-			e.resolve(e.slotOf[s], o.finish)
+			e.resolve(e.w.SlotOf[s], o.finish)
 		}
 	}
 }
@@ -571,17 +387,11 @@ func (e *Engine) crash(q int, tau float64) error {
 	e.deadList = e.deadList[:0]
 	// Phase 1: unfinished work occupying q.
 	for i := range e.ops {
-		o := &e.ops[i]
-		if o.state != opPending && o.state != opRunning {
+		if st := e.ops[i].state; st != opPending && st != opRunning {
 			continue
 		}
-		hit := false
-		if o.kind == opRep {
-			hit = o.rep.Proc == q
-		} else {
-			hit = o.comm.SrcProc == q || o.comm.DstProc == q
-		}
-		if hit {
+		w := &e.w.Ops[i]
+		if w.Kind == sim.OpRep && w.Rep.Proc == q || w.Kind == sim.OpComm && (w.Comm.SrcProc == q || w.Comm.DstProc == q) {
 			e.kill(int32(i))
 		}
 	}
@@ -590,30 +400,30 @@ func (e *Engine) crash(q int, tau float64) error {
 	// replica.
 	for k := 0; k < len(e.deadList); k++ {
 		i := e.deadList[k]
-		o := &e.ops[i]
-		if o.kind == opRep {
+		w := &e.w.Ops[i]
+		if w.Kind == sim.OpRep {
 			for _, j := range e.out[i] {
 				e.kill(j)
 			}
 			continue
 		}
-		for f := o.feedBase; f < o.feedBase+o.nFeeds; f++ {
-			s := e.feedAdj[f]
+		for f := w.FeedBase; f < w.FeedBase+w.NFeeds; f++ {
+			s := e.w.Feeds[f]
 			if e.slotDone[s] {
 				continue
 			}
 			e.slotLeft[s]--
 			if e.slotLeft[s] == 0 {
-				e.kill(e.slotOf[s])
+				e.kill(e.w.SlotOf[s])
 			}
 		}
 	}
 	// Phase 3: resources held by the dead re-open at tau — never
 	// earlier; the crash is only observable at tau.
 	for _, i := range e.deadList {
-		o := &e.ops[i]
-		for k := o.resBase; k < o.resBase+o.nRes; k++ {
-			r := e.resIDs[k]
+		w := &e.w.Ops[i]
+		for k := w.ResBase; k < w.ResBase+w.NRes; k++ {
+			r := e.w.ResIDs[k]
 			if e.holder[r] == i {
 				e.releaseToken(r, tau)
 			}

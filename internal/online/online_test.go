@@ -320,7 +320,7 @@ func TestOnlineMakespanMatchesRun(t *testing.T) {
 }
 
 // sameOutcome asserts two online results are bit-identical.
-func sameOutcome(t *testing.T, label string, got, want *Result) {
+func sameOutcome(t *testing.T, label string, got, want *sim.Result) {
 	t.Helper()
 	if got.Rescheduled != want.Rescheduled || len(got.TasksLost) != len(want.TasksLost) {
 		t.Fatalf("%s: rescheduled/lost mismatch: (%d,%v) vs (%d,%v)", label, got.Rescheduled, got.TasksLost, want.Rescheduled, want.TasksLost)

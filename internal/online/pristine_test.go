@@ -13,7 +13,7 @@ import (
 // timeline intervals and ready times all bit-identical. Test support
 // for the fuzz harness's "clean rollback" property.
 func (e *Engine) verifyPristine() error {
-	fresh, err := sched.StateOf(e.s)
+	fresh, err := sched.StateOf(e.w.S)
 	if err != nil {
 		return err
 	}

@@ -7,6 +7,7 @@ import (
 
 	"caft/internal/dag"
 	"caft/internal/sched"
+	"caft/internal/sim"
 )
 
 // reschedule is the reactive re-mapper, run after the death cascade of
@@ -29,12 +30,12 @@ import (
 // allocation-free.
 func (e *Engine) reschedule(tau float64) error {
 	for _, i := range e.deadList {
-		o := &e.ops[i]
+		o := &e.w.Ops[i]
 		var err error
-		if o.kind == opRep {
-			err = e.st.CancelReplica(o.rep)
+		if o.Kind == sim.OpRep {
+			err = e.st.CancelReplica(o.Rep)
 		} else {
-			err = e.st.CancelComm(o.comm)
+			err = e.st.CancelComm(o.Comm)
 		}
 		if err != nil {
 			return fmt.Errorf("online: cancel at tau=%v: %w", tau, err)
@@ -54,7 +55,7 @@ func (e *Engine) reschedule(tau float64) error {
 	}
 	for k := 0; k < len(e.needList); k++ {
 		t := dag.TaskID(e.needList[k])
-		from, _ := e.cg.Pred(t)
+		from, _ := e.w.CG.Pred(t)
 		for _, f := range from {
 			p := dag.TaskID(f)
 			if e.inNeed[p] || e.unrecover[p] || e.hasData(p) {
@@ -94,7 +95,7 @@ func (e *Engine) reschedule(tau float64) error {
 
 // hasLive reports whether t has a replica still pending or running.
 func (e *Engine) hasLive(t dag.TaskID) bool {
-	for _, i := range e.taskOps[t] {
+	for _, i := range e.w.TaskOps[t] {
 		if st := e.ops[i].state; st == opPending || st == opRunning {
 			return true
 		}
@@ -106,9 +107,8 @@ func (e *Engine) hasLive(t dag.TaskID) bool {
 // consumers: a finished replica on a surviving processor, or a live
 // replica.
 func (e *Engine) hasData(t dag.TaskID) bool {
-	for _, i := range e.taskOps[t] {
-		o := &e.ops[i]
-		if o.state == opDone && !e.procDead[o.rep.Proc] {
+	for _, i := range e.w.TaskOps[t] {
+		if e.ops[i].state == opDone && !e.procDead[e.w.Ops[i].Rep.Proc] {
 			return true
 		}
 	}
@@ -124,7 +124,7 @@ func (e *Engine) hasData(t dag.TaskID) bool {
 // no reachable source for some predecessor, or no feasible processor at
 // all, is marked unrecoverable and stays lost.
 func (e *Engine) placeReactive(t dag.TaskID, tau float64) error {
-	pf, pv := e.cg.Pred(t)
+	pf, pv := e.w.CG.Pred(t)
 	sets := make([]sched.SourceSet, 0, len(pf))
 	for k, f := range pf {
 		from := dag.TaskID(f)
@@ -203,67 +203,45 @@ func (e *Engine) markUnrecoverable(t dag.TaskID) {
 }
 
 // wire appends the reactive placement — its input transfers first, then
-// the replica — to the event tables and registers every constraint.
-// All new operations carry minStart = tau: a reactive placement cannot
-// occupy resources before the crash that triggered it was observed.
+// the replica — to the wiring and registers every constraint. All new
+// operations carry minStart = tau: a reactive placement cannot occupy
+// resources before the crash that triggered it was observed.
 func (e *Engine) wire(t dag.TaskID, rep sched.Replica, newComms []sched.Comm, tau float64) {
-	pf, _ := e.cg.Pred(t)
-	repIdx := int32(len(e.ops) + len(newComms))
-	slotBase := int32(len(e.slotOf))
-	for range pf {
-		e.slotOf = append(e.slotOf, repIdx)
-		e.slotInit = append(e.slotInit, 0)
-		e.slotLeft = append(e.slotLeft, 0)
-		e.slotDone = append(e.slotDone, false)
-	}
+	w := e.w
+	slotBase := w.AddSlots(int32(len(w.Ops)+len(newComms)), w.CG.InDegree(t))
 	for _, c := range newComms {
-		ci := int32(len(e.ops))
-		o := op{kind: opComm, state: opPending, reactive: true, comm: c, dur: c.Dur, seq: c.Seq, minStart: tau, placedAt: tau}
-		o.src = e.lookup(c.From, c.SrcCopy)
-		o.feedBase = int32(len(e.feedAdj))
-		for j, f := range pf {
-			if dag.TaskID(f) == c.From {
-				slot := slotBase + int32(j)
-				e.feedAdj = append(e.feedAdj, slot)
-				e.slotLeft[slot]++
-			}
-		}
-		o.nFeeds = int32(len(e.feedAdj)) - o.feedBase
-		o.resBase = int32(len(e.resIDs))
-		if !c.Intra && !e.macro {
-			e.resIDs = append(e.resIDs, int32(e.sendID(c.SrcProc)), int32(e.recvID(c.DstProc)))
-			for _, l := range e.net.Route(c.SrcProc, c.DstProc) {
-				e.resIDs = append(e.resIDs, int32(e.linkID(l)))
-			}
-		}
-		o.nRes = int32(len(e.resIDs)) - o.resBase
-		o.waits = o.nRes + 1
-		e.ops = append(e.ops, o)
+		ci := w.AddComm(c, slotBase)
+		e.ops = append(e.ops, opRun{reactive: true, waits: waitsOf(&w.Ops[ci]), minStart: tau, placedAt: tau})
 		e.out = append(e.out, nil)
 		// Register: the source constraint resolves against the executed
 		// finish when the source already ran; otherwise it resolves on
 		// the source's completion event.
-		src := &e.ops[o.src]
-		if src.state == opDone {
-			e.resolve(ci, src.finish)
+		src := w.Ops[ci].Src
+		if e.ops[src].state == opDone {
+			e.resolve(ci, e.ops[src].finish)
 		} else {
-			e.out[o.src] = append(e.out[o.src], ci)
+			e.out[src] = append(e.out[src], ci)
 		}
-		oo := &e.ops[ci]
-		for k := oo.resBase; k < oo.resBase+oo.nRes; k++ {
-			e.addMember(e.resIDs[k], ci)
+		e.grant(ci)
+	}
+	ri := w.AddRep(rep, slotBase)
+	e.ops = append(e.ops, opRun{reactive: true, waits: waitsOf(&w.Ops[ri]), minStart: tau, placedAt: tau})
+	e.out = append(e.out, nil)
+	// Feeder counts of the new replica's slots are complete only now.
+	for s := len(e.slotLeft); s < len(w.SlotOf); s++ {
+		e.slotLeft = append(e.slotLeft, w.SlotFeeds[s])
+		e.slotDone = append(e.slotDone, false)
+	}
+	e.grant(ri)
+}
+
+// grant hands every resource of the just-wired op i that is free to it
+// (i is the last member of each of its resources).
+func (e *Engine) grant(i int32) {
+	o := &e.w.Ops[i]
+	for k := o.ResBase; k < o.ResBase+o.NRes; k++ {
+		if r := e.w.ResIDs[k]; e.holder[r] == noOp {
+			e.releaseToken(r, e.resAvail[r])
 		}
 	}
-	o := op{kind: opRep, state: opPending, reactive: true, task: t, rep: rep, dur: rep.Finish - rep.Start, seq: rep.Seq, src: noOp, minStart: tau, placedAt: tau}
-	o.slotBase = slotBase
-	o.nSlots = int32(len(pf))
-	o.resBase = int32(len(e.resIDs))
-	e.resIDs = append(e.resIDs, int32(e.computeID(rep.Proc)))
-	o.nRes = 1
-	o.waits = o.nRes + o.nSlots
-	e.ops = append(e.ops, o)
-	e.out = append(e.out, nil)
-	e.taskOps[t] = append(e.taskOps[t], repIdx)
-	e.repOf[t] = append(e.repOf[t], repIdx)
-	e.addMember(int32(e.computeID(rep.Proc)), repIdx)
 }

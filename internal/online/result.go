@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"caft/internal/dag"
-	"caft/internal/sched"
 	"caft/internal/sim"
 )
 
@@ -41,69 +40,6 @@ type Options struct {
 	RankOrder bool
 }
 
-// RepOutcome is the executed fate of one replica. For Alive (finished)
-// replicas Start/Finish are the executed times; for dead replicas that
-// had started before the crash they record the aborted attempt, and
-// for never-started work they are zero.
-type RepOutcome struct {
-	Rep      sched.Replica
-	Alive    bool
-	Reactive bool    // placed by the rescheduler at runtime
-	PlacedAt float64 // reactive replicas: the crash instant that placed them
-	Start    float64
-	Finish   float64
-}
-
-// CommOutcome is the executed fate of one communication.
-type CommOutcome struct {
-	Comm     sched.Comm
-	Alive    bool
-	Reactive bool
-	Start    float64
-	Finish   float64
-}
-
-// Result holds the executed times of every operation of one replay.
-// Reps is indexed by task; each task lists its original replicas in
-// schedule order followed by any reactive replicas in placement order.
-// Comms lists the original communications in schedule order followed by
-// reactive transfers.
-type Result struct {
-	Reps  [][]RepOutcome
-	Comms []CommOutcome
-	// TasksLost lists tasks that never completed any replica (possible
-	// without rescheduling, or when crashes exhaust the platform).
-	TasksLost []dag.TaskID
-	// Rescheduled counts reactively placed replicas.
-	Rescheduled int
-	// Crashes is the number of failure-trace events processed; Events
-	// the number of completion events.
-	Crashes int
-	Events  int
-}
-
-// Latency returns the latest time at which at least one replica of each
-// task has been computed, or an error satisfying errors.Is(err,
-// sim.ErrTaskLost) naming a lost task.
-func (r *Result) Latency() (float64, error) {
-	if len(r.TasksLost) > 0 {
-		return math.Inf(1), fmt.Errorf("online: task %d lost (no surviving replica): %w", r.TasksLost[0], sim.ErrTaskLost)
-	}
-	lat := 0.0
-	for t := range r.Reps {
-		min := math.Inf(1)
-		for _, o := range r.Reps[t] {
-			if o.Alive && o.Finish < min {
-				min = o.Finish
-			}
-		}
-		if min > lat {
-			lat = min
-		}
-	}
-	return lat, nil
-}
-
 // replay resets the engine, loads the trace and runs the event loop.
 // With rescheduling enabled the whole run executes inside one
 // speculation scope on the rebuilt state, so cancellations and reactive
@@ -112,8 +48,8 @@ func (r *Result) Latency() (float64, error) {
 //caft:zeroalloc
 func (e *Engine) replay(trace map[int]float64, opt Options) error {
 	if opt.ExecScale != nil {
-		if len(opt.ExecScale) != e.g.NumTasks() {
-			return fmt.Errorf("online: ExecScale has %d entries, want one per task (%d)", len(opt.ExecScale), e.g.NumTasks()) //caft:alloc-ok option-validation rejection path; the accept path allocates nothing
+		if len(opt.ExecScale) != e.w.CG.NumTasks() {
+			return fmt.Errorf("online: ExecScale has %d entries, want one per task (%d)", len(opt.ExecScale), e.w.CG.NumTasks()) //caft:alloc-ok option-validation rejection path; the accept path allocates nothing
 		}
 		for t, f := range opt.ExecScale {
 			if f < 0 || math.IsNaN(f) {
@@ -140,9 +76,9 @@ func (e *Engine) replay(trace map[int]float64, opt Options) error {
 // processors and the communication unit is the network's mean unit
 // delay, matching the static priority levels of sched.Lister.
 func (e *Engine) buildRanker() {
-	e.ranker = dag.NewRanker(e.cg)
-	e.rankNode = e.p.Exec.Mean()
-	e.rankUnit = e.p.Network().MeanUnitDelay()
+	e.ranker = dag.NewRanker(e.w.CG)
+	e.rankNode = e.w.S.P.Exec.Mean()
+	e.rankUnit = e.w.S.P.Network().MeanUnitDelay()
 }
 
 // Run replays the schedule against a failure trace (processor -> crash
@@ -150,23 +86,24 @@ func (e *Engine) buildRanker() {
 // outside [0, m) are ignored, matching sim's crash-set handling) and
 // materializes the full outcome. An empty trace reproduces
 // sim.Replayer's no-crash replay bit for bit.
-func (e *Engine) Run(trace map[int]float64, opt Options) (*Result, error) {
+func (e *Engine) Run(trace map[int]float64, opt Options) (*sim.Result, error) {
 	if err := e.replay(trace, opt); err != nil {
 		return nil, err
 	}
-	res := &Result{
-		Reps:        make([][]RepOutcome, len(e.taskOps)),
-		Comms:       make([]CommOutcome, 0, len(e.ops)-e.s.ReplicaCount()),
+	w := e.w
+	res := &sim.Result{
+		Reps:        make([][]sim.RepOutcome, len(w.TaskOps)),
+		Comms:       make([]sim.CommOutcome, 0, len(w.Ops)-w.S.ReplicaCount()),
 		Rescheduled: e.rescheduled,
 		Crashes:     len(e.crashes),
 		Events:      e.events,
 	}
-	for t := range e.taskOps {
-		res.Reps[t] = make([]RepOutcome, 0, len(e.taskOps[t]))
-		for _, i := range e.taskOps[t] {
+	for t, ops := range w.TaskOps {
+		res.Reps[t] = make([]sim.RepOutcome, 0, len(ops))
+		for _, i := range ops {
 			o := &e.ops[i]
-			res.Reps[t] = append(res.Reps[t], RepOutcome{
-				Rep: o.rep, Alive: o.state == opDone, Reactive: o.reactive,
+			res.Reps[t] = append(res.Reps[t], sim.RepOutcome{
+				Rep: w.Ops[i].Rep, Alive: o.state == opDone, Reactive: o.reactive,
 				PlacedAt: o.placedAt, Start: o.start, Finish: o.finish,
 			})
 		}
@@ -174,13 +111,13 @@ func (e *Engine) Run(trace map[int]float64, opt Options) (*Result, error) {
 			res.TasksLost = append(res.TasksLost, dag.TaskID(t))
 		}
 	}
-	for i := range e.ops {
-		o := &e.ops[i]
-		if o.kind != opComm {
+	for i := range w.Ops {
+		if w.Ops[i].Kind != sim.OpComm {
 			continue
 		}
-		res.Comms = append(res.Comms, CommOutcome{
-			Comm: o.comm, Alive: o.state == opDone, Reactive: o.reactive,
+		o := &e.ops[i]
+		res.Comms = append(res.Comms, sim.CommOutcome{
+			Comm: w.Ops[i].Comm, Alive: o.state == opDone, Reactive: o.reactive,
 			Start: o.start, Finish: o.finish,
 		})
 	}

@@ -7,6 +7,7 @@ import (
 
 	"caft/internal/dag"
 	"caft/internal/sched"
+	"caft/internal/sim"
 	"caft/internal/timeline"
 )
 
@@ -29,7 +30,7 @@ import (
 //
 // The fuzz harness drives this against random crash sequences; the
 // engine must produce validator-clean output for every trace.
-func Validate(p *sched.Problem, res *Result, trace map[int]float64) error {
+func Validate(p *sched.Problem, res *sim.Result, trace map[int]float64) error {
 	g := p.G
 	if len(res.Reps) != g.NumTasks() {
 		return fmt.Errorf("online: %d tasks recorded, want %d", len(res.Reps), g.NumTasks())
@@ -85,7 +86,7 @@ func Validate(p *sched.Problem, res *Result, trace map[int]float64) error {
 		t    dag.TaskID
 		copy int
 	}
-	finished := map[key]RepOutcome{}
+	finished := map[key]sim.RepOutcome{}
 	for t := range res.Reps {
 		for _, o := range res.Reps[t] {
 			if o.Alive {

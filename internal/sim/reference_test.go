@@ -49,13 +49,13 @@ func refReplayOnce(s *sched.Schedule, opt Options, deadReps map[[2]int]bool, dea
 	for t := range s.Reps {
 		for _, r := range s.Reps[t] {
 			repIdx[[2]int{int(r.Task), r.Copy}] = len(ops)
-			ops = append(ops, refOp{kind: opRep, rep: r, dur: r.Finish - r.Start, schedStart: r.Start, seq: r.Seq})
+			ops = append(ops, refOp{kind: OpRep, rep: r, dur: r.Finish - r.Start, schedStart: r.Start, seq: r.Seq})
 		}
 	}
 	commAt := make([]int, len(s.Comms))
 	for i, c := range s.Comms {
 		commAt[i] = len(ops)
-		ops = append(ops, refOp{kind: opComm, comm: c, dur: c.Dur, schedStart: c.Start, seq: c.Seq})
+		ops = append(ops, refOp{kind: OpComm, comm: c, dur: c.Dur, schedStart: c.Start, seq: c.Seq})
 	}
 
 	// --- Phase 1: liveness, in topological task order. ---
@@ -109,9 +109,9 @@ func refReplayOnce(s *sched.Schedule, opt Options, deadReps map[[2]int]bool, dea
 			continue
 		}
 		switch o.kind {
-		case opRep:
+		case OpRep:
 			compute[o.rep.Proc] = append(compute[o.rep.Proc], i)
-		case opComm:
+		case OpComm:
 			if o.comm.Intra || s.P.Model == sched.MacroDataflow {
 				continue
 			}
@@ -164,12 +164,12 @@ func refReplayOnce(s *sched.Schedule, opt Options, deadReps map[[2]int]bool, dea
 				}
 			}
 			switch o.kind {
-			case opComm:
+			case OpComm:
 				si := repIdx[[2]int{int(o.comm.From), o.comm.SrcCopy}]
 				if ops[si].finish > st {
 					st = ops[si].finish
 				}
-			case opRep:
+			case OpRep:
 				ins := inputsOf[[2]int{int(o.rep.Task), o.rep.Copy}]
 				for _, e := range g.Pred(o.rep.Task) {
 					agg := math.Inf(1)
@@ -212,7 +212,7 @@ func refReplayOnce(s *sched.Schedule, opt Options, deadReps map[[2]int]bool, dea
 	}
 
 	// --- Collect results. ---
-	res := &Result{Reps: make([][]RepOutcome, len(s.Reps)), Sweeps: sweeps}
+	res := &Result{Reps: make([][]RepOutcome, len(s.Reps))}
 	for i := range s.Comms {
 		o := ops[commAt[i]]
 		res.Comms = append(res.Comms, CommOutcome{Comm: o.comm, Alive: o.alive, Start: o.start, Finish: o.finish})

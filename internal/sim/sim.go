@@ -23,10 +23,16 @@
 //     last replica of each task yields the paper's upper bound, the
 //     latency guaranteed even if ε processors fail.
 //
-// The engine replays on dense slice-indexed tables precomputed once per
-// schedule by a Replayer; the package-level helpers build a throwaway
-// Replayer, while hot loops (package expt, the Monte-Carlo ablations)
-// hold one per schedule so repeated replays allocate near-zero.
+// A schedule's constraints are built once into a Wiring — the op
+// table, one input slot per (replica, predecessor edge), and every
+// resource's members in placement order — which this package's
+// Replayer and package online's event engine share. Every constraint
+// points to an earlier-placed operation, so a Replayer evaluates a
+// replay in one forward pass over the operations in placement order,
+// deciding liveness and times together. The package-level helpers
+// build a throwaway Replayer, while hot loops (package expt, the
+// Monte-Carlo ablations) hold one per schedule so repeated replays
+// allocate near-zero.
 //
 //caft:deterministic
 package sim
@@ -72,32 +78,47 @@ type Options struct {
 	Sem Semantics
 }
 
-// RepOutcome is the replayed fate of one replica.
+// RepOutcome is the replayed fate of one replica. For Alive replicas
+// Start/Finish are the replayed times. A dead replica of a clairvoyant
+// replay has zero times; an online replay records the aborted attempt
+// of a replica that had started before its crash.
 type RepOutcome struct {
-	Rep    sched.Replica
-	Alive  bool
-	Start  float64
-	Finish float64
+	Rep      sched.Replica
+	Alive    bool
+	Reactive bool    // online: placed by the rescheduler at runtime
+	PlacedAt float64 // online, reactive replicas: the crash instant that placed them
+	Start    float64
+	Finish   float64
 }
 
 // CommOutcome is the replayed fate of one communication.
 type CommOutcome struct {
-	Comm   sched.Comm
-	Alive  bool
-	Start  float64
-	Finish float64
+	Comm     sched.Comm
+	Alive    bool
+	Reactive bool // online: placed by the rescheduler at runtime
+	Start    float64
+	Finish   float64
 }
 
-// Result holds the replayed times of every replica.
+// Result holds the replayed times of every operation, of a clairvoyant
+// replay (Replayer) or an online one (online.Engine). Reps is indexed
+// like Schedule.Reps and Comms like Schedule.Comms; an online replay
+// appends its reactive replicas to their task's list and its reactive
+// transfers to Comms, in placement order. The online-only fields stay
+// zero for clairvoyant replays.
 type Result struct {
-	Reps  [][]RepOutcome // indexed like Schedule.Reps
-	Comms []CommOutcome  // indexed like Schedule.Comms
+	Reps  [][]RepOutcome
+	Comms []CommOutcome
 	// TasksLost lists tasks with no surviving executed replica. Empty for
 	// any schedule produced by a correct ε-fault-tolerant scheduler when
 	// |Crashed| ≤ ε.
 	TasksLost []dag.TaskID
-	// Sweeps is the number of fixpoint sweeps the timing phase needed.
-	Sweeps int
+	// Rescheduled counts reactively placed replicas (online).
+	Rescheduled int
+	// Crashes is the number of failure-trace events processed, Events the
+	// number of completion events (online).
+	Crashes int
+	Events  int
 }
 
 // Latency returns the latest time at which at least one replica of each
@@ -135,25 +156,6 @@ func (r *Result) LatencyAllReplicas() float64 {
 		}
 	}
 	return lat
-}
-
-const (
-	opRep = iota
-	opComm
-)
-
-// op is one replayed operation (replica execution or communication).
-// The identity fields are static; alive, start and finish are rewritten
-// on every replay.
-type op struct {
-	kind   int
-	rep    sched.Replica
-	comm   sched.Comm
-	alive  bool
-	dur    float64
-	start  float64
-	finish float64
-	seq    int32
 }
 
 // Replay recomputes the schedule's execution under the given options.

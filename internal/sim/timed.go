@@ -9,42 +9,39 @@ import (
 
 // runTimed grows the dead set of the timed-crash fixpoint on the
 // Replayer's scratch buffers: per-op deadlines are loaded once from
-// crashTimes, then liveness+timing passes run until no surviving
-// operation violates its deadline. It allocates nothing.
+// crashTimes, then replay passes run until no surviving operation
+// violates its deadline. It allocates nothing.
 //
 //caft:zeroalloc
 func (r *Replayer) runTimed(crashTimes map[int]float64, sem Semantics) error {
 	for i := range r.crashed {
 		r.crashed[i] = false
 	}
-	for i := range r.ops {
+	for i := range r.w.Ops {
 		r.dead[i] = false
-		o := &r.ops[i]
+		o := &r.w.Ops[i]
 		d := math.Inf(1)
-		switch o.kind {
-		case opRep:
-			if tau, ok := crashTimes[o.rep.Proc]; ok {
+		if o.Kind == OpRep {
+			if tau, ok := crashTimes[o.Rep.Proc]; ok {
 				d = tau
 			}
-		case opComm:
+		} else {
 			// A transfer must complete before both endpoints crash.
-			if tau, ok := crashTimes[o.comm.SrcProc]; ok {
+			if tau, ok := crashTimes[o.Comm.SrcProc]; ok {
 				d = tau
 			}
-			if tau, ok := crashTimes[o.comm.DstProc]; ok && tau < d {
+			if tau, ok := crashTimes[o.Comm.DstProc]; ok && tau < d {
 				d = tau
 			}
 		}
 		r.deadline[i] = d
 	}
-	limit := len(r.ops) + 2
+	limit := len(r.w.Ops) + 2
 	for iter := 0; iter < limit; iter++ {
-		if err := r.run(sem, r.dead); err != nil {
-			return err
-		}
+		r.run(sem, r.dead)
 		changed := false
-		for i := range r.ops {
-			if o := &r.ops[i]; o.alive && o.finish > r.deadline[i]+sched.Eps {
+		for i := range r.x {
+			if x := &r.x[i]; x.alive && x.finish > r.deadline[i]+sched.Eps {
 				r.dead[i] = true
 				changed = true
 			}
@@ -70,8 +67,9 @@ func (r *Replayer) runTimed(crashTimes map[int]float64, sem Semantics) error {
 // its resources, which can pull other operations earlier and let them
 // beat the deadline, so the dead set is grown iteratively — starting
 // from the optimistic no-extra-deaths schedule — until no surviving
-// operation violates a crash instant. The result is the least such dead
-// set under the optimistic ordering, matching an execution in which the
+// operation violates a crash instant; each round is one
+// placement-order replay pass. The result is the least such dead set
+// under the optimistic ordering, matching an execution in which the
 // system never waits for work that will never arrive.
 //
 //caft:zeroalloc

@@ -18,8 +18,7 @@ import (
 
 // sameResult asserts two replay results are bit-identical in every
 // outcome field (Alive, Start, Finish per replica and communication,
-// and the lost-task list). Sweeps is engine diagnostics, not semantics,
-// and is deliberately not compared.
+// and the lost-task list).
 func sameResult(t *testing.T, label string, got, want *Result) {
 	t.Helper()
 	if len(got.TasksLost) != len(want.TasksLost) {

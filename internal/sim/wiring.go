@@ -1,0 +1,243 @@
+package sim
+
+import (
+	"errors"
+	"fmt"
+	"sort"
+
+	"caft/internal/dag"
+	"caft/internal/sched"
+)
+
+// ErrPlacementOrder reports a schedule with a constraint that points to
+// a later-placed operation: a communication placed before its source
+// replica, or a replica placed before a communication feeding it. Every
+// schedule built through sched.State satisfies the order (PlaceReplica
+// places a replica's input transfers before the replica, and a
+// transfer's source replica already exists), and the single
+// placement-order pass of Replayer is exact only under it; test with
+// errors.Is.
+var ErrPlacementOrder = errors.New("constraint points to a later-placed operation")
+
+// NoOp is the op index of an absent operation.
+const NoOp = int32(-1)
+
+// Op kinds.
+const (
+	OpRep = iota
+	OpComm
+)
+
+// Op is one operation of a schedule's constraint graph: a replica
+// execution or a communication, with its static wiring. Per-replay
+// state lives with the evaluator (Replayer, online.Engine).
+type Op struct {
+	Kind int8
+	Rep  sched.Replica // OpRep
+	Comm sched.Comm    // OpComm
+	Dur  float64
+	Seq  int32
+
+	Src              int32 // OpComm: op index of the source replica; NoOp otherwise
+	ResBase, NRes    int32 // occupied resources: Wiring.ResIDs[ResBase:ResBase+NRes]
+	SlotBase, NSlots int32 // OpRep: one input slot per predecessor edge
+	FeedBase, NFeeds int32 // OpComm: fed slots, Wiring.Feeds[FeedBase:FeedBase+NFeeds]
+}
+
+// Wiring is the constraint graph of a schedule, shared by the
+// clairvoyant Replayer and the event-driven online.Engine: the op table
+// (every replica in Schedule.Reps order, then every communication in
+// Schedule.Comms order), the dense (task, copy) → op index, one input
+// slot per (replica, predecessor edge), the slots each communication
+// feeds (a comm from predecessor p feeds every slot whose edge
+// originates at p, so parallel edges share their input group), and the
+// resources each op occupies — compute timeline, send port, receive
+// port and links — with every resource's members in placement order.
+//
+// The tables built from the schedule form a static prefix. online.Engine
+// appends reactive placements after it (AddSlots, AddComm, AddRep) and
+// restores it with Truncate before every replay.
+//
+//caft:confined
+type Wiring struct {
+	S  *sched.Schedule
+	CG *dag.Compiled
+
+	Ops       []Op
+	RepOf     [][]int32 // task -> copy -> replica op index, NoOp when absent
+	TaskOps   [][]int32 // task -> replica op indices, schedule order first
+	SlotOf    []int32   // slot -> owning replica op
+	SlotFeeds []int32   // slot -> number of comms feeding it
+	Feeds     []int32   // comm feed adjacency (slot indices), see Op.FeedBase
+	ResIDs    []int32   // occupied resources, see Op.ResBase
+	Members   [][]int32 // resource -> member ops in placement order
+
+	m     int
+	net   sched.Network
+	macro bool
+
+	// Static prefix lengths, restored by Truncate.
+	nOps0, nSlots0, nFeeds0, nRes0 int
+	repOf0, taskOps0, members0     []int32
+}
+
+// NewWiring builds the constraint graph of s over the graph's compiled
+// view. It is the one place that assigns op indices, slot numbers and
+// resource IDs from a schedule. A communication naming a replica the
+// schedule does not hold is rejected, and so is a constraint pointing
+// to a later-placed operation (ErrPlacementOrder).
+func NewWiring(s *sched.Schedule) (*Wiring, error) {
+	cg, err := s.P.G.Compile()
+	if err != nil {
+		return nil, err
+	}
+	m := s.P.Plat.M
+	net := s.P.Network()
+	w := &Wiring{S: s, CG: cg, m: m, net: net, macro: s.P.Model == sched.MacroDataflow}
+	n := cg.NumTasks()
+	w.Ops = make([]Op, 0, s.ReplicaCount()+len(s.Comms))
+	w.RepOf = make([][]int32, n)
+	w.TaskOps = make([][]int32, n)
+	w.Members = make([][]int32, 3*m+net.NumLinks())
+	for t := range s.Reps {
+		for _, rep := range s.Reps[t] {
+			w.AddRep(rep, w.AddSlots(int32(len(w.Ops)), cg.InDegree(dag.TaskID(t))))
+		}
+	}
+	for i, c := range s.Comms {
+		src, dst := w.lookup(c.From, c.SrcCopy), w.lookup(c.To, c.DstCopy)
+		if src == NoOp {
+			return nil, fmt.Errorf("sim: comm %d references missing replica (%d,%d)", i, c.From, c.SrcCopy)
+		}
+		if dst == NoOp {
+			return nil, fmt.Errorf("sim: comm %d references missing replica (%d,%d)", i, c.To, c.DstCopy)
+		}
+		ci := w.AddComm(c, w.Ops[dst].SlotBase)
+		if !w.before(src, ci) || !w.before(ci, dst) {
+			return nil, fmt.Errorf("sim: comm %d (seq %d) from replica seq %d to replica seq %d: %w",
+				i, c.Seq, w.Ops[src].Seq, w.Ops[dst].Seq, ErrPlacementOrder)
+		}
+	}
+	for _, mem := range w.Members {
+		sort.Slice(mem, func(a, b int) bool { return w.before(mem[a], mem[b]) })
+	}
+
+	w.nOps0, w.nSlots0, w.nFeeds0, w.nRes0 = len(w.Ops), len(w.SlotOf), len(w.Feeds), len(w.ResIDs)
+	w.repOf0 = make([]int32, n)
+	w.taskOps0 = make([]int32, n)
+	for t := range w.RepOf {
+		w.repOf0[t] = int32(len(w.RepOf[t]))
+		w.taskOps0[t] = int32(len(w.TaskOps[t]))
+	}
+	w.members0 = make([]int32, len(w.Members))
+	for r := range w.Members {
+		w.members0[r] = int32(len(w.Members[r]))
+	}
+	return w, nil
+}
+
+// before reports whether op a precedes op b in placement order: by
+// placement sequence, ties broken by op index. The order Replayer
+// evaluates in, and the order of every resource's members.
+//
+//caft:zeroalloc
+func (w *Wiring) before(a, b int32) bool {
+	if sa, sb := w.Ops[a].Seq, w.Ops[b].Seq; sa != sb {
+		return sa < sb
+	}
+	return a < b
+}
+
+// lookup returns the op index of replica (t, copy), or NoOp.
+//
+//caft:zeroalloc
+func (w *Wiring) lookup(t dag.TaskID, copy int) int32 {
+	if copy < 0 || copy >= len(w.RepOf[t]) {
+		return NoOp
+	}
+	return w.RepOf[t][copy]
+}
+
+// AddSlots appends n input slots owned by replica op owner and returns
+// the first slot's index.
+func (w *Wiring) AddSlots(owner int32, n int) int32 {
+	base := int32(len(w.SlotOf))
+	for j := 0; j < n; j++ {
+		w.SlotOf = append(w.SlotOf, owner)
+		w.SlotFeeds = append(w.SlotFeeds, 0)
+	}
+	return base
+}
+
+// AddRep appends replica rep, whose predecessor slots start at
+// slotBase, occupying its processor's compute timeline, and returns
+// its op index.
+func (w *Wiring) AddRep(rep sched.Replica, slotBase int32) int32 {
+	i := int32(len(w.Ops))
+	t := rep.Task
+	for len(w.RepOf[t]) <= rep.Copy {
+		w.RepOf[t] = append(w.RepOf[t], NoOp)
+	}
+	w.RepOf[t][rep.Copy] = i
+	w.TaskOps[t] = append(w.TaskOps[t], i)
+	o := Op{Kind: OpRep, Rep: rep, Dur: rep.Finish - rep.Start, Seq: rep.Seq, Src: NoOp,
+		SlotBase: slotBase, NSlots: int32(w.CG.InDegree(t)), ResBase: int32(len(w.ResIDs)), NRes: 1}
+	w.Ops = append(w.Ops, o)
+	w.occupy(i, rep.Proc)
+	return i
+}
+
+// AddComm appends communication c, whose destination replica's slots
+// start at dstSlots, and returns its op index. Intra-processor
+// transfers and every transfer under the macro-dataflow model occupy
+// no resource; the others hold the sender's send port, the receiver's
+// receive port and every link of the route.
+func (w *Wiring) AddComm(c sched.Comm, dstSlots int32) int32 {
+	i := int32(len(w.Ops))
+	o := Op{Kind: OpComm, Comm: c, Dur: c.Dur, Seq: c.Seq, Src: w.lookup(c.From, c.SrcCopy),
+		FeedBase: int32(len(w.Feeds)), ResBase: int32(len(w.ResIDs))}
+	from, _ := w.CG.Pred(c.To)
+	for j, f := range from {
+		if dag.TaskID(f) == c.From {
+			slot := dstSlots + int32(j)
+			w.Feeds = append(w.Feeds, slot)
+			w.SlotFeeds[slot]++
+		}
+	}
+	o.NFeeds = int32(len(w.Feeds)) - o.FeedBase
+	w.Ops = append(w.Ops, o)
+	if !c.Intra && !w.macro {
+		w.occupy(i, w.m+c.SrcProc)
+		w.occupy(i, 2*w.m+c.DstProc)
+		for _, l := range w.net.Route(c.SrcProc, c.DstProc) {
+			w.occupy(i, 3*w.m+l)
+		}
+	}
+	w.Ops[i].NRes = int32(len(w.ResIDs)) - o.ResBase
+	return i
+}
+
+// occupy records that op i holds resource r.
+func (w *Wiring) occupy(i int32, r int) {
+	w.ResIDs = append(w.ResIDs, int32(r))
+	w.Members[r] = append(w.Members[r], i)
+}
+
+// Truncate drops every appended operation, restoring the tables built
+// from the schedule. It allocates nothing.
+//
+//caft:zeroalloc
+func (w *Wiring) Truncate() {
+	w.Ops = w.Ops[:w.nOps0]
+	w.SlotOf = w.SlotOf[:w.nSlots0]
+	w.SlotFeeds = w.SlotFeeds[:w.nSlots0]
+	w.Feeds = w.Feeds[:w.nFeeds0]
+	w.ResIDs = w.ResIDs[:w.nRes0]
+	for t := range w.RepOf {
+		w.RepOf[t] = w.RepOf[t][:w.repOf0[t]]
+		w.TaskOps[t] = w.TaskOps[t][:w.taskOps0[t]]
+	}
+	for r := range w.Members {
+		w.Members[r] = w.Members[r][:w.members0[r]]
+	}
+}
