@@ -132,26 +132,20 @@ func BenchmarkAblationInsertion(b *testing.B) {
 	}
 }
 
-// BenchmarkScheduleInsertion pins the payoff of the clone-free probe
-// refactor on the probe-heaviest scheduler under the Insertion policy:
-// the speculative (journaled, rolled-back) probe path against the
-// deep-clone-per-probe reference it replaced. Run with -benchmem; the
-// acceptance bar is >=5x fewer allocs/op for the speculative mode, and
-// in practice steady-state probes are allocation-free.
+// BenchmarkScheduleInsertion measures the probe-heaviest scheduler
+// under the Insertion policy, where every probe runs through the
+// reservation journal and is rolled back. Run with -benchmem:
+// steady-state probes are allocation-free (TestInsertionProbeAllocPin
+// in internal/sched pins it).
 func BenchmarkScheduleInsertion(b *testing.B) {
-	for _, mode := range []sched.ProbeMode{sched.SpeculativeProbe, sched.CloneProbe} {
-		b.Run(mode.String(), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(12))
-			p := benchProblem(rng, 10, 1.0, timeline.Insertion)
-			p.Probe = mode
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := ftsa.Schedule(p, 2, rand.New(rand.NewSource(7))); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	rng := rand.New(rand.NewSource(12))
+	p := benchProblem(rng, 10, 1.0, timeline.Insertion)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ftsa.Schedule(p, 2, rand.New(rand.NewSource(7))); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -171,11 +165,11 @@ func BenchmarkAblationContention(b *testing.B) {
 		est = s.ScheduledLatency()
 		view := *s
 		view.P = p
-		r, err := sim.Replay(&view, sim.Options{})
+		rep, err := sim.NewReplayer(&view)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if replayed, err = r.Latency(); err != nil {
+		if replayed, err = rep.LowerBound(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -260,8 +254,8 @@ func BenchmarkSchedulers(b *testing.B) {
 	})
 }
 
-// BenchmarkCrashReplay measures the runtime replay engine: the one-shot
-// package API (which rebuilds the replay tables per call) against a
+// BenchmarkCrashReplay measures the runtime replay engine: a one-shot
+// replay (which builds a Replayer and its tables per call) against a
 // reused Replayer, the allocation-lean path the experiment engine uses
 // for its Monte-Carlo loops.
 func BenchmarkCrashReplay(b *testing.B) {
@@ -274,7 +268,11 @@ func BenchmarkCrashReplay(b *testing.B) {
 	crashed := map[int]bool{1: true, 4: true}
 	b.Run("oneshot", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := sim.CrashLatency(s, crashed); err != nil {
+			rep, err := sim.NewReplayer(s)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := rep.CrashLatency(crashed); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -293,9 +291,9 @@ func BenchmarkCrashReplay(b *testing.B) {
 	})
 }
 
-// BenchmarkReplayTimed measures the timed fail-stop replay: the
-// one-shot package API (which rebuilds the Replayer and its tables on
-// every call) against the reused scratch path the reliability
+// BenchmarkReplayTimed measures the timed fail-stop replay: a one-shot
+// replay (which builds a Replayer and its tables on every call)
+// against the reused scratch path the reliability
 // experiments drive. Run with -benchmem: the fixpoint replays the whole
 // schedule several times per call, so the reused path's flat buffers
 // cut allocs/op by well over an order of magnitude.
@@ -311,7 +309,11 @@ func BenchmarkReplayTimed(b *testing.B) {
 	b.Run("oneshot", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := sim.CrashLatencyAt(s, crashTimes); err != nil {
+			rep, err := sim.NewReplayer(s)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := rep.CrashLatencyAt(crashTimes); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -12,8 +12,9 @@
 //	exec := caft.GenExecForGranularity(rng, g, plat, 1.0)
 //	p := &caft.Problem{G: g, Plat: plat, Exec: exec}
 //	s, err := caft.ScheduleCAFT(p, 1, rng)    // tolerate 1 failure
-//	lb, _ := caft.LowerBound(s)
-//	lat, _ := caft.CrashLatency(s, map[int]bool{2: true})
+//	rep, _ := caft.NewReplayer(s)
+//	lb, _ := rep.LowerBound()
+//	lat, _ := rep.CrashLatency(map[int]bool{2: true})
 //
 // A zero Problem.Model is the one-port model and a zero Problem.Policy
 // is the paper's append reservation policy; set Problem.Net to a
@@ -67,6 +68,13 @@ type (
 	// CAFTOptions tunes the CAFT variants (locking mode, greedy or
 	// replicated-only placement).
 	CAFTOptions = core.Options
+	// Replayer replays one schedule against fault scenarios, reusing
+	// its tables across calls: LowerBound (no failure), UpperBound (the
+	// latency guaranteed even when eps processors fail), CrashLatency
+	// (fail-stop processors) and CrashLatencyAt (timed crashes). Crashes
+	// beyond the schedule's tolerance that lose a task return an error.
+	// A Replayer is not safe for concurrent use.
+	Replayer = sim.Replayer
 	// ReplayResult holds the replayed times of every replica and
 	// communication after fault injection.
 	ReplayResult = sim.Result
@@ -149,25 +157,9 @@ func ScheduleHOFT(p *Problem, rng *rand.Rand) (*Schedule, error) {
 	return hoft.Schedule(p, rng)
 }
 
-// LowerBound returns the latency achieved when no processor fails.
-func LowerBound(s *Schedule) (float64, error) { return sim.LowerBound(s) }
-
-// UpperBound returns the latency guaranteed even when eps processors
-// fail (last-arrival replay, completion of the last replica).
-func UpperBound(s *Schedule) (float64, error) { return sim.UpperBound(s) }
-
-// CrashLatency replays the schedule with the given fail-stop processors
-// and returns the achieved latency; it errors if the crashes exceed the
-// schedule's tolerance and a task is lost.
-func CrashLatency(s *Schedule, crashed map[int]bool) (float64, error) {
-	return sim.CrashLatency(s, crashed)
-}
-
-// CrashLatencyAt replays timed fail-stop failures: work completed
-// before each processor's crash instant survives.
-func CrashLatencyAt(s *Schedule, crashTimes map[int]float64) (float64, error) {
-	return sim.CrashLatencyAt(s, crashTimes)
-}
+// NewReplayer builds the replay tables of s once; replay it as often as
+// needed through the returned Replayer.
+func NewReplayer(s *Schedule) (*Replayer, error) { return sim.NewReplayer(s) }
 
 // UniformMTBF draws a heterogeneous per-processor MTBF vector uniform
 // in [lo, hi], for the failure models.

@@ -36,11 +36,15 @@ func TestFacadeEndToEnd(t *testing.T) {
 		if err := s.Validate(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		lb, err := LowerBound(s)
+		rep, err := NewReplayer(s)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		ub, err := UpperBound(s)
+		lb, err := rep.LowerBound()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		ub, err := rep.UpperBound()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -48,10 +52,10 @@ func TestFacadeEndToEnd(t *testing.T) {
 			t.Fatalf("%s: ub %v < lb %v", name, ub, lb)
 		}
 		for proc := 0; proc < 4; proc++ {
-			if _, err := CrashLatency(s, map[int]bool{proc: true}); err != nil {
+			if _, err := rep.CrashLatency(map[int]bool{proc: true}); err != nil {
 				t.Fatalf("%s crash P%d: %v", name, proc, err)
 			}
-			if _, err := CrashLatencyAt(s, map[int]float64{proc: lb / 2}); err != nil {
+			if _, err := rep.CrashLatencyAt(map[int]float64{proc: lb / 2}); err != nil {
 				t.Fatalf("%s timed crash P%d: %v", name, proc, err)
 			}
 		}
@@ -94,7 +98,11 @@ func TestFacadeUnreliability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lb, err := LowerBound(s)
+	rep, err := NewReplayer(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb, err := rep.LowerBound()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -117,8 +117,12 @@ func run(out io.Writer, in io.Reader, algo string, eps, m int, kind string, gran
 	if crash == "" && tracePath == "" {
 		return nil
 	}
+	rep, err := sim.NewReplayer(s)
+	if err != nil {
+		return err
+	}
 	if crash == "" {
-		r, err := sim.Replay(s, sim.Options{})
+		r, err := rep.Replay(sim.Options{})
 		if err != nil {
 			return err
 		}
@@ -132,21 +136,21 @@ func run(out io.Writer, in io.Reader, algo string, eps, m int, kind string, gran
 		}
 		crashed[proc] = true
 	}
-	lat0, err := sim.LowerBound(s)
+	lat0, err := rep.LowerBound()
 	if err != nil {
 		return err
 	}
-	latC, err := sim.CrashLatency(s, crashed)
+	latC, err := rep.CrashLatency(crashed)
 	if err != nil {
 		return fmt.Errorf("crash replay: %w", err)
 	}
-	ub, err := sim.UpperBound(s)
+	ub, err := rep.UpperBound()
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "\nreplay: latency %.2f with 0 crashes, %.2f with crashes %v (upper bound %.2f)\n", lat0, latC, keys(crashed), ub)
 	if tracePath != "" {
-		r, err := sim.Replay(s, sim.Options{Crashed: crashed})
+		r, err := rep.Replay(sim.Options{Crashed: crashed})
 		if err != nil {
 			return err
 		}

@@ -28,8 +28,12 @@ func ExampleScheduleCAFT() {
 		panic(err)
 	}
 	fmt.Println("replicas:", s.ReplicaCount())
+	rep, err := caft.NewReplayer(s)
+	if err != nil {
+		panic(err)
+	}
 	for proc := 0; proc < 3; proc++ {
-		if _, err := caft.CrashLatency(s, map[int]bool{proc: true}); err != nil {
+		if _, err := rep.CrashLatency(map[int]bool{proc: true}); err != nil {
 			fmt.Println("crash lost the application:", err)
 			return
 		}
@@ -40,9 +44,9 @@ func ExampleScheduleCAFT() {
 	// every single crash survived
 }
 
-// ExampleUpperBound contrasts the failure-free latency with the latency
-// guaranteed under ε failures.
-func ExampleUpperBound() {
+// ExampleReplayer_UpperBound contrasts the failure-free latency with
+// the latency guaranteed under ε failures.
+func ExampleReplayer_UpperBound() {
 	g := caft.NewDAG(2)
 	g.AddEdge(0, 1, 4)
 	plat := caft.NewPlatform(2, 1.0)
@@ -56,8 +60,12 @@ func ExampleUpperBound() {
 	if err != nil {
 		panic(err)
 	}
-	lb, _ := caft.LowerBound(s)
-	ub, _ := caft.UpperBound(s)
+	rep, err := caft.NewReplayer(s)
+	if err != nil {
+		panic(err)
+	}
+	lb, _ := rep.LowerBound()
+	ub, _ := rep.UpperBound()
 	fmt.Printf("no failures: %.0f, guaranteed under 1 failure: %.0f\n", lb, ub)
 	// Output:
 	// no failures: 6, guaranteed under 1 failure: 33

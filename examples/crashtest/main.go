@@ -41,8 +41,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	lb, _ := sim.LowerBound(s)
-	ub, _ := sim.UpperBound(s)
+	rep, err := sim.NewReplayer(s)
+	if err != nil {
+		log.Fatal(err)
+	}
+	lb, _ := rep.LowerBound()
+	ub, _ := rep.UpperBound()
 	fmt.Printf("FFT(8): %d tasks, eps=%d, latency %.1f, upper bound %.1f, %d messages\n\n",
 		g.NumTasks(), eps, lb, ub, s.MessageCount())
 
@@ -51,7 +55,7 @@ func main() {
 	total := 0
 	for a := 0; a < m; a++ {
 		for b := a + 1; b < m; b++ {
-			lat, err := sim.CrashLatency(s, map[int]bool{a: true, b: true})
+			lat, err := rep.CrashLatency(map[int]bool{a: true, b: true})
 			if err != nil {
 				log.Fatalf("crashing P%d+P%d lost a task — fault tolerance violated: %v", a, b, err)
 			}
@@ -78,10 +82,6 @@ func main() {
 	// work finished before a crash survives — so the Monte-Carlo
 	// unreliability stays well below the naive >2-crashes probability.
 	fmt.Println()
-	rep, err := sim.NewReplayer(s)
-	if err != nil {
-		log.Fatal(err)
-	}
 	const samples = 2000
 	for _, mult := range []float64{2, 8, 32} {
 		model := &failure.Exponential{MTBF: failure.UniformMTBF(rng, m, 0.75*mult*lb, 1.25*mult*lb)}

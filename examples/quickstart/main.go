@@ -56,13 +56,17 @@ func main() {
 		log.Fatal(err)
 	}
 
-	lb, _ := sim.LowerBound(s)
-	ub, _ := sim.UpperBound(s)
+	rep, err := sim.NewReplayer(s)
+	if err != nil {
+		log.Fatal(err)
+	}
+	lb, _ := rep.LowerBound()
+	ub, _ := rep.UpperBound()
 	fmt.Printf("\nlatency if nothing fails: %.2f; guaranteed even under 1 failure: %.2f\n", lb, ub)
 
 	// Crash each processor in turn and replay.
 	for proc := 0; proc < plat.M; proc++ {
-		lat, err := sim.CrashLatency(s, map[int]bool{proc: true})
+		lat, err := rep.CrashLatency(map[int]bool{proc: true})
 		if err != nil {
 			log.Fatalf("crash of P%d lost a task: %v", proc, err)
 		}

@@ -60,9 +60,13 @@ func main() {
 		if tg, ok := n.net.(*topology.Graph); ok {
 			diam = tg.Diameter()
 		}
+		rep, err := sim.NewReplayer(s)
+		if err != nil {
+			log.Fatal(err)
+		}
 		worst := 0.0
 		for proc := 0; proc < m; proc++ {
-			lat, err := sim.CrashLatency(s, map[int]bool{proc: true})
+			lat, err := rep.CrashLatency(map[int]bool{proc: true})
 			if err != nil {
 				log.Fatalf("%s: crash P%d lost a task: %v", n.name, proc, err)
 			}

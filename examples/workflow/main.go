@@ -54,7 +54,11 @@ func main() {
 		}
 		results = append(results, result{"FTBAR", sFB})
 		for _, r := range results {
-			ub, err := sim.UpperBound(r.s)
+			rep, err := sim.NewReplayer(r.s)
+			if err != nil {
+				log.Fatal(err)
+			}
+			ub, err := rep.UpperBound()
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -62,7 +66,7 @@ func main() {
 			if eps >= 1 {
 				worst = 0
 				for proc := 0; proc < plat.M; proc++ {
-					lat, err := sim.CrashLatency(r.s, map[int]bool{proc: true})
+					lat, err := rep.CrashLatency(map[int]bool{proc: true})
 					if err != nil {
 						log.Fatalf("%s eps=%d: crash P%d lost a task: %v", r.name, eps, proc, err)
 					}

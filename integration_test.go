@@ -65,7 +65,11 @@ func TestIntegrationMatrix(t *testing.T) {
 						if s.ScheduledLatency() < bounds.CriticalPath(p)-sched.Eps {
 							t.Fatalf("latency %v beats critical path %v", s.ScheduledLatency(), bounds.CriticalPath(p))
 						}
-						lb, err := sim.LowerBound(s)
+						rep, err := sim.NewReplayer(s)
+						if err != nil {
+							t.Fatal(err)
+						}
+						lb, err := rep.LowerBound()
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -75,7 +79,7 @@ func TestIntegrationMatrix(t *testing.T) {
 						if pol == timeline.Append && lb > s.ScheduledLatency()+sched.Eps {
 							t.Fatalf("replay %v exceeds scheduled latency %v", lb, s.ScheduledLatency())
 						}
-						ub, err := sim.UpperBound(s)
+						ub, err := rep.UpperBound()
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -83,7 +87,7 @@ func TestIntegrationMatrix(t *testing.T) {
 							t.Fatalf("UB %v < LB %v", ub, lb)
 						}
 						for proc := 0; proc < 6; proc++ {
-							lat, err := sim.CrashLatency(s, map[int]bool{proc: true})
+							lat, err := rep.CrashLatency(map[int]bool{proc: true})
 							if err != nil {
 								t.Fatalf("crash P%d: %v", proc, err)
 							}
@@ -126,15 +130,23 @@ func TestIntegrationSparseMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				repCA, err := sim.NewReplayer(sCA)
+				if err != nil {
+					t.Fatal(err)
+				}
+				repFT, err := sim.NewReplayer(sFT)
+				if err != nil {
+					t.Fatal(err)
+				}
 				for draw := 0; draw < 10; draw++ {
 					crashed := map[int]bool{}
 					for len(crashed) < eps {
 						crashed[rng.Intn(8)] = true
 					}
-					if _, err := sim.CrashLatency(sCA, crashed); err != nil {
+					if _, err := repCA.CrashLatency(crashed); err != nil {
 						t.Fatalf("caft eps=%d %v: %v", eps, crashed, err)
 					}
-					if _, err := sim.CrashLatency(sFT, crashed); err != nil {
+					if _, err := repFT.CrashLatency(crashed); err != nil {
 						t.Fatalf("ftsa eps=%d %v: %v", eps, crashed, err)
 					}
 				}
@@ -191,11 +203,11 @@ func TestMacroDataflowUnderestimates(t *testing.T) {
 		onePort.Model = sched.OnePort
 		view := *s
 		view.P = &onePort
-		r, err := sim.Replay(&view, sim.Options{})
+		rep, err := sim.NewReplayer(&view)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lat, err := r.Latency()
+		lat, err := rep.LowerBound()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,12 +26,16 @@ func TestBatchValidAndResilient(t *testing.T) {
 						t.Fatalf("window=%d: task %d has %d replicas", window, ti, len(s.Reps[ti]))
 					}
 				}
+				rep, err := sim.NewReplayer(s)
+				if err != nil {
+					t.Fatal(err)
+				}
 				for draw := 0; draw < 10; draw++ {
 					crashed := map[int]bool{}
 					for len(crashed) < eps {
 						crashed[rng.Intn(8)] = true
 					}
-					if _, err := sim.CrashLatency(s, crashed); err != nil {
+					if _, err := rep.CrashLatency(crashed); err != nil {
 						t.Fatalf("window=%d eps=%d crashed=%v: %v", window, eps, crashed, err)
 					}
 				}

@@ -167,12 +167,16 @@ func TestCAFTResilienceStress(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			rep, err := sim.NewReplayer(s)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for draw := 0; draw < 30; draw++ {
 				crashed := map[int]bool{}
 				for len(crashed) < eps {
 					crashed[rng.Intn(m)] = true
 				}
-				if _, err := sim.CrashLatency(s, crashed); err != nil {
+				if _, err := rep.CrashLatency(crashed); err != nil {
 					t.Fatalf("eps=%d crashed=%v: %v", eps, crashed, err)
 				}
 			}
@@ -200,12 +204,20 @@ func TestPaperLockingGap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		safeRep, err := sim.NewReplayer(safe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		paperRep, err := sim.NewReplayer(paper)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for proc := 0; proc < m; proc++ {
 			crashed := map[int]bool{proc: true}
-			if _, err := sim.CrashLatency(safe, crashed); err != nil {
+			if _, err := safeRep.CrashLatency(crashed); err != nil {
 				t.Fatalf("support locking lost a task on single crash: %v", err)
 			}
-			if _, err := sim.CrashLatency(paper, crashed); err != nil {
+			if _, err := paperRep.CrashLatency(crashed); err != nil {
 				gapSeen = true
 			}
 		}
@@ -326,6 +338,10 @@ func TestCAFTResilienceExhaustiveEps3(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		rep, err := sim.NewReplayer(s)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var rec func(start int, cur []int)
 		rec = func(start int, cur []int) {
 			if len(cur) > 0 {
@@ -333,7 +349,7 @@ func TestCAFTResilienceExhaustiveEps3(t *testing.T) {
 				for _, proc := range cur {
 					crashed[proc] = true
 				}
-				if _, err := sim.CrashLatency(s, crashed); err != nil {
+				if _, err := rep.CrashLatency(crashed); err != nil {
 					t.Fatalf("crashed=%v: %v", cur, err)
 				}
 			}
@@ -358,9 +374,13 @@ func TestBatchResilienceExhaustive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep, err := sim.NewReplayer(s)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for a := 0; a < m; a++ {
 		for b := a; b < m; b++ {
-			if _, err := sim.CrashLatency(s, map[int]bool{a: true, b: true}); err != nil {
+			if _, err := rep.CrashLatency(map[int]bool{a: true, b: true}); err != nil {
 				t.Fatalf("crash {%d,%d}: %v", a, b, err)
 			}
 		}

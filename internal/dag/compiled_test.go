@@ -142,140 +142,6 @@ func TestLazyNameConstructionAllocs(t *testing.T) {
 	}
 }
 
-func TestRankerMatchesBottomLevels(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	g := randomDAG(rng, 250)
-	c, err := g.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	node := make([]float64, g.NumTasks())
-	for i := range node {
-		node[i] = 1 + rng.Float64()*10
-	}
-	const unit = 0.5
-	r := NewRanker(c)
-	r.Reset(node, unit)
-	want := g.BottomLevels(node, func(e Edge) float64 { return e.Volume * unit })
-	for i := range want {
-		if r.Rank(TaskID(i)) != want[i] {
-			t.Fatalf("rank of %d: got %v, want bottom level %v", i, r.Rank(TaskID(i)), want[i])
-		}
-	}
-}
-
-func TestRankerIncrementalMatchesFullRecompute(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	g := randomDAG(rng, 250)
-	c, err := g.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	node := make([]float64, g.NumTasks())
-	for i := range node {
-		node[i] = 1 + rng.Float64()*10
-	}
-	const unit = 0.8
-	r := NewRanker(c)
-	r.Reset(node, unit)
-	ref := NewRanker(c)
-
-	for round := 0; round < 50; round++ {
-		t1 := TaskID(rng.Intn(g.NumTasks()))
-		switch rng.Intn(3) {
-		case 0:
-			r.Disable(t1)
-		case 1:
-			r.Enable(t1)
-		case 2:
-			node[t1] = 1 + rng.Float64()*10
-			r.SetNodeCost(t1, node[t1])
-		}
-		cone := r.Repair()
-		if cone > g.NumTasks() {
-			t.Fatalf("round %d: dirty cone %d exceeds v=%d", round, cone, g.NumTasks())
-		}
-
-		// Reference: full recompute with the same disabled set.
-		ref.Reset(node, unit)
-		for i := 0; i < g.NumTasks(); i++ {
-			if r.Disabled(TaskID(i)) {
-				ref.Disable(TaskID(i))
-			}
-		}
-		ref.Repair()
-		for i := 0; i < g.NumTasks(); i++ {
-			if r.Rank(TaskID(i)) != ref.Rank(TaskID(i)) {
-				t.Fatalf("round %d: rank of %d diverged: incremental %v, full %v",
-					round, i, r.Rank(TaskID(i)), ref.Rank(TaskID(i)))
-			}
-		}
-	}
-}
-
-func TestRankerDirtyConeIsLocal(t *testing.T) {
-	// On a long chain, disabling the exit re-ranks the whole chain, but
-	// disabling a task near the entry touches only its short prefix.
-	const v = 1000
-	g := New(v)
-	for i := 0; i < v-1; i++ {
-		g.AddEdge(TaskID(i), TaskID(i+1), 1)
-	}
-	c, err := g.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	node := make([]float64, v)
-	for i := range node {
-		node[i] = 1
-	}
-	r := NewRanker(c)
-	r.Reset(node, 1)
-	r.Disable(5)
-	if cone := r.Repair(); cone > 7 {
-		t.Fatalf("disabling task 5 of a chain re-ranked %d tasks; want <= 7 (the dirty cone)", cone)
-	}
-}
-
-// TestRankRepairAllocPin pins the steady-state crash path: after
-// warmup, disable + repair + re-enable + repair allocates nothing.
-func TestRankRepairAllocPin(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	g := randomDAG(rng, 400)
-	c, err := g.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	node := make([]float64, g.NumTasks())
-	for i := range node {
-		node[i] = 2
-	}
-	r := NewRanker(c)
-	r.Reset(node, 1)
-	// Warm the dirty heap to steady capacity.
-	for i := 0; i < 10; i++ {
-		r.Disable(TaskID(i))
-		r.Repair()
-		r.Enable(TaskID(i))
-		r.Repair()
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		r.Disable(3)
-		r.Repair()
-		r.Enable(3)
-		r.Repair()
-	})
-	if allocs != 0 {
-		t.Fatalf("rank maintenance allocates %v per crash; pinned at 0", allocs)
-	}
-	allocs = testing.AllocsPerRun(20, func() {
-		r.Reset(node, 1)
-	})
-	if allocs != 0 {
-		t.Fatalf("Ranker.Reset allocates %v; pinned at 0", allocs)
-	}
-}
-
 func BenchmarkCompile(b *testing.B) {
 	rng := rand.New(rand.NewSource(41))
 	g := randomDAG(rng, 10000)
@@ -286,48 +152,5 @@ func BenchmarkCompile(b *testing.B) {
 		if _, err := g.Compile(); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkRankReset(b *testing.B) {
-	rng := rand.New(rand.NewSource(43))
-	g := randomDAG(rng, 10000)
-	c, err := g.Compile()
-	if err != nil {
-		b.Fatal(err)
-	}
-	node := make([]float64, g.NumTasks())
-	for i := range node {
-		node[i] = 1
-	}
-	r := NewRanker(c)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Reset(node, 1)
-	}
-}
-
-func BenchmarkRankRepair(b *testing.B) {
-	rng := rand.New(rand.NewSource(47))
-	g := randomDAG(rng, 10000)
-	c, err := g.Compile()
-	if err != nil {
-		b.Fatal(err)
-	}
-	node := make([]float64, g.NumTasks())
-	for i := range node {
-		node[i] = 1
-	}
-	r := NewRanker(c)
-	r.Reset(node, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t := TaskID(i % g.NumTasks())
-		r.Disable(t)
-		r.Repair()
-		r.Enable(t)
-		r.Repair()
 	}
 }

@@ -231,11 +231,11 @@ func RunAccuracy(w io.Writer, graphs int, seed int64, workers int) error {
 		pp := *macro
 		pp.Model = sched.OnePort
 		onePortView.P = &pp
-		r, err := sim.Replay(&onePortView, sim.Options{})
+		rep, err := sim.NewReplayer(&onePortView)
 		if err != nil {
 			return meas{}, err
 		}
-		lat, err := r.Latency()
+		lat, err := rep.LowerBound()
 		if err != nil {
 			return meas{}, err
 		}

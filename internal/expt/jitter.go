@@ -127,8 +127,9 @@ func runJitterUnit(d sched.Descriptor, useed int64) (jitterUnit, error) {
 			}
 			exec2[t] = row
 		}
-		p2 := &sched.Problem{G: p.G, Plat: p.Plat, Exec: exec2, Model: p.Model, Policy: p.Policy, Net: p.Net, Probe: p.Probe}
-		s2, err := d.New(p2, eps, rand.New(rand.NewSource(unitSeed(useed, 1, trial))))
+		p2 := *p
+		p2.Exec = exec2
+		s2, err := d.New(&p2, eps, rand.New(rand.NewSource(unitSeed(useed, 1, trial))))
 		if err != nil {
 			return out, err
 		}

@@ -1,7 +1,8 @@
 // Package failure provides stochastic models of processor failures for
-// the timed fail-stop replay (sim.ReplayTimed). A Model samples crash
-// scenarios — maps from processor index to the instant the processor
-// permanently stops — from per-processor lifetime distributions.
+// the timed fail-stop replay (sim.Replayer.ReplayTimed). A Model
+// samples crash scenarios — maps from processor index to the instant
+// the processor permanently stops — from per-processor lifetime
+// distributions.
 //
 // The paper evaluates schedules against static crash subsets; related
 // work (Benoit et al., arXiv:0711.1231; Tekawade & Banerjee,

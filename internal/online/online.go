@@ -19,8 +19,9 @@
 // transitively starved of inputs. The semantics is causal: a resource
 // freed by a cancellation becomes available at tau, never earlier, and
 // reactive re-placements may not start before tau — the past is never
-// rewritten, unlike sim.ReplayTimed's omniscient fixpoint, which lets
-// survivors move into slots vacated before the crash was observable.
+// rewritten, unlike sim.Replayer.ReplayTimed's omniscient fixpoint,
+// which lets survivors move into slots vacated before the crash was
+// observable.
 //
 // With Options.Reschedule, each crash additionally triggers the
 // reactive re-mapper: reservations of lost and unstarted work are
@@ -40,7 +41,6 @@ import (
 	"fmt"
 	"math"
 
-	"caft/internal/dag"
 	"caft/internal/sched"
 	"caft/internal/sim"
 )
@@ -91,12 +91,6 @@ type Engine struct {
 	m    int
 	st   *sched.State
 	body func() error // prebuilt Speculate body (alloc-free Run)
-
-	// Incremental upward-rank maintenance (Options.RankOrder); built
-	// lazily on the first rank-ordered replay and reused afterwards.
-	ranker   *dag.Ranker
-	rankNode []float64
-	rankUnit float64
 
 	ops      []opRun   // per op of w
 	out      [][]int32 // per replica op: comm ops it feeds

@@ -65,23 +65,9 @@ func (e *Engine) reschedule(tau float64) error {
 			e.needList = append(e.needList, int32(p))
 		}
 	}
-	if e.opt.RankOrder {
-		// Most critical lost work first. Upward ranks strictly decrease
-		// along edges (execution costs are positive), so descending rank
-		// is topologically safe; ties fall back to topological index.
-		sort.Slice(e.needList, func(a, b int) bool {
-			ra := e.ranker.Rank(dag.TaskID(e.needList[a]))
-			rb := e.ranker.Rank(dag.TaskID(e.needList[b]))
-			if ra != rb {
-				return ra > rb
-			}
-			return e.topoIdx[e.needList[a]] < e.topoIdx[e.needList[b]]
-		})
-	} else {
-		sort.Slice(e.needList, func(a, b int) bool {
-			return e.topoIdx[e.needList[a]] < e.topoIdx[e.needList[b]]
-		})
-	}
+	sort.Slice(e.needList, func(a, b int) bool {
+		return e.topoIdx[e.needList[a]] < e.topoIdx[e.needList[b]]
+	})
 
 	e.st.SetFloor(tau)
 	defer e.st.SetFloor(0)
@@ -135,7 +121,7 @@ func (e *Engine) placeReactive(t dag.TaskID, tau float64) error {
 			}
 		}
 		if len(srcs) == 0 {
-			e.markUnrecoverable(t)
+			e.unrecover[t] = true
 			return nil
 		}
 		sets = append(sets, sched.SourceSet{Pred: from, Volume: pv[k], Sources: srcs})
@@ -147,7 +133,7 @@ func (e *Engine) placeReactive(t dag.TaskID, tau float64) error {
 		bestProc = e.bestSurvivor(t, copyIdx, nil, sets)
 	}
 	if bestProc < 0 {
-		e.markUnrecoverable(t)
+		e.unrecover[t] = true
 		return nil
 	}
 	e.nextCopy[t]++
@@ -188,18 +174,6 @@ func (e *Engine) bestSurvivor(t dag.TaskID, copyIdx int, procs []int, sets []sch
 		}
 	}
 	return bestProc
-}
-
-// markUnrecoverable records that t can never complete in this replay.
-// Under RankOrder the task is disabled in the rank maintainer and the
-// ranks of its ancestor cone are repaired incrementally — paths through
-// dead work no longer inflate the urgency of live tasks.
-func (e *Engine) markUnrecoverable(t dag.TaskID) {
-	e.unrecover[t] = true
-	if e.opt.RankOrder {
-		e.ranker.Disable(t)
-		e.ranker.Repair()
-	}
 }
 
 // wire appends the reactive placement — its input transfers first, then

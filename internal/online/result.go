@@ -27,17 +27,6 @@ type Options struct {
 	// Goossens; re-running a *scheduler* on jittered estimates is where
 	// Graham's timing anomalies live.
 	ExecScale []float64
-	// RankOrder orders reactive re-placements by descending upward rank
-	// (the bottom level over mean execution costs and the mean unit
-	// delay — the same static levels sched.Lister uses) instead of plain
-	// topological index, so the most critical lost work is re-placed
-	// first. Ranks are maintained incrementally by dag.Ranker: marking a
-	// task unrecoverable re-ranks only its ancestor cone, not the whole
-	// graph. Upward ranks strictly decrease along edges when execution
-	// costs are positive, so the order remains topologically safe; ties
-	// fall back to topological index. False (the default) keeps the
-	// historical pure-topological order bit for bit.
-	RankOrder bool
 }
 
 // replay resets the engine, loads the trace and runs the event loop.
@@ -59,26 +48,10 @@ func (e *Engine) replay(trace map[int]float64, opt Options) error {
 	}
 	e.reset(trace)
 	e.opt = opt
-	if opt.RankOrder {
-		if e.ranker == nil {
-			e.buildRanker() //caft:alloc-ok one-time lazy construction; later replays only Reset, which is allocation-free
-		}
-		e.ranker.Reset(e.rankNode, e.rankUnit)
-	}
 	if opt.Reschedule {
 		return e.st.Speculate(e.body)
 	}
 	return e.exec()
-}
-
-// buildRanker constructs the incremental upward-rank maintainer used by
-// RankOrder replays. Node costs are the mean execution times over
-// processors and the communication unit is the network's mean unit
-// delay, matching the static priority levels of sched.Lister.
-func (e *Engine) buildRanker() {
-	e.ranker = dag.NewRanker(e.w.CG)
-	e.rankNode = e.w.S.P.Exec.Mean()
-	e.rankUnit = e.w.S.P.Network().MeanUnitDelay()
 }
 
 // Run replays the schedule against a failure trace (processor -> crash

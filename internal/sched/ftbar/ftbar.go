@@ -156,24 +156,10 @@ func criticalPred(st *sched.State, proc int, sources []sched.SourceSet, start fl
 
 // probeWithDuplicate simulates duplicating pred onto proc followed by
 // the replica placement and returns the resulting replica. The two-step
-// what-if runs inside one speculative transaction on the real state —
+// what-if runs inside one speculative transaction on the real state:
 // the duplicate's record is visible to the second placement and both
-// are rolled back — except under the CloneProbe reference mode, which
-// keeps the historical clone-and-place path.
+// are rolled back.
 func probeWithDuplicate(st *sched.State, t dag.TaskID, copy, proc int, pred dag.TaskID) (sched.Replica, float64, error) {
-	if st.P.Probe == sched.CloneProbe {
-		c := st.Clone()
-		dupCopy := len(c.Reps[pred])
-		dup, err := c.PlaceReplica(pred, dupCopy, proc, c.FullSources(pred))
-		if err != nil {
-			return sched.Replica{}, 0, err
-		}
-		rep, err := c.PlaceReplica(t, copy, proc, c.FullSources(t))
-		if err != nil {
-			return sched.Replica{}, 0, err
-		}
-		return rep, dup.Finish, nil
-	}
 	var rep sched.Replica
 	var dupFinish float64
 	err := st.Speculate(func() error {

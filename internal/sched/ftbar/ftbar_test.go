@@ -82,12 +82,16 @@ func TestFTBARResilience(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		rep, err := sim.NewReplayer(s)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for draw := 0; draw < 15; draw++ {
 			crashed := map[int]bool{}
 			for len(crashed) < npf {
 				crashed[rng.Intn(6)] = true
 			}
-			if _, err := sim.CrashLatency(s, crashed); err != nil {
+			if _, err := rep.CrashLatency(crashed); err != nil {
 				t.Fatalf("npf=%d crashed=%v: %v", npf, crashed, err)
 			}
 		}

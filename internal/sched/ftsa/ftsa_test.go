@@ -130,12 +130,16 @@ func TestFTSAResilience(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		rep, err := sim.NewReplayer(s)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for draw := 0; draw < 20; draw++ {
 			crashed := map[int]bool{}
 			for len(crashed) < eps {
 				crashed[rng.Intn(6)] = true
 			}
-			if _, err := sim.CrashLatency(s, crashed); err != nil {
+			if _, err := rep.CrashLatency(crashed); err != nil {
 				t.Fatalf("eps=%d crashed=%v: %v", eps, crashed, err)
 			}
 		}

@@ -53,7 +53,7 @@ func Schedule(p *sched.Problem, rng *rand.Rand) (*sched.Schedule, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	oft, err := OFT(p)
+	oft, err := sched.OFT(p)
 	if err != nil {
 		return nil, err
 	}
@@ -132,16 +132,4 @@ func Schedule(p *sched.Problem, rng *rand.Rand) (*sched.Schedule, error) {
 		return nil, fmt.Errorf("hoft: %d of %d tasks never became free (cyclic graph?)", n-scheduled, n)
 	}
 	return st.Snapshot(), nil
-}
-
-// OFT computes the optimistic finish-time table OFT[task][proc] by a
-// backward sweep over the DAG: exit tasks cost their execution time,
-// and an inner task on p optimistically assumes each child lands on its
-// best processor, paying the actual pairwise transfer cost only when
-// that processor differs from p. Since bounded-candidate probing made
-// the table part of the shared machinery, the computation lives in
-// sched.OFT (over the compiled graph view); this wrapper remains as
-// HOFT's historical front door.
-func OFT(p *sched.Problem) ([][]float64, error) {
-	return sched.OFT(p)
 }

@@ -72,7 +72,7 @@ func TestOFTTable(t *testing.T) {
 	exec[0][0], exec[0][1] = 4, 4
 	exec[1][0], exec[1][1] = 10, 1
 	p := &sched.Problem{G: g, Plat: plat, Exec: exec, Model: sched.OnePort, Policy: timeline.Append}
-	oft, err := OFT(p)
+	oft, err := sched.OFT(p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,29 +94,6 @@ func (c Clique) Dur(src, dst int, volume float64) float64 {
 // MeanUnitDelay returns the platform's mean unit delay.
 func (c Clique) MeanUnitDelay() float64 { return c.Plat.MeanDelay() }
 
-// ProbeMode selects how State.ProbeReplica simulates candidate
-// placements. Both modes produce bit-identical schedules; the clone
-// mode exists as the slow reference the speculative path is verified
-// against (and for debugging journal suspicions).
-type ProbeMode int
-
-const (
-	// SpeculativeProbe (the default) probes on the real state through
-	// the reservation journal and rolls back, with the Append-policy
-	// ready-time overlay as a special case. No timelines are cloned.
-	SpeculativeProbe ProbeMode = iota
-	// CloneProbe deep-clones the whole state for every probe — the
-	// pre-journal reference implementation.
-	CloneProbe
-)
-
-func (m ProbeMode) String() string {
-	if m == CloneProbe {
-		return "clone"
-	}
-	return "speculative"
-}
-
 // Problem bundles everything a scheduler needs: the DAG, the platform,
 // the execution-time matrix E(t,P), the communication model, the
 // timeline reservation policy and (optionally) a sparse network. A nil
@@ -128,7 +105,6 @@ type Problem struct {
 	Model  Model
 	Policy timeline.Policy
 	Net    Network
-	Probe  ProbeMode
 
 	// ProbeWidth bounds placement probing: when positive, schedulers
 	// that consult State.Candidates probe only the ProbeWidth processors

@@ -24,9 +24,7 @@ import (
 // cloned. Under the Append policy single-shot probes take an even
 // cheaper special case: a timeline's whole state under Append is its
 // ready time, so the probe runs on a flat overlay of 3m+L ready times.
-// The pre-journal reference path, which deep-clones the state for every
-// probe, is kept behind Problem.Probe = CloneProbe for equivalence
-// testing; both paths produce bit-identical schedules.
+// Tests check every probe against PlaceReplica on a deep Clone.
 //
 //caft:confined
 type State struct {
@@ -43,12 +41,10 @@ type State struct {
 	seq    int32
 
 	// Append-policy probe overlay: earliest/reserve consult ready[id]
-	// instead of the (shared, untouched) timelines.
+	// instead of the (shared, untouched) timelines, and placements are
+	// not recorded in Reps/Comms.
 	overlay bool
 	ready   []float64
-	// noRecord marks throwaway probe states (the overlay and CloneProbe
-	// clones): placements on them are not recorded in Reps/Comms.
-	noRecord bool
 
 	// Speculation journal (see Speculate): while spec > 0, reserve and
 	// the Cancel* methods log every timeline mutation into tlog and
@@ -152,10 +148,6 @@ func (st *State) Clone() *State {
 		c.Reps[t] = append([]Replica(nil), st.Reps[t]...)
 	}
 	c.Comms = append([]Comm(nil), st.Comms...)
-	if st.overlay {
-		c.overlay, c.noRecord = true, st.noRecord
-		c.ready = append([]float64(nil), st.ready...)
-	}
 	return c
 }
 
@@ -167,7 +159,7 @@ func (st *State) Clone() *State {
 func (st *State) overlayForProbe() *State {
 	ps := st.probeScratch
 	if ps == nil {
-		ps = &State{overlay: true, noRecord: true, ready: make([]float64, len(st.tls))} //caft:alloc-ok probe overlay built once per State and reused across probes
+		ps = &State{overlay: true, ready: make([]float64, len(st.tls))} //caft:alloc-ok probe overlay built once per State and reused across probes
 		st.probeScratch = ps
 	}
 	ps.P, ps.net, ps.clique, ps.m, ps.tls, ps.Reps, ps.seq = st.P, st.net, st.clique, st.m, st.tls, st.Reps, st.seq
@@ -519,7 +511,7 @@ func (st *State) placeComm(srcRep Replica, to dag.TaskID, dstCopy, dst int, volu
 			st.reserve(id, c.Start, c.Dur, c.Seq)
 		}
 	}
-	if !st.noRecord {
+	if !st.overlay {
 		st.Comms = append(st.Comms, c)
 	}
 	return c
@@ -623,7 +615,7 @@ func (st *State) PlaceReplica(t dag.TaskID, copy, proc int, sources []SourceSet)
 	st.seq++
 	rep := Replica{Task: t, Copy: copy, Proc: proc, Start: start, Finish: start + exec, Seq: st.seq}
 	st.reserve(st.computeID(proc), start, exec, rep.Seq)
-	if !st.noRecord {
+	if !st.overlay {
 		st.Reps[t] = append(st.Reps[t], rep)
 		if st.spec > 0 {
 			st.rlog = append(st.rlog, repUndo{task: t})
@@ -633,19 +625,12 @@ func (st *State) PlaceReplica(t dag.TaskID, copy, proc int, sources []SourceSet)
 }
 
 // ProbeReplica simulates PlaceReplica without any lasting mutation of
-// the state and returns the resulting replica. Under the default
-// SpeculativeProbe mode the placement runs journaled on the real state
-// and is rolled back (with the Append-policy ready-time overlay as the
-// cheap special case); under CloneProbe it runs on a deep clone — the
-// reference implementation the speculative path is tested against.
+// the state and returns the resulting replica. The placement runs
+// journaled on the real state and is rolled back, with the
+// Append-policy ready-time overlay as the cheap special case.
 //
 //caft:zeroalloc
 func (st *State) ProbeReplica(t dag.TaskID, copy, proc int, sources []SourceSet) (Replica, error) {
-	if st.P.Probe == CloneProbe && !st.overlay {
-		c := st.Clone() //caft:alloc-ok CloneProbe reference path, kept for equivalence testing; the journaled probe allocates nothing
-		c.noRecord = true
-		return c.PlaceReplica(t, copy, proc, sources)
-	}
 	if st.P.Policy == timeline.Append || st.overlay {
 		return st.overlayForProbe().PlaceReplica(t, copy, proc, sources)
 	}

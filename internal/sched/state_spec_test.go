@@ -85,49 +85,91 @@ func growState(t *testing.T, st *State, eps int, probe func(tid dag.TaskID, sour
 	}
 }
 
+// checkProbes probes tid on every processor and checks each probe
+// against PlaceReplica on a deep clone of the state: the same replica
+// or the same failure, and no trace left on the state — intervals, gap
+// indexes, ready times, records or sequence numbers.
+func checkProbes(t *testing.T, label string, st *State, tid dag.TaskID, copy int, sources []SourceSet) bool {
+	t.Helper()
+	before := fingerprint(st)
+	for proc := 0; proc < st.P.Plat.M; proc++ {
+		rep, err := st.ProbeReplica(tid, copy, proc, sources)
+		if !reflect.DeepEqual(before, fingerprint(st)) {
+			t.Logf("%s: probe of task %d on P%d mutated the state", label, tid, proc)
+			return false
+		}
+		ref := st.Clone()
+		refRep, refErr := ref.PlaceReplica(tid, copy, proc, sources)
+		if (err != nil) != (refErr != nil) || rep != refRep {
+			t.Logf("%s: probe of task %d on P%d = (%+v, %v), clone reference (%+v, %v)",
+				label, tid, proc, rep, err, refRep, refErr)
+			return false
+		}
+	}
+	for i := range st.tls {
+		if err := st.tls[i].Validate(); err != nil {
+			t.Logf("%s: timeline %d after probes: %v", label, i, err)
+			return false
+		}
+	}
+	return true
+}
+
+// cancelAfter turns a grown state into the one the online rescheduler
+// probes after processor victim crashes at tau: every replica on victim
+// starting at or after tau and every transfer touching victim starting
+// at or after tau is cancelled, then the floor is raised to tau.
+func cancelAfter(t *testing.T, st *State, victim int, tau float64) {
+	t.Helper()
+	for task := range st.Reps {
+		for _, r := range append([]Replica(nil), st.Reps[task]...) {
+			if r.Proc == victim && r.Start >= tau {
+				if err := st.CancelReplica(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	for _, c := range st.Comms {
+		if (c.SrcProc == victim || c.DstProc == victim) && c.Start >= tau {
+			if err := st.CancelComm(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	st.SetFloor(tau)
+}
+
 // Property: under both policies, a speculative probe returns exactly
-// what the deep-clone reference probe returns, and leaves no trace on
-// the state — intervals, gap indexes, ready times, records or sequence
-// numbers.
+// what PlaceReplica on a deep clone returns, and leaves no trace on the
+// state. The inputs are every probe while a state grows and, per seed,
+// every task's probe on the grown state after the cancellations and
+// time floor of a mid-schedule crash.
 func TestQuickProbeMatchesCloneReference(t *testing.T) {
 	f := func(seed int64) bool {
-		ok := true
 		for _, pol := range []timeline.Policy{timeline.Append, timeline.Insertion} {
 			rng := rand.New(rand.NewSource(seed))
 			p := randomProblem(rng, 4, pol)
 			st := NewState(p)
+			ok := true
 			growState(t, st, 1, func(tid dag.TaskID, sources []SourceSet) {
-				before := fingerprint(st)
-				for proc := 0; proc < p.Plat.M; proc++ {
-					rep, err := st.ProbeReplica(tid, 0, proc, sources)
-					if !reflect.DeepEqual(before, fingerprint(st)) {
-						t.Logf("pol %v: probe of task %d on P%d mutated the state", pol, tid, proc)
-						ok = false
-						return
-					}
-					ref := st.Clone()
-					ref.noRecord = true
-					refRep, refErr := ref.PlaceReplica(tid, 0, proc, sources)
-					if (err != nil) != (refErr != nil) || rep != refRep {
-						t.Logf("pol %v: probe of task %d on P%d = (%+v, %v), clone reference (%+v, %v)",
-							pol, tid, proc, rep, err, refRep, refErr)
-						ok = false
-						return
-					}
-				}
-				for i := range st.tls {
-					if err := st.tls[i].Validate(); err != nil {
-						t.Logf("pol %v: timeline %d after probes: %v", pol, i, err)
-						ok = false
-						return
-					}
+				if ok {
+					ok = checkProbes(t, "pol "+pol.String(), st, tid, 0, sources)
 				}
 			})
 			if !ok {
 				return false
 			}
+			tau := st.Snapshot().MakespanAll() / 2
+			cancelAfter(t, st, rng.Intn(p.Plat.M), tau)
+			for task := 0; task < p.G.NumTasks(); task++ {
+				tid := dag.TaskID(task)
+				if !checkProbes(t, "pol "+pol.String()+" after cancel", st, tid, len(st.Reps[tid]), st.FullSources(tid)) {
+					return false
+				}
+			}
 		}
-		return ok
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
@@ -276,8 +318,8 @@ func TestProcsOfSecondCallInvalidatesFirst(t *testing.T) {
 
 // The acceptance pin of the speculative-probe refactor: an
 // Insertion-policy probe through the journal must allocate at least 5x
-// less than the clone-per-probe reference (in practice it is
-// allocation-free in steady state).
+// less than a placement on a deep clone, the reference it replaced (in
+// practice it is allocation-free in steady state).
 func TestInsertionProbeAllocPin(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	p := randomProblem(rng, 6, timeline.Insertion)
@@ -301,13 +343,12 @@ func TestInsertionProbeAllocPin(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	p.Probe = CloneProbe
 	clone := testing.AllocsPerRun(100, func() {
-		if _, err := st.ProbeReplica(last, 0, 0, sources); err != nil {
+		ref := st.Clone()
+		if _, err := ref.PlaceReplica(last, 0, 0, sources); err != nil {
 			t.Fatal(err)
 		}
 	})
-	p.Probe = SpeculativeProbe
 	t.Logf("allocs/probe: speculative %.1f, clone reference %.1f", spec, clone)
 	if spec > 2 {
 		t.Errorf("speculative probe allocates %.1f per call, want ~0", spec)

@@ -247,6 +247,10 @@ func (s *Service) worker() {
 		select {
 		case j := <-s.jobs:
 			j.e.resp, j.e.err = s.compute(sc, j.req)
+			// The compute is over: free its admission slot before
+			// waking waiters, so a caller whose Do just returned is not
+			// shed by a slot its own finished compute still holds.
+			s.admit.release()
 			if j.e.err != nil {
 				// Evict before waking waiters: collapsed callers still
 				// see the error through their entry pointer, but the
@@ -255,13 +259,14 @@ func (s *Service) worker() {
 				s.cache.remove(j.key, j.e)
 				close(j.e.done)
 			} else {
-				close(j.e.done)
-				s.cache.markDone(j.key, j.e)
+				// Persist before waking waiters, so a response a caller
+				// has seen is already on disk (and counted in Stats).
 				if s.disk != nil {
 					s.disk.put(j.key, j.e.resp)
 				}
+				close(j.e.done)
+				s.cache.markDone(j.key, j.e)
 			}
-			s.admit.release()
 		case <-s.closing:
 			return
 		}

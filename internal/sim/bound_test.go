@@ -29,7 +29,7 @@ func TestCrashNeverExceedsUpperBound(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ub, err := UpperBound(s)
+				ub, err := mustReplayer(t, s).UpperBound()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -38,7 +38,7 @@ func TestCrashNeverExceedsUpperBound(t *testing.T) {
 					for len(crashed) < eps {
 						crashed[rng.Intn(m)] = true
 					}
-					lat, err := CrashLatency(s, crashed)
+					lat, err := mustReplayer(t, s).CrashLatency(crashed)
 					if err != nil {
 						t.Fatalf("%s eps=%d: %v", name, eps, err)
 					}
@@ -62,11 +62,11 @@ func TestCrashSetMonotoneSanity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lb, err := LowerBound(s)
+	lb, err := mustReplayer(t, s).LowerBound()
 	if err != nil {
 		t.Fatal(err)
 	}
-	empty, err := CrashLatency(s, map[int]bool{})
+	empty, err := mustReplayer(t, s).CrashLatency(map[int]bool{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,10 +74,10 @@ func TestCrashSetMonotoneSanity(t *testing.T) {
 		t.Fatalf("empty crash set latency %v != lower bound %v", empty, lb)
 	}
 	// Every single and double crash stays within the bound envelope.
-	ub, _ := UpperBound(s)
+	ub, _ := mustReplayer(t, s).UpperBound()
 	for a := 0; a < 6; a++ {
 		for b := a; b < 6; b++ {
-			lat, err := CrashLatency(s, map[int]bool{a: true, b: true})
+			lat, err := mustReplayer(t, s).CrashLatency(map[int]bool{a: true, b: true})
 			if err != nil {
 				t.Fatalf("crash {%d,%d}: %v", a, b, err)
 			}

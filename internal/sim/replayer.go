@@ -175,8 +175,8 @@ func (r *Replayer) materialize() *Result {
 	return res
 }
 
-// Replay recomputes the schedule's execution under the given options,
-// like the package-level Replay but reusing this Replayer's tables.
+// Replay recomputes the schedule's execution under the given options
+// and materializes every operation's fate into a fresh Result.
 //
 //caft:zeroalloc
 func (r *Replayer) Replay(opt Options) (*Result, error) {

@@ -135,7 +135,7 @@ func TestReplayerReuseIsStateless(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := CrashLatency(s, crashed)
+		want, err := mustReplayer(t, s).CrashLatency(crashed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +145,7 @@ func TestReplayerReuseIsStateless(t *testing.T) {
 	}
 }
 
-// BenchmarkReplay compares the one-shot API (throwaway Replayer per
+// BenchmarkReplay compares a one-shot replay (a fresh Replayer per
 // call), the reused scratch-buffer Replayer, and the original map-based
 // engine on the same crash replay.
 func BenchmarkReplay(b *testing.B) {
@@ -171,7 +171,11 @@ func BenchmarkReplay(b *testing.B) {
 	b.Run("oneshot", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := CrashLatency(s, crashed); err != nil {
+			rep, err := NewReplayer(s)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := rep.CrashLatency(crashed); err != nil {
 				b.Fatal(err)
 			}
 		}

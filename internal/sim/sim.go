@@ -29,10 +29,9 @@
 // Replayer and package online's event engine share. Every constraint
 // points to an earlier-placed operation, so a Replayer evaluates a
 // replay in one forward pass over the operations in placement order,
-// deciding liveness and times together. The package-level helpers
-// build a throwaway Replayer, while hot loops (package expt, the
-// Monte-Carlo ablations) hold one per schedule so repeated replays
-// allocate near-zero.
+// deciding liveness and times together. Callers build one Replayer per
+// schedule and replay it as often as they need; repeated replays reuse
+// its scratch and allocate near-zero.
 //
 //caft:deterministic
 package sim
@@ -156,46 +155,4 @@ func (r *Result) LatencyAllReplicas() float64 {
 		}
 	}
 	return lat
-}
-
-// Replay recomputes the schedule's execution under the given options.
-// It builds a throwaway Replayer; callers replaying the same schedule
-// many times should hold a Replayer instead.
-func Replay(s *sched.Schedule, opt Options) (*Result, error) {
-	r, err := NewReplayer(s)
-	if err != nil {
-		return nil, err
-	}
-	return r.Replay(opt)
-}
-
-// LowerBound replays the schedule with no crashes under first-arrival
-// semantics: the latency achieved if no processor fails.
-func LowerBound(s *sched.Schedule) (float64, error) {
-	r, err := NewReplayer(s)
-	if err != nil {
-		return 0, err
-	}
-	return r.LowerBound()
-}
-
-// UpperBound replays the schedule with no crashes under last-arrival
-// semantics and returns the completion time of the last replica of any
-// task — the latency guaranteed even when ε processors fail.
-func UpperBound(s *sched.Schedule) (float64, error) {
-	r, err := NewReplayer(s)
-	if err != nil {
-		return 0, err
-	}
-	return r.UpperBound()
-}
-
-// CrashLatency replays the schedule with the given crashed processors
-// under first-arrival semantics and returns the achieved latency.
-func CrashLatency(s *sched.Schedule, crashed map[int]bool) (float64, error) {
-	r, err := NewReplayer(s)
-	if err != nil {
-		return 0, err
-	}
-	return r.CrashLatency(crashed)
 }

@@ -25,6 +25,16 @@ func prob(g *dag.DAG, m int, exec float64) *sched.Problem {
 	return &sched.Problem{G: g, Plat: p, Exec: e, Model: sched.OnePort, Policy: timeline.Append}
 }
 
+// mustReplayer builds a Replayer for s, failing the test on error.
+func mustReplayer(tb testing.TB, s *sched.Schedule) *Replayer {
+	tb.Helper()
+	r, err := NewReplayer(s)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return r
+}
+
 func randomProblem(rng *rand.Rand, n, m int) *sched.Problem {
 	params := gen.RandomParams{MinTasks: n, MaxTasks: n, MinDegree: 1, MaxDegree: 3, MinVolume: 5, MaxVolume: 15}
 	g := gen.RandomLayered(rng, params)
@@ -41,7 +51,7 @@ func TestReplayNoCrashReproducesSchedule(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := Replay(s, Options{Sem: FirstArrival})
+		r, err := mustReplayer(t, s).Replay(Options{Sem: FirstArrival})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,11 +86,11 @@ func TestUpperBoundAtLeastLowerBound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			lb, err := LowerBound(s)
+			lb, err := mustReplayer(t, s).LowerBound()
 			if err != nil {
 				t.Fatal(err)
 			}
-			ub, err := UpperBound(s)
+			ub, err := mustReplayer(t, s).UpperBound()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,7 +112,7 @@ func TestCrashKillsReplicaOtherSurvives(t *testing.T) {
 	}
 	// Crash the processor hosting copy 0 of t1.
 	victim := s.Reps[1][0].Proc
-	r, err := Replay(s, Options{Crashed: map[int]bool{victim: true}})
+	r, err := mustReplayer(t, s).Replay(Options{Crashed: map[int]bool{victim: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +147,7 @@ func TestCrashCascadeKillsDependents(t *testing.T) {
 	st.PlaceReplica(1, 0, 2, []sched.SourceSet{{Pred: 0, Volume: 5, Sources: []sched.Replica{r00}}})
 	st.PlaceReplica(1, 1, 3, []sched.SourceSet{{Pred: 0, Volume: 5, Sources: []sched.Replica{r01}}})
 	s := st.Snapshot()
-	r, err := Replay(s, Options{Crashed: map[int]bool{0: true}})
+	r, err := mustReplayer(t, s).Replay(Options{Crashed: map[int]bool{0: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +183,7 @@ func TestCrashCanShiftRemainingEarlier(t *testing.T) {
 	s := st.Snapshot()
 	// Replay with no crash: all four messages serialize into P4's
 	// receive port; first-arrival start for t2 needs one per pred.
-	base, err := Replay(s, Options{})
+	base, err := mustReplayer(t, s).Replay(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +193,7 @@ func TestCrashCanShiftRemainingEarlier(t *testing.T) {
 	}
 	// Crash P1 (a redundant copy of t0): P4 receives fewer messages, so
 	// the needed t1 message can only arrive earlier or at the same time.
-	r2, err := Replay(s, Options{Crashed: map[int]bool{1: true}})
+	r2, err := mustReplayer(t, s).Replay(Options{Crashed: map[int]bool{1: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,11 +215,11 @@ func TestCrashCanDelayLatency(t *testing.T) {
 	st.PlaceReplica(1, 0, 2, full)
 	st.PlaceReplica(1, 1, 3, full)
 	s := st.Snapshot()
-	lat0, err := CrashLatency(s, nil)
+	lat0, err := mustReplayer(t, s).CrashLatency(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lat1, err := CrashLatency(s, map[int]bool{0: true})
+	lat1, err := mustReplayer(t, s).CrashLatency(map[int]bool{0: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +241,7 @@ func TestTooManyCrashesLosesTask(t *testing.T) {
 	for _, r := range s.Reps[0] {
 		crashed[r.Proc] = true
 	}
-	r, err := Replay(s, Options{Crashed: crashed})
+	r, err := mustReplayer(t, s).Replay(Options{Crashed: crashed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +261,7 @@ func TestReplayMacroDataflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Replay(s, Options{})
+	r, err := mustReplayer(t, s).Replay(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +302,7 @@ func TestResilienceExhaustive(t *testing.T) {
 					t.Fatalf("%s eps=%d: invalid schedule: %v", name, eps, err)
 				}
 				forEachSubset(m, eps, func(crashed map[int]bool) {
-					lat, err := CrashLatency(s, crashed)
+					lat, err := mustReplayer(t, s).CrashLatency(crashed)
 					if err != nil {
 						t.Fatalf("%s eps=%d crashed=%v: %v", name, eps, crashed, err)
 					}

@@ -93,25 +93,3 @@ func (r *Replayer) CrashLatencyAt(crashTimes map[int]float64) (float64, error) {
 	}
 	return r.latency()
 }
-
-// ReplayTimed replays a schedule under timed fail-stop failures (see
-// Replayer.ReplayTimed). It builds a throwaway Replayer; hot loops —
-// every fixpoint iteration replays the whole schedule — should hold a
-// Replayer and call its ReplayTimed or CrashLatencyAt instead.
-func ReplayTimed(s *sched.Schedule, crashTimes map[int]float64, sem Semantics) (*Result, error) {
-	rep, err := NewReplayer(s)
-	if err != nil {
-		return nil, err
-	}
-	return rep.ReplayTimed(crashTimes, sem)
-}
-
-// CrashLatencyAt replays with timed crashes and returns the achieved
-// latency, via a throwaway Replayer.
-func CrashLatencyAt(s *sched.Schedule, crashTimes map[int]float64) (float64, error) {
-	rep, err := NewReplayer(s)
-	if err != nil {
-		return 0, err
-	}
-	return rep.CrashLatencyAt(crashTimes)
-}

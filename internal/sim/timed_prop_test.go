@@ -192,7 +192,7 @@ func TestTimedDeadSetMonotone(t *testing.T) {
 }
 
 // TestTimedScratchReuseMatchesThrowaway pins the reused scratch path to
-// the one-shot package API: interleaved static and timed replays on one
+// a one-shot replay: interleaved static and timed replays on one
 // Replayer must equal fresh-Replayer results bit for bit.
 func TestTimedScratchReuseMatchesThrowaway(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
@@ -211,7 +211,7 @@ func TestTimedScratchReuseMatchesThrowaway(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			oneshot, err := ReplayTimed(s, times, FirstArrival)
+			oneshot, err := mustReplayer(t, s).ReplayTimed(times, FirstArrival)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -19,11 +19,11 @@ func TestTimedCrashAtZeroEqualsStatic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for proc := 0; proc < 5; proc++ {
-		static, err := CrashLatency(s, map[int]bool{proc: true})
+		static, err := mustReplayer(t, s).CrashLatency(map[int]bool{proc: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		timed, err := CrashLatencyAt(s, map[int]float64{proc: 0})
+		timed, err := mustReplayer(t, s).CrashLatencyAt(map[int]float64{proc: 0})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,11 +40,11 @@ func TestTimedCrashAfterEndIsHarmless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := LowerBound(s)
+	base, err := mustReplayer(t, s).LowerBound()
 	if err != nil {
 		t.Fatal(err)
 	}
-	lat, err := CrashLatencyAt(s, map[int]float64{2: s.MakespanAll() + 1000})
+	lat, err := mustReplayer(t, s).CrashLatencyAt(map[int]float64{2: s.MakespanAll() + 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,14 +60,14 @@ func TestTimedCrashPreservesCompletedWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, _ := LowerBound(s)
-	early, err := CrashLatencyAt(s, map[int]float64{0: 0})
+	base, _ := mustReplayer(t, s).LowerBound()
+	early, err := mustReplayer(t, s).CrashLatencyAt(map[int]float64{0: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A crash halfway through lets the first half of P0's work count,
 	// so the result cannot be worse than losing P0 from the start.
-	mid, err := CrashLatencyAt(s, map[int]float64{0: base / 2})
+	mid, err := mustReplayer(t, s).CrashLatencyAt(map[int]float64{0: base / 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,14 +87,14 @@ func TestTimedCrashReplicaSurvivesIfFinished(t *testing.T) {
 	}
 	// Every replica of t0 finishes at 2 (entry task, exec 2).
 	victim := s.Reps[0][0].Proc
-	r, err := ReplayTimed(s, map[int]float64{victim: 2}, FirstArrival)
+	r, err := mustReplayer(t, s).ReplayTimed(map[int]float64{victim: 2}, FirstArrival)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !r.Reps[0][0].Alive {
 		t.Fatal("replica finishing exactly at the crash instant must survive")
 	}
-	r2, err := ReplayTimed(s, map[int]float64{victim: 1.9}, FirstArrival)
+	r2, err := mustReplayer(t, s).ReplayTimed(map[int]float64{victim: 1.9}, FirstArrival)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestTimedCrashResilience(t *testing.T) {
 			for len(times) < eps {
 				times[rng.Intn(6)] = rng.Float64() * horizon
 			}
-			if _, err := CrashLatencyAt(s, times); err != nil {
+			if _, err := mustReplayer(t, s).CrashLatencyAt(times); err != nil {
 				t.Fatalf("eps=%d times=%v: %v", eps, times, err)
 			}
 		}
@@ -134,7 +134,7 @@ func TestReplayExposesCommOutcomes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Replay(s, Options{})
+	r, err := mustReplayer(t, s).Replay(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

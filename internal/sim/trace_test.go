@@ -18,7 +18,7 @@ func TestWriteTraceCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Replay(s, Options{})
+	r, err := mustReplayer(t, s).Replay(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestWriteTraceCSVWithCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Replay(s, Options{Crashed: map[int]bool{0: true}})
+	r, err := mustReplayer(t, s).Replay(Options{Crashed: map[int]bool{0: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

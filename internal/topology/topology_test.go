@@ -223,8 +223,12 @@ func TestCAFTOnSparseTopologies(t *testing.T) {
 		if err := s.Validate(); err != nil {
 			t.Fatalf("%s: invalid schedule: %v", name, err)
 		}
+		rep, err := sim.NewReplayer(s)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 		for proc := 0; proc < m; proc++ {
-			if _, err := sim.CrashLatency(s, map[int]bool{proc: true}); err != nil {
+			if _, err := rep.CrashLatency(map[int]bool{proc: true}); err != nil {
 				t.Fatalf("%s: crash P%d: %v", name, proc, err)
 			}
 		}

@@ -25,11 +25,11 @@ BASELINE="scripts/bench-baseline.txt"
 
 # The benchmarks behind the zero-alloc claims: the replay inner loop,
 # the caftd cache-hit path, and the compiled-view layers — DAG
-# compilation, incremental rank maintenance (Reset/Repair), bounded
-# candidate selection and dense schedule validation. BenchmarkServeMiss
-# and BenchmarkCompile ride along as contrast columns (they allocate,
-# and should); the Rank/Candidates/Validate steady states must not.
-BENCH='^(BenchmarkReplay|BenchmarkServeCached|BenchmarkServeMiss|BenchmarkCompile|BenchmarkRankReset|BenchmarkRankRepair|BenchmarkCandidates|BenchmarkValidate)$'
+# compilation, bounded candidate selection and dense schedule
+# validation. BenchmarkServeMiss and BenchmarkCompile ride along as
+# contrast columns (they allocate, and should); the Candidates/Validate
+# steady states must not.
+BENCH='^(BenchmarkReplay|BenchmarkServeCached|BenchmarkServeMiss|BenchmarkCompile|BenchmarkCandidates|BenchmarkValidate)$'
 PKGS="./internal/sim ./internal/service ./internal/dag ./internal/sched"
 
 echo "== alloc-pin tests" >&2
