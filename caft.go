@@ -22,12 +22,12 @@
 package caft
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 
 	"caft/internal/core"
 	"caft/internal/dag"
+	"caft/internal/expt"
 	"caft/internal/failure"
 	"caft/internal/platform"
 	"caft/internal/sched"
@@ -179,28 +179,17 @@ func Unreliability(s *Schedule, model FailureModel, n int, rng *rand.Rand) (unre
 	if err != nil {
 		return 0, 0, err
 	}
-	lost, survived := 0, 0
-	latSum := 0.0
+	var tally expt.MCTally
 	scratch := map[int]float64{}
 	for i := 0; i < n; i++ {
 		lat, err := rep.CrashLatencyAt(model.Sample(rng, scratch))
-		switch {
-		case errors.Is(err, sim.ErrTaskLost):
-			lost++
-		case err != nil:
+		tally.Record(lat, err)
+		if tally.ReplayErrors > 0 {
 			return 0, 0, err
-		default:
-			survived++
-			latSum += lat
 		}
 	}
-	if n > 0 {
-		unrel = float64(lost) / float64(n)
+	if n == 0 {
+		return 0, math.NaN(), nil
 	}
-	if survived > 0 {
-		meanLatency = latSum / float64(survived)
-	} else {
-		meanLatency = math.NaN()
-	}
-	return unrel, meanLatency, nil
+	return tally.Unreliability(), tally.MeanLatency(), nil
 }

@@ -147,4 +147,10 @@ func TestFacadeUnreliability(t *testing.T) {
 	if unrel <= 0 || unrel >= 1 {
 		t.Fatalf("frequent-failure unreliability %v, want in (0,1)", unrel)
 	}
+
+	// No samples: zero unreliability, no surviving latency.
+	unrel, mean, err = Unreliability(s, often, 0, rng)
+	if err != nil || unrel != 0 || !math.IsNaN(mean) {
+		t.Fatalf("n=0 gave (%v, %v, %v), want (0, NaN, nil)", unrel, mean, err)
+	}
 }

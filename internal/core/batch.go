@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"caft/internal/dag"
 	"caft/internal/sched"
 )
 
@@ -25,117 +24,12 @@ import (
 // fast processors on equal footing instead of the first task grabbing
 // them all. window = 1 is exactly the greedy CAFT of Algorithm 5.1.
 func ScheduleBatch(p *sched.Problem, eps, window int, rng *rand.Rand) (*sched.Schedule, error) {
-	if err := p.Validate(); err != nil {
+	var c scheduler
+	if err := c.init(p, eps, Options{Greedy: true}); err != nil {
 		return nil, err
-	}
-	if eps < 0 || eps+1 > p.Plat.M {
-		return nil, fmt.Errorf("caft: cannot place %d replicas on %d processors", eps+1, p.Plat.M)
 	}
 	if window < 1 {
 		return nil, fmt.Errorf("caft: batch window must be positive, got %d", window)
 	}
-	c := &scheduler{
-		st:       sched.NewState(p),
-		eps:      eps,
-		opts:     Options{Greedy: true},
-		m:        p.Plat.M,
-		supports: map[repKey]procSet{},
-		stats:    &Stats{},
-	}
-	l := sched.NewLister(p, rng)
-	for {
-		batch := popBatch(l, window)
-		if len(batch) == 0 {
-			break
-		}
-		if err := c.scheduleBatch(batch); err != nil {
-			return nil, err
-		}
-		for _, t := range batch {
-			l.MarkScheduled(t, sched.EarliestFinish(c.st.Reps[t]))
-		}
-	}
-	if l.Remaining() != 0 {
-		return nil, fmt.Errorf("caft: %d tasks never became free (cyclic graph?)", l.Remaining())
-	}
-	return c.st.Snapshot(), nil
-}
-
-func popBatch(l *sched.Lister, window int) []dag.TaskID {
-	var batch []dag.TaskID
-	for len(batch) < window {
-		t, ok := l.Pop()
-		if !ok {
-			break
-		}
-		batch = append(batch, t)
-	}
-	return batch
-}
-
-// batchTask is the per-task round state within a batch.
-type batchTask struct {
-	t      dag.TaskID
-	preds  []dag.Edge
-	pools  [][]sched.Replica
-	theta  int
-	locked procSet
-}
-
-func (c *scheduler) scheduleBatch(batch []dag.TaskID) error {
-	tasks := make([]*batchTask, 0, len(batch))
-	for _, t := range batch {
-		bt := &batchTask{t: t, preds: c.st.P.G.Pred(t), locked: newProcSet(c.m)}
-		bt.theta = c.eps + 1
-		bt.pools = make([][]sched.Replica, len(bt.preds))
-		if len(bt.preds) > 0 {
-			procCount := map[int]int{}
-			for _, e := range bt.preds {
-				for _, r := range c.st.Reps[e.From] {
-					procCount[r.Proc]++
-				}
-			}
-			for j, e := range bt.preds {
-				for _, r := range c.st.Reps[e.From] {
-					if procCount[r.Proc] == 1 {
-						bt.pools[j] = append(bt.pools[j], r)
-					}
-				}
-				if len(bt.pools[j]) < bt.theta {
-					bt.theta = len(bt.pools[j])
-				}
-			}
-		}
-		tasks = append(tasks, bt)
-	}
-	// Interleaved rounds: every task places its r-th replica before any
-	// task places its (r+1)-th.
-	for copyIdx := 0; copyIdx <= c.eps; copyIdx++ {
-		for _, bt := range tasks {
-			var po *o2oPlan
-			if copyIdx < bt.theta {
-				var err error
-				if po, err = c.bestOneToOne(bt.t, copyIdx, bt.preds, bt.pools, bt.locked); err != nil {
-					return err
-				}
-			}
-			if po != nil {
-				if err := c.commitOneToOne(bt.t, copyIdx, po, bt.pools, bt.locked); err != nil {
-					return err
-				}
-				continue
-			}
-			pf, err := c.bestFull(bt.t, copyIdx, bt.locked)
-			if err != nil {
-				return err
-			}
-			if pf == nil {
-				return fmt.Errorf("caft: no processor available for replica %d of task %d", copyIdx, bt.t)
-			}
-			if err := c.commitFull(bt.t, copyIdx, pf, bt.locked); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return c.run(sched.NewLister(p, rng), window)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"caft/internal/gen"
@@ -44,22 +45,33 @@ func TestBatchValidAndResilient(t *testing.T) {
 	}
 }
 
+// TestBatchWindowOneMatchesGreedy pins window 1 to greedy CAFT replica
+// by replica and message by message, also under bounded probing, whose
+// widened fallback rounds need the full processor list.
 func TestBatchWindowOneMatchesGreedy(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	p := randomProblem(rng, 40, 8, 1.0)
-	sb, err := ScheduleBatch(p, 1, 1, rand.New(rand.NewSource(9)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sg, _, err := ScheduleOpts(p, 1, rand.New(rand.NewSource(9)), Options{Greedy: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sb.ScheduledLatency() != sg.ScheduledLatency() {
-		t.Fatalf("window=1 latency %v != greedy %v", sb.ScheduledLatency(), sg.ScheduledLatency())
-	}
-	if sb.MessageCount() != sg.MessageCount() {
-		t.Fatalf("window=1 messages %d != greedy %d", sb.MessageCount(), sg.MessageCount())
+	for trial := 0; trial < 3; trial++ {
+		base := randomProblem(rng, 40, 8, 1.0)
+		for _, width := range []int{0, 1, 2} {
+			p := *base
+			p.ProbeWidth = width
+			for _, eps := range []int{1, 2, 3} {
+				sb, err := ScheduleBatch(&p, eps, 1, rand.New(rand.NewSource(9)))
+				if err != nil {
+					t.Fatalf("trial %d width %d eps %d: window=1: %v", trial, width, eps, err)
+				}
+				sg, _, err := ScheduleOpts(&p, eps, rand.New(rand.NewSource(9)), Options{Greedy: true})
+				if err != nil {
+					t.Fatalf("trial %d width %d eps %d: greedy: %v", trial, width, eps, err)
+				}
+				if !reflect.DeepEqual(sb.Reps, sg.Reps) {
+					t.Fatalf("trial %d width %d eps %d: window=1 replicas differ from greedy", trial, width, eps)
+				}
+				if !reflect.DeepEqual(sb.Comms, sg.Comms) {
+					t.Fatalf("trial %d width %d eps %d: window=1 comms differ from greedy", trial, width, eps)
+				}
+			}
+		}
 	}
 }
 

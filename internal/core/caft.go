@@ -80,6 +80,13 @@ func (l Locking) String() string {
 }
 
 // Options tunes CAFT variants.
+//
+// When neither Greedy nor FullOnly is set, CAFT runs both complete
+// schedules — the resilient one-to-one chains are only worth their
+// processor-locking cost in some regimes (they win when communication
+// and computation are balanced, lose under extreme contention on small
+// platforms) — and returns the one with the smaller latency. Both
+// candidates tolerate ε failures, so the portfolio does too.
 type Options struct {
 	Locking Locking
 	// Greedy uses one-to-one mapping whenever it is available, exactly
@@ -90,13 +97,6 @@ type Options struct {
 	// fully replicated inputs (an FTSA-like pattern placed with CAFT's
 	// sequential re-probing); used by the A1 ablation.
 	FullOnly bool
-	//
-	// When neither flag is set, CAFT runs both complete schedules — the
-	// resilient one-to-one chains are only worth their processor-locking
-	// cost in some regimes (they win when communication and computation
-	// are balanced, lose under extreme contention on small platforms) —
-	// and returns the one with the smaller latency. Both candidates
-	// tolerate ε failures, so the portfolio does too.
 }
 
 // Stats reports how the replicas of a run were placed.
@@ -128,15 +128,12 @@ func Schedule(p *sched.Problem, eps int, rng *rand.Rand) (*sched.Schedule, error
 // ScheduleOpts runs CAFT with explicit options and returns placement
 // statistics alongside the schedule.
 func ScheduleOpts(p *sched.Problem, eps int, rng *rand.Rand, opts Options) (*sched.Schedule, *Stats, error) {
-	if err := p.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if eps < 0 || eps+1 > p.Plat.M {
-		return nil, nil, fmt.Errorf("caft: cannot place %d replicas on %d processors", eps+1, p.Plat.M)
-	}
 	if !opts.Greedy && !opts.FullOnly {
 		// Portfolio mode: build both resilient schedules with identical
 		// tie-breaking streams and keep the better one.
+		if err := validate(p, eps); err != nil {
+			return nil, nil, err
+		}
 		seedA, seedB := rng.Int63(), rng.Int63()
 		og, of := opts, opts
 		og.Greedy, of.FullOnly = true, true
@@ -153,33 +150,15 @@ func ScheduleOpts(p *sched.Problem, eps int, rng *rand.Rand, opts Options) (*sch
 		}
 		return sf, statsF, nil
 	}
-	c := &scheduler{
-		st:       sched.NewState(p),
-		eps:      eps,
-		opts:     opts,
-		m:        p.Plat.M,
-		allProcs: make([]int, p.Plat.M),
-		supports: map[repKey]procSet{},
-		stats:    &Stats{},
+	var c scheduler
+	if err := c.init(p, eps, opts); err != nil {
+		return nil, nil, err
 	}
-	for i := range c.allProcs {
-		c.allProcs[i] = i
+	s, err := c.run(sched.NewLister(p, rng), 1)
+	if err != nil {
+		return nil, nil, err
 	}
-	l := sched.NewLister(p, rng)
-	for {
-		t, ok := l.Pop()
-		if !ok {
-			break
-		}
-		if err := c.scheduleTask(t); err != nil {
-			return nil, nil, err
-		}
-		l.MarkScheduled(t, sched.EarliestFinish(c.st.Reps[t]))
-	}
-	if l.Remaining() != 0 {
-		return nil, nil, fmt.Errorf("caft: %d tasks never became free (cyclic graph?)", l.Remaining())
-	}
-	return c.st.Snapshot(), c.stats, nil
+	return s, c.stats, nil
 }
 
 type repKey struct {
@@ -196,6 +175,155 @@ type scheduler struct {
 	allProcs []int // 0..m-1, the unbounded fallback candidate list
 	supports map[repKey]procSet
 	stats    *Stats
+}
+
+// validate checks the problem and that its platform can host eps+1
+// replicas.
+func validate(p *sched.Problem, eps int) error {
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	if eps < 0 || eps+1 > p.Plat.M {
+		return fmt.Errorf("caft: cannot place %d replicas on %d processors", eps+1, p.Plat.M)
+	}
+	return nil
+}
+
+// init validates the problem and sets c up over a fresh scheduling
+// state. It initializes in place, so the scheduler of a one-shot
+// schedule can live on the caller's stack.
+func (c *scheduler) init(p *sched.Problem, eps int, opts Options) error {
+	if err := validate(p, eps); err != nil {
+		return err
+	}
+	*c = scheduler{
+		st:       sched.NewState(p),
+		eps:      eps,
+		opts:     opts,
+		m:        p.Plat.M,
+		allProcs: make([]int, p.Plat.M),
+		supports: map[repKey]procSet{},
+		stats:    &Stats{},
+	}
+	for i := range c.allProcs {
+		c.allProcs[i] = i
+	}
+	return nil
+}
+
+// batchTask is the round state of one task: its predecessor edges, the
+// singleton pools B̄(tj) of each predecessor's replicas, the number θ
+// of one-to-one rounds available, and the processors locked so far.
+type batchTask struct {
+	t      dag.TaskID
+	preds  []dag.Edge
+	pools  [][]sched.Replica
+	theta  int
+	locked procSet
+}
+
+// run schedules every task, popping up to window free tasks at a time
+// in priority order and placing their replicas in interleaved rounds.
+func (c *scheduler) run(l *sched.Lister, window int) (*sched.Schedule, error) {
+	var one [1]batchTask // window 1 reuses this buffer without a heap allocation
+	batch := one[:0]
+	if window > 1 {
+		batch = make([]batchTask, 0, window)
+	}
+	for {
+		batch = batch[:0]
+		for len(batch) < window {
+			t, ok := l.Pop()
+			if !ok {
+				break
+			}
+			batch = append(batch, c.prepare(t))
+		}
+		if len(batch) == 0 {
+			break
+		}
+		if err := c.rounds(batch); err != nil {
+			return nil, err
+		}
+		for i := range batch {
+			l.MarkScheduled(batch[i].t, sched.EarliestFinish(c.st.Reps[batch[i].t]))
+		}
+	}
+	if l.Remaining() != 0 {
+		return nil, fmt.Errorf("caft: %d tasks never became free (cyclic graph?)", l.Remaining())
+	}
+	return c.st.Snapshot(), nil
+}
+
+// prepare determines the singleton processors X of t — processors
+// hosting exactly one replica across all predecessors' replica sets —
+// and the pools B̄(tj) of each predecessor's replicas living on them.
+// θ = min λj is the number of one-to-one rounds available (capped at
+// ε+1; entry tasks trivially allow ε+1 "rounds" of plain placement).
+// With FullOnly, θ is forced to zero.
+func (c *scheduler) prepare(t dag.TaskID) batchTask {
+	st := c.st
+	bt := batchTask{t: t, preds: st.P.G.Pred(t), theta: c.eps + 1, locked: newProcSet(c.m)}
+	bt.pools = make([][]sched.Replica, len(bt.preds))
+	if len(bt.preds) > 0 {
+		procCount := map[int]int{}
+		for _, e := range bt.preds {
+			for _, r := range st.Reps[e.From] {
+				procCount[r.Proc]++
+			}
+		}
+		for j, e := range bt.preds {
+			for _, r := range st.Reps[e.From] {
+				if procCount[r.Proc] == 1 {
+					bt.pools[j] = append(bt.pools[j], r)
+				}
+			}
+			if len(bt.pools[j]) < bt.theta {
+				bt.theta = len(bt.pools[j])
+			}
+		}
+	}
+	if c.opts.FullOnly {
+		bt.theta = 0
+	}
+	return bt
+}
+
+// rounds commits the ε+1 replicas of every task of the batch. Round r
+// places the r-th replica of every task before any task receives its
+// (r+1)-th: through the one-to-one mapping procedure (Algorithm 5.2)
+// while r < θ and an eligible candidate remains, with fully replicated
+// incoming communications (lines 16-20 of Algorithm 5.1) otherwise.
+func (c *scheduler) rounds(batch []batchTask) error {
+	for copyIdx := 0; copyIdx <= c.eps; copyIdx++ {
+		for i := range batch {
+			bt := &batch[i]
+			var po *o2oPlan
+			if copyIdx < bt.theta {
+				var err error
+				if po, err = c.bestOneToOne(bt.t, copyIdx, bt.preds, bt.pools, bt.locked); err != nil {
+					return err
+				}
+			}
+			if po != nil {
+				if err := c.commitOneToOne(bt.t, copyIdx, po, bt.pools, bt.locked); err != nil {
+					return err
+				}
+				continue
+			}
+			pf, err := c.bestFull(bt.t, copyIdx, bt.locked)
+			if err != nil {
+				return err
+			}
+			if pf == nil {
+				return fmt.Errorf("caft: no processor available for replica %d of task %d", copyIdx, bt.t)
+			}
+			if err := c.commitFull(bt.t, copyIdx, pf, bt.locked); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // support returns the set of processors a replica's survival depends
@@ -230,83 +358,6 @@ func (c *scheduler) lockFootprint(r sched.Replica) procSet {
 		return s
 	}
 	return c.support(r)
-}
-
-// scheduleTask places the ε+1 replicas of t. Up to θ replicas are
-// placed through the one-to-one mapping procedure (Algorithm 5.2); the
-// others receive fully replicated incoming communications (lines 16-20
-// of Algorithm 5.1). With FullOnly, θ is forced to zero.
-func (c *scheduler) scheduleTask(t dag.TaskID) error {
-	st, eps := c.st, c.eps
-	preds := st.P.G.Pred(t)
-
-	// Determine the singleton processors X — processors hosting exactly
-	// one replica across all predecessors' replica sets — and the pools
-	// B̄(tj) of each predecessor's replicas living on them. θ = min λj is
-	// the number of one-to-one rounds available (capped at ε+1; entry
-	// tasks trivially allow ε+1 "rounds" of plain placement).
-	theta := eps + 1
-	pools := make([][]sched.Replica, len(preds))
-	if len(preds) > 0 {
-		procCount := map[int]int{}
-		for _, e := range preds {
-			for _, r := range st.Reps[e.From] {
-				procCount[r.Proc]++
-			}
-		}
-		for j, e := range preds {
-			for _, r := range st.Reps[e.From] {
-				if procCount[r.Proc] == 1 {
-					pools[j] = append(pools[j], r)
-				}
-			}
-			if len(pools[j]) < theta {
-				theta = len(pools[j])
-			}
-		}
-	}
-	if c.opts.FullOnly {
-		theta = 0
-	}
-	_, err := c.runRounds(t, preds, pools, theta)
-	return err
-}
-
-// runRounds commits the ε+1 replicas of t: one-to-one mapping for the
-// first theta rounds while eligible candidates remain, fully replicated
-// rounds otherwise. It returns the sum of the replica finish times.
-func (c *scheduler) runRounds(t dag.TaskID, preds []dag.Edge, pools [][]sched.Replica, theta int) (float64, error) {
-	locked := newProcSet(c.m)
-	for copyIdx := 0; copyIdx <= c.eps; copyIdx++ {
-		var po *o2oPlan
-		if copyIdx < theta {
-			var err error
-			if po, err = c.bestOneToOne(t, copyIdx, preds, pools, locked); err != nil {
-				return 0, err
-			}
-		}
-		if po != nil {
-			if err := c.commitOneToOne(t, copyIdx, po, pools, locked); err != nil {
-				return 0, err
-			}
-			continue
-		}
-		pf, err := c.bestFull(t, copyIdx, locked)
-		if err != nil {
-			return 0, err
-		}
-		if pf == nil {
-			return 0, fmt.Errorf("caft: no processor available for replica %d of task %d", copyIdx, t)
-		}
-		if err := c.commitFull(t, copyIdx, pf, locked); err != nil {
-			return 0, err
-		}
-	}
-	sum := 0.0
-	for _, r := range c.st.Reps[t] {
-		sum += r.Finish
-	}
-	return sum, nil
 }
 
 // headChoice records the source replica selected for one predecessor in

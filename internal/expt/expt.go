@@ -9,9 +9,7 @@
 package expt
 
 import (
-	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 
 	"caft/internal/core"
@@ -253,7 +251,7 @@ type unitResult struct {
 	ftsa, ftbar, caft        unitMeas
 	ffCAFT, ffFTBAR, msgHEFT float64
 	ffHOFT, msgHOFT          float64
-	lost, replayErrs         int
+	crash                    MCTally // the three crash replays
 }
 
 // runUnit generates one instance at granularity g, schedules it with
@@ -312,12 +310,7 @@ func (cfg Config) runUnit(g float64, rng *rand.Rand) (unitResult, error) {
 		m.meas.ov0 = 100 * (l0 - star) / star
 		m.meas.msgs = float64(m.s.MessageCount())
 		lc, err := rep.CrashLatency(crashed)
-		switch {
-		case errors.Is(err, sim.ErrTaskLost) || math.IsInf(lc, 1):
-			out.lost++
-		case err != nil:
-			out.replayErrs++
-		default:
+		if out.crash.Record(lc, err) {
 			m.meas.latC = lc
 			m.meas.ovC = 100 * (lc - star) / star
 			m.meas.crashOK = true
@@ -352,7 +345,7 @@ func (cfg Config) mergePoint(g float64, units []unitResult) Point {
 		ovCAFT0, ovCAFTc             series
 		msgC, msgF, msgB, msgH, msgO series
 	)
-	lost, replayErrs := 0, 0
+	var crash MCTally
 	for _, u := range units {
 		for _, m := range []struct {
 			meas           unitMeas
@@ -378,8 +371,7 @@ func (cfg Config) mergePoint(g float64, units []unitResult) Point {
 		ffHOFT.add(u.ffHOFT / cfg.Norm)
 		msgH.add(u.msgHEFT)
 		msgO.add(u.msgHOFT)
-		lost += u.lost
-		replayErrs += u.replayErrs
+		crash.add(u.crash)
 	}
 	return Point{
 		G:     g,
@@ -393,6 +385,6 @@ func (cfg Config) mergePoint(g float64, units []unitResult) Point {
 		OvCAFT0: ovCAFT0.mean(), OvCAFTc: ovCAFTc.meanNaN(),
 		MsgCAFT: msgC.mean(), MsgFTSA: msgF.mean(), MsgFTBAR: msgB.mean(), MsgHEFT: msgH.mean(), MsgHOFT: msgO.mean(),
 		CAFT0CI: caft0.ci95(), FTSA0CI: ftsa0.ci95(), FTBAR0CI: ftbar0.ci95(),
-		TasksLost: lost, ReplayErrors: replayErrs,
+		TasksLost: crash.Lost, ReplayErrors: crash.ReplayErrors,
 	}
 }

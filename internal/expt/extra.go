@@ -1,7 +1,6 @@
 package expt
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -135,8 +134,8 @@ func RunAblation(w io.Writer, graphs int, seed int64, workers int) error {
 		}
 	}
 	type meas struct {
-		lat, msg          float64
-		lost, errs, draws int
+		lat, msg float64
+		crash    MCTally
 	}
 	units, err := runUnits(workers, len(defs)*graphs, func(u int) (meas, error) {
 		cell, gi := u/graphs, u%graphs
@@ -160,17 +159,7 @@ func RunAblation(w io.Writer, graphs int, seed int64, workers int) error {
 			for len(crashed) < def.eps {
 				crashed[rng.Intn(10)] = true
 			}
-			switch _, err := rep.CrashLatency(crashed); {
-			case errors.Is(err, sim.ErrTaskLost):
-				m.draws++
-				m.lost++
-			case err != nil:
-				// Same policy as the figure engine: an engine failure is
-				// excluded from the draws, not blamed on the schedule.
-				m.errs++
-			default:
-				m.draws++
-			}
+			m.crash.Record(rep.CrashLatency(crashed))
 		}
 		return m, nil
 	})
@@ -180,16 +169,15 @@ func RunAblation(w io.Writer, graphs int, seed int64, workers int) error {
 	replayErrs := 0
 	for cell, def := range defs {
 		var lat, msg stats64
-		lost, draws := 0, 0
+		var crash MCTally
 		for _, m := range units[cell*graphs : (cell+1)*graphs] {
 			lat.add(m.lat)
 			msg.add(m.msg)
-			lost += m.lost
-			draws += m.draws
-			replayErrs += m.errs
+			crash.add(m.crash)
 		}
+		replayErrs += crash.ReplayErrors
 		fmt.Fprintf(w, "%d\t%.1f\t%s\t%.2f\t%.0f\t%s\n",
-			def.eps, def.g, variants[def.variant].name, lat.mean(), msg.mean(), lostPct(lost, draws))
+			def.eps, def.g, variants[def.variant].name, lat.mean(), msg.mean(), lostPct(crash.Lost, crash.Draws()))
 	}
 	if replayErrs > 0 {
 		fmt.Fprintf(w, "# %d crash replay(s) failed to evaluate and were excluded\n", replayErrs)
@@ -300,8 +288,8 @@ func RunSparse(w io.Writer, graphs int, seed int64, workers int) error {
 		topos = append(topos, topo{tc.name, g, g.Diameter()})
 	}
 	type meas struct {
-		lat, msg          float64
-		lost, errs, draws int
+		lat, msg float64
+		crash    MCTally
 	}
 	units, err := runUnits(workers, len(topos)*graphs, func(u int) (meas, error) {
 		cell, gi := u/graphs, u%graphs
@@ -321,15 +309,7 @@ func RunSparse(w io.Writer, graphs int, seed int64, workers int) error {
 			return meas{}, err
 		}
 		for proc := 0; proc < m; proc++ {
-			switch _, err := rep.CrashLatency(map[int]bool{proc: true}); {
-			case errors.Is(err, sim.ErrTaskLost):
-				mr.draws++
-				mr.lost++
-			case err != nil:
-				mr.errs++
-			default:
-				mr.draws++
-			}
+			mr.crash.Record(rep.CrashLatency(map[int]bool{proc: true}))
 		}
 		return mr, nil
 	})
@@ -339,15 +319,14 @@ func RunSparse(w io.Writer, graphs int, seed int64, workers int) error {
 	replayErrs := 0
 	for cell, tp := range topos {
 		var lat, msg stats64
-		lost, draws := 0, 0
+		var crash MCTally
 		for _, mr := range units[cell*graphs : (cell+1)*graphs] {
 			lat.add(mr.lat)
 			msg.add(mr.msg)
-			lost += mr.lost
-			draws += mr.draws
-			replayErrs += mr.errs
+			crash.add(mr.crash)
 		}
-		fmt.Fprintf(w, "%s\t%d\t%.2f\t%.0f\t%s\n", tp.name, tp.diam, lat.mean(), msg.mean(), lostPct(lost, draws))
+		replayErrs += crash.ReplayErrors
+		fmt.Fprintf(w, "%s\t%d\t%.2f\t%.0f\t%s\n", tp.name, tp.diam, lat.mean(), msg.mean(), lostPct(crash.Lost, crash.Draws()))
 	}
 	if replayErrs > 0 {
 		fmt.Fprintf(w, "# %d crash replay(s) failed to evaluate and were excluded\n", replayErrs)

@@ -11,11 +11,12 @@ import (
 	"caft/internal/sim"
 )
 
-// This file is the reliability Monte-Carlo core shared by the
-// `caftsim -figure reliability` tables (RunReliability) and the caftd
-// scheduling service: crash-time scenarios sampled from a failure model
-// are replayed with timed fail-stop semantics and tallied into
-// unreliability (task-loss fraction) and expected surviving latency.
+// This file is the Monte-Carlo core shared by the figures and the caftd
+// scheduling service: MCTally.Record sorts every replayed scenario of
+// every scenario loop, ReplaySamples replays crash-time scenarios with
+// timed fail-stop semantics (`caftsim -figure reliability`), and
+// estimate batches the service's two estimators, EstimateReliability
+// here and EstimateOnline in online.go.
 
 // MCTally accumulates the outcome of replayed crash scenarios for one
 // schedule. LatSum is the sum of (normalized) latencies over the
@@ -35,6 +36,25 @@ func (t *MCTally) add(o MCTally) {
 	t.Survived += o.Survived
 	t.Lost += o.Lost
 	t.ReplayErrors += o.ReplayErrors
+}
+
+// Record sorts one scenario outcome: a task loss, an engine error
+// (excluded from the estimates, never blamed on the schedule), or a
+// survival whose latency joins LatSum. It reports whether the scenario
+// survived. The replay engines return an infinite latency only together
+// with sim.ErrTaskLost, so the error alone decides.
+func (t *MCTally) Record(lat float64, err error) bool {
+	switch {
+	case errors.Is(err, sim.ErrTaskLost):
+		t.Lost++
+	case err != nil:
+		t.ReplayErrors++
+	default:
+		t.Survived++
+		t.LatSum += lat
+		return true
+	}
+	return false
 }
 
 // Draws returns the number of scenarios behind the estimates (the
@@ -72,57 +92,64 @@ func ReplaySamples(reps []*sim.Replayer, tallies []MCTally, model failure.Model,
 		scratch = model.Sample(rng, scratch)
 		for a := range reps {
 			lat, err := reps[a].CrashLatencyAt(scratch)
-			switch {
-			case errors.Is(err, sim.ErrTaskLost) || math.IsInf(lat, 1):
-				tallies[a].Lost++
-			case err != nil:
-				tallies[a].ReplayErrors++
-			default:
-				tallies[a].Survived++
-				tallies[a].LatSum += lat / norm
-			}
+			tallies[a].Record(lat/norm, err)
 		}
 	}
 }
 
-// mcBatch is the number of scenarios per work unit of
-// EstimateReliability: large enough to amortize the per-batch Replayer,
-// small enough that modest sample counts still fan out.
+// mcBatch is the number of scenarios per work unit of the estimators:
+// large enough to amortize the per-batch replay engine, small enough
+// that modest sample counts still fan out.
 const mcBatch = 64
 
-// EstimateReliability estimates one schedule's unreliability and
-// expected surviving latency from `samples` crash scenarios, evaluated
-// in batches on the deterministic work-unit pool. Batch i draws from
-// its own PRNG seeded by unitSeed(seed, 0, i) and batches fold in a
-// fixed order, so the tally is a pure function of (schedule, model,
-// samples, seed) — identical for any worker count. The model must be
-// stateless across Sample calls (Exponential, Weibull, Rack are;
-// failure.Trace is not).
-func EstimateReliability(s *sched.Schedule, model failure.Model, samples int, seed int64, workers int) (MCTally, error) {
+// tally is a per-batch outcome the estimators fold in batch order.
+type tally[T any] interface {
+	*T
+	add(T)
+}
+
+// estimate is the batching skeleton of EstimateReliability and
+// EstimateOnline: it splits samples into batches of mcBatch on the
+// deterministic work-unit pool, runs batch u's n scenarios with its own
+// PRNG seeded by unitSeed(seed, 0, u), and folds the batch tallies in
+// batch order, so the total is a pure function of its inputs for any
+// worker count.
+func estimate[T any, P tally[T]](samples int, seed int64, workers int, batch func(n int, rng *rand.Rand) (T, error)) (T, error) {
+	var total T
 	if samples < 0 {
-		return MCTally{}, fmt.Errorf("expt: negative sample count %d", samples)
+		return total, fmt.Errorf("expt: negative sample count %d", samples)
 	}
 	nBatches := (samples + mcBatch - 1) / mcBatch
-	batches, err := runUnits(workers, nBatches, func(u int) (MCTally, error) {
-		rep, err := sim.NewReplayer(s)
-		if err != nil {
-			return MCTally{}, err
-		}
+	batches, err := runUnits(workers, nBatches, func(u int) (T, error) {
 		n := mcBatch
 		if u == nBatches-1 {
 			n = samples - u*mcBatch
 		}
-		rng := rand.New(rand.NewSource(unitSeed(seed, 0, u)))
+		return batch(n, rand.New(rand.NewSource(unitSeed(seed, 0, u))))
+	})
+	if err != nil {
+		return total, err
+	}
+	for _, b := range batches {
+		P(&total).add(b)
+	}
+	return total, nil
+}
+
+// EstimateReliability estimates one schedule's unreliability and
+// expected surviving latency from `samples` crash scenarios replayed
+// with timed fail-stop semantics, batched by estimate: the tally is a
+// pure function of (schedule, model, samples, seed) — identical for
+// any worker count. The model must be stateless across Sample calls
+// (Exponential, Weibull, Rack are; failure.Trace is not).
+func EstimateReliability(s *sched.Schedule, model failure.Model, samples int, seed int64, workers int) (MCTally, error) {
+	return estimate(samples, seed, workers, func(n int, rng *rand.Rand) (MCTally, error) {
+		rep, err := sim.NewReplayer(s)
+		if err != nil {
+			return MCTally{}, err
+		}
 		var tally [1]MCTally
 		ReplaySamples([]*sim.Replayer{rep}, tally[:], model, n, 1, rng, nil)
 		return tally[0], nil
 	})
-	if err != nil {
-		return MCTally{}, err
-	}
-	var total MCTally
-	for _, b := range batches {
-		total.add(b)
-	}
-	return total, nil
 }

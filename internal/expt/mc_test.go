@@ -1,6 +1,8 @@
 package expt
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,8 +12,29 @@ import (
 	"caft/internal/gen"
 	"caft/internal/platform"
 	"caft/internal/sched"
+	"caft/internal/sim"
 	"caft/internal/timeline"
 )
+
+// TestRecordSortsOutcomes pins the one scenario classifier: a wrapped
+// task loss is lost, any other error is an engine error kept out of
+// the estimates, and only a survival adds its latency.
+func TestRecordSortsOutcomes(t *testing.T) {
+	var tally MCTally
+	if tally.Record(math.Inf(1), fmt.Errorf("replica gone: %w", sim.ErrTaskLost)) {
+		t.Error("task loss reported as survival")
+	}
+	if tally.Record(0, errors.New("engine failure")) {
+		t.Error("engine error reported as survival")
+	}
+	if !tally.Record(2.5, nil) {
+		t.Error("survival not reported")
+	}
+	want := MCTally{LatSum: 2.5, Survived: 1, Lost: 1, ReplayErrors: 1}
+	if tally != want {
+		t.Fatalf("tally %+v, want %+v", tally, want)
+	}
+}
 
 func mcFixture(t *testing.T) *sched.Schedule {
 	t.Helper()

@@ -1,7 +1,6 @@
 package expt
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -11,7 +10,6 @@ import (
 	"caft/internal/gen"
 	"caft/internal/online"
 	"caft/internal/sched"
-	"caft/internal/sim"
 	"caft/internal/timeline"
 )
 
@@ -62,22 +60,14 @@ type OnlinePoint struct {
 	ReplayErrors int
 }
 
-type onlineUnit struct {
-	latSum   [4]float64
-	survived [4]int
-	lost     [4]int
-	resched  [4]int
-	errs     int
-}
-
 // runOnlineUnit generates one instance, schedules it with HEFT (ε=0),
 // CAFT (ε=1) and HOFT (ε=0), and replays the same sampled failure
 // traces through the four strategies. useed is the unit's base seed:
 // HOFT draws its tie-breaks from an rng derived from it, not from the
 // shared stream, so the failure-model build and trace draws — and the
 // original three strategies' columns — stay byte-identical.
-func runOnlineUnit(rng *rand.Rand, useed int64, mult float64) (onlineUnit, error) {
-	var out onlineUnit
+func runOnlineUnit(rng *rand.Rand, useed int64, mult float64) ([4]OnlineTally, error) {
+	var out [4]OnlineTally
 	const m = 10
 	cfg := Config{M: m, Params: gen.DefaultParams, DelayLo: 0.5, DelayHi: 1.0, Model: sched.OnePort, Policy: timeline.Append}
 	inst := cfg.GenInstance(rng, 1.0)
@@ -124,16 +114,7 @@ func runOnlineUnit(rng *rand.Rand, useed int64, mult float64) (onlineUnit, error
 		trace = model.Sample(rng, trace)
 		for k, run := range runs {
 			lat, resched, err := run.eng.Makespan(trace, run.opt)
-			switch {
-			case errors.Is(err, sim.ErrTaskLost) || math.IsInf(lat, 1):
-				out.lost[k]++
-			case err != nil:
-				out.errs++
-			default:
-				out.survived[k]++
-				out.latSum[k] += lat / DefaultNorm
-				out.resched[k] += resched
-			}
+			out[k].record(lat/DefaultNorm, resched, err)
 		}
 	}
 	return out, nil
@@ -147,7 +128,7 @@ func RunOnline(w io.Writer, graphs int, seed int64, workers int) ([]OnlinePoint,
 		return nil, fmt.Errorf("expt: negative graph count %d", graphs)
 	}
 	mults := reliabilityMults
-	units, err := runUnits(workers, len(mults)*graphs, func(u int) (onlineUnit, error) {
+	units, err := runUnits(workers, len(mults)*graphs, func(u int) ([4]OnlineTally, error) {
 		cell, gi := u/graphs, u%graphs
 		useed := unitSeed(seed, cell, gi)
 		rng := rand.New(rand.NewSource(useed))
@@ -160,28 +141,18 @@ func RunOnline(w io.Writer, graphs int, seed int64, workers int) ([]OnlinePoint,
 	points := make([]OnlinePoint, len(mults))
 	for cell, mult := range mults {
 		pt := OnlinePoint{Label: fmt.Sprintf("%g", mult), Mult: mult}
+		var total [4]OnlineTally
 		for _, u := range units[cell*graphs : (cell+1)*graphs] {
-			for k := range OnlineStrategies {
-				pt.Lat[k] += u.latSum[k]
-				pt.Unrel[k] += float64(u.lost[k])
-				pt.Resched[k] += float64(u.resched[k])
-				pt.Draws[k] += u.survived[k] + u.lost[k]
+			for k := range total {
+				total[k].add(u[k])
 			}
-			pt.ReplayErrors += u.errs
 		}
-		for k := range OnlineStrategies {
-			if survived := pt.Draws[k] - int(pt.Unrel[k]); survived > 0 {
-				pt.Lat[k] /= float64(survived)
-				pt.Resched[k] /= float64(survived)
-			} else {
-				pt.Lat[k] = math.NaN()
-				pt.Resched[k] = math.NaN()
-			}
-			if pt.Draws[k] > 0 {
-				pt.Unrel[k] /= float64(pt.Draws[k])
-			} else {
-				pt.Unrel[k] = math.NaN()
-			}
+		for k, t := range total {
+			pt.Lat[k] = t.MeanLatency()
+			pt.Unrel[k] = t.Unreliability()
+			pt.Resched[k] = t.meanRescheduled()
+			pt.Draws[k] = t.Draws()
+			pt.ReplayErrors += t.ReplayErrors
 		}
 		points[cell] = pt
 	}
@@ -217,79 +188,61 @@ func onlineCol(v float64, prec int) string {
 	return fmt.Sprintf("%.*f", prec, v)
 }
 
-// OnlineTally is the outcome of EstimateOnline: the achieved makespans
-// of the completed runs (in draw order), plus loss and re-placement
-// accounting.
+// OnlineTally is the outcome of EstimateOnline: the loss accounting
+// and latency sum of MCTally over the replayed traces, plus the
+// achieved makespans of the completed runs (in draw order) and their
+// reactive placements.
 type OnlineTally struct {
-	// Makespans holds the absolute achieved makespan of every completed
-	// run, in draw order.
+	MCTally
+	// Makespans holds the achieved makespan of every completed run, in
+	// draw order.
 	Makespans []float64
-	// Lost counts runs in which a task never completed.
-	Lost int
 	// Rescheduled sums reactive placements over completed runs.
 	Rescheduled int
-	// ReplayErrors counts engine failures, excluded from the estimates.
-	ReplayErrors int
 }
 
-// onlineBatch is the work-unit grain of EstimateOnline, mirroring
-// EstimateReliability's batching.
-const onlineBatch = 64
+// record sorts one replayed trace through MCTally.Record and keeps the
+// makespan and placements of a completed run.
+func (t *OnlineTally) record(lat float64, resched int, err error) {
+	if t.Record(lat, err) {
+		t.Makespans = append(t.Makespans, lat)
+		t.Rescheduled += resched
+	}
+}
+
+// add folds another tally into t, appending its makespans after t's.
+func (t *OnlineTally) add(o OnlineTally) {
+	t.MCTally.add(o.MCTally)
+	t.Makespans = append(t.Makespans, o.Makespans...)
+	t.Rescheduled += o.Rescheduled
+}
+
+// meanRescheduled returns the mean number of reactive placements per
+// completed run, NaN when none completed.
+func (t OnlineTally) meanRescheduled() float64 {
+	if t.Survived == 0 {
+		return math.NaN()
+	}
+	return float64(t.Rescheduled) / float64(t.Survived)
+}
 
 // EstimateOnline replays `samples` failure traces drawn from model
-// through the online engine and tallies the makespan distribution.
-// Batches run on the deterministic work-unit pool — batch i draws from
-// unitSeed(seed, 0, i) and results merge in draw order — so the tally
-// is a pure function of (schedule, model, samples, seed, reschedule)
-// for any worker count. The model must be stateless across Sample
-// calls (failure.Trace is not).
+// through the online engine and tallies the makespan distribution,
+// batched by estimate: the tally is a pure function of (schedule,
+// model, samples, seed, reschedule) for any worker count. The model
+// must be stateless across Sample calls (failure.Trace is not).
 func EstimateOnline(s *sched.Schedule, model failure.Model, samples int, seed int64, workers int, reschedule bool) (OnlineTally, error) {
-	if samples < 0 {
-		return OnlineTally{}, fmt.Errorf("expt: negative sample count %d", samples)
-	}
-	type batch struct {
-		makespans []float64
-		lost      int
-		resched   int
-		errs      int
-	}
-	nBatches := (samples + onlineBatch - 1) / onlineBatch
-	batches, err := runUnits(workers, nBatches, func(u int) (batch, error) {
-		var b batch
+	return estimate(samples, seed, workers, func(n int, rng *rand.Rand) (OnlineTally, error) {
+		var b OnlineTally
 		eng, err := online.NewEngine(s)
 		if err != nil {
 			return b, err
 		}
-		n := onlineBatch
-		if u == nBatches-1 {
-			n = samples - u*onlineBatch
-		}
-		rng := rand.New(rand.NewSource(unitSeed(seed, 0, u)))
 		trace := map[int]float64{}
 		for draw := 0; draw < n; draw++ {
 			trace = model.Sample(rng, trace)
-			lat, resched, err := eng.Makespan(trace, online.Options{Reschedule: reschedule})
-			switch {
-			case errors.Is(err, sim.ErrTaskLost) || math.IsInf(lat, 1):
-				b.lost++
-			case err != nil:
-				b.errs++
-			default:
-				b.makespans = append(b.makespans, lat)
-				b.resched += resched
-			}
+			b.record(eng.Makespan(trace, online.Options{Reschedule: reschedule}))
 		}
 		return b, nil
 	})
-	if err != nil {
-		return OnlineTally{}, err
-	}
-	var out OnlineTally
-	for _, b := range batches {
-		out.Makespans = append(out.Makespans, b.makespans...)
-		out.Lost += b.lost
-		out.Rescheduled += b.resched
-		out.ReplayErrors += b.errs
-	}
-	return out, nil
 }

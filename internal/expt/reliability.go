@@ -199,26 +199,17 @@ func RunReliability(w io.Writer, graphs int, seed int64, workers int) ([]Reliabi
 			// x axis; Mult 0 keeps them out of the gnuplot data.
 			pt.Mult = 0
 		}
+		var total [5]MCTally
 		for _, u := range units[cell*graphs : (cell+1)*graphs] {
-			for a := range u.algs {
-				m := u.algs[a]
-				pt.Lat[a] += m.LatSum
-				pt.Draws[a] += m.Draws()
-				pt.Unrel[a] += float64(m.Lost)
-				pt.ReplayErrors += m.ReplayErrors
+			for a := range total {
+				total[a].add(u.algs[a])
 			}
 		}
-		for a := range pt.Lat {
-			if survived := pt.Draws[a] - int(pt.Unrel[a]); survived > 0 {
-				pt.Lat[a] /= float64(survived)
-			} else {
-				pt.Lat[a] = math.NaN()
-			}
-			if pt.Draws[a] > 0 {
-				pt.Unrel[a] /= float64(pt.Draws[a])
-			} else {
-				pt.Unrel[a] = math.NaN()
-			}
+		for a, t := range total {
+			pt.Lat[a] = t.MeanLatency()
+			pt.Unrel[a] = t.Unreliability()
+			pt.Draws[a] = t.Draws()
+			pt.ReplayErrors += t.ReplayErrors
 		}
 		points[cell] = pt
 	}

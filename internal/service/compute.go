@@ -201,17 +201,17 @@ func (s *Service) compute(sc *scratch, req *Request) ([]byte, error) {
 	}
 
 	if os := req.Online; os != nil {
-		tally, err := expt.EstimateOnline(schedule, os.rel().buildModel(p.Plat.M), os.Samples, os.Seed, s.cfg.MCWorkers, !os.Static)
+		tally, err := expt.EstimateOnline(schedule, os.buildModel(p.Plat.M), os.Samples, os.Seed, s.cfg.MCWorkers, !os.Static)
 		if err != nil {
 			return nil, fmt.Errorf("online replay failed: %w", err)
 		}
 		or := &OnlineResult{
-			Samples:      len(tally.Makespans) + tally.Lost,
+			Samples:      tally.Draws(),
 			Lost:         tally.Lost,
 			ReplayErrors: tally.ReplayErrors,
 		}
 		if or.Samples > 0 {
-			or.Unreliability = float64(tally.Lost) / float64(or.Samples)
+			or.Unreliability = tally.Unreliability()
 		}
 		if n := len(tally.Makespans); n > 0 {
 			sorted := append([]float64(nil), tally.Makespans...)

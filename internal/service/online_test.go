@@ -12,7 +12,7 @@ func onlineReq() *Request {
 	r := quickReq()
 	r.Reliability = nil
 	r.Mode = "online"
-	r.Online = &OnlineSpec{Samples: 96, MTBF: 4000, Seed: 5}
+	r.Online = &OnlineSpec{ReliabilitySpec: ReliabilitySpec{Samples: 96, MTBF: 4000, Seed: 5}}
 	return r
 }
 
@@ -104,13 +104,31 @@ func TestOnlineValidationAndHash(t *testing.T) {
 	bad := []func(r *Request){
 		func(r *Request) { r.Mode = "online"; r.Online = nil },
 		func(r *Request) { r.Mode = "offline" },
-		func(r *Request) { r.Online = &OnlineSpec{Samples: 1, MTBF: 1} }, // spec without mode
-		func(r *Request) { r.Mode = "online"; r.Online = &OnlineSpec{Samples: 0, MTBF: 1} },
-		func(r *Request) { r.Mode = "online"; r.Online = &OnlineSpec{Samples: maxOnlineSamples + 1, MTBF: 1} },
-		func(r *Request) { r.Mode = "online"; r.Online = &OnlineSpec{Samples: 8} }, // no MTBF
-		func(r *Request) { r.Mode = "online"; r.Online = &OnlineSpec{Samples: 8, MTBF: 1, MTBFLo: 1, MTBFHi: 2} },
-		func(r *Request) { r.Mode = "online"; r.Online = &OnlineSpec{Samples: 8, MTBF: 1, Kind: "weibull"} },
-		func(r *Request) { r.Mode = "online"; r.Online = &OnlineSpec{Samples: 8, MTBF: 1, Shape: 2} },
+		func(r *Request) { r.Online = &OnlineSpec{ReliabilitySpec: ReliabilitySpec{Samples: 1, MTBF: 1}} }, // spec without mode
+		func(r *Request) {
+			r.Mode = "online"
+			r.Online = &OnlineSpec{ReliabilitySpec: ReliabilitySpec{Samples: 0, MTBF: 1}}
+		},
+		func(r *Request) {
+			r.Mode = "online"
+			r.Online = &OnlineSpec{ReliabilitySpec: ReliabilitySpec{Samples: maxOnlineSamples + 1, MTBF: 1}}
+		},
+		func(r *Request) {
+			r.Mode = "online"
+			r.Online = &OnlineSpec{ReliabilitySpec: ReliabilitySpec{Samples: 8}}
+		}, // no MTBF
+		func(r *Request) {
+			r.Mode = "online"
+			r.Online = &OnlineSpec{ReliabilitySpec: ReliabilitySpec{Samples: 8, MTBF: 1, MTBFLo: 1, MTBFHi: 2}}
+		},
+		func(r *Request) {
+			r.Mode = "online"
+			r.Online = &OnlineSpec{ReliabilitySpec: ReliabilitySpec{Samples: 8, MTBF: 1, Kind: "weibull"}}
+		},
+		func(r *Request) {
+			r.Mode = "online"
+			r.Online = &OnlineSpec{ReliabilitySpec: ReliabilitySpec{Samples: 8, MTBF: 1, Shape: 2}}
+		},
 	}
 	for i, mutate := range bad {
 		r := quickReq()

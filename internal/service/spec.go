@@ -154,73 +154,18 @@ type ReliabilitySpec struct {
 }
 
 // OnlineSpec configures the online-mode Monte Carlo: Samples failure
-// traces drawn from the failure model are replayed through the
+// traces drawn from the embedded failure model are replayed through the
 // event-driven engine, by default with the reactive re-mapper armed.
-// The failure-model fields mirror ReliabilitySpec.
+// The embedded ReliabilitySpec's fields appear inline on the wire, and
+// its Seed drives the trace draws, independently of the scheduling
+// seed. Samples is capped at 2^16 traces rather than 2^20, since every
+// trace runs the full event engine.
 type OnlineSpec struct {
-	Samples int     `json:"samples"`
-	Kind    string  `json:"kind,omitempty"`
-	Shape   float64 `json:"shape,omitempty"`
-	MTBF    float64 `json:"mtbf,omitempty"`
-	MTBFLo  float64 `json:"mtbfLo,omitempty"`
-	MTBFHi  float64 `json:"mtbfHi,omitempty"`
-	// Seed drives the trace draws, independently of the scheduling seed.
-	Seed int64 `json:"seed,omitempty"`
+	ReliabilitySpec
 	// Static disables the reactive re-mapper: the distribution then
 	// reflects what replication alone achieves under the causal online
 	// semantics.
 	Static bool `json:"static,omitempty"`
-}
-
-// rel converts the failure-model half of the spec to a ReliabilitySpec
-// for model construction. Compute-path only: validate and hash stay
-// allocation-free and use the direct methods below.
-func (os *OnlineSpec) rel() *ReliabilitySpec {
-	return &ReliabilitySpec{Samples: os.Samples, Kind: os.Kind, Shape: os.Shape,
-		MTBF: os.MTBF, MTBFLo: os.MTBFLo, MTBFHi: os.MTBFHi, Seed: os.Seed}
-}
-
-// validate mirrors ReliabilitySpec.validate with the online sample cap.
-func (os *OnlineSpec) validate() error {
-	if os.Samples < 1 || os.Samples > maxOnlineSamples {
-		return fmt.Errorf("online samples %d outside [1, %d]", os.Samples, maxOnlineSamples)
-	}
-	switch os.Kind {
-	case "", "exponential":
-		if os.Shape != 0 {
-			return fmt.Errorf("shape is a weibull parameter")
-		}
-	case "weibull":
-		if os.Shape <= 0 {
-			return fmt.Errorf("weibull needs a positive shape, got %v", os.Shape)
-		}
-	default:
-		return fmt.Errorf("unknown failure model %q (want exponential or weibull)", os.Kind)
-	}
-	random := os.MTBFLo != 0 || os.MTBFHi != 0
-	switch {
-	case random && os.MTBF != 0:
-		return fmt.Errorf("mtbf and mtbfLo/mtbfHi are mutually exclusive")
-	case random && (os.MTBFLo <= 0 || os.MTBFHi < os.MTBFLo):
-		return fmt.Errorf("invalid MTBF range [%v, %v]", os.MTBFLo, os.MTBFHi)
-	case !random && os.MTBF <= 0:
-		return fmt.Errorf("mtbf must be positive, got %v", os.MTBF)
-	}
-	return nil
-}
-
-// kindIndex returns the canonical failure-model enum (default
-// resolved); -1 for unknown kinds (rejected by validate).
-//
-//caft:zeroalloc
-func (os *OnlineSpec) kindIndex() int {
-	switch os.Kind {
-	case "", "exponential":
-		return 0
-	case "weibull":
-		return 1
-	}
-	return -1
 }
 
 // maxReliabilitySamples bounds the Monte-Carlo work a single request
@@ -409,8 +354,13 @@ func (r *Request) validate() error {
 	if r.Exec != nil && r.Granularity != 0 {
 		return fmt.Errorf("granularity and an explicit exec matrix are mutually exclusive")
 	}
+	if r.Exec != nil && len(r.Exec) == 0 {
+		// An empty matrix would re-encode as an absent one (omitempty)
+		// under a different cache key.
+		return fmt.Errorf("empty exec matrix (omit exec to generate one)")
+	}
 	if r.Reliability != nil {
-		if err := r.Reliability.validate(); err != nil {
+		if err := r.Reliability.validate("reliability", maxReliabilitySamples); err != nil {
 			return err
 		}
 	}
@@ -421,7 +371,7 @@ func (r *Request) validate() error {
 		return fmt.Errorf("mode online and the online spec must be set together")
 	}
 	if r.Online != nil {
-		if err := r.Online.validate(); err != nil {
+		if err := r.Online.validate("online", maxOnlineSamples); err != nil {
 			return err
 		}
 	}
@@ -477,9 +427,11 @@ func (t *TopologySpec) validate(m int) error {
 	return nil
 }
 
-func (rs *ReliabilitySpec) validate() error {
-	if rs.Samples < 1 || rs.Samples > maxReliabilitySamples {
-		return fmt.Errorf("reliability samples %d outside [1, %d]", rs.Samples, maxReliabilitySamples)
+// validate checks the failure-model spec; label names the spec in the
+// sample-count error and maxSamples caps Samples.
+func (rs *ReliabilitySpec) validate(label string, maxSamples int) error {
+	if rs.Samples < 1 || rs.Samples > maxSamples {
+		return fmt.Errorf("%s samples %d outside [1, %d]", label, rs.Samples, maxSamples)
 	}
 	switch rs.Kind {
 	case "", "exponential":
@@ -665,29 +617,15 @@ func (r *Request) hash() hashKey {
 	}
 
 	if r.Reliability != nil {
-		rs := r.Reliability
-		h.int(rs.Samples)
-		h.int(rs.kindIndex()) // enum, so "" and "exponential" share a key
-		h.f64(rs.Shape)
-		h.f64(rs.MTBF)
-		h.f64(rs.MTBFLo)
-		h.f64(rs.MTBFHi)
-		h.i64(rs.Seed)
+		h.failureModel(r.Reliability)
 	} else {
 		h.int(-1)
 	}
 
 	h.int(r.modeIndex()) // enum, so "" and "schedule" share a key
 	if r.Online != nil {
-		os := r.Online
-		h.int(os.Samples)
-		h.int(os.kindIndex())
-		h.f64(os.Shape)
-		h.f64(os.MTBF)
-		h.f64(os.MTBFLo)
-		h.f64(os.MTBFHi)
-		h.i64(os.Seed)
-		if os.Static {
+		h.failureModel(&r.Online.ReliabilitySpec)
+		if r.Online.Static {
 			h.int(1)
 		} else {
 			h.int(0)
@@ -696,6 +634,20 @@ func (r *Request) hash() hashKey {
 		h.int(-1)
 	}
 	return h.sum()
+}
+
+// failureModel streams a failure-model spec — shared by the
+// reliability and online sections of the canonical stream.
+//
+//caft:zeroalloc
+func (d *digest) failureModel(rs *ReliabilitySpec) {
+	d.int(rs.Samples)
+	d.int(rs.kindIndex()) // enum, so "" and "exponential" share a key
+	d.f64(rs.Shape)
+	d.f64(rs.MTBF)
+	d.f64(rs.MTBFLo)
+	d.f64(rs.MTBFHi)
+	d.i64(rs.Seed)
 }
 
 // kindIndex returns the canonical failure-model enum (default
