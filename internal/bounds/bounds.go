@@ -38,12 +38,6 @@ func Work(p *sched.Problem) float64 {
 	return s / float64(p.Plat.M)
 }
 
-// ReplicatedWork returns the load-balance bound when every task is
-// executed eps+1 times.
-func ReplicatedWork(p *sched.Problem, eps int) float64 {
-	return Work(p) * float64(eps+1)
-}
-
 // Latency returns the largest applicable lower bound on the fault-free
 // latency: max(critical path, work bound).
 func Latency(p *sched.Problem) float64 {

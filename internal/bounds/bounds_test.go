@@ -44,9 +44,6 @@ func TestWorkBound(t *testing.T) {
 	if w := Work(p); w != 4 { // 12 total / 3 procs
 		t.Errorf("Work = %v, want 4", w)
 	}
-	if rw := ReplicatedWork(p, 2); rw != 12 {
-		t.Errorf("ReplicatedWork = %v, want 12", rw)
-	}
 }
 
 func TestLatencyIsMaxOfBounds(t *testing.T) {
@@ -99,8 +96,8 @@ func TestSchedulesRespectBounds(t *testing.T) {
 			if sc.ScheduledLatency() < CriticalPath(p)-1e-9 {
 				t.Fatalf("eps=%d latency %v beats critical path %v", eps, sc.ScheduledLatency(), CriticalPath(p))
 			}
-			if sc.MakespanAll() < ReplicatedWork(p, eps)-1e-9 {
-				t.Fatalf("eps=%d makespan %v beats replicated work %v", eps, sc.MakespanAll(), ReplicatedWork(p, eps))
+			if rw := Work(p) * float64(eps+1); sc.MakespanAll() < rw-1e-9 {
+				t.Fatalf("eps=%d makespan %v beats replicated work %v", eps, sc.MakespanAll(), rw)
 			}
 		}
 	}

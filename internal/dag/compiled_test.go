@@ -142,6 +142,28 @@ func TestLazyNameConstructionAllocs(t *testing.T) {
 	}
 }
 
+// compileAllocs bounds one Compile of the BenchmarkCompile graph,
+// measured when the pin was set: the compiled view is a fixed number of
+// flat arrays, independent of the task count.
+const compileAllocs = 26
+
+// TestCompileAllocPin pins Compile's allocation count on the
+// BenchmarkCompile graph (10⁴ tasks).
+func TestCompileAllocPin(t *testing.T) {
+	g := randomDAG(rand.New(rand.NewSource(41)), 10000)
+	var err error
+	allocs := testing.AllocsPerRun(10, func() {
+		g.compiled = nil
+		_, err = g.Compile()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs > compileAllocs {
+		t.Errorf("Compile allocates %.0f/op, want <= %d", allocs, compileAllocs)
+	}
+}
+
 func BenchmarkCompile(b *testing.B) {
 	rng := rand.New(rand.NewSource(41))
 	g := randomDAG(rng, 10000)

@@ -148,18 +148,13 @@ type Point struct {
 	ReplayErrors int
 }
 
-// Instance bundles one generated problem.
-type Instance struct {
-	P *sched.Problem
-}
-
 // GenInstance generates one random problem with the config's parameters
 // at granularity g.
-func (cfg Config) GenInstance(rng *rand.Rand, g float64) Instance {
+func (cfg Config) GenInstance(rng *rand.Rand, g float64) *sched.Problem {
 	graph := gen.RandomLayered(rng, cfg.Params)
 	plat := platform.NewRandom(rng, cfg.M, cfg.DelayLo, cfg.DelayHi)
 	exec := platform.GenExecForGranularity(rng, graph, plat, g, platform.DefaultHeterogeneity)
-	return Instance{P: &sched.Problem{G: graph, Plat: plat, Exec: exec, Model: cfg.Model, Policy: cfg.Policy}}
+	return &sched.Problem{G: graph, Plat: plat, Exec: exec, Model: cfg.Model, Policy: cfg.Policy}
 }
 
 // DrawCrashes draws cfg.Crashes distinct crashed processors.
@@ -259,8 +254,7 @@ type unitResult struct {
 // scratch buffer per schedule.
 func (cfg Config) runUnit(g float64, rng *rand.Rand) (unitResult, error) {
 	var out unitResult
-	inst := cfg.GenInstance(rng, g)
-	p := inst.P
+	p := cfg.GenInstance(rng, g)
 	crashed := cfg.DrawCrashes(rng)
 
 	// Fault-free references.

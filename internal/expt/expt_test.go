@@ -57,18 +57,18 @@ func TestGranularityFamilies(t *testing.T) {
 func TestGenInstanceMatchesConfig(t *testing.T) {
 	cfg, _ := FigureConfig(1, 2, 1)
 	rng := rand.New(rand.NewSource(1))
-	inst := cfg.GenInstance(rng, 0.6)
-	if err := inst.P.Validate(); err != nil {
+	p := cfg.GenInstance(rng, 0.6)
+	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if inst.P.Plat.M != 10 {
-		t.Errorf("m = %d", inst.P.Plat.M)
+	if p.Plat.M != 10 {
+		t.Errorf("m = %d", p.Plat.M)
 	}
-	g := inst.P.G.Granularity(inst.P.Exec.Slowest(), inst.P.Plat.MaxDelay())
+	g := p.G.Granularity(p.Exec.Slowest(), p.Plat.MaxDelay())
 	if g < 0.599 || g > 0.601 {
 		t.Errorf("granularity = %v, want 0.6", g)
 	}
-	v := inst.P.G.NumTasks()
+	v := p.G.NumTasks()
 	if v < 80 || v > 120 {
 		t.Errorf("tasks = %d", v)
 	}

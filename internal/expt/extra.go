@@ -11,7 +11,6 @@ import (
 	"caft/internal/platform"
 	"caft/internal/sched"
 	"caft/internal/sim"
-	"caft/internal/stats"
 	"caft/internal/timeline"
 	"caft/internal/topology"
 )
@@ -71,7 +70,7 @@ func RunMessages(w io.Writer, graphs int, seed int64, workers int) error {
 	}
 	for cell := 0; cell < cells; cell++ {
 		fam, eps := families[cell/nEps], cell%nEps
-		var edges, msgC, msgF stats64
+		var edges, msgC, msgF series
 		for _, m := range units[cell*graphs : (cell+1)*graphs] {
 			edges.add(m.edges)
 			msgC.add(m.msgC)
@@ -83,11 +82,6 @@ func RunMessages(w io.Writer, graphs int, seed int64, workers int) error {
 	}
 	return nil
 }
-
-type stats64 struct{ xs []float64 }
-
-func (s *stats64) add(x float64) { s.xs = append(s.xs, x) }
-func (s *stats64) mean() float64 { return stats.Mean(s.xs) }
 
 // lostPct renders the task-loss percentage, or the missing marker when
 // no crash replay could be evaluated (0 draws must not read as NaN).
@@ -168,7 +162,7 @@ func RunAblation(w io.Writer, graphs int, seed int64, workers int) error {
 	}
 	replayErrs := 0
 	for cell, def := range defs {
-		var lat, msg stats64
+		var lat, msg series
 		var crash MCTally
 		for _, m := range units[cell*graphs : (cell+1)*graphs] {
 			lat.add(m.lat)
@@ -240,7 +234,7 @@ func RunAccuracy(w io.Writer, graphs int, seed int64, workers int) error {
 		return err
 	}
 	for cell, g := range gs {
-		var est, real, aware stats64
+		var est, real, aware series
 		for _, m := range units[cell*graphs : (cell+1)*graphs] {
 			est.add(m.est)
 			real.add(m.real)
@@ -318,7 +312,7 @@ func RunSparse(w io.Writer, graphs int, seed int64, workers int) error {
 	}
 	replayErrs := 0
 	for cell, tp := range topos {
-		var lat, msg stats64
+		var lat, msg series
 		var crash MCTally
 		for _, mr := range units[cell*graphs : (cell+1)*graphs] {
 			lat.add(mr.lat)

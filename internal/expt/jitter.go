@@ -80,8 +80,7 @@ func runJitterUnit(d sched.Descriptor, useed int64) (jitterUnit, error) {
 	var out jitterUnit
 	rng := rand.New(rand.NewSource(useed))
 	cfg := Config{M: 10, Params: gen.DefaultParams, DelayLo: 0.5, DelayHi: 1.0, Model: sched.OnePort, Policy: timeline.Append}
-	inst := cfg.GenInstance(rng, 1.0)
-	p := inst.P
+	p := cfg.GenInstance(rng, 1.0)
 	eps := 0
 	if d.Caps.AcceptsEps {
 		eps = 1

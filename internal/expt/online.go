@@ -70,8 +70,7 @@ func runOnlineUnit(rng *rand.Rand, useed int64, mult float64) ([4]OnlineTally, e
 	var out [4]OnlineTally
 	const m = 10
 	cfg := Config{M: m, Params: gen.DefaultParams, DelayLo: 0.5, DelayHi: 1.0, Model: sched.OnePort, Policy: timeline.Append}
-	inst := cfg.GenInstance(rng, 1.0)
-	p := inst.P
+	p := cfg.GenInstance(rng, 1.0)
 
 	sHEFT, err := algo("heft").New(p, 0, rng)
 	if err != nil {

@@ -124,8 +124,7 @@ func runReliabilityUnit(rng *rand.Rand, useed int64, mult float64, build func(*r
 	var out reliabilityUnit
 	const m = 10
 	cfg := Config{M: m, Params: gen.DefaultParams, DelayLo: 0.5, DelayHi: 1.0, Model: sched.OnePort, Policy: timeline.Append}
-	inst := cfg.GenInstance(rng, 1.0)
-	p := inst.P
+	p := cfg.GenInstance(rng, 1.0)
 
 	sHEFT, err := algo("heft").New(p, 0, rng)
 	if err != nil {

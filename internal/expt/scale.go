@@ -145,7 +145,7 @@ func RunScale(w, timing io.Writer, sizes []int, graphs int, seed int64, workers 
 	}
 	for cell := 0; cell < cells; cell++ {
 		v, pol := sizes[cell/len(policies)], policies[cell%len(policies)]
-		var lat, reps, msgs [len(scaleAlgos)]stats64
+		var lat, reps, msgs [len(scaleAlgos)]series
 		var ns [len(scaleAlgos)]int64
 		var allocs [len(scaleAlgos)]uint64
 		skipped := make([]bool, len(scaleAlgos))

@@ -2,7 +2,6 @@ package gen
 
 import (
 	"fmt"
-	"math/rand"
 
 	"caft/internal/dag"
 )
@@ -52,84 +51,5 @@ func Cholesky(n int, tileVolume float64) *dag.DAG {
 			}
 		}
 	}
-	return g
-}
-
-// GaussianElimination returns the task graph of an n x n blocked
-// Gaussian elimination: at step k a pivot task feeds the update of
-// every remaining column, which feeds the next pivot — the triangular
-// dependence structure used by Topcuoglu et al. to evaluate HEFT.
-func GaussianElimination(n int, volume float64) *dag.DAG {
-	g := &dag.DAG{}
-	var cols []dag.TaskID // last writer of each remaining column
-	cols = make([]dag.TaskID, n)
-	for j := range cols {
-		cols[j] = -1
-	}
-	for k := 0; k < n-1; k++ {
-		pivot := g.AddTask(fmt.Sprintf("pivot(%d)", k))
-		if cols[k] >= 0 {
-			g.AddEdge(cols[k], pivot, volume)
-		}
-		for j := k + 1; j < n; j++ {
-			upd := g.AddTask(fmt.Sprintf("update(%d,%d)", k, j))
-			g.AddEdge(pivot, upd, volume)
-			if cols[j] >= 0 {
-				g.AddEdge(cols[j], upd, volume)
-			}
-			cols[j] = upd
-		}
-	}
-	return g
-}
-
-// RandomFanInOut generates a random DAG in the style of the STG
-// benchmark suite (Tobita & Kasahara): tasks in random layers, each
-// non-entry task drawing a random number of predecessors from the
-// immediately preceding layers, with volumes in [minVol, maxVol].
-func RandomFanInOut(rng *rand.Rand, tasks, layers, maxFanIn int, minVol, maxVol float64) *dag.DAG {
-	if layers < 2 {
-		layers = 2
-	}
-	if layers > tasks {
-		layers = tasks
-	}
-	if maxFanIn < 1 {
-		maxFanIn = 1
-	}
-	g := dag.New(tasks)
-	// Assign each task a layer; every layer gets at least one task.
-	layerOf := make([]int, tasks)
-	for i := 0; i < layers; i++ {
-		layerOf[i] = i
-	}
-	for i := layers; i < tasks; i++ {
-		layerOf[i] = rng.Intn(layers)
-	}
-	// Tasks sorted by layer keep edges forward.
-	byLayer := make([][]int, layers)
-	order := make([]int, 0, tasks)
-	for l := 0; l < layers; l++ {
-		for i := 0; i < tasks; i++ {
-			if layerOf[i] == l {
-				byLayer[l] = append(byLayer[l], i)
-				order = append(order, i)
-			}
-		}
-	}
-	vol := func() float64 { return minVol + rng.Float64()*(maxVol-minVol) }
-	for l := 1; l < layers; l++ {
-		prev := byLayer[l-1]
-		for _, t := range byLayer[l] {
-			fanIn := 1 + rng.Intn(maxFanIn)
-			if fanIn > len(prev) {
-				fanIn = len(prev)
-			}
-			for _, pi := range rng.Perm(len(prev))[:fanIn] {
-				g.AddEdge(dag.TaskID(prev[pi]), dag.TaskID(t), vol())
-			}
-		}
-	}
-	_ = order
 	return g
 }

@@ -1,12 +1,8 @@
 package gen
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
-
-	"caft/internal/dag"
 )
 
 func TestCholeskyStructure(t *testing.T) {
@@ -47,65 +43,5 @@ func TestCholeskyTaskCountFormula(t *testing.T) {
 		if err := g.Validate(); err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-func TestGaussianElimination(t *testing.T) {
-	g := GaussianElimination(4, 60)
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Steps k=0..2: 1 pivot + (n-1-k) updates each: (1+3)+(1+2)+(1+1)=9.
-	if g.NumTasks() != 9 {
-		t.Fatalf("tasks = %d, want 9", g.NumTasks())
-	}
-	// The chain of pivots forces depth >= 2(n-1)-1.
-	depths := g.Depths()
-	max := 0
-	for _, d := range depths {
-		if d > max {
-			max = d
-		}
-	}
-	if max < 2*(4-1)-1 {
-		t.Fatalf("depth = %d, want >= 5", max)
-	}
-}
-
-func TestRandomFanInOutProperties(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		tasks := 10 + rng.Intn(60)
-		layers := 2 + rng.Intn(8)
-		maxFanIn := 1 + rng.Intn(4)
-		g := RandomFanInOut(rng, tasks, layers, maxFanIn, 10, 20)
-		if g.Validate() != nil || g.NumTasks() != tasks {
-			return false
-		}
-		for id := 0; id < tasks; id++ {
-			if g.InDegree(dag.TaskID(id)) > maxFanIn {
-				return false
-			}
-			for _, e := range g.Succ(dag.TaskID(id)) {
-				if e.Volume < 10 || e.Volume > 20 {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRandomFanInOutDegenerateParams(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	g := RandomFanInOut(rng, 5, 100, 0, 1, 2) // layers > tasks, fanIn 0
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if g.NumTasks() != 5 {
-		t.Fatalf("tasks = %d", g.NumTasks())
 	}
 }

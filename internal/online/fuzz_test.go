@@ -8,6 +8,7 @@ import (
 	"caft/internal/sched"
 	"caft/internal/sched/ftsa"
 	"caft/internal/sched/heft"
+	"caft/internal/sim/simtest"
 	"caft/internal/timeline"
 )
 
@@ -76,7 +77,7 @@ func FuzzOnlineReschedule(f *testing.F) {
 			if err != nil {
 				t.Fatalf("reschedule=%v trace=%v: %v", opt.Reschedule, trace, err)
 			}
-			if err := Validate(p, res, trace); err != nil {
+			if err := simtest.Validate(p, res, trace); err != nil {
 				t.Fatalf("reschedule=%v trace=%v: %v", opt.Reschedule, trace, err)
 			}
 			if err := e.verifyPristine(); err != nil {

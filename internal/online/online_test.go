@@ -13,6 +13,7 @@ import (
 	"caft/internal/sched/ftsa"
 	"caft/internal/sched/heft"
 	"caft/internal/sim"
+	"caft/internal/sim/simtest"
 	"caft/internal/timeline"
 )
 
@@ -79,7 +80,7 @@ func TestOnlineReactiveRecoversHEFT(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := Validate(p, static, trace); err != nil {
+		if err := simtest.Validate(p, static, trace); err != nil {
 			t.Fatalf("trial %d static: %v", trial, err)
 		}
 		reactive, err := e.Run(trace, Options{Reschedule: true})
@@ -92,7 +93,7 @@ func TestOnlineReactiveRecoversHEFT(t *testing.T) {
 		if len(static.TasksLost) > 0 && reactive.Rescheduled == 0 {
 			t.Fatalf("trial %d: static run lost %d tasks but reactive run re-placed nothing", trial, len(static.TasksLost))
 		}
-		if err := Validate(p, reactive, trace); err != nil {
+		if err := simtest.Validate(p, reactive, trace); err != nil {
 			t.Fatalf("trial %d reactive: %v", trial, err)
 		}
 		// Note: the reactive makespan may legitimately beat the
@@ -274,7 +275,7 @@ func TestOnlineStaticLossMatchesTimedSim(t *testing.T) {
 		if len(res.TasksLost) != 0 {
 			t.Fatalf("single crash@0 on P%d lost tasks %v from an eps=1 schedule", proc, res.TasksLost)
 		}
-		if err := Validate(p, res, map[int]float64{proc: 0}); err != nil {
+		if err := simtest.Validate(p, res, map[int]float64{proc: 0}); err != nil {
 			t.Fatal(err)
 		}
 	}

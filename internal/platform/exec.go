@@ -70,22 +70,6 @@ func (e ExecMatrix) Mean() []float64 {
 	return out
 }
 
-// MeanOverall returns the average execution time over all tasks and
-// processors.
-func (e ExecMatrix) MeanOverall() float64 {
-	s, n := 0.0, 0
-	for t := range e {
-		for _, c := range e[t] {
-			s += c
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return s / float64(n)
-}
-
 // HeterogeneityRange bounds the per-processor spread of execution times
 // around a task's base cost when generating matrices: each E(t,P) is
 // base(t) * u with u uniform in [Lo, Hi]. The paper does not fix the

@@ -111,13 +111,6 @@ func TestExecStatistics(t *testing.T) {
 	if mean[0] != 2 || mean[1] != 2 {
 		t.Errorf("Mean = %v", mean)
 	}
-	if e.MeanOverall() != 2 {
-		t.Errorf("MeanOverall = %v", e.MeanOverall())
-	}
-	var empty ExecMatrix
-	if empty.MeanOverall() != 0 {
-		t.Error("MeanOverall on empty matrix should be 0")
-	}
 }
 
 func TestGenExecHitsTargetGranularity(t *testing.T) {

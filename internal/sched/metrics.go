@@ -1,7 +1,5 @@
 package sched
 
-import "sort"
-
 // Metrics summarizes resource usage and structure of a schedule,
 // reported by the experiment harness and the visualization tools.
 type Metrics struct {
@@ -80,20 +78,4 @@ func (mt Metrics) CommDensity() float64 {
 		return 0
 	}
 	return mt.CommTime / mt.ComputeTime
-}
-
-// BusiestProcs returns processor indices sorted by decreasing compute
-// busy time.
-func (mt Metrics) BusiestProcs() []int {
-	idx := make([]int, len(mt.ProcBusy))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		if mt.ProcBusy[idx[a]] != mt.ProcBusy[idx[b]] {
-			return mt.ProcBusy[idx[a]] > mt.ProcBusy[idx[b]]
-		}
-		return idx[a] < idx[b]
-	})
-	return idx
 }

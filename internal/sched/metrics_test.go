@@ -52,9 +52,8 @@ func TestMetricsImbalanceAndOrdering(t *testing.T) {
 	if mt.LoadImbalance != 1 {
 		t.Errorf("LoadImbalance = %v, want 1", mt.LoadImbalance)
 	}
-	order := mt.BusiestProcs()
-	if order[0] != 0 || order[1] != 1 {
-		t.Errorf("BusiestProcs = %v", order)
+	if mt.ProcBusy[0] != 6 || mt.ProcBusy[1] != 0 {
+		t.Errorf("ProcBusy = %v, want [6 0]", mt.ProcBusy)
 	}
 }
 

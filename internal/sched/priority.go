@@ -62,15 +62,10 @@ func NewLister(p *Problem, rng *rand.Rand) *Lister {
 func (l *Lister) Remaining() int { return l.remaining }
 
 // Free returns the current free tasks (unordered). The slice aliases
-// internal storage and is invalidated by Pop/Take/MarkScheduled;
-// callers that need a stable snapshot use FreeCopy.
+// internal storage and is invalidated by Pop/Take/MarkScheduled.
 //
-//caft:scratch safe=FreeCopy
+//caft:scratch
 func (l *Lister) Free() []dag.TaskID { return l.free }
-
-// FreeCopy returns a freshly allocated copy of Free, safe to retain
-// across Pop/Take/MarkScheduled.
-func (l *Lister) FreeCopy() []dag.TaskID { return append([]dag.TaskID(nil), l.free...) }
 
 // Priority returns the current priority tℓ(t)+bℓ(t) of a task.
 func (l *Lister) Priority(t dag.TaskID) float64 { return l.tl[t] + l.bl[t] }

@@ -75,6 +75,41 @@ func BenchmarkCacheEvictMiss(b *testing.B) {
 	}
 }
 
+// serveMissAllocs bounds one cache miss through Service.Do over the
+// seeds TestServeMissAllocPin sends: the maximum of repeated runs when
+// the pin was set (the count varies by one from run to run).
+const serveMissAllocs = 1358
+
+// raceEnabled is set by race_test.go in race-instrumented builds.
+var raceEnabled bool
+
+// TestServeMissAllocPin pins the miss path's allocation count: each
+// call builds quickReq without reliability under a fresh seed, so every
+// request is a full compute (schedule + encode), as in
+// BenchmarkServeMiss.
+func TestServeMissAllocPin(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool items at random, so the standard library's pooled buffers reallocate")
+	}
+	svc := mustNew(t, Config{Workers: 2})
+	defer svc.Close()
+	seed := int64(0)
+	var err error
+	allocs := testing.AllocsPerRun(50, func() {
+		seed++
+		req := quickReq()
+		req.Reliability = nil
+		req.Seed = seed
+		_, err = svc.Do(context.Background(), req)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs > serveMissAllocs {
+		t.Errorf("cache miss allocates %.0f per request, want <= %d", allocs, serveMissAllocs)
+	}
+}
+
 // BenchmarkServeMiss measures a full compute (schedule + encode) for
 // scale: the denominator that makes the cached path's win visible.
 func BenchmarkServeMiss(b *testing.B) {

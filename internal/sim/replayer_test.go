@@ -145,17 +145,65 @@ func TestReplayerReuseIsStateless(t *testing.T) {
 	}
 }
 
-// BenchmarkReplay compares a one-shot replay (a fresh Replayer per
-// call), the reused scratch-buffer Replayer, and the original map-based
-// engine on the same crash replay.
-func BenchmarkReplay(b *testing.B) {
+// replayBenchSchedule is the schedule BenchmarkReplay and
+// TestReplayerAllocPin replay: CAFT at ε=3 on 100 tasks and 10
+// processors, with P1 and P4 crashed.
+func replayBenchSchedule(tb testing.TB) (*sched.Schedule, map[int]bool) {
+	tb.Helper()
 	rng := rand.New(rand.NewSource(6))
 	p := randomProblem(rng, 100, 10)
 	s, err := core.Schedule(p, 3, rng)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	crashed := map[int]bool{1: true, 4: true}
+	return s, map[int]bool{1: true, 4: true}
+}
+
+// oneshotReplayAllocs bounds a fresh NewReplayer plus one CrashLatency
+// on the replayBenchSchedule schedule, measured when the pin was set.
+const oneshotReplayAllocs = 2039
+
+// TestReplayerAllocPin pins the Replayer's allocation profile on the
+// BenchmarkReplay schedule: steady-state CrashLatency and
+// CrashLatencyAt allocate nothing, and a one-shot replay (building the
+// Replayer included) stays within oneshotReplayAllocs.
+func TestReplayerAllocPin(t *testing.T) {
+	s, crashed := replayBenchSchedule(t)
+	rep := mustReplayer(t, s)
+	h := s.MakespanAll()
+	times := map[int]float64{1: h / 3, 4: h / 2}
+	var err error
+	if allocs := testing.AllocsPerRun(100, func() { _, err = rep.CrashLatency(crashed) }); allocs != 0 {
+		t.Errorf("steady-state CrashLatency allocates %.1f/op, want 0", allocs)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _, err = rep.CrashLatencyAt(times) }); allocs != 0 {
+		t.Errorf("steady-state CrashLatencyAt allocates %.1f/op, want 0", allocs)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		var r *Replayer
+		if r, err = NewReplayer(s); err == nil {
+			_, err = r.CrashLatency(crashed)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs > oneshotReplayAllocs {
+		t.Errorf("one-shot NewReplayer+CrashLatency allocates %.0f/op, want <= %d", allocs, oneshotReplayAllocs)
+	}
+}
+
+// BenchmarkReplay compares a one-shot replay (a fresh Replayer per
+// call), the reused scratch-buffer Replayer, and the original map-based
+// engine on the same crash replay.
+func BenchmarkReplay(b *testing.B) {
+	s, crashed := replayBenchSchedule(b)
 	b.Run("map-reference", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

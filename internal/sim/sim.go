@@ -141,18 +141,3 @@ func (r *Result) Latency() (float64, error) {
 	}
 	return lat, nil
 }
-
-// LatencyAllReplicas returns the latest completion time over every
-// surviving replica of every task — the aggregation used by the paper's
-// upper bound (completion of the last replica of a task).
-func (r *Result) LatencyAllReplicas() float64 {
-	lat := 0.0
-	for t := range r.Reps {
-		for _, o := range r.Reps[t] {
-			if o.Alive && o.Finish > lat {
-				lat = o.Finish
-			}
-		}
-	}
-	return lat
-}

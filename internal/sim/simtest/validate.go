@@ -1,4 +1,7 @@
-package online
+// Package simtest holds the executed-schedule oracle that the tests of
+// packages sim and online run over replay results. Only tests import
+// it; production code checks planned schedules with sched.Validator.
+package simtest
 
 import (
 	"fmt"
@@ -11,8 +14,9 @@ import (
 	"caft/internal/timeline"
 )
 
-// Validate checks an executed replay against the problem and the
-// failure trace it ran under:
+// Validate checks an executed replay (a clairvoyant sim.Replayer run or
+// an online one) against the problem and the failure trace it ran
+// under; a static crash set is the trace with every crash at 0:
 //
 //   - every task either completed at least one replica or is listed in
 //     TasksLost (exactly one of the two);
@@ -20,6 +24,9 @@ import (
 //     distinct processors per task, and beat their processor's crash
 //     instant; reactive replicas never start before the crash that
 //     placed them, and never on an already-crashed processor;
+//   - every delivered transfer leaves the processor of its finished
+//     source replica for the processor of its destination replica
+//     (alive or dead), and is intra exactly when both are the same;
 //   - precedence holds on executed times: every finished replica has,
 //     for each predecessor, a finished input transfer arriving by its
 //     start; every finished transfer starts at or after its finished
@@ -27,13 +34,10 @@ import (
 //   - resource exclusivity holds on executed times: per-processor
 //     executions never overlap and, under the one-port model, neither
 //     do the send-port, receive-port and link occupations.
-//
-// The fuzz harness drives this against random crash sequences; the
-// engine must produce validator-clean output for every trace.
 func Validate(p *sched.Problem, res *sim.Result, trace map[int]float64) error {
 	g := p.G
 	if len(res.Reps) != g.NumTasks() {
-		return fmt.Errorf("online: %d tasks recorded, want %d", len(res.Reps), g.NumTasks())
+		return fmt.Errorf("simtest: %d tasks recorded, want %d", len(res.Reps), g.NumTasks())
 	}
 	crashAt := func(proc int) float64 {
 		if tau, ok := trace[proc]; ok {
@@ -57,41 +61,41 @@ func Validate(p *sched.Problem, res *sim.Result, trace map[int]float64) error {
 			completed = true
 			r := o.Rep
 			if seen[r.Proc] {
-				return fmt.Errorf("online: task %d finished two replicas on P%d", t, r.Proc)
+				return fmt.Errorf("simtest: task %d finished two replicas on P%d", t, r.Proc)
 			}
 			seen[r.Proc] = true
 			want := p.Exec[t][r.Proc]
 			if math.Abs((o.Finish-o.Start)-want) > sched.Eps {
-				return fmt.Errorf("online: replica (%d,%d) executed %v, want %v", t, r.Copy, o.Finish-o.Start, want)
+				return fmt.Errorf("simtest: replica (%d,%d) executed %v, want %v", t, r.Copy, o.Finish-o.Start, want)
 			}
 			if o.Finish > crashAt(r.Proc)+sched.Eps {
-				return fmt.Errorf("online: replica (%d,%d) finished at %v on P%d, which crashed at %v", t, r.Copy, o.Finish, r.Proc, crashAt(r.Proc))
+				return fmt.Errorf("simtest: replica (%d,%d) finished at %v on P%d, which crashed at %v", t, r.Copy, o.Finish, r.Proc, crashAt(r.Proc))
 			}
 			if o.Reactive {
 				if o.Start < o.PlacedAt-sched.Eps {
-					return fmt.Errorf("online: reactive replica (%d,%d) starts at %v before its crash at %v", t, r.Copy, o.Start, o.PlacedAt)
+					return fmt.Errorf("simtest: reactive replica (%d,%d) starts at %v before its crash at %v", t, r.Copy, o.Start, o.PlacedAt)
 				}
 				if crashAt(r.Proc) <= o.PlacedAt {
-					return fmt.Errorf("online: reactive replica (%d,%d) placed on P%d, already dead at %v", t, r.Copy, r.Proc, o.PlacedAt)
+					return fmt.Errorf("simtest: reactive replica (%d,%d) placed on P%d, already dead at %v", t, r.Copy, r.Proc, o.PlacedAt)
 				}
 			}
 		}
 		if completed == lost[dag.TaskID(t)] {
-			return fmt.Errorf("online: task %d completed=%v but lost=%v", t, completed, lost[dag.TaskID(t)])
+			return fmt.Errorf("simtest: task %d completed=%v but lost=%v", t, completed, lost[dag.TaskID(t)])
 		}
 	}
 
-	// Finished-replica index for transfer endpoint checks.
+	// Replica index for transfer endpoint checks; it keeps dead replicas
+	// too, since a transfer to a dead replica must still name its
+	// processor.
 	type key struct {
 		t    dag.TaskID
 		copy int
 	}
-	finished := map[key]sim.RepOutcome{}
+	reps := map[key]sim.RepOutcome{}
 	for t := range res.Reps {
 		for _, o := range res.Reps[t] {
-			if o.Alive {
-				finished[key{dag.TaskID(t), o.Rep.Copy}] = o
-			}
+			reps[key{dag.TaskID(t), o.Rep.Copy}] = o
 		}
 	}
 
@@ -102,18 +106,26 @@ func Validate(p *sched.Problem, res *sim.Result, trace map[int]float64) error {
 			continue
 		}
 		c := o.Comm
-		src, ok := finished[key{c.From, c.SrcCopy}]
-		if !ok {
-			return fmt.Errorf("online: comm %d delivered from unfinished replica (%d,%d)", i, c.From, c.SrcCopy)
+		src, ok := reps[key{c.From, c.SrcCopy}]
+		if !ok || !src.Alive {
+			return fmt.Errorf("simtest: comm %d delivered from unfinished replica (%d,%d)", i, c.From, c.SrcCopy)
 		}
 		if src.Rep.Proc != c.SrcProc {
-			return fmt.Errorf("online: comm %d source processor mismatch", i)
+			return fmt.Errorf("simtest: comm %d source processor mismatch", i)
+		}
+		if dst, ok := reps[key{c.To, c.DstCopy}]; !ok {
+			return fmt.Errorf("simtest: comm %d delivered to unknown replica (%d,%d)", i, c.To, c.DstCopy)
+		} else if dst.Rep.Proc != c.DstProc {
+			return fmt.Errorf("simtest: comm %d delivered to P%d, but replica (%d,%d) is on P%d", i, c.DstProc, c.To, c.DstCopy, dst.Rep.Proc)
+		}
+		if c.Intra != (c.SrcProc == c.DstProc) {
+			return fmt.Errorf("simtest: comm %d from P%d to P%d has Intra=%v", i, c.SrcProc, c.DstProc, c.Intra)
 		}
 		if o.Start < src.Finish-sched.Eps {
-			return fmt.Errorf("online: comm %d starts at %v before source finish %v", i, o.Start, src.Finish)
+			return fmt.Errorf("simtest: comm %d starts at %v before source finish %v", i, o.Start, src.Finish)
 		}
 		if o.Finish > crashAt(c.SrcProc)+sched.Eps || o.Finish > crashAt(c.DstProc)+sched.Eps {
-			return fmt.Errorf("online: comm %d finished at %v past an endpoint crash (src P%d @ %v, dst P%d @ %v)",
+			return fmt.Errorf("simtest: comm %d finished at %v past an endpoint crash (src P%d @ %v, dst P%d @ %v)",
 				i, o.Finish, c.SrcProc, crashAt(c.SrcProc), c.DstProc, crashAt(c.DstProc))
 		}
 		k := key{c.To, c.DstCopy}
@@ -132,10 +144,10 @@ func Validate(p *sched.Problem, res *sim.Result, trace map[int]float64) error {
 			for _, e := range g.Pred(dag.TaskID(t)) {
 				arr, ok := arrivals[key{dag.TaskID(t), o.Rep.Copy}][e.From]
 				if !ok {
-					return fmt.Errorf("online: replica (%d,%d) ran without an input from predecessor %d", t, o.Rep.Copy, e.From)
+					return fmt.Errorf("simtest: replica (%d,%d) ran without an input from predecessor %d", t, o.Rep.Copy, e.From)
 				}
 				if arr > o.Start+sched.Eps {
-					return fmt.Errorf("online: replica (%d,%d) started at %v before its input from %d at %v", t, o.Rep.Copy, o.Start, e.From, arr)
+					return fmt.Errorf("simtest: replica (%d,%d) started at %v before its input from %d at %v", t, o.Rep.Copy, o.Start, e.From, arr)
 				}
 			}
 		}
@@ -153,7 +165,7 @@ func Validate(p *sched.Problem, res *sim.Result, trace map[int]float64) error {
 	}
 	for proc, ivs := range compute {
 		if err := nonOverlap(ivs); err != nil {
-			return fmt.Errorf("online: compute P%d: %w", proc, err)
+			return fmt.Errorf("simtest: compute P%d: %w", proc, err)
 		}
 	}
 	if p.Model == sched.OnePort {
@@ -174,17 +186,17 @@ func Validate(p *sched.Problem, res *sim.Result, trace map[int]float64) error {
 		}
 		for proc, ivs := range send {
 			if err := nonOverlap(ivs); err != nil {
-				return fmt.Errorf("online: send port P%d: %w", proc, err)
+				return fmt.Errorf("simtest: send port P%d: %w", proc, err)
 			}
 		}
 		for proc, ivs := range recv {
 			if err := nonOverlap(ivs); err != nil {
-				return fmt.Errorf("online: recv port P%d: %w", proc, err)
+				return fmt.Errorf("simtest: recv port P%d: %w", proc, err)
 			}
 		}
 		for l, ivs := range link {
 			if err := nonOverlap(ivs); err != nil {
-				return fmt.Errorf("online: link %d: %w", l, err)
+				return fmt.Errorf("simtest: link %d: %w", l, err)
 			}
 		}
 	}

@@ -386,23 +386,3 @@ func (tl *Timeline) Validate() error {
 	}
 	return nil
 }
-
-// Utilization returns the fraction of [0, horizon) covered by
-// reservations; 0 if horizon <= 0.
-func (tl *Timeline) Utilization(horizon float64) float64 {
-	if horizon <= 0 {
-		return 0
-	}
-	busy := 0.0
-	for _, iv := range tl.ivs {
-		s, e := iv.Start, iv.End
-		if s >= horizon {
-			break
-		}
-		if e > horizon {
-			e = horizon
-		}
-		busy += e - s
-	}
-	return busy / horizon
-}

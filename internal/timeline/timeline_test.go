@@ -127,18 +127,6 @@ func TestClone(t *testing.T) {
 	}
 }
 
-func TestUtilization(t *testing.T) {
-	var tl Timeline
-	tl.MustAdd(0, 2, 1)
-	tl.MustAdd(8, 4, 2)
-	if u := tl.Utilization(10); u != 0.4 { // 2 + 2 of [8,10)
-		t.Errorf("Utilization(10) = %v, want 0.4", u)
-	}
-	if u := tl.Utilization(0); u != 0 {
-		t.Errorf("Utilization(0) = %v, want 0", u)
-	}
-}
-
 func TestNegativeDuration(t *testing.T) {
 	var tl Timeline
 	if err := tl.Add(0, -1, 1); err == nil {

@@ -146,14 +146,6 @@ func (g *Graph) Dur(src, dst int, volume float64) float64 {
 	return volume * g.dur[src][dst]
 }
 
-// UnitDelay returns the effective unit delay of the route src->dst.
-func (g *Graph) UnitDelay(src, dst int) float64 {
-	if src == dst {
-		return 0
-	}
-	return g.dur[src][dst]
-}
-
 // MeanUnitDelay returns the average effective unit delay over distinct
 // processor pairs.
 func (g *Graph) MeanUnitDelay() float64 {
