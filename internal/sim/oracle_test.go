@@ -33,8 +33,7 @@ func TestReplaysPassOracle(t *testing.T) {
 		exec := platform.GenExecForGranularity(rng, g, plat, 1.0, platform.DefaultHeterogeneity)
 		p := &sched.Problem{G: g, Plat: plat, Exec: exec, Model: sched.OnePort, Policy: timeline.Policy(trial % 2)}
 		eps := 1 + trial/2
-		var schedules []*sched.Schedule
-		for _, build := range []func() (*sched.Schedule, error){
+		for si, build := range []func() (*sched.Schedule, error){
 			func() (*sched.Schedule, error) { return core.Schedule(p, eps, rng) },
 			func() (*sched.Schedule, error) { return ftsa.Schedule(p, eps, rng) },
 			func() (*sched.Schedule, error) { return ftbar.Schedule(p, eps, rng) },
@@ -43,9 +42,6 @@ func TestReplaysPassOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			schedules = append(schedules, s)
-		}
-		for si, s := range schedules {
 			rep, err := sim.NewReplayer(s)
 			if err != nil {
 				t.Fatal(err)

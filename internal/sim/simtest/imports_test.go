@@ -31,15 +31,13 @@ func TestOnlyTestsImportSimtest(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if d.IsDir() {
-			name := d.Name()
-			if path != root && (name == "testdata" || strings.HasPrefix(name, ".")) {
+		if d.IsDir() && path != root {
+			if name := d.Name(); name == "testdata" || strings.HasPrefix(name, ".") {
 				return filepath.SkipDir
 			}
-			if _, err := os.Stat(filepath.Join(path, "go.mod")); path != root && err == nil {
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
 				return filepath.SkipDir
 			}
-			return nil
 		}
 		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return nil
@@ -49,9 +47,6 @@ func TestOnlyTestsImportSimtest(t *testing.T) {
 			return err
 		}
 		files++
-		if filepath.Dir(path) == here {
-			return nil
-		}
 		for _, imp := range f.Imports {
 			if p, _ := strconv.Unquote(imp.Path.Value); p == self {
 				rel, _ := filepath.Rel(root, path)
