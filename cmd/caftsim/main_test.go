@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -66,10 +67,40 @@ func TestRunPanelSelection(t *testing.T) {
 	}
 }
 
-func TestRunSpecialFigures(t *testing.T) {
-	for _, fig := range []string{"messages", "sparse"} {
-		if err := run(io.Discard, fig, 1, 1, "", 0, 3200, ""); err != nil {
-			t.Fatalf("figure %s: %v", fig, err)
+// TestRunWritesPlots pins the -plot path: each run drops a data file
+// and a gnuplot script naming it, with one data row per plotted point.
+func TestRunWritesPlots(t *testing.T) {
+	dir := t.TempDir()
+	cases := []struct {
+		figure, name string
+		rows         int
+	}{
+		{"1a", "figure1", 10},             // one row per granularity
+		{"reliability", "reliability", 7}, // the MTBF sweep only
+	}
+	for _, c := range cases {
+		if err := run(io.Discard, c.figure, 1, 1, dir, 0, 3200, ""); err != nil {
+			t.Fatalf("figure %s: %v", c.figure, err)
+		}
+		script, err := os.ReadFile(filepath.Join(dir, c.name+".gp"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(script), `"`+c.name+`.dat"`) {
+			t.Errorf("%s.gp does not plot %s.dat", c.name, c.name)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, c.name+".dat"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := 0
+		for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+			if !strings.HasPrefix(line, "#") {
+				rows++
+			}
+		}
+		if rows != c.rows {
+			t.Errorf("%s.dat has %d data rows, want %d", c.name, rows, c.rows)
 		}
 	}
 }
@@ -94,6 +125,10 @@ func TestGoldenOutput(t *testing.T) {
 		{"scale_g2_v400_seed1.tsv", "scale", 2, 400},
 		{"online_g2_seed1.tsv", "online", 2, 3200},
 		{"jitter_g2_seed1.tsv", "jitter", 2, 3200},
+		{"messages_g2_seed1.tsv", "messages", 2, 3200},
+		{"ablation_g2_seed1.tsv", "ablation", 2, 3200},
+		{"accuracy_g2_seed1.tsv", "accuracy", 2, 3200},
+		{"sparse_g2_seed1.tsv", "sparse", 2, 3200},
 	}
 	for _, c := range cases {
 		t.Run(c.figure, func(t *testing.T) {
