@@ -46,7 +46,7 @@ func benchFigure(b *testing.B, figure, graphs int) {
 	var last []expt.Point
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pts, err := cfg.Run(nil)
+		pts, err := cfg.Run()
 		if err != nil {
 			b.Fatal(err)
 		}

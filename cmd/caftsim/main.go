@@ -27,6 +27,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -91,13 +92,38 @@ func run(w io.Writer, figure string, graphs int, seed int64, plotDir string, wor
 	case "sparse":
 		return expt.RunSparse(w, graphs, seed, workers)
 	case "reliability":
-		return runReliability(w, graphs, seed, plotDir, workers)
+		return timed("reliability", func() error {
+			points, err := expt.RunReliability(w, graphs, seed, workers)
+			if err != nil || plotDir == "" {
+				return err
+			}
+			// The MTBF sweep only; the model-comparison rows have no x axis.
+			return writePlot(plotDir, "reliability",
+				func(w io.Writer) error { return expt.WriteReliabilityGnuplotData(w, points) },
+				expt.WriteReliabilityGnuplotScript)
+		})
 	case "scale":
-		return runScale(w, graphs, seed, workers, vmax)
+		var sizes []int
+		for _, v := range expt.ScaleSizes {
+			if v <= vmax {
+				sizes = append(sizes, v)
+			}
+		}
+		if len(sizes) == 0 {
+			return fmt.Errorf("-vmax %d is below the smallest scale size %d", vmax, expt.ScaleSizes[0])
+		}
+		// Wall-clock scheduling times go to stderr so w stays deterministic.
+		return timed("scale", func() error { return expt.RunScale(w, os.Stderr, sizes, graphs, seed, workers) })
 	case "online":
-		return runOnline(w, graphs, seed, workers)
+		return timed("online", func() error {
+			_, err := expt.RunOnline(w, graphs, seed, workers)
+			return err
+		})
 	case "jitter":
-		return runJitter(w, graphs, seed, workers, alg)
+		return timed("jitter", func() error {
+			_, err := expt.RunJitter(w, graphs, seed, workers, alg)
+			return err
+		})
 	}
 	panel := ""
 	num := figure
@@ -120,60 +146,14 @@ func col(v float64, prec int) string {
 	return strconv.FormatFloat(v, 'f', prec, 64)
 }
 
-func runReliability(w io.Writer, graphs int, seed int64, plotDir string, workers int) error {
+// timed runs f and reports its wall-clock time on stderr: stdout must
+// stay byte-identical for any -workers value.
+func timed(name string, f func() error) error {
 	start := time.Now()
-	points, err := expt.RunReliability(w, graphs, seed, workers)
-	if err != nil {
+	if err := f(); err != nil {
 		return err
 	}
-	if plotDir != "" {
-		if err := writeReliabilityPlots(plotDir, points); err != nil {
-			return err
-		}
-	}
-	fmt.Fprintf(os.Stderr, "# reliability: elapsed %s\n", time.Since(start).Round(time.Millisecond))
-	return nil
-}
-
-// runOnline writes the static vs reactive vs hybrid fault-tolerance
-// comparison (event-driven online replay with runtime re-mapping).
-func runOnline(w io.Writer, graphs int, seed int64, workers int) error {
-	start := time.Now()
-	if _, err := expt.RunOnline(w, graphs, seed, workers); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "# online: elapsed %s\n", time.Since(start).Round(time.Millisecond))
-	return nil
-}
-
-// runJitter writes the execution-time-jitter predictability table over
-// the registered schedulers (or just -alg).
-func runJitter(w io.Writer, graphs int, seed int64, workers int, alg string) error {
-	start := time.Now()
-	if _, err := expt.RunJitter(w, graphs, seed, workers, alg); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "# jitter: elapsed %s\n", time.Since(start).Round(time.Millisecond))
-	return nil
-}
-
-// runScale sweeps the scale-study sizes up to vmax. Wall-clock
-// scheduling times go to stderr so w stays deterministic.
-func runScale(w io.Writer, graphs int, seed int64, workers, vmax int) error {
-	var sizes []int
-	for _, v := range expt.ScaleSizes {
-		if v <= vmax {
-			sizes = append(sizes, v)
-		}
-	}
-	if len(sizes) == 0 {
-		return fmt.Errorf("-vmax %d is below the smallest scale size %d", vmax, expt.ScaleSizes[0])
-	}
-	start := time.Now()
-	if err := expt.RunScale(w, os.Stderr, sizes, graphs, seed, workers); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "# scale: elapsed %s\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(os.Stderr, "# %s: elapsed %s\n", name, time.Since(start).Round(time.Millisecond))
 	return nil
 }
 
@@ -185,9 +165,11 @@ func runFigure(w io.Writer, n int, panel string, graphs int, seed int64, plotDir
 	cfg.Workers = workers
 	fmt.Fprintf(w, "# Figure %d%s: m=%d eps=%d crashes=%d graphs/point=%d seed=%d\n",
 		n, panel, cfg.M, cfg.Eps, cfg.Crashes, cfg.Graphs, seed)
-	start := time.Now()
-	points, err := cfg.Run(nil)
-	if err != nil {
+	var points []expt.Point
+	if err := timed(fmt.Sprintf("figure %d", n), func() (err error) {
+		points, err = cfg.Run()
+		return err
+	}); err != nil {
 		return err
 	}
 	if panel == "" || panel == "a" {
@@ -227,77 +209,39 @@ func runFigure(w io.Writer, n int, panel string, graphs int, seed int64, plotDir
 		}
 	}
 	if plotDir != "" {
-		if err := writePlots(plotDir, n, cfg.Crashes, points); err != nil {
+		err := writePlot(plotDir, fmt.Sprintf("figure%d", n),
+			func(w io.Writer) error { return expt.WriteGnuplotData(w, points) },
+			func(w io.Writer, dataFile string) error { return expt.WriteGnuplotScript(w, n, dataFile, cfg.Crashes) })
+		if err != nil {
 			return err
 		}
 	}
-	// The wall-clock line goes to stderr: stdout must stay byte-identical
-	// for any -workers value.
 	fmt.Fprintf(w, "# messages/graph (mean): CAFT %.0f  FTSA %.0f  FTBAR %.0f  HEFT %.0f  HOFT %.0f\n",
 		meanLast(points, func(p expt.Point) float64 { return p.MsgCAFT }),
 		meanLast(points, func(p expt.Point) float64 { return p.MsgFTSA }),
 		meanLast(points, func(p expt.Point) float64 { return p.MsgFTBAR }),
 		meanLast(points, func(p expt.Point) float64 { return p.MsgHEFT }),
 		meanLast(points, func(p expt.Point) float64 { return p.MsgHOFT }))
-	fmt.Fprintf(os.Stderr, "# figure %d: elapsed %s\n", n, time.Since(start).Round(time.Millisecond))
 	return nil
 }
 
-// writePlots drops figureN.dat and figureN.gp into dir.
-func writePlots(dir string, n, crashes int, points []expt.Point) error {
+// writePlot drops name.dat, written by data, and name.gp, the gnuplot
+// script that script writes for that data file, into dir.
+func writePlot(dir, name string, data func(io.Writer) error, script func(w io.Writer, dataFile string) error) error {
+	var dat, gp bytes.Buffer
+	if err := data(&dat); err != nil {
+		return err
+	}
+	if err := script(&gp, name+".dat"); err != nil {
+		return err
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	dataName := fmt.Sprintf("figure%d.dat", n)
-	df, err := os.Create(filepath.Join(dir, dataName))
-	if err != nil {
+	if err := os.WriteFile(filepath.Join(dir, name+".dat"), dat.Bytes(), 0o666); err != nil {
 		return err
 	}
-	if err := expt.WriteGnuplotData(df, points); err != nil {
-		df.Close()
-		return err
-	}
-	if err := df.Close(); err != nil {
-		return err
-	}
-	gf, err := os.Create(filepath.Join(dir, fmt.Sprintf("figure%d.gp", n)))
-	if err != nil {
-		return err
-	}
-	if err := expt.WriteGnuplotScript(gf, n, dataName, crashes); err != nil {
-		gf.Close()
-		return err
-	}
-	return gf.Close()
-}
-
-// writeReliabilityPlots drops reliability.dat and reliability.gp into
-// dir (the MTBF sweep only; the model-comparison rows have no x axis).
-func writeReliabilityPlots(dir string, points []expt.ReliabilityPoint) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	const dataName = "reliability.dat"
-	df, err := os.Create(filepath.Join(dir, dataName))
-	if err != nil {
-		return err
-	}
-	if err := expt.WriteReliabilityGnuplotData(df, points); err != nil {
-		df.Close()
-		return err
-	}
-	if err := df.Close(); err != nil {
-		return err
-	}
-	gf, err := os.Create(filepath.Join(dir, "reliability.gp"))
-	if err != nil {
-		return err
-	}
-	if err := expt.WriteReliabilityGnuplotScript(gf, dataName); err != nil {
-		gf.Close()
-		return err
-	}
-	return gf.Close()
+	return os.WriteFile(filepath.Join(dir, name+".gp"), gp.Bytes(), 0o666)
 }
 
 func meanLast(points []expt.Point, f func(expt.Point) float64) float64 {

@@ -10,14 +10,13 @@ package expt
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
-	"caft/internal/core"
 	"caft/internal/gen"
 	"caft/internal/platform"
 	"caft/internal/sched"
 	"caft/internal/sim"
-	"caft/internal/stats"
 	"caft/internal/timeline"
 )
 
@@ -41,7 +40,9 @@ func GranularityB() []float64 {
 	return out
 }
 
-// Config parameterizes one figure-style experiment.
+// Config parameterizes one figure-style experiment. Every instance is
+// the paper's Section 6 instance drawn by randomProblem; every latency
+// is normalized by DefaultNorm.
 type Config struct {
 	M             int       // processors
 	Eps           int       // supported failures ε
@@ -49,19 +50,6 @@ type Config struct {
 	Granularities []float64 // sweep values
 	Graphs        int       // random graphs per point (paper: 60)
 	Seed          int64
-	Params        gen.RandomParams
-	DelayLo       float64 // unit delay range (paper: [0.5, 1])
-	DelayHi       float64
-	Model         sched.Model
-	Policy        timeline.Policy
-	// Norm divides every latency before averaging. The paper plots a
-	// "normalized latency" without defining the normalization; any
-	// per-family constant preserves the shape, and we use the mean
-	// message volume (see DESIGN.md S2). Zero means DefaultNorm.
-	Norm float64
-	// CAFTOpts selects the CAFT variant under test (default portfolio +
-	// support locking).
-	CAFTOpts core.Options
 	// Workers sets the number of (granularity, graph) work units evaluated
 	// concurrently; 0 means GOMAXPROCS. Every unit draws from its own seed
 	// derived up front from (Seed, granularity, graph), and units merge
@@ -70,20 +58,16 @@ type Config struct {
 	Workers int
 }
 
-// DefaultNorm is the mean of the paper's message-volume range [50,150].
+// DefaultNorm divides every reported latency. The paper plots a
+// "normalized latency" without defining the normalization; any
+// per-family constant preserves the shape, and we use the mean of the
+// paper's message-volume range [50,150] (see DESIGN.md S2).
 const DefaultNorm = 100.0
 
 // FigureConfig returns the configuration of paper figure n (1-6) with
 // the given number of graphs per point (pass 60 for the paper's setup).
 func FigureConfig(n, graphs int, seed int64) (Config, error) {
-	cfg := Config{
-		Graphs:  graphs,
-		Seed:    seed,
-		Params:  gen.DefaultParams,
-		DelayLo: 0.5, DelayHi: 1.0,
-		Model:  sched.OnePort,
-		Policy: timeline.Append,
-	}
+	cfg := Config{Graphs: graphs, Seed: seed}
 	switch n {
 	case 1:
 		cfg.M, cfg.Eps, cfg.Crashes, cfg.Granularities = 10, 1, 1, GranularityA()
@@ -104,7 +88,7 @@ func FigureConfig(n, graphs int, seed int64) (Config, error) {
 }
 
 // Point holds the averaged measurements at one granularity value. All
-// latencies are normalized (divided by cfg.Norm); overheads are in
+// latencies are normalized (divided by DefaultNorm); overheads are in
 // percent relative to the fault-free CAFT latency (CAFT*), following
 // the paper's formula.
 type Point struct {
@@ -134,12 +118,9 @@ type Point struct {
 	// figures but central to its argument).
 	MsgCAFT, MsgFTSA, MsgFTBAR, MsgHEFT, MsgHOFT float64
 
-	// Dispersion of the headline series, for error bars.
-	CAFT0CI, FTSA0CI, FTBAR0CI float64
-
-	// TasksLost counts crash replays that genuinely lost a task (always
-	// zero for the safe default variants; non-zero for the PaperLocking
-	// ablation). Such draws are excluded from the crash averages.
+	// TasksLost counts crash replays that genuinely lost a task (zero
+	// for the ε-resilient schedulers under at most ε crashes). Such
+	// draws are excluded from the crash averages.
 	TasksLost int
 	// ReplayErrors counts crash replays the simulator failed to evaluate
 	// (e.g. a non-converging timing fixpoint). Kept separate from
@@ -148,20 +129,21 @@ type Point struct {
 	ReplayErrors int
 }
 
-// GenInstance generates one random problem with the config's parameters
-// at granularity g.
-func (cfg Config) GenInstance(rng *rand.Rand, g float64) *sched.Problem {
-	graph := gen.RandomLayered(rng, cfg.Params)
-	plat := platform.NewRandom(rng, cfg.M, cfg.DelayLo, cfg.DelayHi)
+// randomProblem draws the paper's Section 6 instance: a random layered
+// graph with the paper's parameters, m processors with link delays in
+// [0.5, 1], execution times at granularity g, one-port, append.
+func randomProblem(rng *rand.Rand, m int, g float64) *sched.Problem {
+	graph := gen.RandomLayered(rng, gen.DefaultParams)
+	plat := platform.NewRandom(rng, m, 0.5, 1)
 	exec := platform.GenExecForGranularity(rng, graph, plat, g, platform.DefaultHeterogeneity)
-	return &sched.Problem{G: graph, Plat: plat, Exec: exec, Model: cfg.Model, Policy: cfg.Policy}
+	return &sched.Problem{G: graph, Plat: plat, Exec: exec, Model: sched.OnePort, Policy: timeline.Append}
 }
 
-// DrawCrashes draws cfg.Crashes distinct crashed processors.
-func (cfg Config) DrawCrashes(rng *rand.Rand) map[int]bool {
+// drawCrashes draws min(crashes, m) distinct crashed processors out of m.
+func drawCrashes(rng *rand.Rand, m, crashes int) map[int]bool {
 	crashed := map[int]bool{}
-	for len(crashed) < cfg.Crashes && len(crashed) < cfg.M {
-		crashed[rng.Intn(cfg.M)] = true
+	for len(crashed) < crashes && len(crashed) < m {
+		crashed[rng.Intn(m)] = true
 	}
 	return crashed
 }
@@ -170,66 +152,46 @@ func (cfg Config) DrawCrashes(rng *rand.Rand) map[int]bool {
 // (granularity, graph) work units are evaluated concurrently on
 // cfg.Workers goroutines, each from its own seed derived up front; the
 // per-unit measurements merge into Points in a fixed order, so the
-// result is identical for any worker count. The optional progress
-// callback is invoked in granularity order as soon as each point's
-// units complete — the sweep keeps running while earlier points are
-// reported.
-func (cfg Config) Run(progress func(Point)) ([]Point, error) {
-	if cfg.Norm == 0 {
-		cfg.Norm = DefaultNorm
-	}
-	if cfg.Graphs < 0 {
-		return nil, fmt.Errorf("expt: negative graph count %d", cfg.Graphs)
-	}
-	nG := len(cfg.Granularities)
-	points := make([]Point, 0, nG)
-
-	// Streaming merge: count completed units per granularity and fold a
-	// Point as soon as its slice is full, always in granularity order.
-	remaining := make([]int, nG)
-	for gi := range remaining {
-		remaining[gi] = cfg.Graphs
-	}
-	nextG := 0
-	units := make([]unitResult, nG*cfg.Graphs)
-	mergeReady := func() {
-		for nextG < nG && remaining[nextG] == 0 {
-			g := cfg.Granularities[nextG]
-			pt := cfg.mergePoint(g, units[nextG*cfg.Graphs:(nextG+1)*cfg.Graphs])
-			points = append(points, pt)
-			if progress != nil {
-				progress(pt)
-			}
-			nextG++
-		}
-	}
-	err := forEachUnit(cfg.Workers, len(units), func(u int) error {
-		gi, gr := u/cfg.Graphs, u%cfg.Graphs
+// result is identical for any worker count.
+func (cfg Config) Run() ([]Point, error) {
+	units, err := runCells(cfg.Workers, len(cfg.Granularities), cfg.Graphs, func(gi, gr int) (unitResult, error) {
 		rng := rand.New(rand.NewSource(unitSeed(cfg.Seed, gi, gr)))
-		var err error
-		units[u], err = cfg.runUnit(cfg.Granularities[gi], rng)
-		return err
-	}, func(u int) {
-		remaining[u/cfg.Graphs]--
-		mergeReady()
+		return cfg.runUnit(cfg.Granularities[gi], rng)
 	})
 	if err != nil {
 		return nil, err
 	}
-	mergeReady()
+	points := make([]Point, len(units))
+	for gi, us := range units {
+		points[gi] = mergePoint(cfg.Granularities[gi], us)
+	}
 	return points, nil
 }
 
-type series struct{ xs []float64 }
+// series is a running mean, summed in add order.
+type series struct {
+	sum float64
+	n   int
+}
 
-func (s *series) add(x float64) { s.xs = append(s.xs, x) }
-func (s *series) mean() float64 { return stats.Mean(s.xs) }
+func (s *series) add(x float64) { s.sum += x; s.n++ }
+
+// mean returns the mean, 0 for an empty series.
+func (s *series) mean() float64 {
+	if s.n == 0 {
+		return 0
+	}
+	return s.sum / float64(s.n)
+}
 
 // meanNaN marks an empty series as missing rather than zero — used for
 // the crash series, whose draws can be excluded by task loss.
-func (s *series) meanNaN() float64 { return stats.MeanOrNaN(s.xs) }
-func (s *series) n() int           { return len(s.xs) }
-func (s *series) ci95() float64    { return stats.Summarize(s.xs).CI95 }
+func (s *series) meanNaN() float64 {
+	if s.n == 0 {
+		return math.NaN()
+	}
+	return s.mean()
+}
 
 // unitMeas is what one work unit measures for one fault-tolerant
 // scheduler. Values are raw (unnormalized); overheads are in percent.
@@ -254,8 +216,8 @@ type unitResult struct {
 // scratch buffer per schedule.
 func (cfg Config) runUnit(g float64, rng *rand.Rand) (unitResult, error) {
 	var out unitResult
-	p := cfg.GenInstance(rng, g)
-	crashed := cfg.DrawCrashes(rng)
+	p := randomProblem(rng, cfg.M, g)
+	crashed := drawCrashes(rng, cfg.M, cfg.Crashes)
 
 	// Fault-free references.
 	sHEFT, err := algo("heft").New(p, 0, rng)
@@ -277,7 +239,7 @@ func (cfg Config) runUnit(g float64, rng *rand.Rand) (unitResult, error) {
 	if err != nil {
 		return out, err
 	}
-	sCA, _, err := core.ScheduleOpts(p, cfg.Eps, rng, cfg.CAFTOpts)
+	sCA, err := algo("caft").New(p, cfg.Eps, rng)
 	if err != nil {
 		return out, err
 	}
@@ -328,7 +290,7 @@ func (cfg Config) runUnit(g float64, rng *rand.Rand) (unitResult, error) {
 
 // mergePoint folds the work units of one granularity into a Point, in
 // unit order.
-func (cfg Config) mergePoint(g float64, units []unitResult) Point {
+func mergePoint(g float64, units []unitResult) Point {
 	var (
 		ftsa0, ftsaUB, ftsaC         series
 		ftbar0, ftbarUB, ftbarC      series
@@ -351,18 +313,18 @@ func (cfg Config) mergePoint(g float64, units []unitResult) Point {
 			{u.ftbar, &ftbar0, &ftbarUB, &ftbarC, &ovFTBAR0, &ovFTBARc, &msgB},
 			{u.caft, &caft0, &caftUB, &caftC, &ovCAFT0, &ovCAFTc, &msgC},
 		} {
-			m.lat0.add(m.meas.lat0 / cfg.Norm)
-			m.ub.add(m.meas.ub / cfg.Norm)
+			m.lat0.add(m.meas.lat0 / DefaultNorm)
+			m.ub.add(m.meas.ub / DefaultNorm)
 			m.ov0.add(m.meas.ov0)
 			m.msgs.add(m.meas.msgs)
 			if m.meas.crashOK {
-				m.latC.add(m.meas.latC / cfg.Norm)
+				m.latC.add(m.meas.latC / DefaultNorm)
 				m.ovC.add(m.meas.ovC)
 			}
 		}
-		ffCAFT.add(u.ffCAFT / cfg.Norm)
-		ffFTBAR.add(u.ffFTBAR / cfg.Norm)
-		ffHOFT.add(u.ffHOFT / cfg.Norm)
+		ffCAFT.add(u.ffCAFT / DefaultNorm)
+		ffFTBAR.add(u.ffFTBAR / DefaultNorm)
+		ffHOFT.add(u.ffHOFT / DefaultNorm)
 		msgH.add(u.msgHEFT)
 		msgO.add(u.msgHOFT)
 		crash.add(u.crash)
@@ -372,13 +334,12 @@ func (cfg Config) mergePoint(g float64, units []unitResult) Point {
 		FTSA0: ftsa0.mean(), FTSAUB: ftsaUB.mean(), FTSAc: ftsaC.meanNaN(),
 		FTBAR0: ftbar0.mean(), FTBARUB: ftbarUB.mean(), FTBARc: ftbarC.meanNaN(),
 		CAFT0: caft0.mean(), CAFTUB: caftUB.mean(), CAFTc: caftC.meanNaN(),
-		FTSAcN: ftsaC.n(), FTBARcN: ftbarC.n(), CAFTcN: caftC.n(),
+		FTSAcN: ftsaC.n, FTBARcN: ftbarC.n, CAFTcN: caftC.n,
 		FFCAFT: ffCAFT.mean(), FFFTBAR: ffFTBAR.mean(), FFHOFT: ffHOFT.mean(),
 		OvFTSA0: ovFTSA0.mean(), OvFTSAc: ovFTSAc.meanNaN(),
 		OvFTBAR0: ovFTBAR0.mean(), OvFTBARc: ovFTBARc.meanNaN(),
 		OvCAFT0: ovCAFT0.mean(), OvCAFTc: ovCAFTc.meanNaN(),
 		MsgCAFT: msgC.mean(), MsgFTSA: msgF.mean(), MsgFTBAR: msgB.mean(), MsgHEFT: msgH.mean(), MsgHOFT: msgO.mean(),
-		CAFT0CI: caft0.ci95(), FTSA0CI: ftsa0.ci95(), FTBAR0CI: ftbar0.ci95(),
 		TasksLost: crash.Lost, ReplayErrors: crash.ReplayErrors,
 	}
 }

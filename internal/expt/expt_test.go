@@ -3,10 +3,14 @@ package expt
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"strconv"
 	"strings"
 	"testing"
+
+	"caft/internal/sched"
+	"caft/internal/timeline"
 )
 
 func TestFigureConfigs(t *testing.T) {
@@ -54,15 +58,17 @@ func TestGranularityFamilies(t *testing.T) {
 	}
 }
 
-func TestGenInstanceMatchesConfig(t *testing.T) {
-	cfg, _ := FigureConfig(1, 2, 1)
+func TestRandomProblemMatchesPaper(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	p := cfg.GenInstance(rng, 0.6)
+	p := randomProblem(rng, 10, 0.6)
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if p.Plat.M != 10 {
 		t.Errorf("m = %d", p.Plat.M)
+	}
+	if p.Model != sched.OnePort || p.Policy != timeline.Append {
+		t.Errorf("model %v policy %v, want one-port append", p.Model, p.Policy)
 	}
 	g := p.G.Granularity(p.Exec.Slowest(), p.Plat.MaxDelay())
 	if g < 0.599 || g > 0.601 {
@@ -75,10 +81,9 @@ func TestGenInstanceMatchesConfig(t *testing.T) {
 }
 
 func TestDrawCrashes(t *testing.T) {
-	cfg := Config{M: 5, Crashes: 3}
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 20; i++ {
-		c := cfg.DrawCrashes(rng)
+		c := drawCrashes(rng, 5, 3)
 		if len(c) != 3 {
 			t.Fatalf("drew %d crashes, want 3", len(c))
 		}
@@ -89,8 +94,7 @@ func TestDrawCrashes(t *testing.T) {
 		}
 	}
 	// More crashes than processors: capped at M.
-	cfg = Config{M: 2, Crashes: 9}
-	if c := cfg.DrawCrashes(rng); len(c) != 2 {
+	if c := drawCrashes(rng, 2, 9); len(c) != 2 {
 		t.Fatalf("drew %d crashes on 2 procs", len(c))
 	}
 }
@@ -100,7 +104,7 @@ func TestDrawCrashes(t *testing.T) {
 func TestRunFigureMiniature(t *testing.T) {
 	cfg, _ := FigureConfig(1, 3, 7)
 	cfg.Granularities = []float64{0.4, 1.6}
-	points, err := cfg.Run(nil)
+	points, err := cfg.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,11 +144,11 @@ func TestRunFigureMiniature(t *testing.T) {
 func TestRunIsDeterministic(t *testing.T) {
 	cfg, _ := FigureConfig(1, 2, 42)
 	cfg.Granularities = []float64{1.0}
-	p1, err := cfg.Run(nil)
+	p1, err := cfg.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := cfg.Run(nil)
+	p2, err := cfg.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,15 +157,21 @@ func TestRunIsDeterministic(t *testing.T) {
 	}
 }
 
-func TestRunProgressCallback(t *testing.T) {
-	cfg, _ := FigureConfig(1, 1, 1)
-	cfg.Granularities = []float64{0.2, 0.4, 0.6}
-	n := 0
-	if _, err := cfg.Run(func(Point) { n++ }); err != nil {
-		t.Fatal(err)
+// An empty series reads 0 from mean and missing (NaN) from meanNaN; a
+// non-empty one averages in add order.
+func TestSeriesMeans(t *testing.T) {
+	var s series
+	if s.mean() != 0 {
+		t.Errorf("empty mean = %v, want 0", s.mean())
 	}
-	if n != 3 {
-		t.Fatalf("progress called %d times, want 3", n)
+	if !math.IsNaN(s.meanNaN()) {
+		t.Errorf("empty meanNaN = %v, want NaN", s.meanNaN())
+	}
+	for _, x := range []float64{1, 2, 6} {
+		s.add(x)
+	}
+	if s.n != 3 || s.mean() != 3 || s.meanNaN() != 3 {
+		t.Errorf("n=%d mean=%v meanNaN=%v, want 3/3/3", s.n, s.mean(), s.meanNaN())
 	}
 }
 
@@ -249,7 +259,7 @@ func fmt_sscan(line string, g, est, real, aware *float64, mis *string) (int, err
 func TestGnuplotEmitters(t *testing.T) {
 	cfg, _ := FigureConfig(1, 1, 1)
 	cfg.Granularities = []float64{0.2, 1.0}
-	points, err := cfg.Run(nil)
+	points, err := cfg.Run()
 	if err != nil {
 		t.Fatal(err)
 	}

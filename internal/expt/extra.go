@@ -27,11 +27,6 @@ import (
 // generate up to e(ε+1)²; on general random graphs CAFT still sends far
 // fewer messages. One TSV row per (family, ε).
 func RunMessages(w io.Writer, graphs int, seed int64, workers int) error {
-	if graphs < 0 {
-		return fmt.Errorf("expt: negative graph count %d", graphs)
-	}
-	fmt.Fprintf(w, "# Prop 5.1 message counts: m=10, %d graphs per row, seed=%d\n", graphs, seed)
-	fmt.Fprintln(w, "family\teps\tedges\tCAFT\tboundE(e+1)\tFTSA\tboundE(e+1)^2")
 	families := []struct {
 		name string
 		gen  func(rng *rand.Rand) *dag.DAG
@@ -42,9 +37,7 @@ func RunMessages(w io.Writer, graphs int, seed int64, workers int) error {
 	}
 	const nEps = 4 // ε = 0..3
 	type meas struct{ edges, msgC, msgF float64 }
-	cells := len(families) * nEps
-	units, err := runUnits(workers, cells*graphs, func(u int) (meas, error) {
-		cell, gi := u/graphs, u%graphs
+	cells, err := runCells(workers, len(families)*nEps, graphs, func(cell, gi int) (meas, error) {
 		fam, eps := families[cell/nEps], cell%nEps
 		rng := rand.New(rand.NewSource(unitSeed(seed, cell, gi)))
 		g := fam.gen(rng)
@@ -68,10 +61,12 @@ func RunMessages(w io.Writer, graphs int, seed int64, workers int) error {
 	if err != nil {
 		return err
 	}
-	for cell := 0; cell < cells; cell++ {
+	fmt.Fprintf(w, "# Prop 5.1 message counts: m=10, %d graphs per row, seed=%d\n", graphs, seed)
+	fmt.Fprintln(w, "family\teps\tedges\tCAFT\tboundE(e+1)\tFTSA\tboundE(e+1)^2")
+	for cell, units := range cells {
 		fam, eps := families[cell/nEps], cell%nEps
 		var edges, msgC, msgF series
-		for _, m := range units[cell*graphs : (cell+1)*graphs] {
+		for _, m := range units {
 			edges.add(m.edges)
 			msgC.add(m.msgC)
 			msgF.add(m.msgF)
@@ -98,11 +93,6 @@ func lostPct(lost, draws int) string {
 // normalized latency, message count and the fraction of random ε-crash
 // draws that lose a task entirely.
 func RunAblation(w io.Writer, graphs int, seed int64, workers int) error {
-	if graphs < 0 {
-		return fmt.Errorf("expt: negative graph count %d", graphs)
-	}
-	fmt.Fprintf(w, "# CAFT variant ablation: m=10, %d graphs per cell, 20 crash draws per graph, seed=%d\n", graphs, seed)
-	fmt.Fprintln(w, "eps\tg\tvariant\tlatency\tmessages\tlostPct")
 	variants := []struct {
 		name string
 		opts core.Options
@@ -131,14 +121,10 @@ func RunAblation(w io.Writer, graphs int, seed int64, workers int) error {
 		lat, msg float64
 		crash    MCTally
 	}
-	units, err := runUnits(workers, len(defs)*graphs, func(u int) (meas, error) {
-		cell, gi := u/graphs, u%graphs
+	cells, err := runCells(workers, len(defs), graphs, func(cell, gi int) (meas, error) {
 		def := defs[cell]
 		rng := rand.New(rand.NewSource(unitSeed(seed, cell, gi)))
-		graph := gen.RandomLayered(rng, gen.DefaultParams)
-		plat := platform.NewRandom(rng, 10, 0.5, 1.0)
-		exec := platform.GenExecForGranularity(rng, graph, plat, def.g, platform.DefaultHeterogeneity)
-		p := &sched.Problem{G: graph, Plat: plat, Exec: exec, Model: sched.OnePort, Policy: timeline.Append}
+		p := randomProblem(rng, 10, def.g)
 		s, _, err := core.ScheduleOpts(p, def.eps, rng, variants[def.variant].opts)
 		if err != nil {
 			return meas{}, err
@@ -149,22 +135,20 @@ func RunAblation(w io.Writer, graphs int, seed int64, workers int) error {
 			return meas{}, err
 		}
 		for d := 0; d < 20; d++ {
-			crashed := map[int]bool{}
-			for len(crashed) < def.eps {
-				crashed[rng.Intn(10)] = true
-			}
-			m.crash.Record(rep.CrashLatency(crashed))
+			m.crash.Record(rep.CrashLatency(drawCrashes(rng, 10, def.eps)))
 		}
 		return m, nil
 	})
 	if err != nil {
 		return err
 	}
+	fmt.Fprintf(w, "# CAFT variant ablation: m=10, %d graphs per cell, 20 crash draws per graph, seed=%d\n", graphs, seed)
+	fmt.Fprintln(w, "eps\tg\tvariant\tlatency\tmessages\tlostPct")
 	replayErrs := 0
 	for cell, def := range defs {
 		var lat, msg series
 		var crash MCTally
-		for _, m := range units[cell*graphs : (cell+1)*graphs] {
+		for _, m := range cells[cell] {
 			lat.add(m.lat)
 			msg.add(m.msg)
 			crash.add(m.crash)
@@ -186,22 +170,14 @@ func RunAblation(w io.Writer, graphs int, seed int64, workers int) error {
 // contention-aware schedules keep their promises. One row per
 // granularity; latencies normalized.
 func RunAccuracy(w io.Writer, graphs int, seed int64, workers int) error {
-	if graphs < 0 {
-		return fmt.Errorf("expt: negative graph count %d", graphs)
-	}
-	fmt.Fprintf(w, "# schedule accuracy: m=10, eps=1, %d graphs per point, seed=%d\n", graphs, seed)
-	fmt.Fprintln(w, "g\tmacroEstimate\tmacroReplayed\tonePortAware\tmisprediction")
 	gs := GranularityA()
 	type meas struct{ est, real, aware float64 }
-	units, err := runUnits(workers, len(gs)*graphs, func(u int) (meas, error) {
-		cell, gi := u/graphs, u%graphs
-		g := gs[cell]
+	cells, err := runCells(workers, len(gs), graphs, func(cell, gi int) (meas, error) {
 		rng := rand.New(rand.NewSource(unitSeed(seed, cell, gi)))
-		graph := gen.RandomLayered(rng, gen.DefaultParams)
-		plat := platform.NewRandom(rng, 10, 0.5, 1.0)
-		exec := platform.GenExecForGranularity(rng, graph, plat, g, platform.DefaultHeterogeneity)
-		macro := &sched.Problem{G: graph, Plat: plat, Exec: exec, Model: sched.MacroDataflow, Policy: timeline.Append}
-		sm, err := algo("ftsa").New(macro, 1, rng)
+		onePort := randomProblem(rng, 10, gs[cell])
+		macro := *onePort
+		macro.Model = sched.MacroDataflow
+		sm, err := algo("ftsa").New(&macro, 1, rng)
 		if err != nil {
 			return meas{}, err
 		}
@@ -210,9 +186,7 @@ func RunAccuracy(w io.Writer, graphs int, seed int64, workers int) error {
 		// Replay the same placements with one-port contention: the
 		// promised overlap of messages is serialized.
 		onePortView := *sm
-		pp := *macro
-		pp.Model = sched.OnePort
-		onePortView.P = &pp
+		onePortView.P = onePort
 		rep, err := sim.NewReplayer(&onePortView)
 		if err != nil {
 			return meas{}, err
@@ -222,7 +196,6 @@ func RunAccuracy(w io.Writer, graphs int, seed int64, workers int) error {
 			return meas{}, err
 		}
 		m.real = lat / DefaultNorm
-		onePort := &sched.Problem{G: graph, Plat: plat, Exec: exec, Model: sched.OnePort, Policy: timeline.Append}
 		sa, err := algo("ftsa").New(onePort, 1, rng)
 		if err != nil {
 			return meas{}, err
@@ -233,9 +206,11 @@ func RunAccuracy(w io.Writer, graphs int, seed int64, workers int) error {
 	if err != nil {
 		return err
 	}
+	fmt.Fprintf(w, "# schedule accuracy: m=10, eps=1, %d graphs per point, seed=%d\n", graphs, seed)
+	fmt.Fprintln(w, "g\tmacroEstimate\tmacroReplayed\tonePortAware\tmisprediction")
 	for cell, g := range gs {
 		var est, real, aware series
-		for _, m := range units[cell*graphs : (cell+1)*graphs] {
+		for _, m := range cells[cell] {
 			est.add(m.est)
 			real.add(m.real)
 			aware.add(m.aware)
@@ -254,11 +229,6 @@ func RunAccuracy(w io.Writer, graphs int, seed int64, workers int) error {
 // hypercube topologies of 8 processors, ε = 1.
 func RunSparse(w io.Writer, graphs int, seed int64, workers int) error {
 	const m = 8
-	if graphs < 0 {
-		return fmt.Errorf("expt: negative graph count %d", graphs)
-	}
-	fmt.Fprintf(w, "# sparse topologies: m=%d, eps=1, g=1.0, %d graphs per row, seed=%d\n", m, graphs, seed)
-	fmt.Fprintln(w, "topology\tdiameter\tlatency\tmessages\tlost1crashPct")
 	type topo struct {
 		name string
 		net  sched.Network
@@ -285,8 +255,7 @@ func RunSparse(w io.Writer, graphs int, seed int64, workers int) error {
 		lat, msg float64
 		crash    MCTally
 	}
-	units, err := runUnits(workers, len(topos)*graphs, func(u int) (meas, error) {
-		cell, gi := u/graphs, u%graphs
+	cells, err := runCells(workers, len(topos), graphs, func(cell, gi int) (meas, error) {
 		tp := topos[cell]
 		rng := rand.New(rand.NewSource(unitSeed(seed, cell, gi)))
 		graph := gen.RandomLayered(rng, gen.DefaultParams)
@@ -310,11 +279,13 @@ func RunSparse(w io.Writer, graphs int, seed int64, workers int) error {
 	if err != nil {
 		return err
 	}
+	fmt.Fprintf(w, "# sparse topologies: m=%d, eps=1, g=1.0, %d graphs per row, seed=%d\n", m, graphs, seed)
+	fmt.Fprintln(w, "topology\tdiameter\tlatency\tmessages\tlost1crashPct")
 	replayErrs := 0
 	for cell, tp := range topos {
 		var lat, msg series
 		var crash MCTally
-		for _, mr := range units[cell*graphs : (cell+1)*graphs] {
+		for _, mr := range cells[cell] {
 			lat.add(mr.lat)
 			msg.add(mr.msg)
 			crash.add(mr.crash)

@@ -6,10 +6,8 @@ import (
 	"math/rand"
 	"strings"
 
-	"caft/internal/gen"
 	"caft/internal/online"
 	"caft/internal/sched"
-	"caft/internal/timeline"
 )
 
 // The jitter experiment probes execution-time predictability, in the
@@ -79,8 +77,7 @@ type jitterUnit struct {
 func runJitterUnit(d sched.Descriptor, useed int64) (jitterUnit, error) {
 	var out jitterUnit
 	rng := rand.New(rand.NewSource(useed))
-	cfg := Config{M: 10, Params: gen.DefaultParams, DelayLo: 0.5, DelayHi: 1.0, Model: sched.OnePort, Policy: timeline.Append}
-	p := cfg.GenInstance(rng, 1.0)
+	p := randomProblem(rng, 10, 1)
 	eps := 0
 	if d.Caps.AcceptsEps {
 		eps = 1
@@ -159,9 +156,6 @@ func runJitterUnit(d sched.Descriptor, useed int64) (jitterUnit, error) {
 // other schedulers are registered or selected; output is byte-identical
 // for any worker count.
 func RunJitter(w io.Writer, graphs int, seed int64, workers int, only string) ([]JitterRow, error) {
-	if graphs < 0 {
-		return nil, fmt.Errorf("expt: negative graph count %d", graphs)
-	}
 	var descs []sched.Descriptor
 	for _, d := range sched.Registered() {
 		if only != "" && d.Name != only {
@@ -173,8 +167,7 @@ func RunJitter(w io.Writer, graphs int, seed int64, workers int, only string) ([
 		return nil, fmt.Errorf("expt: no registered scheduler named %q (want %s)", only, strings.Join(sched.Names(), ", "))
 	}
 
-	units, err := runUnits(workers, len(descs)*graphs, func(u int) (jitterUnit, error) {
-		ci, gi := u/graphs, u%graphs
+	cells, err := runCells(workers, len(descs), graphs, func(ci, gi int) (jitterUnit, error) {
 		return runJitterUnit(descs[ci], unitSeed(seed, int(descs[ci].ID), gi))
 	})
 	if err != nil {
@@ -187,7 +180,7 @@ func RunJitter(w io.Writer, graphs int, seed int64, workers int, only string) ([
 		if d.Caps.AcceptsEps {
 			row.Eps = 1
 		}
-		for _, u := range units[ci*graphs : (ci+1)*graphs] {
+		for _, u := range cells[ci] {
 			row.ShrinkViol += u.shrinkViol
 			row.StretchViol += u.stretchViol
 			row.DispatchAnom += u.dispatchAnom

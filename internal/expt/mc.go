@@ -13,7 +13,7 @@ import (
 
 // This file is the Monte-Carlo core shared by the figures and the caftd
 // scheduling service: MCTally.Record sorts every replayed scenario of
-// every scenario loop, ReplaySamples replays crash-time scenarios with
+// every scenario loop, replaySamples replays crash-time scenarios with
 // timed fail-stop semantics (`caftsim -figure reliability`), and
 // estimate batches the service's two estimators, EstimateReliability
 // here and EstimateOnline in online.go.
@@ -80,18 +80,18 @@ func (t MCTally) MeanLatency() float64 {
 	return t.LatSum / float64(t.Survived)
 }
 
-// ReplaySamples draws n crash-time scenarios from model and replays
+// replaySamples draws n crash-time scenarios from model and replays
 // every scenario against every replayer (common random numbers: one
 // draw scores all schedules, so per-draw contrasts share their noise),
 // folding outcomes into the matching tallies entry. Latencies are
-// divided by norm before summing. scratch, which may be nil, is the
-// reusable sample map. The rng stream layout is one Sample per draw —
-// fixed regardless of the number of replayers.
-func ReplaySamples(reps []*sim.Replayer, tallies []MCTally, model failure.Model, n int, norm float64, rng *rand.Rand, scratch map[int]float64) {
+// divided by norm before summing. The rng stream layout is one Sample
+// per draw — fixed regardless of the number of replayers.
+func replaySamples(reps []*sim.Replayer, tallies []MCTally, model failure.Model, n int, norm float64, rng *rand.Rand) {
+	var scenario map[int]float64
 	for draw := 0; draw < n; draw++ {
-		scratch = model.Sample(rng, scratch)
+		scenario = model.Sample(rng, scenario)
 		for a := range reps {
-			lat, err := reps[a].CrashLatencyAt(scratch)
+			lat, err := reps[a].CrashLatencyAt(scenario)
 			tallies[a].Record(lat/norm, err)
 		}
 	}
@@ -149,7 +149,7 @@ func EstimateReliability(s *sched.Schedule, model failure.Model, samples int, se
 			return MCTally{}, err
 		}
 		var tally [1]MCTally
-		ReplaySamples([]*sim.Replayer{rep}, tally[:], model, n, 1, rng, nil)
+		replaySamples([]*sim.Replayer{rep}, tally[:], model, n, 1, rng)
 		return tally[0], nil
 	})
 }

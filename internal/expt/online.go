@@ -7,10 +7,8 @@ import (
 	"math/rand"
 
 	"caft/internal/failure"
-	"caft/internal/gen"
 	"caft/internal/online"
 	"caft/internal/sched"
-	"caft/internal/timeline"
 )
 
 // The online experiment compares four fault-tolerance strategies under
@@ -69,8 +67,7 @@ type OnlinePoint struct {
 func runOnlineUnit(rng *rand.Rand, useed int64, mult float64) ([4]OnlineTally, error) {
 	var out [4]OnlineTally
 	const m = 10
-	cfg := Config{M: m, Params: gen.DefaultParams, DelayLo: 0.5, DelayHi: 1.0, Model: sched.OnePort, Policy: timeline.Append}
-	p := cfg.GenInstance(rng, 1.0)
+	p := randomProblem(rng, m, 1)
 
 	sHEFT, err := algo("heft").New(p, 0, rng)
 	if err != nil {
@@ -123,12 +120,8 @@ func runOnlineUnit(rng *rand.Rand, useed int64, mult float64) ([4]OnlineTally, e
 // reactive vs hybrid comparison as TSV on the deterministic work-unit
 // pool: output is byte-identical for any worker count.
 func RunOnline(w io.Writer, graphs int, seed int64, workers int) ([]OnlinePoint, error) {
-	if graphs < 0 {
-		return nil, fmt.Errorf("expt: negative graph count %d", graphs)
-	}
 	mults := reliabilityMults
-	units, err := runUnits(workers, len(mults)*graphs, func(u int) ([4]OnlineTally, error) {
-		cell, gi := u/graphs, u%graphs
+	cells, err := runCells(workers, len(mults), graphs, func(cell, gi int) ([4]OnlineTally, error) {
 		useed := unitSeed(seed, cell, gi)
 		rng := rand.New(rand.NewSource(useed))
 		return runOnlineUnit(rng, useed, mults[cell])
@@ -141,7 +134,7 @@ func RunOnline(w io.Writer, graphs int, seed int64, workers int) ([]OnlinePoint,
 	for cell, mult := range mults {
 		pt := OnlinePoint{Label: fmt.Sprintf("%g", mult), Mult: mult}
 		var total [4]OnlineTally
-		for _, u := range units[cell*graphs : (cell+1)*graphs] {
+		for _, u := range cells[cell] {
 			for k := range total {
 				total[k].add(u[k])
 			}

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"testing"
-
-	"caft/internal/core"
 )
 
 // TestRunWorkerCountInvariance is the engine's core contract: the same
@@ -17,12 +15,12 @@ func TestRunWorkerCountInvariance(t *testing.T) {
 	cfg.Granularities = []float64{0.4, 1.2}
 
 	cfg.Workers = 1
-	p1, err := cfg.Run(nil)
+	p1, err := cfg.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Workers = 8
-	p8, err := cfg.Run(nil)
+	p8, err := cfg.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,14 +74,14 @@ func TestExtrasWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// TestCrashSampleAccounting checks the Point bookkeeping that replaced
-// the old conflated `lost++`: every crash draw is either averaged (the
-// *cN counts), a genuine task loss, or a replay error — and for the
-// resilient default variants nothing is ever lost.
+// TestCrashSampleAccounting checks the Point bookkeeping: every crash
+// draw is either averaged (the *cN counts), a genuine task loss, or a
+// replay error — and for the resilient default variants nothing is
+// ever lost.
 func TestCrashSampleAccounting(t *testing.T) {
 	cfg, _ := FigureConfig(2, 5, 17)
 	cfg.Granularities = []float64{1.0}
-	pts, err := cfg.Run(nil)
+	pts, err := cfg.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,25 +94,25 @@ func TestCrashSampleAccounting(t *testing.T) {
 		t.Errorf("lost=%d replayErrors=%d, want 0/0", pt.TasksLost, pt.ReplayErrors)
 	}
 
-	// The unsafe paper-locking ablation loses tasks on a large fraction
-	// of ε-crash draws (see package core's doc comment); those draws
-	// must land in TasksLost — not in ReplayErrors, and not in the
-	// averages.
-	cfg.CAFTOpts = core.Options{Greedy: true, Locking: core.PaperLocking}
-	pts, err = cfg.Run(nil)
-	if err != nil {
-		t.Fatal(err)
+	// A crash draw that loses a CAFT task (as the unsafe paper-locking
+	// ablation does, see package core's doc comment) must land in
+	// TasksLost — not in ReplayErrors, and not in the averages.
+	ok := func(latC, ovC float64) unitMeas { return unitMeas{latC: latC, ovC: ovC, crashOK: true} }
+	units := []unitResult{
+		{ftsa: ok(200, 10), ftbar: ok(300, 20), caft: ok(100, 5), crash: MCTally{Survived: 3}},
+		{ftsa: ok(400, 30), ftbar: ok(500, 40), caft: unitMeas{}, crash: MCTally{Survived: 2, Lost: 1}},
 	}
-	pt = pts[0]
-	if pt.ReplayErrors != 0 {
-		t.Errorf("replayErrors = %d, want 0", pt.ReplayErrors)
+	pt = mergePoint(1, units)
+	if pt.TasksLost != 1 || pt.ReplayErrors != 0 {
+		t.Errorf("lost=%d replayErrors=%d, want 1/0", pt.TasksLost, pt.ReplayErrors)
 	}
-	wantLost := 3*cfg.Graphs - (pt.FTSAcN + pt.FTBARcN + pt.CAFTcN)
-	if pt.TasksLost != wantLost {
-		t.Errorf("TasksLost = %d, want %d (samples %d/%d/%d of %d)",
-			pt.TasksLost, wantLost, pt.FTSAcN, pt.FTBARcN, pt.CAFTcN, cfg.Graphs)
+	if pt.FTSAcN != 2 || pt.FTBARcN != 2 || pt.CAFTcN != 1 {
+		t.Errorf("crash samples %d/%d/%d, want 2/2/1", pt.FTSAcN, pt.FTBARcN, pt.CAFTcN)
 	}
-	if pt.FTSAcN != cfg.Graphs || pt.FTBARcN != cfg.Graphs {
-		t.Errorf("FTSA/FTBAR are unaffected by the CAFT ablation: samples %d/%d", pt.FTSAcN, pt.FTBARcN)
+	if pt.FTSAc != 3 || pt.FTBARc != 4 || pt.CAFTc != 1 {
+		t.Errorf("crash means %v/%v/%v, want 3/4/1", pt.FTSAc, pt.FTBARc, pt.CAFTc)
+	}
+	if pt.OvFTSAc != 20 || pt.OvFTBARc != 30 || pt.OvCAFTc != 5 {
+		t.Errorf("crash overheads %v/%v/%v, want 20/30/5", pt.OvFTSAc, pt.OvFTBARc, pt.OvCAFTc)
 	}
 }

@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -24,59 +25,43 @@ func unitSeed(base int64, cell, unit int) int64 {
 	return int64(h)
 }
 
-// runUnits evaluates fn for every unit 0..n-1 across a pool of workers
-// (0 or negative means GOMAXPROCS) and returns the results in unit
-// order. Units must be independent — fn seeds its own PRNG from the
-// unit index.
-func runUnits[T any](workers, n int, fn func(u int) (T, error)) ([]T, error) {
-	if n < 0 {
-		n = 0
+// runCells evaluates fn(cell, gi) for graphs gi = 0..graphs-1 of every
+// cell 0..cells-1 on the work-unit pool and returns the results grouped
+// by cell, in graph order. It is the engine of every table: the
+// (cell, graph) units are independent, each seeding its own PRNG.
+func runCells[T any](workers, cells, graphs int, fn func(cell, gi int) (T, error)) ([][]T, error) {
+	if graphs < 0 {
+		return nil, fmt.Errorf("expt: negative graph count %d", graphs)
 	}
-	out := make([]T, n)
-	err := forEachUnit(workers, n, func(u int) error {
-		var err error
-		out[u], err = fn(u)
-		return err
-	}, nil)
+	units, err := runUnits(workers, cells*graphs, func(u int) (T, error) { return fn(u/graphs, u%graphs) })
 	if err != nil {
 		return nil, err
+	}
+	out := make([][]T, cells)
+	for c := range out {
+		out[c] = units[c*graphs : (c+1)*graphs]
 	}
 	return out, nil
 }
 
-// forEachUnit is the pool core: it runs fn(u) for every unit 0..n-1
-// across `workers` goroutines (0 or negative means GOMAXPROCS), with fn
-// writing its result into caller-owned storage. The optional onDone(u)
-// callback is invoked on the caller's goroutine, in completion order,
-// after each successful unit — so results can be consumed while later
-// units are still running. A failing unit stops the pool from claiming
-// further units; which of several concurrent failures is reported can
-// depend on scheduling, but a failing sweep always returns an error.
-func forEachUnit(workers, n int, fn func(u int) error, onDone func(u int)) error {
+// runUnits evaluates fn for every unit 0..n-1 across a pool of workers
+// (0 or negative means GOMAXPROCS) and returns the results in unit
+// order. Units must be independent — fn seeds its own PRNG from the
+// unit index. A failing unit stops the pool from claiming further
+// units; which of several concurrent failures is reported can depend on
+// scheduling, but a failing sweep always returns an error.
+func runUnits[T any](workers, n int, fn func(u int) (T, error)) ([]T, error) {
 	if n <= 0 {
-		return nil
+		return nil, nil
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0) //caft:nondet-ok worker count; results merge in unit order
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for u := 0; u < n; u++ {
-			if err := fn(u); err != nil {
-				return err
-			}
-			if onDone != nil {
-				onDone(u)
-			}
-		}
-		return nil
-	}
+	workers = min(workers, n)
+	out := make([]T, n)
+	errs := make([]error, n)
 	var failed atomic.Bool
 	var next atomic.Int64
-	errs := make([]error, n)
-	done := make(chan int, n)
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -87,29 +72,17 @@ func forEachUnit(workers, n int, fn func(u int) error, onDone func(u int)) error
 				if u >= n {
 					return
 				}
-				errs[u] = fn(u)
-				if errs[u] != nil {
+				if out[u], errs[u] = fn(u); errs[u] != nil {
 					failed.Store(true)
 				}
-				done <- u
 			}
 		}()
 	}
-	go func() {
-		wg.Wait()
-		close(done)
-	}()
-	// Receiving u happens-after the worker's write of unit u's result,
-	// so onDone may safely read it.
-	for u := range done {
-		if errs[u] == nil && onDone != nil {
-			onDone(u)
-		}
-	}
+	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
+	return out, nil
 }

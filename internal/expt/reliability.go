@@ -7,10 +7,8 @@ import (
 	"math/rand"
 
 	"caft/internal/failure"
-	"caft/internal/gen"
 	"caft/internal/sched"
 	"caft/internal/sim"
-	"caft/internal/timeline"
 	"caft/internal/topology"
 )
 
@@ -123,8 +121,7 @@ type reliabilityUnit struct {
 func runReliabilityUnit(rng *rand.Rand, useed int64, mult float64, build func(*rand.Rand, int, float64) (failure.Model, error)) (reliabilityUnit, error) {
 	var out reliabilityUnit
 	const m = 10
-	cfg := Config{M: m, Params: gen.DefaultParams, DelayLo: 0.5, DelayHi: 1.0, Model: sched.OnePort, Policy: timeline.Append}
-	p := cfg.GenInstance(rng, 1.0)
+	p := randomProblem(rng, m, 1)
 
 	sHEFT, err := algo("heft").New(p, 0, rng)
 	if err != nil {
@@ -159,7 +156,7 @@ func runReliabilityUnit(rng *rand.Rand, useed int64, mult float64, build func(*r
 	if err != nil {
 		return out, err
 	}
-	ReplaySamples(reps[:], out.algs[:], model, reliabilitySamples, DefaultNorm, rng, map[int]float64{})
+	replaySamples(reps[:], out.algs[:], model, reliabilitySamples, DefaultNorm, rng)
 	return out, nil
 }
 
@@ -170,17 +167,13 @@ func runReliabilityUnit(rng *rand.Rand, useed int64, mult float64, build func(*r
 // returns the rows for plotting. Output is byte-identical for any
 // worker count.
 func RunReliability(w io.Writer, graphs int, seed int64, workers int) ([]ReliabilityPoint, error) {
-	if graphs < 0 {
-		return nil, fmt.Errorf("expt: negative graph count %d", graphs)
-	}
 	var defs []reliabilityModel
 	for _, mult := range reliabilityMults {
 		defs = append(defs, reliabilityModel{fmt.Sprintf("%g", mult), mult, expModel})
 	}
 	defs = append(defs, reliabilityModels...)
 
-	units, err := runUnits(workers, len(defs)*graphs, func(u int) (reliabilityUnit, error) {
-		cell, gi := u/graphs, u%graphs
+	cells, err := runCells(workers, len(defs), graphs, func(cell, gi int) (reliabilityUnit, error) {
 		useed := unitSeed(seed, cell, gi)
 		rng := rand.New(rand.NewSource(useed))
 		return runReliabilityUnit(rng, useed, defs[cell].mult, defs[cell].build)
@@ -199,7 +192,7 @@ func RunReliability(w io.Writer, graphs int, seed int64, workers int) ([]Reliabi
 			pt.Mult = 0
 		}
 		var total [5]MCTally
-		for _, u := range units[cell*graphs : (cell+1)*graphs] {
+		for _, u := range cells[cell] {
 			for a := range total {
 				total[a].add(u.algs[a])
 			}

@@ -87,18 +87,11 @@ func RunScale(w, timing io.Writer, sizes []int, graphs int, seed int64, workers 
 		eps  = 1
 		gran = 1.0
 	)
-	if graphs < 0 {
-		return fmt.Errorf("expt: negative graph count %d", graphs)
-	}
 	if len(sizes) == 0 {
 		return fmt.Errorf("expt: empty size sweep")
 	}
-	fmt.Fprintf(w, "# scale study: m=%d eps=%d g=%.1f graphs/point=%d seed=%d\n", m, eps, gran, graphs, seed)
-	fmt.Fprintln(w, "v\tpolicy\talgo\tlatency\treplicas\tmessages")
 	policies := []timeline.Policy{timeline.Append, timeline.Insertion}
-	cells := len(sizes) * len(policies)
-	units, err := runUnits(workers, cells*graphs, func(u int) (scaleUnit, error) {
-		cell, gi := u/graphs, u%graphs
+	cells, err := runCells(workers, len(sizes)*len(policies), graphs, func(cell, gi int) (scaleUnit, error) {
 		v, pol := sizes[cell/len(policies)], policies[cell%len(policies)]
 		rng := rand.New(rand.NewSource(unitSeed(seed, cell, gi)))
 		params := gen.DefaultParams
@@ -143,13 +136,15 @@ func RunScale(w, timing io.Writer, sizes []int, graphs int, seed int64, workers 
 	if err != nil {
 		return err
 	}
-	for cell := 0; cell < cells; cell++ {
+	fmt.Fprintf(w, "# scale study: m=%d eps=%d g=%.1f graphs/point=%d seed=%d\n", m, eps, gran, graphs, seed)
+	fmt.Fprintln(w, "v\tpolicy\talgo\tlatency\treplicas\tmessages")
+	for cell, units := range cells {
 		v, pol := sizes[cell/len(policies)], policies[cell%len(policies)]
 		var lat, reps, msgs [len(scaleAlgos)]series
 		var ns [len(scaleAlgos)]int64
 		var allocs [len(scaleAlgos)]uint64
 		skipped := make([]bool, len(scaleAlgos))
-		for _, u := range units[cell*graphs : (cell+1)*graphs] {
+		for _, u := range units {
 			for a := range scaleAlgos {
 				if u[a].skipped {
 					skipped[a] = true

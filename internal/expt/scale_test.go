@@ -53,15 +53,48 @@ func TestRunScaleDeterministicAcrossWorkers(t *testing.T) {
 	if err := RunScale(io.Discard, io.Discard, nil, 1, 1, 1); err == nil {
 		t.Error("empty size sweep accepted")
 	}
-	if err := RunScale(io.Discard, io.Discard, sizes, -1, 1, 1); err == nil {
-		t.Error("negative graph count accepted")
-	}
 	var timing bytes.Buffer
 	if err := RunScale(io.Discard, &timing, []int{15}, 1, 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(timing.String(), "sched time/graph") {
 		t.Errorf("timing stream missing wall-clock line: %q", timing.String())
+	}
+}
+
+// Every table rejects a negative graph count.
+func TestRunRejectsNegativeGraphs(t *testing.T) {
+	runs := []struct {
+		name string
+		run  func(graphs int) error
+	}{
+		{"figure", func(graphs int) error {
+			cfg, _ := FigureConfig(1, graphs, 1)
+			_, err := cfg.Run()
+			return err
+		}},
+		{"messages", func(graphs int) error { return RunMessages(io.Discard, graphs, 1, 1) }},
+		{"ablation", func(graphs int) error { return RunAblation(io.Discard, graphs, 1, 1) }},
+		{"accuracy", func(graphs int) error { return RunAccuracy(io.Discard, graphs, 1, 1) }},
+		{"sparse", func(graphs int) error { return RunSparse(io.Discard, graphs, 1, 1) }},
+		{"reliability", func(graphs int) error {
+			_, err := RunReliability(io.Discard, graphs, 1, 1)
+			return err
+		}},
+		{"online", func(graphs int) error {
+			_, err := RunOnline(io.Discard, graphs, 1, 1)
+			return err
+		}},
+		{"jitter", func(graphs int) error {
+			_, err := RunJitter(io.Discard, graphs, 1, 1, "")
+			return err
+		}},
+		{"scale", func(graphs int) error { return RunScale(io.Discard, io.Discard, []int{20}, graphs, 1, 1) }},
+	}
+	for _, r := range runs {
+		if err := r.run(-1); err == nil || err.Error() != "expt: negative graph count -1" {
+			t.Errorf("%s: error %v, want negative graph count", r.name, err)
+		}
 	}
 }
 

@@ -13,8 +13,7 @@
 // which processors grouped by interconnect proximity (see
 // topology.Racks) share a common failure mode. Crash instants beyond a
 // schedule's makespan are harmless under the timed replay semantics, so
-// models may return them freely; Censor trims them when a bounded map
-// is preferable.
+// models may return them freely.
 //
 // Monte-Carlo estimation of unreliability (the probability that a
 // schedule loses a task) and of expected latency over sampled scenarios
@@ -191,26 +190,6 @@ func (r *Rack) Sample(rng *rand.Rand, dst map[int]float64) map[int]float64 {
 }
 
 func (r *Rack) String() string { return fmt.Sprintf("racks-%d", len(r.Groups)) }
-
-// Censor drops crash instants beyond Horizon from the wrapped model's
-// scenarios. Under timed replay a crash past the makespan is a no-op,
-// so censoring changes no replay result; it only keeps the maps small
-// when most lifetimes exceed the execution window.
-type Censor struct {
-	Model   Model
-	Horizon float64
-}
-
-// Sample implements Model.
-func (c *Censor) Sample(rng *rand.Rand, dst map[int]float64) map[int]float64 {
-	dst = c.Model.Sample(rng, dst)
-	for p, tau := range dst { //caft:unordered-ok per-key censor; deletions are order-insensitive
-		if tau > c.Horizon {
-			delete(dst, p)
-		}
-	}
-	return dst
-}
 
 // UniformMTBF draws a heterogeneous MTBF vector: m values uniform in
 // [lo, hi]. Scaling [lo, hi] against a schedule's fault-free latency

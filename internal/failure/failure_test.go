@@ -153,15 +153,6 @@ func TestRackValidateRejectsBadPartitions(t *testing.T) {
 	}
 }
 
-func TestCensorDropsLateCrashes(t *testing.T) {
-	tr := &Trace{Scenarios: []map[int]float64{{0: 0.5, 1: 10, 2: 2}}}
-	c := &Censor{Model: tr, Horizon: 2}
-	s := c.Sample(nil, nil)
-	if len(s) != 2 || s[0] != 0.5 || s[2] != 2 {
-		t.Fatalf("censored scenario %v, want {0:0.5, 2:2}", s)
-	}
-}
-
 func TestUniformMTBFRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	v := UniformMTBF(rng, 50, 2, 4)

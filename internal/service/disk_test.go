@@ -200,7 +200,9 @@ func TestDiskSegmentRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 32
-	payload := func(i int) []byte { return []byte(fmt.Sprintf("response-%03d-%s", i, "x012345678901234567890123456789")) }
+	payload := func(i int) []byte {
+		return []byte(fmt.Sprintf("response-%03d-%s", i, "x012345678901234567890123456789"))
+	}
 	for i := 0; i < n; i++ {
 		if err := d.put(hashKey{a: uint64(i + 1), b: uint64(i + 7)}, payload(i)); err != nil {
 			t.Fatal(err)
