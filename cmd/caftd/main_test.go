@@ -19,7 +19,7 @@ import (
 // -update regenerates the golden files from the current engine (the
 // one shared golden-file convention; see EXPERIMENTS.md):
 //
-//	go test ./cmd/caftd -run Golden -update
+//	go test ./cmd/caftd -run 'Golden|OnlineMode' -update
 var update = flag.Bool("update", false, "rewrite the golden files from current output")
 
 func startServer(t *testing.T, cfg service.Config) *httptest.Server {
@@ -84,9 +84,16 @@ func TestGoldenQuickstartResponse(t *testing.T) {
 			t.Fatalf("response differs between worker configs")
 		}
 	}
-	path := filepath.Join("testdata", "quickstart_response.json")
+	checkGolden(t, "quickstart_response.json", first)
+}
+
+// checkGolden compares a served response with testdata/name, or
+// rewrites the file under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *update {
-		if err := os.WriteFile(path, first, 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -95,9 +102,9 @@ func TestGoldenQuickstartResponse(t *testing.T) {
 	if err != nil {
 		t.Fatalf("missing golden file (regenerate with -update): %v", err)
 	}
-	if !bytes.Equal(first, want) {
-		t.Fatalf("response drifted from %s;\nif intentional, regenerate with: go test ./cmd/caftd -run Golden -update\ngot:\n%s\nwant:\n%s",
-			path, first, want)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("response drifted from %s;\nif intentional, regenerate with: go test ./cmd/caftd -run 'Golden|OnlineMode' -update\ngot:\n%s\nwant:\n%s",
+			path, got, want)
 	}
 }
 
@@ -174,9 +181,10 @@ func TestQuickstartResponseSchema(t *testing.T) {
 
 // TestOnlineModeEndToEnd covers the "mode":"online" request through
 // the HTTP surface: a deterministic response served identically from
-// compute and cache across worker configurations, with the singleflight
-// accounting observable via /statsz, and the documented distribution
-// schema present.
+// compute and cache across worker configurations and pinned to
+// testdata/online_response.json, with the singleflight accounting
+// observable via /statsz, and the documented distribution schema
+// present.
 func TestOnlineModeEndToEnd(t *testing.T) {
 	spec, err := os.ReadFile(filepath.Join("testdata", "online.json"))
 	if err != nil {
@@ -216,6 +224,7 @@ func TestOnlineModeEndToEnd(t *testing.T) {
 			t.Fatalf("statsz misses=%d hits=%d, want 1/1", st.Misses, st.Hits)
 		}
 	}
+	checkGolden(t, "online_response.json", first)
 	var resp service.Response
 	if err := json.Unmarshal(first, &resp); err != nil {
 		t.Fatal(err)
