@@ -30,9 +30,10 @@
 // replica is re-placed onto the surviving processors with HEFT-style
 // minimum-finish probes (sched.State probes on the real state — no
 // clones). The whole replay runs inside one sched.State.Speculate
-// scope, so the engine's state is pristine after every Run and a
-// single Engine replays many traces with near-zero steady-state
-// allocation (TestOnlineEventAllocPin).
+// scope, so the engine's state is pristine after every Run, and a
+// single Engine replays many traces — crashes, cancellations and
+// reactive placements included — without allocating once its scratch
+// has warmed up (TestOnlineEventAllocPin).
 //
 //caft:deterministic
 package online
@@ -96,7 +97,7 @@ type Engine struct {
 	out      [][]int32 // per replica op: comm ops it feeds
 	out0     []int32
 	nextCopy []int32 // per task: copy index of its next reactive replica
-	topoIdx  []int32
+	live     int     // ops pending or running
 
 	// Per-replay resource state.
 	nextIdx  []int32
@@ -115,6 +116,9 @@ type Engine struct {
 	needList    []int32
 	inNeed      []bool
 	procDead    []bool
+	sets        []sched.SourceSet // placeReactive: one set per predecessor
+	srcs        []sched.Replica   // placeReactive: the sets' sources, back to back
+	probes      []probe           // bestSurvivor: live candidates by (bound, proc)
 	rescheduled int
 	events      int
 	opt         Options
@@ -134,9 +138,6 @@ func NewEngine(s *sched.Schedule) (*Engine, error) {
 	}
 	e := &Engine{w: w, m: s.P.Plat.M, st: st}
 	e.body = func() error { return e.exec() }
-	// The compiled view's topological index is read-only here; aliasing
-	// is safe because the engine freezes the graph at construction.
-	e.topoIdx = w.CG.TopoIndex()
 
 	n0 := len(w.Ops)
 	e.ops = make([]opRun, n0)
@@ -210,6 +211,7 @@ func (e *Engine) reset(trace map[int]float64) {
 	for p := range e.procDead {
 		e.procDead[p] = false
 	}
+	e.live = n0
 	e.heap = e.heap[:0]
 	e.deadList = e.deadList[:0]
 	e.rescheduled = 0
@@ -236,7 +238,11 @@ func (e *Engine) reset(trace map[int]float64) {
 }
 
 // exec runs the event loop: completions in time order, interleaved with
-// the failure trace.
+// the failure trace. The crash loop ends early once no op is live:
+// every unfinished task is then already unrecoverable (each crash's
+// re-mapper either re-placed or gave up on every task it left without
+// a live replica), so the remaining crashes could kill, cancel and
+// place nothing.
 //
 //caft:zeroalloc
 func (e *Engine) exec() error {
@@ -253,13 +259,16 @@ func (e *Engine) exec() error {
 			top := e.pop()
 			e.complete(top.idx)
 		}
-		if ci >= len(e.crashes) {
+		if ci >= len(e.crashes) || e.live == 0 {
 			break
 		}
-		if err := e.crash(e.crashes[ci].proc, tau); err != nil { //caft:alloc-ok crash path; only the no-crash steady state is pinned zero-alloc
+		if err := e.crash(e.crashes[ci].proc, tau); err != nil {
 			return err
 		}
 		ci++
+	}
+	if e.live == 0 {
+		return nil
 	}
 	for i := range e.ops {
 		if st := e.ops[i].state; st == opPending || st == opRunning {
@@ -332,6 +341,7 @@ func (e *Engine) complete(i int32) {
 		return
 	}
 	o.state = opDone
+	e.live--
 	e.events++
 	w := &e.w.Ops[i]
 	for k := w.ResBase; k < w.ResBase+w.NRes; k++ {
@@ -369,6 +379,7 @@ func (e *Engine) kill(i int32) {
 		return
 	}
 	o.state = opDead
+	e.live--
 	e.deadList = append(e.deadList, i)
 }
 
@@ -376,6 +387,8 @@ func (e *Engine) kill(i int32) {
 // victims die, starvation cascades, freed resources re-open at tau (the
 // causal clamp), and — with rescheduling enabled — lost work is
 // re-mapped onto the survivors.
+//
+//caft:zeroalloc
 func (e *Engine) crash(q int, tau float64) error {
 	e.procDead[q] = true
 	e.deadList = e.deadList[:0]

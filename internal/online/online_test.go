@@ -352,9 +352,10 @@ func sameOutcome(t *testing.T, label string, got, want *sim.Result) {
 }
 
 // TestOnlineEventAllocPin pins the steady-state event loop: after
-// warm-up, a full no-crash replay through the alloc-free Makespan entry
-// point — event queue, token passing, slot resolution, Speculate scope
-// included — allocates nothing.
+// warm-up, a full replay through the alloc-free Makespan entry point —
+// event queue, token passing, slot resolution, Speculate scope
+// included — allocates nothing, both without crashes and on a
+// two-crash trace whose re-mapper cancels and re-places work.
 func TestOnlineEventAllocPin(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	p := randomProblem(rng, 40, 6, timeline.Append)
@@ -378,14 +379,21 @@ func TestOnlineEventAllocPin(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("steady-state online replay allocates %.1f/op, want 0", allocs)
 	}
-	// A crash replay may allocate (reactive wiring grows tables), but
-	// must stay bounded after warm-up thanks to scratch reuse.
 	h := horizonOf(t, e)
-	trace := map[int]float64{2: h / 3}
-	if _, _, err := e.Makespan(trace, opt); err != nil {
+	trace := map[int]float64{2: h / 3, 4: h / 2}
+	_, resched, err := e.Makespan(trace, opt)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if math.IsInf(h, 1) {
-		t.Fatal("unexpected horizon")
+	if resched == 0 {
+		t.Fatal("crash trace triggered no reactive placement")
+	}
+	allocs = testing.AllocsPerRun(100, func() {
+		if _, _, err := e.Makespan(trace, opt); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state crash replay allocates %.1f/op, want 0", allocs)
 	}
 }

@@ -3,7 +3,6 @@ package online
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"caft/internal/dag"
 	"caft/internal/sched"
@@ -26,8 +25,10 @@ import (
 // time — the task was computed when its first replica finished — it
 // only regenerates the data later consumers read.
 //
-// The crash path may allocate; only the no-crash steady state is pinned
-// allocation-free.
+// Like the rest of the crash path it allocates nothing once the
+// engine's scratch has warmed up.
+//
+//caft:zeroalloc
 func (e *Engine) reschedule(tau float64) error {
 	for _, i := range e.deadList {
 		o := &e.w.Ops[i]
@@ -38,7 +39,7 @@ func (e *Engine) reschedule(tau float64) error {
 			err = e.st.CancelComm(o.Comm)
 		}
 		if err != nil {
-			return fmt.Errorf("online: cancel at tau=%v: %w", tau, err)
+			return fmt.Errorf("online: cancel at tau=%v: %w", tau, err) //caft:alloc-ok rejection path; cancelling a wired op of a validated schedule succeeds
 		}
 	}
 
@@ -65,13 +66,16 @@ func (e *Engine) reschedule(tau float64) error {
 			e.needList = append(e.needList, int32(p))
 		}
 	}
-	sort.Slice(e.needList, func(a, b int) bool {
-		return e.topoIdx[e.needList[a]] < e.topoIdx[e.needList[b]]
-	})
+	if len(e.needList) == 0 {
+		return nil
+	}
 
 	e.st.SetFloor(tau)
 	defer e.st.SetFloor(0)
-	for _, t := range e.needList {
+	for _, t := range e.w.CG.Topo() {
+		if !e.inNeed[t] {
+			continue
+		}
 		if err := e.placeReactive(dag.TaskID(t), tau); err != nil {
 			return err
 		}
@@ -80,6 +84,8 @@ func (e *Engine) reschedule(tau float64) error {
 }
 
 // hasLive reports whether t has a replica still pending or running.
+//
+//caft:zeroalloc
 func (e *Engine) hasLive(t dag.TaskID) bool {
 	for _, i := range e.w.TaskOps[t] {
 		if st := e.ops[i].state; st == opPending || st == opRunning {
@@ -92,6 +98,8 @@ func (e *Engine) hasLive(t dag.TaskID) bool {
 // hasData reports whether t's result is (or will be) available to new
 // consumers: a finished replica on a surviving processor, or a live
 // replica.
+//
+//caft:zeroalloc
 func (e *Engine) hasData(t dag.TaskID) bool {
 	for _, i := range e.w.TaskOps[t] {
 		if e.ops[i].state == opDone && !e.procDead[e.w.Ops[i].Rep.Proc] {
@@ -109,23 +117,34 @@ func (e *Engine) hasData(t dag.TaskID) bool {
 // bounding must never turn a recoverable task unrecoverable. A task with
 // no reachable source for some predecessor, or no feasible processor at
 // all, is marked unrecoverable and stays lost.
+//
+//caft:zeroalloc
 func (e *Engine) placeReactive(t dag.TaskID, tau float64) error {
 	pf, pv := e.w.CG.Pred(t)
-	sets := make([]sched.SourceSet, 0, len(pf))
+	sets, srcs := e.sets[:0], e.srcs[:0]
 	for k, f := range pf {
 		from := dag.TaskID(f)
-		var srcs []sched.Replica
+		n := len(srcs)
 		for _, r := range e.st.Reps[from] {
 			if !e.procDead[r.Proc] {
 				srcs = append(srcs, r)
 			}
 		}
-		if len(srcs) == 0 {
+		if len(srcs) == n {
 			e.unrecover[t] = true
 			return nil
 		}
-		sets = append(sets, sched.SourceSet{Pred: from, Volume: pv[k], Sources: srcs})
+		// Sources is rebased onto the final srcs below: appends may still
+		// move the buffer, so only its length is meaningful here.
+		sets = append(sets, sched.SourceSet{Pred: from, Volume: pv[k], Sources: srcs[n:]})
 	}
+	off := 0
+	for k := range sets {
+		n := len(sets[k].Sources)
+		sets[k].Sources = srcs[off : off+n]
+		off += n
+	}
+	e.sets, e.srcs = sets, srcs
 	copyIdx := int(e.nextCopy[t])
 	cands := e.st.Candidates(t, 1)
 	bestProc := e.bestSurvivor(t, copyIdx, cands, sets)
@@ -140,23 +159,38 @@ func (e *Engine) placeReactive(t dag.TaskID, tau float64) error {
 	commsBefore := len(e.st.Comms)
 	rep, err := e.st.PlaceReplica(t, copyIdx, bestProc, sets)
 	if err != nil {
-		return fmt.Errorf("online: reactive placement of task %d: %w", t, err)
+		return fmt.Errorf("online: reactive placement of task %d: %w", t, err) //caft:alloc-ok rejection path; the probe that chose bestProc accepted the same placement
 	}
 	e.wire(t, rep, e.st.Comms[commsBefore:], tau)
 	e.rescheduled++
 	return nil
 }
 
-// bestSurvivor probes placing replica copyIdx of t on each candidate
-// processor — the given slice, or every processor when procs is nil —
-// skipping crashed ones, and returns the processor with the earliest
-// probed finish, or -1 when no candidate survives and accepts.
+// probe is one bestSurvivor candidate: a live processor and the lower
+// bound on the finish a placement there can achieve.
+type probe struct {
+	bound float64
+	proc  int
+}
+
+// bestSurvivor returns the processor giving replica copyIdx of t the
+// earliest probed finish, ties to the smaller processor, among the
+// candidates — the given slice, or every processor when procs is nil —
+// that have not crashed; -1 when none accepts. Candidates are probed in
+// ascending (State.FinishLowerBound, proc) order, and probing stops at
+// the first candidate whose bound exceeds the best finish so far, or
+// equals it with a larger processor: no later candidate can then win.
+// The result is the lexicographic minimum (finish, proc) over all
+// candidates, exactly what probing every one in ascending processor
+// order would select.
+//
+//caft:zeroalloc
 func (e *Engine) bestSurvivor(t dag.TaskID, copyIdx int, procs []int, sets []sched.SourceSet) int {
-	bestProc, bestFin := -1, math.Inf(1)
 	n := e.m
 	if procs != nil {
 		n = len(procs)
 	}
+	order := e.probes[:0]
 	for k := 0; k < n; k++ {
 		proc := k
 		if procs != nil {
@@ -165,12 +199,26 @@ func (e *Engine) bestSurvivor(t dag.TaskID, copyIdx int, procs []int, sets []sch
 		if e.procDead[proc] {
 			continue
 		}
-		rep, err := e.st.ProbeReplica(t, copyIdx, proc, sets)
+		c := probe{bound: e.st.FinishLowerBound(t, proc, sets), proc: proc}
+		i := len(order)
+		order = append(order, c)
+		for ; i > 0 && (c.bound < order[i-1].bound || c.bound == order[i-1].bound && c.proc < order[i-1].proc); i-- {
+			order[i] = order[i-1]
+		}
+		order[i] = c
+	}
+	e.probes = order
+	bestProc, bestFin := -1, math.Inf(1)
+	for _, c := range order {
+		if c.bound > bestFin || c.bound == bestFin && c.proc > bestProc {
+			break
+		}
+		rep, err := e.st.ProbeReplica(t, copyIdx, c.proc, sets)
 		if err != nil {
 			continue
 		}
-		if rep.Finish < bestFin {
-			bestProc, bestFin = proc, rep.Finish
+		if rep.Finish < bestFin || rep.Finish == bestFin && c.proc < bestProc {
+			bestProc, bestFin = c.proc, rep.Finish
 		}
 	}
 	return bestProc
@@ -180,13 +228,14 @@ func (e *Engine) bestSurvivor(t dag.TaskID, copyIdx int, procs []int, sets []sch
 // the replica — to the wiring and registers every constraint. All new
 // operations carry minStart = tau: a reactive placement cannot occupy
 // resources before the crash that triggered it was observed.
+//
+//caft:zeroalloc
 func (e *Engine) wire(t dag.TaskID, rep sched.Replica, newComms []sched.Comm, tau float64) {
 	w := e.w
 	slotBase := w.AddSlots(int32(len(w.Ops)+len(newComms)), w.CG.InDegree(t))
 	for _, c := range newComms {
 		ci := w.AddComm(c, slotBase)
-		e.ops = append(e.ops, opRun{reactive: true, waits: waitsOf(&w.Ops[ci]), minStart: tau, placedAt: tau})
-		e.out = append(e.out, nil)
+		e.addOp(ci, tau)
 		// Register: the source constraint resolves against the executed
 		// finish when the source already ran; otherwise it resolves on
 		// the source's completion event.
@@ -199,8 +248,7 @@ func (e *Engine) wire(t dag.TaskID, rep sched.Replica, newComms []sched.Comm, ta
 		e.grant(ci)
 	}
 	ri := w.AddRep(rep, slotBase)
-	e.ops = append(e.ops, opRun{reactive: true, waits: waitsOf(&w.Ops[ri]), minStart: tau, placedAt: tau})
-	e.out = append(e.out, nil)
+	e.addOp(ri, tau)
 	// Feeder counts of the new replica's slots are complete only now.
 	for s := len(e.slotLeft); s < len(w.SlotOf); s++ {
 		e.slotLeft = append(e.slotLeft, w.SlotFeeds[s])
@@ -209,8 +257,26 @@ func (e *Engine) wire(t dag.TaskID, rep sched.Replica, newComms []sched.Comm, ta
 	e.grant(ri)
 }
 
+// addOp appends the per-replay state of the just-wired reactive op i,
+// placed at tau, reusing the out list an earlier replay left at its
+// index.
+//
+//caft:zeroalloc
+func (e *Engine) addOp(i int32, tau float64) {
+	e.ops = append(e.ops, opRun{reactive: true, waits: waitsOf(&e.w.Ops[i]), minStart: tau, placedAt: tau})
+	if n := len(e.out); n < cap(e.out) {
+		e.out = e.out[:n+1]
+		e.out[n] = e.out[n][:0]
+	} else {
+		e.out = append(e.out, nil)
+	}
+	e.live++
+}
+
 // grant hands every resource of the just-wired op i that is free to it
 // (i is the last member of each of its resources).
+//
+//caft:zeroalloc
 func (e *Engine) grant(i int32) {
 	o := &e.w.Ops[i]
 	for k := o.ResBase; k < o.ResBase+o.NRes; k++ {

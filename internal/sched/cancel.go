@@ -61,6 +61,8 @@ func StateOf(s *Schedule) (*State, error) {
 // existing reservations and, under the macro-dataflow model, does not
 // constrain communications (they occupy no resources; the online
 // engine clamps their executed times instead).
+//
+//caft:zeroalloc
 func (st *State) SetFloor(t float64) {
 	if st.overlay {
 		panic("sched: SetFloor on a probe overlay")
@@ -73,6 +75,8 @@ func (st *State) SetFloor(t float64) {
 // crash. The replica is matched by (Task, Copy, Proc). Inside a
 // Speculate scope the removal is journaled and rolled back (record
 // re-inserted at its original position, reservation re-added).
+//
+//caft:zeroalloc
 func (st *State) CancelReplica(rep Replica) error {
 	if st.overlay {
 		panic("sched: CancelReplica on a probe overlay")
@@ -86,11 +90,11 @@ func (st *State) CancelReplica(rep Replica) error {
 		}
 	}
 	if idx < 0 {
-		return fmt.Errorf("sched: cancel of unknown replica (%d,%d) on P%d", rep.Task, rep.Copy, rep.Proc)
+		return fmt.Errorf("sched: cancel of unknown replica (%d,%d) on P%d", rep.Task, rep.Copy, rep.Proc) //caft:alloc-ok rejection path; the accept path allocates nothing
 	}
 	rec := reps[idx]
 	if err := st.removeReservation(st.computeID(rec.Proc), rec.Start, rec.Finish-rec.Start, rec.Seq); err != nil {
-		return fmt.Errorf("sched: cancel replica (%d,%d): %w", rep.Task, rep.Copy, err)
+		return fmt.Errorf("sched: cancel replica (%d,%d): %w", rep.Task, rep.Copy, err) //caft:alloc-ok rejection path; the accept path allocates nothing
 	}
 	if st.spec > 0 {
 		st.rlog = append(st.rlog, repUndo{task: rep.Task, idx: idx, rep: rec, removed: true})
@@ -105,6 +109,8 @@ func (st *State) CancelReplica(rep Replica) error {
 // transfer's record is harmless to later placements, which consult only
 // the timelines. Intra and macro-dataflow communications hold no
 // reservations and cancel to a no-op.
+//
+//caft:zeroalloc
 func (st *State) CancelComm(c Comm) error {
 	if st.overlay {
 		panic("sched: CancelComm on a probe overlay")
@@ -114,7 +120,7 @@ func (st *State) CancelComm(c Comm) error {
 	}
 	for _, id := range st.commResources(c.SrcProc, c.DstProc) {
 		if err := st.removeReservation(id, c.Start, c.Dur, c.Seq); err != nil {
-			return fmt.Errorf("sched: cancel comm %d->%d seq %d: %w", c.From, c.To, c.Seq, err)
+			return fmt.Errorf("sched: cancel comm %d->%d seq %d: %w", c.From, c.To, c.Seq, err) //caft:alloc-ok rejection path; the accept path allocates nothing
 		}
 	}
 	return nil
@@ -122,9 +128,11 @@ func (st *State) CancelComm(c Comm) error {
 
 // removeReservation deletes one timeline reservation, journaling it for
 // rollback when a speculation scope is open.
+//
+//caft:zeroalloc
 func (st *State) removeReservation(id int, start, dur float64, owner int32) error {
 	if !st.tls[id].Remove(start, owner) {
-		return fmt.Errorf("no reservation at %v owned by %d on timeline %d", start, owner, id)
+		return fmt.Errorf("no reservation at %v owned by %d on timeline %d", start, owner, id) //caft:alloc-ok rejection path; the accept path allocates nothing
 	}
 	if st.spec > 0 {
 		st.tlog = append(st.tlog, tlUndo{id: id, start: start, dur: dur, owner: owner, removed: true})

@@ -157,7 +157,7 @@ type Validator struct {
 	ivOff   []int32
 	ivNext  []int32
 	ivs     []timeline.Interval
-	route1  [1]int // clique fast path of routeOf
+	route   []int // routeOf scratch
 	sorter  intervalsByStart
 }
 
@@ -418,18 +418,14 @@ func (v *Validator) validateOnePort(s *Schedule) error {
 }
 
 // routeOf returns the directed links crossed by an inter-processor
-// transfer. The default clique network is special-cased onto a
-// validator-owned one-element array so the steady-state validation path
-// allocates nothing; other networks answer from their routing tables.
+// transfer, in validator-owned scratch, so the steady-state validation
+// path allocates nothing.
 //
 //caft:zeroalloc
 //caft:scratch
 func (v *Validator) routeOf(net Network, src, dst int) []int {
-	if cl, ok := net.(Clique); ok {
-		v.route1[0] = src*cl.Plat.M + dst
-		return v.route1[:]
-	}
-	return net.Route(src, dst) //caft:alloc-ok sparse-network routing tables answer here; the clique fast path above is allocation-free
+	v.route = AppendRoute(v.route[:0], net, src, dst)
+	return v.route
 }
 
 // nonOverlap sorts one resource bucket by start time in place and

@@ -28,17 +28,13 @@ import (
 //
 //caft:confined
 type State struct {
-	P   *Problem
-	net Network
-	// clique is set when net is the dense Clique network, whose
-	// Route allocates a fresh one-link slice per call; commResources
-	// computes that link inline instead, keeping probes allocation-free.
-	clique bool
-	m      int
-	tls    []timeline.Timeline
-	Reps   [][]Replica
-	Comms  []Comm
-	seq    int32
+	P     *Problem
+	net   Network
+	m     int
+	tls   []timeline.Timeline
+	Reps  [][]Replica
+	Comms []Comm
+	seq   int32
 
 	// Append-policy probe overlay: earliest/reserve consult ready[id]
 	// instead of the (shared, untouched) timelines, and placements are
@@ -112,14 +108,12 @@ type probeMark struct {
 func NewState(p *Problem) *State {
 	m := p.Plat.M
 	net := p.Network()
-	_, clique := net.(Clique)
 	return &State{
-		P:      p,
-		net:    net,
-		clique: clique,
-		m:      m,
-		tls:    make([]timeline.Timeline, 3*m+net.NumLinks()),
-		Reps:   make([][]Replica, p.G.NumTasks()),
+		P:    p,
+		net:  net,
+		m:    m,
+		tls:  make([]timeline.Timeline, 3*m+net.NumLinks()),
+		Reps: make([][]Replica, p.G.NumTasks()),
 	}
 }
 
@@ -138,7 +132,7 @@ func (st *State) linkID(l int) int { return 3*st.m + l }
 // Clone deep-copies the state. Scratch buffers and the speculation
 // journal are not carried over: the clone starts with a clean journal.
 func (st *State) Clone() *State {
-	c := &State{P: st.P, net: st.net, clique: st.clique, m: st.m, seq: st.seq, floor: st.floor}
+	c := &State{P: st.P, net: st.net, m: st.m, seq: st.seq, floor: st.floor}
 	c.tls = make([]timeline.Timeline, len(st.tls))
 	for i := range st.tls {
 		c.tls[i] = *st.tls[i].Clone()
@@ -162,7 +156,7 @@ func (st *State) overlayForProbe() *State {
 		ps = &State{overlay: true, ready: make([]float64, len(st.tls))} //caft:alloc-ok probe overlay built once per State and reused across probes
 		st.probeScratch = ps
 	}
-	ps.P, ps.net, ps.clique, ps.m, ps.tls, ps.Reps, ps.seq = st.P, st.net, st.clique, st.m, st.tls, st.Reps, st.seq
+	ps.P, ps.net, ps.m, ps.tls, ps.Reps, ps.seq = st.P, st.net, st.m, st.tls, st.Reps, st.seq
 	ps.floor = st.floor
 	if st.overlay {
 		copy(ps.ready, st.ready)
@@ -452,12 +446,9 @@ func (st *State) commonSlot(ready, dur float64, ids []int) float64 {
 //caft:zeroalloc
 func (st *State) commResources(src, dst int) []int {
 	ids := append(st.commIDs[:0], st.sendID(src), st.recvID(dst))
-	if st.clique {
-		ids = append(ids, st.linkID(src*st.m+dst))
-	} else {
-		for _, l := range st.net.Route(src, dst) { //caft:alloc-ok topology interface call; in-tree networks return a cached route
-			ids = append(ids, st.linkID(l))
-		}
+	ids = AppendRoute(ids, st.net, src, dst)
+	for i := 2; i < len(ids); i++ {
+		ids[i] = st.linkID(ids[i])
 	}
 	st.commIDs = ids
 	return ids
@@ -622,6 +613,49 @@ func (st *State) PlaceReplica(t dag.TaskID, copy, proc int, sources []SourceSet)
 		}
 	}
 	return rep, nil
+}
+
+// FinishLowerBound returns, without probing, a lower bound on the
+// finish time PlaceReplica (or ProbeReplica) would give a replica of t
+// on proc with the given sources on the current state:
+//
+//	max(floor, [Append] ready time of proc, max over sets of the earliest arrival) + Exec[t][proc]
+//
+// A source's arrival is its finish when it is co-located with proc, and
+// otherwise max(finish, floor) + the transfer duration — finish +
+// duration under the macro-dataflow model, whose transfers ignore the
+// floor. Each term is a time PlaceReplica cannot beat: a transfer starts
+// no earlier than its source's finish and the floor, a co-located input
+// suppresses nothing the bound relies on, and the replica starts no
+// earlier than its inputs, the floor and, under Append, the processor's
+// ready time. A source set without sources bounds to +Inf.
+//
+//caft:zeroalloc
+func (st *State) FinishLowerBound(t dag.TaskID, proc int, sources []SourceSet) float64 {
+	ready := st.floor
+	for _, set := range sources {
+		arrival := math.Inf(1)
+		for _, src := range set.Sources {
+			a := src.Finish
+			if src.Proc != proc {
+				if a < st.floor && st.P.Model != MacroDataflow {
+					a = st.floor
+				}
+				a += st.net.Dur(src.Proc, proc, set.Volume) //caft:alloc-ok cost-model interface call; in-tree models are pure arithmetic
+			}
+			if a < arrival {
+				arrival = a
+			}
+		}
+		if arrival > ready {
+			ready = arrival
+		}
+	}
+	exec := st.P.Exec[t][proc]
+	if st.P.Policy == timeline.Append {
+		ready = st.earliest(st.computeID(proc), ready, exec)
+	}
+	return ready + exec
 }
 
 // ProbeReplica simulates PlaceReplica without any lasting mutation of

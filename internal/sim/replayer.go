@@ -31,6 +31,7 @@ type Replayer struct {
 	crashed  []bool
 	dead     []bool    // per op: forced dead by the timed-crash fixpoint
 	deadline []float64 // per op: crash instant it must beat this timed replay
+	crashAt  []float64 // per processor: crash instant of this timed replay, +Inf if none
 }
 
 // opRun is the replayed fate of one op.
@@ -57,6 +58,7 @@ func NewReplayer(s *sched.Schedule) (*Replayer, error) {
 	r.crashed = make([]bool, s.P.Plat.M)
 	r.dead = make([]bool, len(w.Ops))
 	r.deadline = make([]float64, len(w.Ops))
+	r.crashAt = make([]float64, s.P.Plat.M)
 	return r, nil
 }
 

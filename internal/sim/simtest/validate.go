@@ -180,7 +180,7 @@ func Validate(p *sched.Problem, res *sim.Result, trace map[int]float64) error {
 			iv := timeline.Interval{Start: o.Start, End: o.Finish, Owner: o.Comm.Seq}
 			send[o.Comm.SrcProc] = append(send[o.Comm.SrcProc], iv)
 			recv[o.Comm.DstProc] = append(recv[o.Comm.DstProc], iv)
-			for _, l := range net.Route(o.Comm.SrcProc, o.Comm.DstProc) {
+			for _, l := range sched.AppendRoute(nil, net, o.Comm.SrcProc, o.Comm.DstProc) {
 				link[l] = append(link[l], iv)
 			}
 		}

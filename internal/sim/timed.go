@@ -8,29 +8,33 @@ import (
 )
 
 // runTimed grows the dead set of the timed-crash fixpoint on the
-// Replayer's scratch buffers: per-op deadlines are loaded once from
-// crashTimes, then replay passes run until no surviving operation
-// violates its deadline. It allocates nothing.
+// Replayer's scratch buffers: crashTimes is walked once into the dense
+// per-processor crashAt table (+Inf for a processor that never
+// crashes), per-op deadlines are loaded from it, then replay passes run
+// until no surviving operation violates its deadline. It allocates
+// nothing.
 //
 //caft:zeroalloc
 func (r *Replayer) runTimed(crashTimes map[int]float64, sem Semantics) error {
 	for i := range r.crashed {
 		r.crashed[i] = false
+		r.crashAt[i] = math.Inf(1)
+	}
+	for p, tau := range crashTimes { //caft:unordered-ok dense store, one slot per key
+		if p >= 0 && p < len(r.crashAt) {
+			r.crashAt[p] = tau
+		}
 	}
 	for i := range r.w.Ops {
 		r.dead[i] = false
 		o := &r.w.Ops[i]
-		d := math.Inf(1)
+		var d float64
 		if o.Kind == OpRep {
-			if tau, ok := crashTimes[o.Rep.Proc]; ok {
-				d = tau
-			}
+			d = r.crashAt[o.Rep.Proc]
 		} else {
 			// A transfer must complete before both endpoints crash.
-			if tau, ok := crashTimes[o.Comm.SrcProc]; ok {
-				d = tau
-			}
-			if tau, ok := crashTimes[o.Comm.DstProc]; ok && tau < d {
+			d = r.crashAt[o.Comm.SrcProc]
+			if tau := r.crashAt[o.Comm.DstProc]; tau < d {
 				d = tau
 			}
 		}

@@ -75,6 +75,7 @@ type Wiring struct {
 	m     int
 	net   sched.Network
 	macro bool
+	route []int // AddComm scratch
 
 	// Static prefix lengths, restored by Truncate.
 	nOps0, nSlots0, nFeeds0, nRes0 int
@@ -160,6 +161,8 @@ func (w *Wiring) lookup(t dag.TaskID, copy int) int32 {
 
 // AddSlots appends n input slots owned by replica op owner and returns
 // the first slot's index.
+//
+//caft:zeroalloc
 func (w *Wiring) AddSlots(owner int32, n int) int32 {
 	base := int32(len(w.SlotOf))
 	for j := 0; j < n; j++ {
@@ -172,6 +175,8 @@ func (w *Wiring) AddSlots(owner int32, n int) int32 {
 // AddRep appends replica rep, whose predecessor slots start at
 // slotBase, occupying its processor's compute timeline, and returns
 // its op index.
+//
+//caft:zeroalloc
 func (w *Wiring) AddRep(rep sched.Replica, slotBase int32) int32 {
 	i := int32(len(w.Ops))
 	t := rep.Task
@@ -192,6 +197,8 @@ func (w *Wiring) AddRep(rep sched.Replica, slotBase int32) int32 {
 // transfers and every transfer under the macro-dataflow model occupy
 // no resource; the others hold the sender's send port, the receiver's
 // receive port and every link of the route.
+//
+//caft:zeroalloc
 func (w *Wiring) AddComm(c sched.Comm, dstSlots int32) int32 {
 	i := int32(len(w.Ops))
 	o := Op{Kind: OpComm, Comm: c, Dur: c.Dur, Seq: c.Seq, Src: w.lookup(c.From, c.SrcCopy),
@@ -209,7 +216,8 @@ func (w *Wiring) AddComm(c sched.Comm, dstSlots int32) int32 {
 	if !c.Intra && !w.macro {
 		w.occupy(i, w.m+c.SrcProc)
 		w.occupy(i, 2*w.m+c.DstProc)
-		for _, l := range w.net.Route(c.SrcProc, c.DstProc) {
+		w.route = sched.AppendRoute(w.route[:0], w.net, c.SrcProc, c.DstProc)
+		for _, l := range w.route {
 			w.occupy(i, 3*w.m+l)
 		}
 	}
@@ -218,6 +226,8 @@ func (w *Wiring) AddComm(c sched.Comm, dstSlots int32) int32 {
 }
 
 // occupy records that op i holds resource r.
+//
+//caft:zeroalloc
 func (w *Wiring) occupy(i int32, r int) {
 	w.ResIDs = append(w.ResIDs, int32(r))
 	w.Members[r] = append(w.Members[r], i)

@@ -53,6 +53,9 @@ func FuzzTimelineOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
 	f.Add([]byte{255, 0, 128, 7, 7, 7})
 	f.Add([]byte{0, 10, 8, 1, 0, 16, 2, 0, 0, 0, 20, 4, 2, 0, 1, 3, 0, 2})
+	// Three back-to-back reservations; remove the interior one (the
+	// ready time stays), then the last one (the ready time falls back).
+	f.Add([]byte{0, 0, 10, 0, 0, 12, 0, 0, 5, 2, 0, 1, 2, 0, 1, 4, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var tl Timeline
 		var placed []Interval

@@ -302,16 +302,22 @@ func (tl *Timeline) MustAdd(start, dur float64, owner int32) {
 }
 
 // Remove deletes the reservation starting exactly at start with the
-// given owner; it reports whether a matching reservation was found.
+// given owner; it reports whether a matching reservation was found. The
+// ready time is rescanned only when the removed reservation ended at it.
+//
+//caft:zeroalloc
 func (tl *Timeline) Remove(start float64, owner int32) bool {
 	i := sort.Search(len(tl.ivs), func(i int) bool { return tl.ivs[i].Start >= start })
 	for ; i < len(tl.ivs) && tl.ivs[i].Start == start; i++ {
 		if tl.ivs[i].Owner == owner {
+			end := tl.ivs[i].End
 			tl.deleteAt(i)
-			tl.maxEnd = 0
-			for _, iv := range tl.ivs {
-				if iv.End > tl.maxEnd {
-					tl.maxEnd = iv.End
+			if end >= tl.maxEnd {
+				tl.maxEnd = 0
+				for _, iv := range tl.ivs {
+					if iv.End > tl.maxEnd {
+						tl.maxEnd = iv.End
+					}
 				}
 			}
 			return true
@@ -353,13 +359,17 @@ func (tl *Timeline) Clone() *Timeline {
 }
 
 // Validate checks ordering and non-overlap among positive-length
-// intervals (zero-length markers may sit anywhere), and that the gap
-// index matches the interval list exactly.
+// intervals (zero-length markers may sit anywhere), that the ready time
+// is the latest reservation end, and that the gap index matches the
+// interval list exactly.
 func (tl *Timeline) Validate() error {
-	prevEnd := 0.0
+	prevEnd, maxEnd := 0.0, 0.0
 	hasPrev := false
 	var wantGaps []gap
 	for i := range tl.ivs {
+		if tl.ivs[i].End > maxEnd {
+			maxEnd = tl.ivs[i].End
+		}
 		if tl.ivs[i].End == tl.ivs[i].Start {
 			continue
 		}
@@ -371,6 +381,9 @@ func (tl *Timeline) Validate() error {
 			wantGaps = append(wantGaps, gap{prevEnd, tl.ivs[i].Start})
 		}
 		prevEnd, hasPrev = tl.ivs[i].End, true
+	}
+	if tl.maxEnd != maxEnd {
+		return fmt.Errorf("timeline: ready time %v, want %v", tl.maxEnd, maxEnd)
 	}
 	if tl.posEnd != prevEnd {
 		return fmt.Errorf("timeline: gap index posEnd %v, want %v", tl.posEnd, prevEnd)
