@@ -78,8 +78,9 @@ type State struct {
 // tlUndo is one journaled timeline mutation: a reservation to UndoAdd,
 // or (removed) a cancelled reservation to re-Add. Re-adding restores
 // the ready time exactly: at rollback the timeline is in its
-// immediately-post-Remove state, whose rescanned ready time r satisfies
-// max(r, start+dur) == the pre-Remove ready time.
+// immediately-post-Remove state, whose ready time r (the latest
+// remaining end) satisfies max(r, start+dur) == the pre-Remove ready
+// time.
 type tlUndo struct {
 	id      int
 	start   float64
@@ -625,10 +626,12 @@ func (st *State) PlaceReplica(t dag.TaskID, copy, proc int, sources []SourceSet)
 // otherwise max(finish, floor) + the transfer duration — finish +
 // duration under the macro-dataflow model, whose transfers ignore the
 // floor. Each term is a time PlaceReplica cannot beat: a transfer starts
-// no earlier than its source's finish and the floor, a co-located input
-// suppresses nothing the bound relies on, and the replica starts no
-// earlier than its inputs, the floor and, under Append, the processor's
-// ready time. A source set without sources bounds to +Inf.
+// no earlier than its source's finish and the floor, the earliest
+// arrival over all of a set's sources is no later than the one
+// PlaceReplica uses whether or not a co-located source suppresses the
+// others, and the replica starts no earlier than its inputs, the floor
+// and, under Append, the processor's ready time. A source set without
+// sources bounds to +Inf.
 //
 //caft:zeroalloc
 func (st *State) FinishLowerBound(t dag.TaskID, proc int, sources []SourceSet) float64 {

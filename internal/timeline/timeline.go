@@ -329,8 +329,8 @@ func (tl *Timeline) Remove(start float64, owner int32) bool {
 // UndoAdd rolls back a journaled Add: it removes the reservation
 // (start, owner) and restores the ready time to prevMax, the value
 // Ready() returned immediately before that Add. Journaled reservations
-// must be undone in reverse order of addition, which is what makes the
-// O(n) ready-time rescan of Remove unnecessary. It panics if no such
+// must be undone in reverse order of addition, which is what makes
+// Remove's ready-time rescan unnecessary. It panics if no such
 // reservation exists — a rollback journal referencing a missing
 // reservation is state corruption, not a recoverable condition.
 //
