@@ -10,25 +10,22 @@
 //	scratchalias  retained results of //caft:scratch methods
 //	zeroalloc     allocation sites in //caft:zeroalloc functions
 //
-// Two ways to run it:
+// Usage:
 //
-//	caftvet ./...                              # standalone multichecker
-//	go vet -vettool=$(which caftvet) ./...     # as the go vet tool
+//	caftvet [-run a,b] [-json] [packages]   # default ./...
 //
-// Standalone mode loads every matched package in one process, so
-// cross-package //caft:scratch, //caft:confined and //caft:zeroalloc
-// annotations are always visible; it is what CI runs. Vettool mode
-// speaks the go vet unit-checker protocol (-V=full, -flags, one JSON
-// vet.cfg per compilation unit) and propagates those annotations
-// between units as JSON facts through the .vetx files go vet already
-// plumbs; it composes with go vet's caching and the standard
-// analyzers' UX.
+// caftvet type-checks and analyzes the matched packages, and parses
+// every dependency outside the standard library for its directives
+// alone, so cross-package //caft:scratch, //caft:confined and
+// //caft:zeroalloc annotations are visible whichever subset of the
+// module is named.
 //
 // Exit status: 0 clean, 1 operational error, 2 diagnostics found
 // (matching go vet's convention).
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -50,11 +47,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		runFilter = fs.String("run", "", "comma-separated analyzer names to run (default: all)")
 		jsonOut   = fs.Bool("json", false, "emit diagnostics as JSON")
 		list      = fs.Bool("list", false, "list analyzers and exit")
-		version   = fs.String("V", "", "go vet protocol: print tool version (use -V=full)")
-		flagsOut  = fs.Bool("flags", false, "go vet protocol: describe flags as JSON")
 	)
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: caftvet [-run a,b] [-json] [packages]\n       go vet -vettool=$(which caftvet) [packages]\n\nAnalyzers:\n")
+		fmt.Fprintf(stderr, "usage: caftvet [-run a,b] [-json] [packages]\n\nAnalyzers:\n")
 		for _, a := range passes.All() {
 			fmt.Fprintf(stderr, "  %-14s %s\n", a.Name, a.Doc)
 		}
@@ -64,20 +59,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	switch {
-	case *version != "":
-		// go vet derives its cache key from this line; any stable
-		// "name version ..." string works. Bumped whenever the analyzer
-		// set or a diagnostic's meaning changes, so stale vet caches
-		// cannot mask new findings.
-		fmt.Fprintf(stdout, "caftvet version caft-suite-v2\n")
-		return 0
-	case *flagsOut:
-		// go vet queries supported flags as a JSON array; caftvet
-		// accepts none through go vet.
-		fmt.Fprintln(stdout, "[]")
-		return 0
-	case *list:
+	if *list {
 		for _, a := range passes.All() {
 			fmt.Fprintf(stdout, "%-14s %s\n", a.Name, a.Doc)
 		}
@@ -91,9 +73,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return runVetCfg(rest[0], enabled, *jsonOut, stdout, stderr)
-	}
 	if len(rest) == 0 {
 		rest = []string{"./..."}
 	}
@@ -103,7 +82,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "caftvet:", err)
 		return 1
 	}
-	findings, err := analysis.Run(pkgs, enabled, nil)
+	findings, err := analysis.Run(pkgs, enabled)
 	if err != nil {
 		fmt.Fprintln(stderr, "caftvet:", err)
 		return 1
@@ -113,6 +92,34 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	return 0
+}
+
+// emit prints findings: plain "file:line:col: analyzer: message" lines
+// to stderr, or (with -json) a pkg -> analyzer -> diagnostics object
+// to stdout, mirroring go vet's shapes.
+func emit(findings []analysis.Finding, jsonOut bool, stdout, stderr io.Writer) {
+	if !jsonOut {
+		for _, f := range findings {
+			fmt.Fprintf(stderr, "%s: %s: %s\n", f.Posn, f.Analyzer, f.Message)
+		}
+		return
+	}
+	type jsonDiag struct {
+		Posn    string `json:"posn"`
+		Message string `json:"message"`
+	}
+	out := make(map[string]map[string][]jsonDiag)
+	for _, f := range findings {
+		byAnalyzer := out[f.PkgPath]
+		if byAnalyzer == nil {
+			byAnalyzer = make(map[string][]jsonDiag)
+			out[f.PkgPath] = byAnalyzer
+		}
+		byAnalyzer[f.Analyzer] = append(byAnalyzer[f.Analyzer], jsonDiag{Posn: f.Posn.String(), Message: f.Message})
+	}
+	enc := json.NewEncoder(stdout)
+	enc.SetIndent("", "\t")
+	_ = enc.Encode(out)
 }
 
 func selectAnalyzers(filter string) ([]*analysis.Analyzer, error) {

@@ -3,8 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -77,45 +75,30 @@ func TestRunFilter(t *testing.T) {
 	}
 }
 
-func TestProtocolHandshake(t *testing.T) {
-	if code, stdout, _ := runCaftvet(t, "-V=full"); code != 0 || !strings.Contains(stdout, "caftvet version ") {
-		t.Fatalf("-V=full: exit %d, output %q", code, stdout)
+// TestDependencyDirectivesWithoutPattern vets dirty on its own, with
+// scratchlib outside the pattern: the annotations declared there must
+// still steer every analyzer, exactly as when both are named.
+func TestDependencyDirectivesWithoutPattern(t *testing.T) {
+	code, _, stderr := runCaftvet(t, "./testdata/src/dirty")
+	if code != 2 {
+		t.Fatalf("exit %d, want 2\n%s", code, stderr)
 	}
-	if code, stdout, _ := runCaftvet(t, "-flags"); code != 0 || strings.TrimSpace(stdout) != "[]" {
-		t.Fatalf("-flags: exit %d, output %q", code, stdout)
+	_, _, both := runCaftvet(t, "./testdata/src/scratchlib", "./testdata/src/dirty")
+	if stderr != both {
+		t.Errorf("dirty alone reports\n%s\nwant what dirty with scratchlib reports\n%s", stderr, both)
 	}
-}
-
-// TestGoVetVettool drives the real `go vet -vettool=` protocol: build
-// the binary, vet the dirty fixture, and require every analyzer to
-// fire — including scratchalias on the annotation imported from
-// scratchlib, which can only work if the .vetx facts files round-trip
-// between compilation units.
-func TestGoVetVettool(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a binary and recompiles fixtures; skipped in -short")
-	}
-	bin := filepath.Join(t.TempDir(), "caftvet")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("building caftvet: %v\n%s", err, out)
-	}
-
-	cmd := exec.Command("go", "vet", "-vettool="+bin, "./testdata/src/clean")
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("go vet -vettool over clean fixture failed: %v\n%s", err, out)
-	}
-
-	cmd = exec.Command("go", "vet", "-vettool="+bin, "./testdata/src/dirty")
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("go vet -vettool over dirty fixture passed; want diagnostics\n%s", out)
-	}
-	for _, analyzer := range []string{"confine", "errsentinel", "maporder", "nondet", "scratchalias", "zeroalloc"} {
-		if !strings.Contains(string(out), analyzer+": ") {
-			t.Errorf("go vet -vettool: no %s diagnostic:\n%s", analyzer, out)
+	for _, want := range []string{
+		"scratchalias: result of //caft:scratch (*Buf).Items",
+		"confine: confined scratchlib.Core",
+	} {
+		if !strings.Contains(stderr, want) {
+			t.Errorf("no %q finding:\n%s", want, stderr)
 		}
 	}
-	if !strings.Contains(string(out), "ItemsCopy") {
-		t.Errorf("go vet -vettool: cross-unit scratch facts did not propagate:\n%s", out)
+	if !strings.Contains(stderr, "ItemsCopy") {
+		t.Errorf("scratchalias finding does not steer to ItemsCopy:\n%s", stderr)
+	}
+	if strings.Contains(stderr, "scratchlib.Sum") {
+		t.Errorf("zeroalloc flagged scratchlib.Sum, which is marked //caft:zeroalloc:\n%s", stderr)
 	}
 }

@@ -1,7 +1,7 @@
 // Package scratchlib is the annotated library half of the caftvet
 // end-to-end fixtures: the misuse lives in the importing package, so
-// catching it proves cross-package annotation visibility (the whole
-// point of the facts plumbing in vettool mode).
+// catching it proves cross-package annotation visibility, also when
+// the importer is vetted without this package in the pattern.
 package scratchlib
 
 // Buf owns a reusable scratch slice.
@@ -26,7 +26,7 @@ func (b *Buf) ItemsCopy() []int {
 
 // Core is a per-request engine: single-goroutine by contract. The
 // misuse fixtures share it across goroutines from another package,
-// which only gets caught if the confinement fact crosses units.
+// which only gets caught if the confinement annotation crosses packages.
 //
 //caft:confined
 type Core struct {
@@ -37,7 +37,7 @@ type Core struct {
 func (c *Core) Step() { c.n++ }
 
 // Sum is allocation-free; annotated callers in other packages may
-// call it only because this fact travels with the package.
+// call it only because this annotation travels with the package.
 //
 //caft:zeroalloc
 func Sum(xs []int) int {

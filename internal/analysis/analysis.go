@@ -15,7 +15,7 @@
 // the shared FileSet. Two deliberate deviations: passes get a
 // repo-specific Directives index (our substitute for the Facts
 // mechanism, see directive.go), and there is no analyzer dependency
-// graph — the four caftvet analyzers are independent.
+// graph — the six caftvet analyzers are independent.
 //
 //caft:deterministic
 package analysis
@@ -64,9 +64,9 @@ type Pass struct {
 	TypesInfo *types.Info
 
 	// Directives indexes every //caft: directive visible to this run:
-	// the analyzed package's own directives plus the scratch-method
-	// annotations of every other package loaded alongside it (or, in
-	// vettool mode, imported via facts). See directive.go.
+	// those of the analyzed package and of every other package loaded
+	// alongside it, including the DepOnly packages Load parses for
+	// their directives alone. See directive.go.
 	Directives *Directives
 
 	// Report delivers one diagnostic. It may be called concurrently

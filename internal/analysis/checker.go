@@ -18,23 +18,21 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s: %s: %s", f.Posn, f.Analyzer, f.Message)
 }
 
-// Run applies every analyzer to every package and returns the findings
-// sorted by file, line, column and analyzer name. The directive index
-// is built over all packages first, so cross-package annotations (a
-// //caft:scratch method called from another matched package) are
-// visible to every pass. extra, if non-nil, seeds the index before the
-// packages are scanned — the vettool driver uses it to merge facts
-// imported from dependencies.
-func Run(pkgs []*Package, analyzers []*Analyzer, extra *Directives) ([]Finding, error) {
-	dirs := extra
-	if dirs == nil {
-		dirs = NewDirectives()
-	}
+// Run applies every analyzer to every package without DepOnly and
+// returns the findings sorted by file, line, column and analyzer name.
+// The directive index is built over all packages first, DepOnly ones
+// included, so cross-package annotations (a //caft:scratch method
+// called from another package) are visible to every pass.
+func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
+	dirs := NewDirectives()
 	for _, p := range pkgs {
 		dirs.AddPackage(p)
 	}
 	var findings []Finding
 	for _, p := range pkgs {
+		if p.DepOnly {
+			continue
+		}
 		for _, a := range analyzers {
 			pass := &Pass{
 				Analyzer:   a,

@@ -1,8 +1,6 @@
 package analysis
 
 import (
-	"encoding/json"
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -38,15 +36,14 @@ import (
 //	    single-goroutine: its values must not be captured by go
 //	    statements, cross channels, live in package-level variables or
 //	    sit in fields of non-confined types. Checked by the confine
-//	    analyzer; exported as a type fact so misuse in dependent
-//	    compilation units is caught too.
+//	    analyzer, also in packages that import the type.
 //
 //	//caft:zeroalloc
 //	    In a function or method doc comment. Declares the body
 //	    allocation-free on every path; the zeroalloc analyzer flags
 //	    allocation sites and calls to functions not themselves marked
-//	    //caft:zeroalloc (or known allocation-free). Exported as a
-//	    fact so annotated hot paths compose across packages.
+//	    //caft:zeroalloc (or known allocation-free), in any loaded
+//	    package, so annotated hot paths compose across packages.
 //
 // Like //go:build and friends, the comments must start at the
 // beginning of the line with no space after "//".
@@ -63,7 +60,7 @@ const (
 
 // ScratchInfo describes one //caft:scratch annotation.
 type ScratchInfo struct {
-	Safe string `json:"safe,omitempty"` // copying variant to steer callers to, if any
+	Safe string // copying variant to steer callers to, if any
 }
 
 // LineDirective is one //caft:unordered-ok, //caft:nondet-ok,
@@ -86,11 +83,10 @@ type StrayDirective struct {
 
 // Directives indexes every //caft: directive of a set of loaded
 // packages. It is the repo-grown substitute for go/analysis facts:
-// the caftvet driver builds one index over all packages of a load (so
-// a scratch annotation in internal/sched is visible while analyzing
-// internal/core), and in `go vet -vettool` mode the scratch, confined
-// and zeroalloc entries of each package travel between compilation
-// units as JSON facts.
+// analysis.Run builds one index over all packages of a load, the
+// DepOnly dependencies included, so a scratch annotation in
+// internal/sched is visible while analyzing internal/core even when
+// only internal/core was asked for.
 type Directives struct {
 	deterministic map[string]bool
 	scratch       map[string]ScratchInfo              // see scratchKey
@@ -247,8 +243,8 @@ func (d *Directives) Scratch(fn *types.Func) (ScratchInfo, bool) {
 	return info, ok
 }
 
-// Confined reports whether the named type carries //caft:confined —
-// declared in a loaded package or imported as a fact.
+// Confined reports whether the named type carries //caft:confined in
+// any loaded package.
 func (d *Directives) Confined(obj *types.TypeName) bool {
 	if obj == nil || obj.Pkg() == nil {
 		return false
@@ -257,8 +253,7 @@ func (d *Directives) Confined(obj *types.TypeName) bool {
 }
 
 // Zeroalloc reports whether the function or method carries
-// //caft:zeroalloc — declared in a loaded package or imported as a
-// fact.
+// //caft:zeroalloc in any loaded package.
 func (d *Directives) Zeroalloc(fn *types.Func) bool {
 	return d.zeroalloc[scratchKeyFunc(fn)]
 }
@@ -372,60 +367,4 @@ func scratchKeyFunc(fn *types.Func) string {
 		name = n.Obj().Name()
 	}
 	return pkg.Path() + "." + name + "." + fn.Name()
-}
-
-// vetFacts is the serialized fact format exchanged between compilation
-// units in vettool mode: the scratch, confined and zeroalloc
-// annotations a package exports to its dependents.
-type vetFacts struct {
-	Scratch   map[string]ScratchInfo `json:"scratch,omitempty"`
-	Confined  map[string]bool        `json:"confined,omitempty"`
-	Zeroalloc map[string]bool        `json:"zeroalloc,omitempty"`
-}
-
-// EncodeFacts serializes the annotations declared by pkgPath.
-func (d *Directives) EncodeFacts(pkgPath string) ([]byte, error) {
-	out := vetFacts{
-		Scratch:   make(map[string]ScratchInfo),
-		Confined:  make(map[string]bool),
-		Zeroalloc: make(map[string]bool),
-	}
-	prefix := pkgPath + "."
-	for k, v := range d.scratch { //caft:unordered-ok json.Marshal sorts map keys
-		if strings.HasPrefix(k, prefix) {
-			out.Scratch[k] = v
-		}
-	}
-	for k, v := range d.confined { //caft:unordered-ok json.Marshal sorts map keys
-		if strings.HasPrefix(k, prefix) {
-			out.Confined[k] = v
-		}
-	}
-	for k, v := range d.zeroalloc { //caft:unordered-ok json.Marshal sorts map keys
-		if strings.HasPrefix(k, prefix) {
-			out.Zeroalloc[k] = v
-		}
-	}
-	return json.Marshal(out)
-}
-
-// DecodeFacts merges a dependency's serialized facts into the index.
-func (d *Directives) DecodeFacts(data []byte) error {
-	if len(data) == 0 {
-		return nil
-	}
-	var in vetFacts
-	if err := json.Unmarshal(data, &in); err != nil {
-		return fmt.Errorf("decoding caftvet facts: %v", err)
-	}
-	for k, v := range in.Scratch { //caft:unordered-ok map-to-map merge is order-insensitive
-		d.scratch[k] = v
-	}
-	for k, v := range in.Confined { //caft:unordered-ok map-to-map merge is order-insensitive
-		d.confined[k] = v
-	}
-	for k, v := range in.Zeroalloc { //caft:unordered-ok map-to-map merge is order-insensitive
-		d.zeroalloc[k] = v
-	}
-	return nil
 }

@@ -15,8 +15,10 @@ import (
 	"runtime"
 )
 
-// A Package is one loaded, parsed and type-checked package of this
-// module, ready to be handed to analyzers.
+// A Package is one loaded and parsed package. A matched package is
+// also type-checked, ready to be handed to analyzers; a DepOnly one is
+// a dependency outside the standard library, parsed only so that its
+// //caft: directives are indexed.
 type Package struct {
 	PkgPath   string
 	Name      string
@@ -24,8 +26,9 @@ type Package struct {
 	GoFiles   []string
 	Fset      *token.FileSet
 	Syntax    []*ast.File
-	Types     *types.Package
-	TypesInfo *types.Info
+	Types     *types.Package // nil when DepOnly
+	TypesInfo *types.Info    // nil when DepOnly
+	DepOnly   bool
 }
 
 // listedPkg is the subset of `go list -json` output the loader reads.
@@ -37,6 +40,7 @@ type listedPkg struct {
 	Export     string
 	ImportMap  map[string]string
 	DepOnly    bool
+	Standard   bool
 	Incomplete bool
 	Error      *struct{ Err string }
 }
@@ -55,6 +59,11 @@ type listedPkg struct {
 // annotations by symbol path, not object pointer, for exactly this
 // reason.
 //
+// Every dependency outside the standard library is also parsed, with
+// comments, and returned with DepOnly set: analysis.Run indexes its
+// directives but does not analyze it, so a run over a subset of the
+// module sees the annotations of everything that subset calls.
+//
 // Test files are never loaded: GoFiles excludes _test.go, which is
 // also how caftvet exempts tests from the determinism analyzers.
 //
@@ -65,7 +74,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	}
 	args := append([]string{
 		"list", "-export", "-deps",
-		"-json=ImportPath,Name,Dir,GoFiles,Export,ImportMap,DepOnly,Incomplete,Error",
+		"-json=ImportPath,Name,Dir,GoFiles,Export,ImportMap,DepOnly,Standard,Incomplete,Error",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -101,7 +110,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 
 	var pkgs []*Package
 	for _, p := range listed {
-		if p.DepOnly {
+		if p.DepOnly && p.Standard {
 			continue
 		}
 		if p.Error != nil {
@@ -110,28 +119,45 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if p.Incomplete {
 			return nil, fmt.Errorf("go list: %s: incomplete package", p.ImportPath)
 		}
-		pkg, err := check(fset, imp, p)
+		pkg, err := parse(fset, p)
 		if err != nil {
 			return nil, err
+		}
+		if !p.DepOnly {
+			if err := check(imp, p.ImportMap, pkg); err != nil {
+				return nil, err
+			}
 		}
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
 }
 
-// check parses and type-checks one listed package from source.
-func check(fset *token.FileSet, imp *moduleImporter, p *listedPkg) (*Package, error) {
-	files := make([]*ast.File, 0, len(p.GoFiles))
-	names := make([]string, 0, len(p.GoFiles))
+// parse reads one listed package's files from source, with comments.
+func parse(fset *token.FileSet, p *listedPkg) (*Package, error) {
+	pkg := &Package{
+		PkgPath: p.ImportPath,
+		Name:    p.Name,
+		Dir:     p.Dir,
+		GoFiles: make([]string, 0, len(p.GoFiles)),
+		Fset:    fset,
+		Syntax:  make([]*ast.File, 0, len(p.GoFiles)),
+		DepOnly: p.DepOnly,
+	}
 	for _, f := range p.GoFiles {
 		name := p.Dir + string(os.PathSeparator) + f
 		file, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, fmt.Errorf("parsing %s: %v", name, err)
 		}
-		files = append(files, file)
-		names = append(names, name)
+		pkg.Syntax = append(pkg.Syntax, file)
+		pkg.GoFiles = append(pkg.GoFiles, name)
 	}
+	return pkg, nil
+}
+
+// check type-checks one parsed package, filling Types and TypesInfo.
+func check(imp *moduleImporter, importMap map[string]string, pkg *Package) error {
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Instances:  make(map[*ast.Ident]types.Instance),
@@ -141,25 +167,17 @@ func check(fset *token.FileSet, imp *moduleImporter, p *listedPkg) (*Package, er
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
-	imp.importMap = p.ImportMap
+	imp.importMap = importMap
 	conf := types.Config{
 		Importer: imp,
 		Sizes:    types.SizesFor("gc", runtime.GOARCH),
 	}
-	tpkg, err := conf.Check(p.ImportPath, fset, files, info)
+	tpkg, err := conf.Check(pkg.PkgPath, pkg.Fset, pkg.Syntax, info)
 	if err != nil {
-		return nil, fmt.Errorf("type-checking %s: %v", p.ImportPath, err)
+		return fmt.Errorf("type-checking %s: %v", pkg.PkgPath, err)
 	}
-	return &Package{
-		PkgPath:   p.ImportPath,
-		Name:      p.Name,
-		Dir:       p.Dir,
-		GoFiles:   names,
-		Fset:      fset,
-		Syntax:    files,
-		Types:     tpkg,
-		TypesInfo: info,
-	}, nil
+	pkg.Types, pkg.TypesInfo = tpkg, info
+	return nil
 }
 
 // moduleImporter resolves every import from compiler export data

@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 	"testing"
 )
 
@@ -74,6 +75,39 @@ func TestLoadModulePackages(t *testing.T) {
 	}
 	if methods == 0 {
 		t.Fatal("no method selections recorded; TypesInfo is not usable")
+	}
+}
+
+// TestLoadDependencyDirectives loads one package and checks that its
+// module dependencies come back parsed with DepOnly set, and that no
+// standard-library package does.
+func TestLoadDependencyDirectives(t *testing.T) {
+	pkgs, err := Load("", "caft/internal/sched")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deps := map[string]*Package{}
+	for _, p := range pkgs {
+		if !strings.HasPrefix(p.PkgPath, "caft/") {
+			t.Errorf("standard-library package %s loaded", p.PkgPath)
+		}
+		if !p.DepOnly {
+			if p.PkgPath != "caft/internal/sched" {
+				t.Errorf("%s loaded as a matched package", p.PkgPath)
+			}
+			continue
+		}
+		if p.Types != nil || p.TypesInfo != nil {
+			t.Errorf("dependency %s was type-checked", p.PkgPath)
+		}
+		deps[p.PkgPath] = p
+	}
+	tl := deps["caft/internal/timeline"]
+	if tl == nil {
+		t.Fatalf("caft/internal/timeline not among the dependencies of sched (got %d packages)", len(pkgs))
+	}
+	if len(tl.Syntax) == 0 || tl.Syntax[0].Comments == nil {
+		t.Fatal("timeline parsed without comments; its directives would be invisible")
 	}
 }
 

@@ -25,10 +25,10 @@
 // per-goroutine bundle into a worker) carries //caft:share-ok
 // <reason> on its line.
 //
-// Confinement is a type-level fact: in vettool mode the set of
-// confined types travels between compilation units in .vetx files, so
-// a package that imports sched and shares a State is caught even
-// though the directive lives in another unit.
+// Confinement is a type-level fact: the loader indexes the confined
+// types of every dependency, so a package that imports sched and
+// shares a State is caught even when caftvet runs on that package
+// alone.
 package confine
 
 import (

@@ -32,9 +32,9 @@
 // Calls to other //caft:zeroalloc functions are the propagation
 // mechanism: sim.Replayer.run may call sched.State.PlaceReplica
 // because PlaceReplica carries its own annotation and is checked in
-// its own package — and the annotation travels between compilation
-// units as a .vetx fact, so the chain holds across packages in both
-// caftvet modes.
+// its own package — and the loader indexes the annotations of every
+// dependency, so the chain holds across packages even when caftvet
+// runs on one package at a time.
 //
 // A deliberate allocation — an error constructed on a rejection path,
 // a lazily built overlay that is reused ever after — carries

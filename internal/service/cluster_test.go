@@ -169,27 +169,68 @@ func TestClusterForwardFallbackWhenPeerDown(t *testing.T) {
 	}
 	deadAddr := ln.Addr().String()
 	ln.Close() // nobody home
+	checkLocalFallback(t, deadAddr)
+}
 
+// A peer that answers but fails — a 5xx, or a connection that closes
+// before the promised body is complete — counts as unreachable: the
+// client gets the golden bytes served locally, never a relayed error
+// or a truncated 200.
+func TestClusterForwardFallbackWhenPeerFails(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		serve http.HandlerFunc
+	}{
+		{"status 500", func(w http.ResponseWriter, r *http.Request) {
+			http.Error(w, "owner failed", http.StatusInternalServerError)
+		}},
+		{"truncated body", func(w http.ResponseWriter, r *http.Request) {
+			conn, _, err := w.(http.Hijacker).Hijack()
+			if err != nil {
+				return
+			}
+			conn.Write([]byte("HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 4096\r\n\r\n{\"latency\":"))
+			conn.Close()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := &http.Server{Handler: tc.serve}
+			go srv.Serve(ln)
+			t.Cleanup(func() { srv.Close() })
+			checkLocalFallback(t, ln.Addr().String())
+		})
+	}
+}
+
+// checkLocalFallback boots one node whose only other member is
+// peerAddr, sends it a request peerAddr owns, and requires the
+// single-node golden bytes served locally after one failed forward.
+func checkLocalFallback(t *testing.T, peerAddr string) {
+	t.Helper()
 	liveLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	liveAddr := liveLn.Addr().String()
-	svc := mustNew(t, Config{Workers: 2, Self: liveAddr, Peers: []string{liveAddr, deadAddr}, PeerTimeout: 2 * time.Second})
+	svc := mustNew(t, Config{Workers: 2, Self: liveAddr, Peers: []string{liveAddr, peerAddr}, PeerTimeout: 2 * time.Second})
 	srv := &http.Server{Handler: NewHandler(svc)}
 	go srv.Serve(liveLn)
 	t.Cleanup(func() { srv.Close(); svc.Close() })
 
-	// Find a request owned by the dead node.
+	// Find a request owned by the peer.
 	var req *Request
 	for _, r := range distinctReqs(32) {
-		if svc.ring.owner(r.hash()) == deadAddr {
+		if svc.ring.owner(r.hash()) == peerAddr {
 			req = r
 			break
 		}
 	}
 	if req == nil {
-		t.Fatal("no key owned by the dead node in 32 tries")
+		t.Fatal("no key owned by the peer in 32 tries")
 	}
 	status, body := postJSON(t, liveAddr, marshalReq(t, req), nil)
 	if status != http.StatusOK {

@@ -40,10 +40,13 @@ func newPeerClient(timeout time.Duration) *peerClient {
 }
 
 // forward re-posts body (the client's verbatim request bytes) to the
-// owner and relays status, Retry-After and body back to w. It reports
-// false — with nothing written to w — when the peer could not be
-// reached, so the caller can fall back to serving locally; determinism
-// makes the fallback byte-identical, just a colder cache.
+// owner and relays status, Retry-After and body back to w. The owner's
+// whole body is read before anything is written, so a hop that fails
+// midway never reaches the client as a truncated response. forward
+// reports false — with nothing written to w — when the peer is
+// unreachable, fails mid-body or answers 5xx, so the caller can fall
+// back to serving locally; determinism makes the fallback
+// byte-identical, just a colder cache. 2xx and 4xx answers are relayed.
 func (p *peerClient) forward(w http.ResponseWriter, owner string, body []byte) bool {
 	req, err := http.NewRequest(http.MethodPost, "http://"+owner+"/schedule", bytes.NewReader(body))
 	if err != nil {
@@ -56,12 +59,19 @@ func (p *peerClient) forward(w http.ResponseWriter, owner string, body []byte) b
 		return false
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode >= 500 {
+		return false
+	}
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return false
+	}
 	w.Header().Set("Content-Type", "application/json")
 	if ra := resp.Header.Get("Retry-After"); ra != "" {
 		w.Header().Set("Retry-After", ra)
 	}
 	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, resp.Body)
+	w.Write(out)
 	return true
 }
 

@@ -57,8 +57,9 @@ type StatsSnapshot struct {
 	// with ErrOverloaded / HTTP 429.
 	Shed int64 `json:"shed"`
 	// Forwards counts /schedule requests this node routed to their
-	// owning peer; ForwardErrors the subset whose peer was unreachable
-	// and which were served locally instead.
+	// owning peer; ForwardErrors the subset served locally instead,
+	// because the peer was unreachable, failed before its whole body
+	// arrived, or answered with a 5xx status.
 	Forwards      int64 `json:"forwards"`
 	ForwardErrors int64 `json:"forwardErrors"`
 	// Failures counts requests whose compute errored; BadRequests those
