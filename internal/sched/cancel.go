@@ -141,7 +141,8 @@ func (st *State) removeReservation(id int, start, dur float64, owner int32) erro
 }
 
 // NumTimelines returns the number of resource timelines: m compute, m
-// send ports, m receive ports, then one per directed link.
+// send ports, m receive ports, then one per shared link (3m on the
+// clique; see State).
 func (st *State) NumTimelines() int { return len(st.tls) }
 
 // Timeline returns resource timeline i for inspection (validation

@@ -10,12 +10,14 @@ import (
 
 // State is the mutable resource state a scheduler builds a schedule in:
 // per-processor compute, send-port and receive-port timelines plus one
-// timeline per directed network link. Schedulers simulate candidate
+// timeline per shared network link. Schedulers simulate candidate
 // placements with ProbeReplica and commit the best one with
 // PlaceReplica.
 //
 // Timelines are stored in one flat slice: [0,m) compute, [m,2m) send
-// ports, [2m,3m) receive ports, [3m,3m+L) links.
+// ports, [2m,3m) receive ports, [3m,3m+S) the S shared links. Every
+// other link, each clique link among them, is port-implied and gets no
+// timeline (see sharedLinks and DESIGN.md S1).
 //
 // Probes are transactional: ProbeReplica (and the multi-step Speculate)
 // run the real placement code on the real state while a journal records
@@ -23,7 +25,7 @@ import (
 // number, and the journal is rolled back before returning — no state is
 // cloned. Under the Append policy single-shot probes take an even
 // cheaper special case: a timeline's whole state under Append is its
-// ready time, so the probe runs on a flat overlay of 3m+L ready times.
+// ready time, so the probe runs on a flat overlay of 3m+S ready times.
 // Tests check every probe against PlaceReplica on a deep Clone.
 //
 //caft:confined
@@ -35,6 +37,10 @@ type State struct {
 	Reps  [][]Replica
 	Comms []Comm
 	seq   int32
+
+	// linkTL maps a network link to its timeline, or to -1 when the
+	// link is port-implied; nil when every link is.
+	linkTL []int
 
 	// Append-policy probe overlay: earliest/reserve consult ready[id]
 	// instead of the (shared, untouched) timelines, and placements are
@@ -64,6 +70,7 @@ type State struct {
 	arrival      []float64
 	pending      []pendingComm
 	commIDs      []int
+	slotCur      []timeline.Cursor
 
 	// Bounded-probe scratch (see Candidates): the lazily built OFT
 	// table ranking processors per task, the candidate id/score pair
@@ -109,13 +116,66 @@ type probeMark struct {
 func NewState(p *Problem) *State {
 	m := p.Plat.M
 	net := p.Network()
+	linkTL, shared := sharedLinks(net, m)
 	return &State{
-		P:    p,
-		net:  net,
-		m:    m,
-		tls:  make([]timeline.Timeline, 3*m+net.NumLinks()),
-		Reps: make([][]Replica, p.G.NumTasks()),
+		P:      p,
+		net:    net,
+		m:      m,
+		tls:    make([]timeline.Timeline, 3*m+shared),
+		linkTL: linkTL,
+		Reps:   make([][]Replica, p.G.NumTasks()),
 	}
+}
+
+// sharedLinks derives from net's routes which links need a timeline.
+// A link whose transfers all leave one sender holds a subset of that
+// sender's send-port reservations, and one whose transfers all reach
+// one receiver a subset of that receiver's receive-port reservations.
+// A slot free on the port is then free on the link, under either
+// policy, so the link can never move a common slot. Only a link with
+// several senders and several receivers is shared: it gets timeline
+// 3m+k, k counting shared links in ID order, and every other link maps
+// to -1. The map is nil when no link is shared. That holds on the
+// clique, whose link src->dst carries only src->dst transfers (so its
+// m² routes need no walk), and on a topology made of single-processor
+// access links.
+func sharedLinks(net Network, m int) (linkTL []int, shared int) {
+	if _, ok := net.(Clique); ok {
+		return nil, 0
+	}
+	const none, several = -1, -2
+	n := net.NumLinks()
+	from, to := make([]int, n), make([]int, n)
+	for l := range from {
+		from[l], to[l] = none, none
+	}
+	note := func(who *int, p int) {
+		if *who == none {
+			*who = p
+		} else if *who != p {
+			*who = several
+		}
+	}
+	for src := 0; src < m; src++ {
+		for dst := 0; dst < m; dst++ {
+			for _, l := range net.Route(src, dst) {
+				note(&from[l], src)
+				note(&to[l], dst)
+			}
+		}
+	}
+	linkTL = make([]int, n)
+	for l := range linkTL {
+		linkTL[l] = none
+		if from[l] == several && to[l] == several {
+			linkTL[l] = 3*m + shared
+			shared++
+		}
+	}
+	if shared == 0 {
+		return nil, 0
+	}
+	return linkTL, shared
 }
 
 //caft:zeroalloc
@@ -127,13 +187,10 @@ func (st *State) sendID(proc int) int { return st.m + proc }
 //caft:zeroalloc
 func (st *State) recvID(proc int) int { return 2*st.m + proc }
 
-//caft:zeroalloc
-func (st *State) linkID(l int) int { return 3*st.m + l }
-
 // Clone deep-copies the state. Scratch buffers and the speculation
 // journal are not carried over: the clone starts with a clean journal.
 func (st *State) Clone() *State {
-	c := &State{P: st.P, net: st.net, m: st.m, seq: st.seq, floor: st.floor}
+	c := &State{P: st.P, net: st.net, m: st.m, linkTL: st.linkTL, seq: st.seq, floor: st.floor}
 	c.tls = make([]timeline.Timeline, len(st.tls))
 	for i := range st.tls {
 		c.tls[i] = *st.tls[i].Clone()
@@ -157,7 +214,7 @@ func (st *State) overlayForProbe() *State {
 		ps = &State{overlay: true, ready: make([]float64, len(st.tls))} //caft:alloc-ok probe overlay built once per State and reused across probes
 		st.probeScratch = ps
 	}
-	ps.P, ps.net, ps.m, ps.tls, ps.Reps, ps.seq = st.P, st.net, st.m, st.tls, st.Reps, st.seq
+	ps.P, ps.net, ps.m, ps.tls, ps.linkTL, ps.Reps, ps.seq = st.P, st.net, st.m, st.tls, st.linkTL, st.Reps, st.seq
 	ps.floor = st.floor
 	if st.overlay {
 		copy(ps.ready, st.ready)
@@ -235,6 +292,15 @@ func (st *State) Speculate(fn func() error) error {
 //
 //caft:zeroalloc
 func (st *State) earliest(id int, ready, dur float64) float64 {
+	var cur timeline.Cursor
+	return st.slot(id, ready, dur, &cur)
+}
+
+// slot is earliest resuming timeline id's gap scan at cur (see
+// timeline.Cursor).
+//
+//caft:zeroalloc
+func (st *State) slot(id int, ready, dur float64, cur *timeline.Cursor) float64 {
 	if ready < st.floor {
 		ready = st.floor
 	}
@@ -244,7 +310,7 @@ func (st *State) earliest(id int, ready, dur float64) float64 {
 		}
 		return ready
 	}
-	return st.tls[id].EarliestSlot(ready, dur, st.P.Policy)
+	return st.tls[id].EarliestSlotFrom(ready, dur, st.P.Policy, cur)
 }
 
 // reserve books [start, start+dur) on timeline id, journaling the
@@ -421,35 +487,49 @@ func (st *State) FullSources(t dag.TaskID) []SourceSet {
 
 // commonSlot finds the earliest start >= ready at which an interval of
 // length dur fits simultaneously in all the given timelines, under the
-// state's reservation policy. The fixpoint loop terminates because each
-// round either leaves the candidate unchanged (success) or strictly
-// increases it past a busy interval.
+// state's reservation policy. It asks the timelines in turn for their
+// earliest slot from the candidate until all of them in a row leave it
+// unchanged. Each answer is the least feasible start on its timeline,
+// so the candidate never passes the least common one, and each change
+// moves it past a busy interval, so the loop terminates. The candidate
+// only grows, so each timeline resumes its gap scan at its own cursor.
 //
 //caft:zeroalloc
 func (st *State) commonSlot(ready, dur float64, ids []int) float64 {
-	s := ready
-	for {
-		next := s
-		for _, id := range ids {
-			next = st.earliest(id, next, dur)
-		}
-		if next == s {
-			return s
-		}
-		s = next
+	cur := st.slotCur[:0]
+	for range ids {
+		cur = append(cur, 0)
 	}
+	st.slotCur = cur
+	s, agree := ready, 0
+	for k := 0; agree < len(ids); k = (k + 1) % len(ids) {
+		if next := st.slot(ids[k], s, dur, &cur[k]); next != s {
+			s, agree = next, 1
+		} else {
+			agree++
+		}
+	}
+	return s
 }
 
-// commResources returns the timeline IDs a transfer src->dst occupies.
+// commResources returns the timeline IDs a transfer src->dst occupies:
+// the send port, the receive port and the shared links of its route.
 // The returned slice is scratch reused by the next call.
 //
 //caft:scratch
 //caft:zeroalloc
 func (st *State) commResources(src, dst int) []int {
 	ids := append(st.commIDs[:0], st.sendID(src), st.recvID(dst))
-	ids = AppendRoute(ids, st.net, src, dst)
-	for i := 2; i < len(ids); i++ {
-		ids[i] = st.linkID(ids[i])
+	if st.linkTL != nil {
+		ids = AppendRoute(ids, st.net, src, dst)
+		k := 2
+		for _, l := range ids[2:] {
+			if id := st.linkTL[l]; id >= 0 {
+				ids[k] = id
+				k++
+			}
+		}
+		ids = ids[:k]
 	}
 	st.commIDs = ids
 	return ids

@@ -118,9 +118,11 @@ func checkProbes(t *testing.T, label string, st *State, tid dag.TaskID, copy int
 // cancelAfter turns a grown state into the one the online rescheduler
 // probes after processor victim crashes at tau: every replica on victim
 // starting at or after tau and every transfer touching victim starting
-// at or after tau is cancelled, then the floor is raised to tau.
-func cancelAfter(t *testing.T, st *State, victim int, tau float64) {
+// at or after tau is cancelled, then the floor is raised to tau. It
+// returns the Seq of every cancelled transfer.
+func cancelAfter(t *testing.T, st *State, victim int, tau float64) map[int32]bool {
 	t.Helper()
+	dead := map[int32]bool{}
 	for task := range st.Reps {
 		for _, r := range append([]Replica(nil), st.Reps[task]...) {
 			if r.Proc == victim && r.Start >= tau {
@@ -135,9 +137,11 @@ func cancelAfter(t *testing.T, st *State, victim int, tau float64) {
 			if err := st.CancelComm(c); err != nil {
 				t.Fatal(err)
 			}
+			dead[c.Seq] = true
 		}
 	}
 	st.SetFloor(tau)
+	return dead
 }
 
 // Property: under both policies, a speculative probe returns exactly

@@ -3,12 +3,15 @@ package service
 import "sync"
 
 // entry is one content-addressed cache slot. done is closed when the
-// compute finishes; resp and err are written exactly once before that
-// and immutable afterwards, so any number of readers may share them.
+// compute finishes or the entry is abandoned; resp, err and ran are
+// written exactly once before that and immutable afterwards, so any
+// number of readers may share them. ran tells a compute's error from an
+// abandoned entry's.
 type entry struct {
 	done chan struct{}
 	resp []byte
 	err  error
+	ran  bool
 }
 
 // cache maps canonical request hashes to entries. It doubles as the

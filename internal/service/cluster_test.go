@@ -308,6 +308,58 @@ func TestAdmissionShedsOverload(t *testing.T) {
 	}
 }
 
+// Every ErrOverloaded return counts in Shed, also for requests that
+// collapse onto an entry the gate then sheds: they are neither hits nor
+// failures. The test fills the gate and creates the entry itself, so
+// the concurrent identical requests find it in flight; then it runs the
+// creator's fill, which sheds the entry and fails its waiters. A request
+// that arrives after the shed creates its own entry and is shed the same
+// way, so the counts must agree whatever the interleaving.
+func TestShedCountsCollapsedRequests(t *testing.T) {
+	svc := mustNew(t, Config{Workers: 1, MCWorkers: 1, AdmitMax: 1})
+	defer svc.Close()
+	if !svc.admit.acquire() {
+		t.Fatal("fresh admission gate is full")
+	}
+	defer svc.admit.release()
+	req := quickReq()
+	if err := req.validate(); err != nil {
+		t.Fatal(err)
+	}
+	key := req.hash()
+	e, created := svc.cache.lookup(key)
+	if !created {
+		t.Fatal("fresh cache already holds the key")
+	}
+	const n = 8
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func() {
+			_, err := svc.Do(context.Background(), quickReq())
+			errs <- err
+		}()
+	}
+	waitBusy(t, svc, n)
+	time.Sleep(20 * time.Millisecond) // let the requests reach the entry
+	overloaded := 0
+	if err := svc.fill(context.Background(), key, e, req); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("fill against a full gate returned %v, want ErrOverloaded", err)
+	}
+	overloaded++
+	for i := 0; i < n; i++ {
+		if err := <-errs; errors.Is(err, ErrOverloaded) {
+			overloaded++
+		} else {
+			t.Errorf("request returned %v, want ErrOverloaded", err)
+		}
+	}
+	st := svc.Stats()
+	if st.Shed != int64(overloaded) || st.Hits != 0 || st.Failures != 0 {
+		t.Errorf("%d ErrOverloaded returns, stats shed %d hits %d failures %d; want shed %d, no hits, no failures",
+			overloaded, st.Shed, st.Hits, st.Failures, overloaded)
+	}
+}
+
 // ...and at the HTTP layer as 429 with Retry-After. Hits are never
 // shed: the overloaded node still answers cached keys.
 func TestAdmissionHTTP429(t *testing.T) {

@@ -169,8 +169,6 @@ func (s *Service) Do(ctx context.Context, req *Request) ([]byte, error) {
 		if err := s.fill(ctx, key, e, req); err != nil { //caft:alloc-ok miss path, off the pinned hit path
 			return nil, err
 		}
-	} else {
-		s.st.hits.Add(1)
 	}
 	select {
 	case <-e.done:
@@ -179,8 +177,17 @@ func (s *Service) Do(ctx context.Context, req *Request) ([]byte, error) {
 	}
 	s.st.record(time.Since(start)) //caft:nondet-ok latency metric only; never enters a response body
 	if e.err != nil {
-		s.st.failures.Add(1)
+		// A request collapsed onto an entry the gate shed is shed too.
+		switch {
+		case errors.Is(e.err, ErrOverloaded):
+			s.st.shed.Add(1)
+		case e.ran:
+			s.st.failures.Add(1)
+		}
 		return nil, e.err
+	}
+	if !created {
+		s.st.hits.Add(1)
 	}
 	return e.resp, nil
 }
@@ -247,6 +254,7 @@ func (s *Service) worker() {
 		select {
 		case j := <-s.jobs:
 			j.e.resp, j.e.err = s.compute(sc, j.req)
+			j.e.ran = true
 			// The compute is over: free its admission slot before
 			// waking waiters, so a caller whose Do just returned is not
 			// shed by a slot its own finished compute still holds.

@@ -42,9 +42,9 @@ func (st *stats) record(d time.Duration) {
 // StatsSnapshot is the /statsz wire format.
 type StatsSnapshot struct {
 	// Hits counts requests answered from the cache, including those
-	// collapsed onto an in-flight identical request; Misses counts the
-	// requests that triggered a compute. Misses is therefore the number
-	// of scheduling runs performed.
+	// collapsed onto an in-flight identical request that succeeded;
+	// Misses counts the requests that triggered a compute. Misses is
+	// therefore the number of scheduling runs performed.
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
 	// HitRate is Hits over Hits+Misses (0 before any request).
@@ -53,8 +53,10 @@ type StatsSnapshot struct {
 	// disk tier — keys absent from memory (restart, eviction) whose
 	// bytes were read back instead of recomputed.
 	DiskHits int64 `json:"diskHits"`
-	// Shed counts computes rejected by the admission gate (AdmitMax)
-	// with ErrOverloaded / HTTP 429.
+	// Shed counts the requests answered with ErrOverloaded / HTTP 429:
+	// those whose compute the admission gate (AdmitMax) rejected, and
+	// those collapsed onto such a request. It equals the number of
+	// ErrOverloaded returns.
 	Shed int64 `json:"shed"`
 	// Forwards counts /schedule requests this node routed to their
 	// owning peer; ForwardErrors the subset served locally instead,
@@ -62,8 +64,11 @@ type StatsSnapshot struct {
 	// arrived, or answered with a 5xx status.
 	Forwards      int64 `json:"forwards"`
 	ForwardErrors int64 `json:"forwardErrors"`
-	// Failures counts requests whose compute errored; BadRequests those
-	// rejected by validation before hashing.
+	// Failures counts requests answered with the error of a compute
+	// that ran, collapsed requests included; an entry abandoned before
+	// it reached the pool (shed, canceled, closing) is no failure.
+	// BadRequests counts requests rejected by validation before
+	// hashing.
 	Failures    int64 `json:"failures"`
 	BadRequests int64 `json:"badRequests"`
 	// InFlight is the number of requests currently being served

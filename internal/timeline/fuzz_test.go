@@ -2,6 +2,7 @@ package timeline
 
 import (
 	"encoding/binary"
+	"sort"
 	"testing"
 )
 
@@ -21,22 +22,32 @@ func rebuild(t *testing.T, tl *Timeline) *Timeline {
 
 // crossCheck compares the live timeline against a rebuilt one: the
 // ready time and the answers of EarliestSlot under both policies must
-// agree at a spread of probe points. Divergence means the incremental
-// gap-index maintenance of Add/Remove/UndoAdd drifted from the
-// interval list.
+// agree at a spread of probe points, interval ends included. Divergence
+// means the incremental gap-index maintenance of Add/Remove/UndoAdd
+// drifted from the interval list. The probe points ascend, and for
+// each duration one cursor is carried from point to point: the resumed
+// scan must give the cold answer too.
 func crossCheck(t *testing.T, tl *Timeline) {
 	t.Helper()
 	fresh := rebuild(t, tl)
 	if tl.Ready() != fresh.Ready() {
 		t.Fatalf("ready %v, rebuilt %v", tl.Ready(), fresh.Ready())
 	}
-	for _, ready := range []float64{0, 1, 7.5, 33, 100, 250} {
-		for _, dur := range []float64{0, 1, 5, 31} {
-			for _, pol := range []Policy{Append, Insertion} {
+	readies := []float64{0, 1, 7.5, 33, 100, 250}
+	for _, iv := range tl.Intervals() {
+		readies = append(readies, iv.Start, iv.End)
+	}
+	sort.Float64s(readies)
+	for _, dur := range []float64{0, 1, 5, 31} {
+		for _, pol := range []Policy{Append, Insertion} {
+			var cur Cursor
+			for _, ready := range readies {
 				got := tl.EarliestSlot(ready, dur, pol)
-				want := fresh.EarliestSlot(ready, dur, pol)
-				if got != want {
+				if want := fresh.EarliestSlot(ready, dur, pol); got != want {
 					t.Fatalf("EarliestSlot(%v, %v, %v) = %v, rebuilt timeline says %v", ready, dur, pol, got, want)
+				}
+				if resumed := tl.EarliestSlotFrom(ready, dur, pol, &cur); resumed != got {
+					t.Fatalf("EarliestSlotFrom(%v, %v, %v) resumed at gap cursor %d = %v, cold call says %v", ready, dur, pol, cur, resumed, got)
 				}
 			}
 		}
@@ -48,7 +59,8 @@ func crossCheck(t *testing.T, tl *Timeline) {
 // interval set never becomes inconsistent, that found slots are
 // honored, and — the Remove-heavy cross-check — that the incrementally
 // maintained gap index always answers exactly like a timeline rebuilt
-// from scratch from the surviving intervals.
+// from scratch from the surviving intervals, cold or resumed from a
+// cursor (crossCheck, after every operation).
 func FuzzTimelineOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
 	f.Add([]byte{255, 0, 128, 7, 7, 7})
@@ -108,11 +120,12 @@ func FuzzTimelineOps(f *testing.F) {
 				journal = journal[:len(journal)-1]
 				tl.UndoAdd(u.start, u.owner, u.prevMax)
 			case 4:
-				crossCheck(t, &tl)
+				// No mutation: only the checks below run.
 			}
 			if err := tl.Validate(); err != nil {
 				t.Fatal(err)
 			}
+			crossCheck(t, &tl)
 		}
 		crossCheck(t, &tl)
 	})

@@ -18,7 +18,9 @@
 // sorted list of maximal free intervals between positive-length
 // reservations. EarliestSlot under the Insertion policy binary-searches
 // that index instead of scanning the full interval list, and the index
-// is kept incrementally up to date by Add, Remove and UndoAdd.
+// is kept incrementally up to date by Add, Remove and UndoAdd. A Cursor
+// lets a caller that asks one timeline again with a larger ready time
+// resume the scan where the previous call stopped.
 //
 // UndoAdd is the rollback half of a journaled reservation: callers that
 // probe speculatively record (start, owner, previous ready time) for
@@ -111,11 +113,39 @@ func (tl *Timeline) Ready() float64 {
 }
 
 // EarliestSlot returns the earliest start >= ready at which a
-// reservation of length dur fits under the given policy. dur may be
-// zero, in which case ready is feasible anywhere.
+// reservation of length dur fits under the given policy: the cold,
+// cursor-less call of EarliestSlotFrom.
+//
+// Under Append the answer is max(ready, Ready()), whatever dur. Under
+// Insertion it is the earliest s >= ready that lies in a free gap
+// between positive-length reservations with s+dur still inside it, or
+// else max(ready, end of the last positive reservation). Zero-length
+// reservations are ignored. Gaps are half-open, so even with zero dur
+// a ready time inside a busy interval, or at its start, moves to the
+// next gap or to the tail.
 //
 //caft:zeroalloc
 func (tl *Timeline) EarliestSlot(ready, dur float64, pol Policy) float64 {
+	var cur Cursor
+	return tl.EarliestSlotFrom(ready, dur, pol, &cur)
+}
+
+// Cursor carries an Insertion gap scan from one EarliestSlotFrom call
+// to the next. The zero Cursor is cold: the call binary-searches the
+// gap index. After a call it names the gap the scan stopped at, and a
+// later call on the unchanged timeline with the same dur and a ready
+// time no smaller resumes there: every gap before it either ended by
+// the earlier ready time or was too short from it, and a larger ready
+// time only makes it shorter.
+type Cursor int
+
+// EarliestSlotFrom is EarliestSlot resuming the Insertion scan at cur,
+// which it advances to where the scan stopped. Append ignores cur.
+// State.commonSlot's fixpoint carries one cursor per timeline, so only
+// its first round binary-searches.
+//
+//caft:zeroalloc
+func (tl *Timeline) EarliestSlotFrom(ready, dur float64, pol Policy, cur *Cursor) float64 {
 	if dur < 0 {
 		panic("timeline: negative duration")
 	}
@@ -125,21 +155,28 @@ func (tl *Timeline) EarliestSlot(ready, dur float64, pol Policy) float64 {
 		}
 		return ready
 	}
-	// Insertion: gap ends are strictly increasing, so binary-search the
-	// first gap that ends after ready and scan from there. Zero-length
-	// reservations are ordering markers, occupy no time and are absent
-	// from the index, so they neither close gaps nor push the candidate
-	// start.
-	i := sort.Search(len(tl.gaps), func(i int) bool { return tl.gaps[i].end > ready })
-	for ; i < len(tl.gaps); i++ {
-		s := tl.gaps[i].start
+	// Insertion: gap ends are strictly increasing, so a cold scan
+	// binary-searches the first gap that ends after ready and scans
+	// from there. Zero-length reservations are ordering markers, occupy
+	// no time and are absent from the index, so they neither close gaps
+	// nor push the candidate start. A resumed scan may pass gaps that
+	// end by ready; s < end rejects them as the binary search would.
+	gaps := tl.gaps
+	i := int(*cur) - 1
+	if i < 0 {
+		i = sort.Search(len(gaps), func(i int) bool { return gaps[i].end > ready })
+	}
+	for ; i < len(gaps); i++ {
+		s, end := gaps[i].start, gaps[i].end
 		if ready > s {
 			s = ready
 		}
-		if s+dur <= tl.gaps[i].end {
+		if s < end && s+dur <= end {
+			*cur = Cursor(i + 1)
 			return s
 		}
 	}
+	*cur = Cursor(len(gaps) + 1)
 	if ready > tl.posEnd {
 		return ready
 	}
