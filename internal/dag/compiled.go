@@ -31,8 +31,7 @@ type Compiled struct {
 	predFrom []int32
 	predVol  []float64
 
-	topo    []int32 // DAG.TopoOrder as dense int32s
-	topoIdx []int32 // inverse permutation: topoIdx[t] = position of t in topo
+	topo []int32 // DAG.TopoOrder as dense int32s
 }
 
 // Compile returns the frozen CSR view of the graph, building it on
@@ -57,11 +56,9 @@ func (g *DAG) Compile() (*Compiled, error) {
 		predFrom: make([]int32, g.edges),
 		predVol:  make([]float64, g.edges),
 		topo:     make([]int32, n),
-		topoIdx:  make([]int32, n),
 	}
 	for i, t := range order {
 		c.topo[i] = int32(t)
-		c.topoIdx[t] = int32(i)
 	}
 	var sk, pk int32
 	for t := 0; t < n; t++ {
@@ -100,12 +97,6 @@ func (c *Compiled) NumEdges() int { return c.edges }
 //
 //caft:zeroalloc
 func (c *Compiled) Topo() []int32 { return c.topo }
-
-// TopoIndex returns the inverse topological permutation: TopoIndex()[t]
-// is the position of task t in Topo(). Frozen; must not be modified.
-//
-//caft:zeroalloc
-func (c *Compiled) TopoIndex() []int32 { return c.topoIdx }
 
 // Succ returns the successor row of t: parallel slices of successor
 // task IDs and edge volumes, in the same order as DAG.Succ. Frozen;

@@ -21,9 +21,6 @@ func TestCompiledMatchesDAG(t *testing.T) {
 		if TaskID(topo[i]) != tid {
 			t.Fatalf("topo[%d] = %d, want %d", i, topo[i], tid)
 		}
-		if int(c.TopoIndex()[tid]) != i {
-			t.Fatalf("topoIdx[%d] = %d, want %d", tid, c.TopoIndex()[tid], i)
-		}
 	}
 	for task := 0; task < g.NumTasks(); task++ {
 		tid := TaskID(task)

@@ -397,3 +397,30 @@ func TestOnlineEventAllocPin(t *testing.T) {
 		t.Fatalf("steady-state crash replay allocates %.1f/op, want 0", allocs)
 	}
 }
+
+// oneshotEngineAllocs bounds a fresh NewEngine on the
+// TestNewEngineAllocPin schedule: the maximum over 25 runs of the
+// logged measurement (go test -count=25 -v -run TestNewEngineAllocPin)
+// when the pin was set.
+const oneshotEngineAllocs = 1253
+
+// TestNewEngineAllocPin pins the one-shot cost of building an engine
+// (wiring, rebuilt scheduler state and per-op tables) on a CAFT ε=1
+// schedule of 100 tasks on 10 processors.
+func TestNewEngineAllocPin(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	p := randomProblem(rng, 100, 10, timeline.Append)
+	s, err := core.Schedule(p, 1, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err = NewEngine(s); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("one-shot NewEngine allocates %.0f/op", allocs)
+	if allocs > oneshotEngineAllocs {
+		t.Errorf("one-shot NewEngine allocates %.0f/op, want <= %d", allocs, oneshotEngineAllocs)
+	}
+}

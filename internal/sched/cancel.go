@@ -27,7 +27,7 @@ func StateOf(s *Schedule) (*State, error) {
 	for t := range s.Reps {
 		st.Reps[t] = append([]Replica(nil), s.Reps[t]...)
 		for _, r := range s.Reps[t] {
-			if err := st.tls[st.computeID(r.Proc)].Add(r.Start, r.Finish-r.Start, r.Seq); err != nil {
+			if err := st.tls[st.lay.Compute(r.Proc)].Add(r.Start, r.Finish-r.Start, r.Seq); err != nil {
 				return nil, fmt.Errorf("sched: rebuild replica (%d,%d): %w", t, r.Copy, err)
 			}
 			if r.Seq > maxSeq {
@@ -39,9 +39,6 @@ func StateOf(s *Schedule) (*State, error) {
 	for i, c := range s.Comms {
 		if c.Seq > maxSeq {
 			maxSeq = c.Seq
-		}
-		if c.Intra || s.P.Model == MacroDataflow {
-			continue
 		}
 		for _, id := range st.commResources(c.SrcProc, c.DstProc) {
 			if err := st.tls[id].Add(c.Start, c.Dur, c.Seq); err != nil {
@@ -93,7 +90,7 @@ func (st *State) CancelReplica(rep Replica) error {
 		return fmt.Errorf("sched: cancel of unknown replica (%d,%d) on P%d", rep.Task, rep.Copy, rep.Proc) //caft:alloc-ok rejection path; the accept path allocates nothing
 	}
 	rec := reps[idx]
-	if err := st.removeReservation(st.computeID(rec.Proc), rec.Start, rec.Finish-rec.Start, rec.Seq); err != nil {
+	if err := st.removeReservation(st.lay.Compute(rec.Proc), rec.Start, rec.Finish-rec.Start, rec.Seq); err != nil {
 		return fmt.Errorf("sched: cancel replica (%d,%d): %w", rep.Task, rep.Copy, err) //caft:alloc-ok rejection path; the accept path allocates nothing
 	}
 	if st.spec > 0 {
@@ -103,20 +100,17 @@ func (st *State) CancelReplica(rep Replica) error {
 	return nil
 }
 
-// CancelComm removes a communication's send-port, receive-port and link
-// reservations. The communication record itself stays in Comms — the
-// record log is append-only (rollback truncates it), and a dead
-// transfer's record is harmless to later placements, which consult only
-// the timelines. Intra and macro-dataflow communications hold no
-// reservations and cancel to a no-op.
+// CancelComm removes a communication's send-port, receive-port and
+// shared-link reservations. The communication record itself stays in
+// Comms — the record log is append-only (rollback truncates it), and a
+// dead transfer's record is harmless to later placements, which consult
+// only the timelines. Intra and macro-dataflow communications hold no
+// resources (see Layout.AppendComm) and cancel to a no-op.
 //
 //caft:zeroalloc
 func (st *State) CancelComm(c Comm) error {
 	if st.overlay {
 		panic("sched: CancelComm on a probe overlay")
-	}
-	if c.Intra || st.P.Model == MacroDataflow {
-		return nil
 	}
 	for _, id := range st.commResources(c.SrcProc, c.DstProc) {
 		if err := st.removeReservation(id, c.Start, c.Dur, c.Seq); err != nil {
@@ -130,7 +124,7 @@ func (st *State) CancelComm(c Comm) error {
 // rollback when a speculation scope is open.
 //
 //caft:zeroalloc
-func (st *State) removeReservation(id int, start, dur float64, owner int32) error {
+func (st *State) removeReservation(id int32, start, dur float64, owner int32) error {
 	if !st.tls[id].Remove(start, owner) {
 		return fmt.Errorf("no reservation at %v owned by %d on timeline %d", start, owner, id) //caft:alloc-ok rejection path; the accept path allocates nothing
 	}

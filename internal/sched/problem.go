@@ -54,8 +54,8 @@ func (m Model) String() string {
 // sparse interconnects with routing tables (the paper's Section 7
 // extension).
 type Network interface {
-	// NumLinks returns the number of directed links, used to size the
-	// link timelines.
+	// NumLinks returns the number of directed links; link IDs are
+	// [0, NumLinks).
 	NumLinks() int
 	// Route returns the directed link IDs crossed by a message from src
 	// to dst, in order. It must return nil when src == dst.

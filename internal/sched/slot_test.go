@@ -137,7 +137,7 @@ func TestCommSlotsMatchReference(t *testing.T) {
 									continue
 								}
 								start, _ := st.ProbeComm(src.Proc, dst, src.Finish, set.Volume)
-								want := refCommSlot(t, st, st.Comms, dead, src.Proc, dst, src.Finish, st.net.Dur(src.Proc, dst, set.Volume))
+								want := refCommSlot(t, st, st.Comms, dead, src.Proc, dst, src.Finish, st.lay.Network().Dur(src.Proc, dst, set.Volume))
 								if start != want {
 									t.Fatalf("%s: ProbeComm P%d->P%d of task %d's input = %v, reference %v", label, src.Proc, dst, task, start, want)
 								}

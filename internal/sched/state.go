@@ -14,10 +14,10 @@ import (
 // placements with ProbeReplica and commit the best one with
 // PlaceReplica.
 //
-// Timelines are stored in one flat slice: [0,m) compute, [m,2m) send
-// ports, [2m,3m) receive ports, [3m,3m+S) the S shared links. Every
-// other link, each clique link among them, is port-implied and gets no
-// timeline (see sharedLinks and DESIGN.md S1).
+// Timelines are stored in one flat slice indexed by the problem's
+// Layout: [0,m) compute, [m,2m) send ports, [2m,3m) receive ports,
+// [3m,3m+S) the S shared links. Every other link, each clique link
+// among them, is port-implied and gets no timeline.
 //
 // Probes are transactional: ProbeReplica (and the multi-step Speculate)
 // run the real placement code on the real state while a journal records
@@ -31,16 +31,11 @@ import (
 //caft:confined
 type State struct {
 	P     *Problem
-	net   Network
-	m     int
+	lay   Layout
 	tls   []timeline.Timeline
 	Reps  [][]Replica
 	Comms []Comm
 	seq   int32
-
-	// linkTL maps a network link to its timeline, or to -1 when the
-	// link is port-implied; nil when every link is.
-	linkTL []int
 
 	// Append-policy probe overlay: earliest/reserve consult ready[id]
 	// instead of the (shared, untouched) timelines, and placements are
@@ -69,7 +64,7 @@ type State struct {
 	hosting      []bool
 	arrival      []float64
 	pending      []pendingComm
-	commIDs      []int
+	commIDs      []int32
 	slotCur      []timeline.Cursor
 
 	// Bounded-probe scratch (see Candidates): the lazily built OFT
@@ -89,7 +84,7 @@ type State struct {
 // remaining end) satisfies max(r, start+dur) == the pre-Remove ready
 // time.
 type tlUndo struct {
-	id      int
+	id      int32
 	start   float64
 	prevMax float64
 	dur     float64
@@ -114,83 +109,19 @@ type probeMark struct {
 
 // NewState returns an empty state for the problem.
 func NewState(p *Problem) *State {
-	m := p.Plat.M
-	net := p.Network()
-	linkTL, shared := sharedLinks(net, m)
+	lay := NewLayout(p)
 	return &State{
-		P:      p,
-		net:    net,
-		m:      m,
-		tls:    make([]timeline.Timeline, 3*m+shared),
-		linkTL: linkTL,
-		Reps:   make([][]Replica, p.G.NumTasks()),
+		P:    p,
+		lay:  lay,
+		tls:  make([]timeline.Timeline, lay.Size()),
+		Reps: make([][]Replica, p.G.NumTasks()),
 	}
 }
-
-// sharedLinks derives from net's routes which links need a timeline.
-// A link whose transfers all leave one sender holds a subset of that
-// sender's send-port reservations, and one whose transfers all reach
-// one receiver a subset of that receiver's receive-port reservations.
-// A slot free on the port is then free on the link, under either
-// policy, so the link can never move a common slot. Only a link with
-// several senders and several receivers is shared: it gets timeline
-// 3m+k, k counting shared links in ID order, and every other link maps
-// to -1. The map is nil when no link is shared. That holds on the
-// clique, whose link src->dst carries only src->dst transfers (so its
-// m² routes need no walk), and on a topology made of single-processor
-// access links.
-func sharedLinks(net Network, m int) (linkTL []int, shared int) {
-	if _, ok := net.(Clique); ok {
-		return nil, 0
-	}
-	const none, several = -1, -2
-	n := net.NumLinks()
-	from, to := make([]int, n), make([]int, n)
-	for l := range from {
-		from[l], to[l] = none, none
-	}
-	note := func(who *int, p int) {
-		if *who == none {
-			*who = p
-		} else if *who != p {
-			*who = several
-		}
-	}
-	for src := 0; src < m; src++ {
-		for dst := 0; dst < m; dst++ {
-			for _, l := range net.Route(src, dst) {
-				note(&from[l], src)
-				note(&to[l], dst)
-			}
-		}
-	}
-	linkTL = make([]int, n)
-	for l := range linkTL {
-		linkTL[l] = none
-		if from[l] == several && to[l] == several {
-			linkTL[l] = 3*m + shared
-			shared++
-		}
-	}
-	if shared == 0 {
-		return nil, 0
-	}
-	return linkTL, shared
-}
-
-//caft:zeroalloc
-func (st *State) computeID(proc int) int { return proc }
-
-//caft:zeroalloc
-func (st *State) sendID(proc int) int { return st.m + proc }
-
-//caft:zeroalloc
-func (st *State) recvID(proc int) int { return 2*st.m + proc }
 
 // Clone deep-copies the state. Scratch buffers and the speculation
 // journal are not carried over: the clone starts with a clean journal.
 func (st *State) Clone() *State {
-	c := &State{P: st.P, net: st.net, m: st.m, linkTL: st.linkTL, seq: st.seq, floor: st.floor}
+	c := &State{P: st.P, lay: st.lay, seq: st.seq, floor: st.floor}
 	c.tls = make([]timeline.Timeline, len(st.tls))
 	for i := range st.tls {
 		c.tls[i] = *st.tls[i].Clone()
@@ -214,7 +145,7 @@ func (st *State) overlayForProbe() *State {
 		ps = &State{overlay: true, ready: make([]float64, len(st.tls))} //caft:alloc-ok probe overlay built once per State and reused across probes
 		st.probeScratch = ps
 	}
-	ps.P, ps.net, ps.m, ps.tls, ps.linkTL, ps.Reps, ps.seq = st.P, st.net, st.m, st.tls, st.linkTL, st.Reps, st.seq
+	ps.P, ps.lay, ps.tls, ps.Reps, ps.seq = st.P, st.lay, st.tls, st.Reps, st.seq
 	ps.floor = st.floor
 	if st.overlay {
 		copy(ps.ready, st.ready)
@@ -291,7 +222,7 @@ func (st *State) Speculate(fn func() error) error {
 // on timeline id, respecting the rescheduling floor.
 //
 //caft:zeroalloc
-func (st *State) earliest(id int, ready, dur float64) float64 {
+func (st *State) earliest(id int32, ready, dur float64) float64 {
 	var cur timeline.Cursor
 	return st.slot(id, ready, dur, &cur)
 }
@@ -300,7 +231,7 @@ func (st *State) earliest(id int, ready, dur float64) float64 {
 // timeline.Cursor).
 //
 //caft:zeroalloc
-func (st *State) slot(id int, ready, dur float64, cur *timeline.Cursor) float64 {
+func (st *State) slot(id int32, ready, dur float64, cur *timeline.Cursor) float64 {
 	if ready < st.floor {
 		ready = st.floor
 	}
@@ -317,7 +248,7 @@ func (st *State) slot(id int, ready, dur float64, cur *timeline.Cursor) float64 
 // reservation when a speculation scope is open.
 //
 //caft:zeroalloc
-func (st *State) reserve(id int, start, dur float64, owner int32) {
+func (st *State) reserve(id int32, start, dur float64, owner int32) {
 	if st.overlay {
 		if end := start + dur; end > st.ready[id] {
 			st.ready[id] = end
@@ -355,7 +286,7 @@ func (st *State) Snapshot() *Schedule {
 //caft:zeroalloc
 func (st *State) ProcsOf(t dag.TaskID) []bool {
 	if st.hosting == nil {
-		st.hosting = make([]bool, st.m) //caft:alloc-ok hosting bitset allocated lazily on the first call, then reused
+		st.hosting = make([]bool, st.lay.Procs()) //caft:alloc-ok hosting bitset allocated lazily on the first call, then reused
 	}
 	for i := range st.hosting {
 		st.hosting[i] = false
@@ -395,21 +326,22 @@ func (st *State) ProcsOfCopy(t dag.TaskID) []bool {
 //caft:scratch
 //caft:zeroalloc
 func (st *State) Candidates(t dag.TaskID, min int) []int {
+	m := st.lay.Procs()
 	k := st.P.ProbeWidth
 	if k > 0 && k < min {
 		k = min
 	}
 	if k <= 0 {
 		if st.allProcs == nil {
-			st.allProcs = make([]int, st.m) //caft:alloc-ok all-processors list built once per State, then reused
+			st.allProcs = make([]int, m) //caft:alloc-ok all-processors list built once per State, then reused
 			for p := range st.allProcs {
 				st.allProcs[p] = p
 			}
 		}
 		return st.allProcs
 	}
-	if k > st.m {
-		k = st.m
+	if k > m {
+		k = m
 	}
 	if st.oft == nil {
 		oft, err := OFT(st.P) //caft:alloc-ok OFT ranking table built once per State on the first bounded probe, then reused
@@ -417,8 +349,8 @@ func (st *State) Candidates(t dag.TaskID, min int) []int {
 			panic(err)
 		}
 		st.oft = oft
-		st.cands = make([]int, 0, st.m)      //caft:alloc-ok candidate scratch sized once per State, then reused
-		st.candSc = make([]float64, 0, st.m) //caft:alloc-ok candidate scratch sized once per State, then reused
+		st.cands = make([]int, 0, m)      //caft:alloc-ok candidate scratch sized once per State, then reused
+		st.candSc = make([]float64, 0, m) //caft:alloc-ok candidate scratch sized once per State, then reused
 	}
 	// Keep the k best (score, proc) pairs in ascending score order via
 	// bounded insertion; scanning processors in ascending ID order makes
@@ -426,7 +358,7 @@ func (st *State) Candidates(t dag.TaskID, min int) []int {
 	cands := st.cands[:0]
 	scores := st.candSc[:0]
 	row := st.oft[t]
-	for proc := 0; proc < st.m; proc++ {
+	for proc := 0; proc < m; proc++ {
 		sc := row[proc]
 		if len(cands) == k {
 			if sc >= scores[k-1] {
@@ -495,7 +427,7 @@ func (st *State) FullSources(t dag.TaskID) []SourceSet {
 // only grows, so each timeline resumes its gap scan at its own cursor.
 //
 //caft:zeroalloc
-func (st *State) commonSlot(ready, dur float64, ids []int) float64 {
+func (st *State) commonSlot(ready, dur float64, ids []int32) float64 {
 	cur := st.slotCur[:0]
 	for range ids {
 		cur = append(cur, 0)
@@ -512,43 +444,28 @@ func (st *State) commonSlot(ready, dur float64, ids []int) float64 {
 	return s
 }
 
-// commResources returns the timeline IDs a transfer src->dst occupies:
-// the send port, the receive port and the shared links of its route.
-// The returned slice is scratch reused by the next call.
+// commResources returns the timeline IDs a transfer src->dst occupies
+// (see Layout.AppendComm). The returned slice is scratch reused by the
+// next call.
 //
 //caft:scratch
 //caft:zeroalloc
-func (st *State) commResources(src, dst int) []int {
-	ids := append(st.commIDs[:0], st.sendID(src), st.recvID(dst))
-	if st.linkTL != nil {
-		ids = AppendRoute(ids, st.net, src, dst)
-		k := 2
-		for _, l := range ids[2:] {
-			if id := st.linkTL[l]; id >= 0 {
-				ids[k] = id
-				k++
-			}
-		}
-		ids = ids[:k]
-	}
-	st.commIDs = ids
-	return ids
+func (st *State) commResources(src, dst int) []int32 {
+	st.commIDs = st.lay.AppendComm(st.commIDs[:0], src, dst)
+	return st.commIDs
 }
 
 // ProbeComm returns the earliest (start, finish) of a transfer of volume
 // units from src (data ready at readyAt) to dst, without reserving
-// anything. Under the macro-dataflow model there is no contention and
-// the transfer starts exactly at readyAt.
+// anything. Under the macro-dataflow model the transfer holds no
+// resource (see Layout.AppendComm), so it starts exactly at readyAt.
 //
 //caft:zeroalloc
 func (st *State) ProbeComm(src, dst int, readyAt, volume float64) (start, finish float64) {
 	if src == dst {
 		return readyAt, readyAt
 	}
-	dur := st.net.Dur(src, dst, volume) //caft:alloc-ok cost-model interface call; in-tree models are pure arithmetic
-	if st.P.Model == MacroDataflow {
-		return readyAt, readyAt + dur
-	}
+	dur := st.lay.Network().Dur(src, dst, volume) //caft:alloc-ok cost-model interface call; in-tree models are pure arithmetic
 	s := st.commonSlot(readyAt, dur, st.commResources(src, dst))
 	return s, s + dur
 }
@@ -567,15 +484,11 @@ func (st *State) placeComm(srcRep Replica, to dag.TaskID, dstCopy, dst int, volu
 		Volume: volume,
 		Seq:    st.seq,
 	}
-	switch {
-	case srcRep.Proc == dst:
+	if srcRep.Proc == dst {
 		c.Intra = true
 		c.Start, c.Finish = srcRep.Finish, srcRep.Finish
-	case st.P.Model == MacroDataflow:
-		c.Dur = st.net.Dur(srcRep.Proc, dst, volume) //caft:alloc-ok cost-model interface call; in-tree models are pure arithmetic
-		c.Start, c.Finish = srcRep.Finish, srcRep.Finish+c.Dur
-	default:
-		c.Dur = st.net.Dur(srcRep.Proc, dst, volume) //caft:alloc-ok cost-model interface call; in-tree models are pure arithmetic
+	} else {
+		c.Dur = st.lay.Network().Dur(srcRep.Proc, dst, volume) //caft:alloc-ok cost-model interface call; in-tree models are pure arithmetic
 		ids := st.commResources(srcRep.Proc, dst)
 		c.Start = st.commonSlot(srcRep.Finish, c.Dur, ids)
 		c.Finish = c.Start + c.Dur
@@ -683,10 +596,10 @@ func (st *State) PlaceReplica(t dag.TaskID, copy, proc int, sources []SourceSet)
 	}
 	st.arrival = arrival
 	exec := st.P.Exec[t][proc]
-	start := st.earliest(st.computeID(proc), ready, exec)
+	start := st.earliest(st.lay.Compute(proc), ready, exec)
 	st.seq++
 	rep := Replica{Task: t, Copy: copy, Proc: proc, Start: start, Finish: start + exec, Seq: st.seq}
-	st.reserve(st.computeID(proc), start, exec, rep.Seq)
+	st.reserve(st.lay.Compute(proc), start, exec, rep.Seq)
 	if !st.overlay {
 		st.Reps[t] = append(st.Reps[t], rep)
 		if st.spec > 0 {
@@ -724,7 +637,7 @@ func (st *State) FinishLowerBound(t dag.TaskID, proc int, sources []SourceSet) f
 				if a < st.floor && st.P.Model != MacroDataflow {
 					a = st.floor
 				}
-				a += st.net.Dur(src.Proc, proc, set.Volume) //caft:alloc-ok cost-model interface call; in-tree models are pure arithmetic
+				a += st.lay.Network().Dur(src.Proc, proc, set.Volume) //caft:alloc-ok cost-model interface call; in-tree models are pure arithmetic
 			}
 			if a < arrival {
 				arrival = a
@@ -736,7 +649,7 @@ func (st *State) FinishLowerBound(t dag.TaskID, proc int, sources []SourceSet) f
 	}
 	exec := st.P.Exec[t][proc]
 	if st.P.Policy == timeline.Append {
-		ready = st.earliest(st.computeID(proc), ready, exec)
+		ready = st.earliest(st.lay.Compute(proc), ready, exec)
 	}
 	return ready + exec
 }

@@ -21,17 +21,24 @@ import (
 // spanning before, during and past the run, up to m-1 crashed
 // processors, so beyond ε too), and static replays of the same crash
 // sets checked as the trace with every crash at 0. Precedence, crash
-// deadlines, endpoints and resource exclusivity must hold on the
-// replayed times.
+// deadlines, endpoints and resource exclusivity, on every link of every
+// route, must hold on the replayed times, on each of sim.WitnessNets.
 func TestReplaysPassOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
 	const m = 5
+	for _, nc := range sim.WitnessNets(t, m) {
+		replaysPassOracle(t, nc.Name, nc.Net, m)
+	}
+}
+
+// replaysPassOracle is TestReplaysPassOracle on one network.
+func replaysPassOracle(t *testing.T, name string, net sched.Network, m int) {
+	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 4; trial++ {
 		params := gen.RandomParams{MinTasks: 25, MaxTasks: 40, MinDegree: 1, MaxDegree: 3, MinVolume: 5, MaxVolume: 15}
 		g := gen.RandomLayered(rng, params)
 		plat := platform.NewRandom(rng, m, 0.5, 1.0)
 		exec := platform.GenExecForGranularity(rng, g, plat, 1.0, platform.DefaultHeterogeneity)
-		p := &sched.Problem{G: g, Plat: plat, Exec: exec, Model: sched.OnePort, Policy: timeline.Policy(trial % 2)}
+		p := &sched.Problem{G: g, Plat: plat, Exec: exec, Model: sched.OnePort, Policy: timeline.Policy(trial % 2), Net: net}
 		eps := 1 + trial/2
 		for si, build := range []func() (*sched.Schedule, error){
 			func() (*sched.Schedule, error) { return core.Schedule(p, eps, rng) },
@@ -62,14 +69,14 @@ func TestReplaysPassOracle(t *testing.T) {
 						t.Fatal(err)
 					}
 					if err := simtest.Validate(p, timed, trace); err != nil {
-						t.Fatalf("trial %d schedule %d %v timed %v: %v", trial, si, sem, trace, err)
+						t.Fatalf("%s trial %d schedule %d %v timed %v: %v", name, trial, si, sem, trace, err)
 					}
 					static, err := rep.Replay(sim.Options{Crashed: crashed, Sem: sem})
 					if err != nil {
 						t.Fatal(err)
 					}
 					if err := simtest.Validate(p, static, atZero); err != nil {
-						t.Fatalf("trial %d schedule %d %v static %v: %v", trial, si, sem, crashed, err)
+						t.Fatalf("%s trial %d schedule %d %v static %v: %v", name, trial, si, sem, crashed, err)
 					}
 				}
 			}

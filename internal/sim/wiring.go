@@ -51,8 +51,8 @@ type Op struct {
 // slot per (replica, predecessor edge), the slots each communication
 // feeds (a comm from predecessor p feeds every slot whose edge
 // originates at p, so parallel edges share their input group), and the
-// resources each op occupies — compute timeline, send port, receive
-// port and links — with every resource's members in placement order.
+// resources each op occupies, numbered by the problem's sched.Layout,
+// with every resource's members in placement order.
 //
 // The tables built from the schedule form a static prefix. online.Engine
 // appends reactive placements after it (AddSlots, AddComm, AddRep) and
@@ -72,10 +72,7 @@ type Wiring struct {
 	ResIDs    []int32   // occupied resources, see Op.ResBase
 	Members   [][]int32 // resource -> member ops in placement order
 
-	m     int
-	net   sched.Network
-	macro bool
-	route []int // AddComm scratch
+	lay sched.Layout
 
 	// Static prefix lengths, restored by Truncate.
 	nOps0, nSlots0, nFeeds0, nRes0 int
@@ -92,14 +89,12 @@ func NewWiring(s *sched.Schedule) (*Wiring, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := s.P.Plat.M
-	net := s.P.Network()
-	w := &Wiring{S: s, CG: cg, m: m, net: net, macro: s.P.Model == sched.MacroDataflow}
+	w := &Wiring{S: s, CG: cg, lay: sched.NewLayout(s.P)}
 	n := cg.NumTasks()
 	w.Ops = make([]Op, 0, s.ReplicaCount()+len(s.Comms))
 	w.RepOf = make([][]int32, n)
 	w.TaskOps = make([][]int32, n)
-	w.Members = make([][]int32, 3*m+net.NumLinks())
+	w.Members = make([][]int32, w.lay.Size())
 	for t := range s.Reps {
 		for _, rep := range s.Reps[t] {
 			w.AddRep(rep, w.AddSlots(int32(len(w.Ops)), cg.InDegree(dag.TaskID(t))))
@@ -186,17 +181,19 @@ func (w *Wiring) AddRep(rep sched.Replica, slotBase int32) int32 {
 	w.RepOf[t][rep.Copy] = i
 	w.TaskOps[t] = append(w.TaskOps[t], i)
 	o := Op{Kind: OpRep, Rep: rep, Dur: rep.Finish - rep.Start, Seq: rep.Seq, Src: NoOp,
-		SlotBase: slotBase, NSlots: int32(w.CG.InDegree(t)), ResBase: int32(len(w.ResIDs)), NRes: 1}
+		SlotBase: slotBase, NSlots: int32(w.CG.InDegree(t)), ResBase: int32(len(w.ResIDs))}
 	w.Ops = append(w.Ops, o)
-	w.occupy(i, rep.Proc)
+	w.ResIDs = append(w.ResIDs, w.lay.Compute(rep.Proc))
+	w.join(i)
 	return i
 }
 
 // AddComm appends communication c, whose destination replica's slots
-// start at dstSlots, and returns its op index. Intra-processor
-// transfers and every transfer under the macro-dataflow model occupy
-// no resource; the others hold the sender's send port, the receiver's
-// receive port and every link of the route.
+// start at dstSlots, and returns its op index. It occupies the
+// resources of sched.Layout.AppendComm: none for an intra-processor
+// transfer or under the macro-dataflow model, and otherwise the
+// sender's send port, the receiver's receive port and the route's
+// shared links.
 //
 //caft:zeroalloc
 func (w *Wiring) AddComm(c sched.Comm, dstSlots int32) int32 {
@@ -213,24 +210,21 @@ func (w *Wiring) AddComm(c sched.Comm, dstSlots int32) int32 {
 	}
 	o.NFeeds = int32(len(w.Feeds)) - o.FeedBase
 	w.Ops = append(w.Ops, o)
-	if !c.Intra && !w.macro {
-		w.occupy(i, w.m+c.SrcProc)
-		w.occupy(i, 2*w.m+c.DstProc)
-		w.route = sched.AppendRoute(w.route[:0], w.net, c.SrcProc, c.DstProc)
-		for _, l := range w.route {
-			w.occupy(i, 3*w.m+l)
-		}
-	}
-	w.Ops[i].NRes = int32(len(w.ResIDs)) - o.ResBase
+	w.ResIDs = w.lay.AppendComm(w.ResIDs, c.SrcProc, c.DstProc)
+	w.join(i)
 	return i
 }
 
-// occupy records that op i holds resource r.
+// join makes op i, whose resources were just appended to ResIDs from
+// its ResBase on, a member of each of them and sets its NRes.
 //
 //caft:zeroalloc
-func (w *Wiring) occupy(i int32, r int) {
-	w.ResIDs = append(w.ResIDs, int32(r))
-	w.Members[r] = append(w.Members[r], i)
+func (w *Wiring) join(i int32) {
+	o := &w.Ops[i]
+	o.NRes = int32(len(w.ResIDs)) - o.ResBase
+	for _, r := range w.ResIDs[o.ResBase:] {
+		w.Members[r] = append(w.Members[r], i)
+	}
 }
 
 // Truncate drops every appended operation, restoring the tables built

@@ -2,11 +2,68 @@ package sim
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
+	"caft/internal/core"
 	"caft/internal/gen"
 	"caft/internal/sched"
+	"caft/internal/topology"
 )
+
+// WitnessNet is one network the replay witnesses run on; a nil Net is
+// the clique.
+type WitnessNet struct {
+	Name string
+	Net  sched.Network
+}
+
+// WitnessNets returns the networks over m processors that the replay
+// witnesses (TestReplayerMatchesReference, TestReplaysPassOracle) run
+// on: the clique, a star, whose links are all port-implied, and a 1×m
+// mesh, whose inner links carry transfers from several senders to
+// several receivers and so are shared (see sched.Layout).
+func WitnessNets(tb testing.TB, m int) []WitnessNet {
+	tb.Helper()
+	star, err := topology.Star(m, 0.75)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	mesh, err := topology.Mesh2D(1, m, 0.75)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return []WitnessNet{{"clique", nil}, {"star", star}, {"mesh", mesh}}
+}
+
+// TestWiringMatchesStateLayout pins the replay wiring to the scheduler's
+// resource layout: a wiring has exactly one member chain per State
+// timeline, 3m on the clique and the star and 3m+4 on the 1×5 mesh
+// (the two inner links in each direction are shared).
+func TestWiringMatchesStateLayout(t *testing.T) {
+	const m = 5
+	want := map[string]int{"clique": 3 * m, "star": 3 * m, "mesh": 3*m + 4}
+	for _, nc := range WitnessNets(t, m) {
+		rng := rand.New(rand.NewSource(3))
+		p := randomProblem(rng, 20, m)
+		p.Net = nc.Net
+		s, err := core.Schedule(p, 1, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := NewWiring(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := sched.StateOf(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, tls := len(w.Members), st.NumTimelines(); got != want[nc.Name] || tls != got {
+			t.Errorf("%s: wiring holds %d resources, state %d timelines, want %d", nc.Name, got, tls, want[nc.Name])
+		}
+	}
+}
 
 // chainSchedule places a two-task chain t0 -> t1 with one replica each
 // on P0 and P1, so the schedule holds one remote transfer placed
