@@ -3,9 +3,17 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// -update regenerates the golden files from the current analyzers:
+//
+//	go test ./cmd/caftvet -run Golden -update
+var update = flag.Bool("update", false, "rewrite the golden files from current output")
 
 func runCaftvet(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	t.Helper()
@@ -100,5 +108,47 @@ func TestDependencyDirectivesWithoutPattern(t *testing.T) {
 	}
 	if strings.Contains(stderr, "scratchlib.Sum") {
 		t.Errorf("zeroalloc flagged scratchlib.Sum, which is marked //caft:zeroalloc:\n%s", stderr)
+	}
+}
+
+// TestGoldenDirtyOutput pins the full text of every diagnostic over the
+// dirty fixture, plain and -json, with file paths relative to this
+// directory. The // want regexes of the analyzer tests match only part
+// of each message; this golden holds the rest (labels, steering hints,
+// ordering).
+func TestGoldenDirtyOutput(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		golden string
+		args   []string
+	}{
+		{"dirty.golden", nil},
+		{"dirty_json.golden", []string{"-json"}},
+	} {
+		t.Run(c.golden, func(t *testing.T) {
+			args := append(c.args, "./testdata/src/scratchlib", "./testdata/src/dirty")
+			code, stdout, stderr := runCaftvet(t, args...)
+			if code != 2 {
+				t.Fatalf("exit %d, want 2\nstderr: %s", code, stderr)
+			}
+			got := []byte(strings.ReplaceAll(stdout+stderr, wd+string(filepath.Separator), ""))
+			path := filepath.Join("testdata", c.golden)
+			if *update {
+				if err := os.WriteFile(path, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("missing golden file (regenerate with -update): %v", err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("caftvet output drifted from %s;\nif intentional, regenerate with: go test ./cmd/caftvet -run Golden -update\ngot:\n%s\nwant:\n%s", path, got, want)
+			}
+		})
 	}
 }
