@@ -22,7 +22,8 @@ func (f Finding) String() string {
 // returns the findings sorted by file, line, column and analyzer name.
 // The directive index is built over all packages first, DepOnly ones
 // included, so cross-package annotations (a //caft:scratch method
-// called from another package) are visible to every pass.
+// called from another package) are visible to every pass. The parent
+// index is built once per analyzed package and shared by its passes.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 	dirs := NewDirectives()
 	for _, p := range pkgs {
@@ -33,6 +34,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 		if p.DepOnly {
 			continue
 		}
+		parents := parentIndex(p.Syntax)
 		for _, a := range analyzers {
 			pass := &Pass{
 				Analyzer:   a,
@@ -41,6 +43,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 				Pkg:        p.Types,
 				TypesInfo:  p.TypesInfo,
 				Directives: dirs,
+				parents:    parents,
 			}
 			pass.Report = func(d Diagnostic) {
 				findings = append(findings, Finding{

@@ -46,8 +46,8 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) (any, error) {
+	c := &checker{pass: pass}
 	for _, f := range pass.Files {
-		c := &checker{pass: pass, parents: parentMap(f)}
 		c.checkFile(f)
 		for _, s := range pass.Directives.StraysIn(pass.Fset, f, "confined") {
 			pass.Reportf(s.Pos, "stale //caft:confined: not the doc comment of a type declaration (was the type deleted or renamed?)")
@@ -60,8 +60,7 @@ func run(pass *analysis.Pass) (any, error) {
 }
 
 type checker struct {
-	pass    *analysis.Pass
-	parents map[ast.Node]ast.Node
+	pass *analysis.Pass
 }
 
 func (c *checker) checkFile(f *ast.File) {
@@ -144,7 +143,7 @@ func (c *checker) checkGoLit(lit *ast.FuncLit) {
 		if v.Pos() >= lit.Pos() && v.Pos() < lit.End() {
 			return true
 		}
-		if isPkgLevel(v) || v.IsField() {
+		if analysis.IsPkgLevel(v) || v.IsField() {
 			return true
 		}
 		if obj := c.confinedOf(v.Type()); obj != nil {
@@ -164,7 +163,7 @@ func (c *checker) checkPkgVars(gd *ast.GenDecl) {
 		}
 		for _, name := range vs.Names {
 			v, ok := c.pass.TypesInfo.Defs[name].(*types.Var)
-			if !ok || !isPkgLevel(v) {
+			if !ok || !analysis.IsPkgLevel(v) {
 				continue
 			}
 			if obj := c.confinedOf(v.Type()); obj != nil {
@@ -192,7 +191,7 @@ func (c *checker) checkAssign(as *ast.AssignStmt) {
 				v = sv
 			}
 		}
-		if v == nil || !isPkgLevel(v) {
+		if v == nil || !analysis.IsPkgLevel(v) {
 			continue
 		}
 		if c.confinedOf(v.Type()) != nil {
@@ -209,7 +208,7 @@ func (c *checker) checkAssign(as *ast.AssignStmt) {
 // type declaration; an anonymous struct has none and can never be
 // confined.
 func (c *checker) checkStruct(st *ast.StructType) {
-	for n := ast.Node(st); n != nil; n = c.parents[n] {
+	for n := ast.Node(st); n != nil; n = c.pass.Parent(n) {
 		if ts, ok := n.(*ast.TypeSpec); ok {
 			if tn, ok := c.pass.TypesInfo.Defs[ts.Name].(*types.TypeName); ok && c.pass.Directives.Confined(tn) {
 				return // a confined type may hold confined fields
@@ -230,7 +229,7 @@ func (c *checker) checkStruct(st *ast.StructType) {
 }
 
 func (c *checker) enclosingTypeName(st *ast.StructType) string {
-	for n := ast.Node(st); n != nil; n = c.parents[n] {
+	for n := ast.Node(st); n != nil; n = c.pass.Parent(n) {
 		if ts, ok := n.(*ast.TypeSpec); ok {
 			return ts.Name.Name
 		}
@@ -285,26 +284,4 @@ func label(obj *types.TypeName) string {
 		return obj.Pkg().Name() + "." + obj.Name()
 	}
 	return obj.Name()
-}
-
-func isPkgLevel(v *types.Var) bool {
-	return v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
-}
-
-// parentMap records the parent of every node in f.
-func parentMap(f *ast.File) map[ast.Node]ast.Node {
-	parents := make(map[ast.Node]ast.Node)
-	var stack []ast.Node
-	ast.Inspect(f, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		if len(stack) > 0 {
-			parents[n] = stack[len(stack)-1]
-		}
-		stack = append(stack, n)
-		return true
-	})
-	return parents
 }

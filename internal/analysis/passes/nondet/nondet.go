@@ -99,7 +99,7 @@ func checkFile(pass *analysis.Pass, f *ast.File) {
 		if !ok {
 			return true
 		}
-		fn := callee(pass, call)
+		fn := pass.Callee(call)
 		if fn == nil || fn.Pkg() == nil {
 			return true
 		}
@@ -138,19 +138,4 @@ func hazardOf(fn *types.Func) (string, bool) {
 		}
 	}
 	return "", false
-}
-
-// callee resolves the called function or method, if statically known.
-func callee(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.SelectorExpr:
-		if fn, ok := pass.TypesInfo.Uses[fun.Sel].(*types.Func); ok {
-			return fn
-		}
-	case *ast.Ident:
-		if fn, ok := pass.TypesInfo.Uses[fun].(*types.Func); ok {
-			return fn
-		}
-	}
-	return nil
 }

@@ -49,16 +49,15 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) (any, error) {
+	c := &checker{pass: pass}
 	for _, f := range pass.Files {
-		c := &checker{pass: pass, parents: parentMap(f)}
 		c.checkFile(f)
 	}
 	return nil, nil
 }
 
 type checker struct {
-	pass    *analysis.Pass
-	parents map[ast.Node]ast.Node
+	pass *analysis.Pass
 }
 
 func (c *checker) checkFile(f *ast.File) {
@@ -77,7 +76,7 @@ func (c *checker) checkFile(f *ast.File) {
 		if !ok {
 			return true
 		}
-		fn := callee(c.pass, call)
+		fn := c.pass.Callee(call)
 		if fn == nil {
 			return true
 		}
@@ -118,7 +117,7 @@ func (c *checker) checkFile(f *ast.File) {
 }
 
 func (c *checker) report(pos token.Pos, fn *types.Func, info analysis.ScratchInfo, how string) {
-	msg := "result of //caft:scratch " + funcLabel(fn) + " " + how + "; the next call overwrites it in place"
+	msg := "result of //caft:scratch " + analysis.FuncLabel(fn) + " " + how + "; the next call overwrites it in place"
 	if info.Safe != "" {
 		msg += " — retain a copy with " + info.Safe
 	}
@@ -131,7 +130,7 @@ func (c *checker) report(pos token.Pos, fn *types.Func, info analysis.ScratchInf
 func (c *checker) misuse(expr ast.Expr) (how string, pos token.Pos, bad bool) {
 	n := ast.Node(expr)
 	for {
-		p := c.parents[n]
+		p := c.pass.Parent(n)
 		switch pp := p.(type) {
 		case *ast.ParenExpr:
 			n = pp
@@ -188,7 +187,7 @@ func (c *checker) valueSpecMisuse(vs *ast.ValueSpec, rhs ast.Expr) (string, toke
 		if r != rhs || i >= len(vs.Names) {
 			continue
 		}
-		if obj, ok := c.pass.TypesInfo.Defs[vs.Names[i]].(*types.Var); ok && isPkgLevel(obj) {
+		if obj, ok := c.pass.TypesInfo.Defs[vs.Names[i]].(*types.Var); ok && analysis.IsPkgLevel(obj) {
 			return "stored into package variable " + vs.Names[i].Name, rhs.Pos(), true
 		}
 	}
@@ -199,10 +198,10 @@ func (c *checker) valueSpecMisuse(vs *ast.ValueSpec, rhs ast.Expr) (string, toke
 func (c *checker) storeMisuse(lhs ast.Expr) (string, token.Pos, bool) {
 	switch l := ast.Unparen(lhs).(type) {
 	case *ast.Ident:
-		if obj, ok := c.pass.TypesInfo.Uses[l].(*types.Var); ok && isPkgLevel(obj) {
+		if obj, ok := c.pass.TypesInfo.Uses[l].(*types.Var); ok && analysis.IsPkgLevel(obj) {
 			return "stored into package variable " + l.Name, lhs.Pos(), true
 		}
-		if obj, ok := c.pass.TypesInfo.Defs[l].(*types.Var); ok && isPkgLevel(obj) {
+		if obj, ok := c.pass.TypesInfo.Defs[l].(*types.Var); ok && analysis.IsPkgLevel(obj) {
 			return "stored into package variable " + l.Name, lhs.Pos(), true
 		}
 		return "", 0, false // local binding: pass 2 watches its uses
@@ -221,21 +220,21 @@ func (c *checker) storeMisuse(lhs ast.Expr) (string, token.Pos, bool) {
 func (c *checker) boundLocal(call *ast.CallExpr) *types.Var {
 	n := ast.Node(call)
 	for {
-		if p, ok := c.parents[n].(*ast.ParenExpr); ok {
+		if p, ok := c.pass.Parent(n).(*ast.ParenExpr); ok {
 			n = p
 			continue
 		}
 		break
 	}
-	switch p := c.parents[n].(type) {
+	switch p := c.pass.Parent(n).(type) {
 	case *ast.AssignStmt:
 		for i, r := range p.Rhs {
 			if r == n && len(p.Lhs) == len(p.Rhs) {
 				if id, ok := p.Lhs[i].(*ast.Ident); ok {
-					if obj, ok := c.pass.TypesInfo.Defs[id].(*types.Var); ok && !isPkgLevel(obj) {
+					if obj, ok := c.pass.TypesInfo.Defs[id].(*types.Var); ok && !analysis.IsPkgLevel(obj) {
 						return obj
 					}
-					if obj, ok := c.pass.TypesInfo.Uses[id].(*types.Var); ok && !isPkgLevel(obj) {
+					if obj, ok := c.pass.TypesInfo.Uses[id].(*types.Var); ok && !analysis.IsPkgLevel(obj) {
 						return obj
 					}
 				}
@@ -244,7 +243,7 @@ func (c *checker) boundLocal(call *ast.CallExpr) *types.Var {
 	case *ast.ValueSpec:
 		for i, r := range p.Values {
 			if r == n && i < len(p.Names) {
-				if obj, ok := c.pass.TypesInfo.Defs[p.Names[i]].(*types.Var); ok && !isPkgLevel(obj) {
+				if obj, ok := c.pass.TypesInfo.Defs[p.Names[i]].(*types.Var); ok && !analysis.IsPkgLevel(obj) {
 					return obj
 				}
 			}
@@ -255,17 +254,13 @@ func (c *checker) boundLocal(call *ast.CallExpr) *types.Var {
 
 // enclosingFunc returns the innermost FuncDecl or FuncLit containing n.
 func (c *checker) enclosingFunc(n ast.Node) ast.Node {
-	for p := c.parents[n]; p != nil; p = c.parents[p] {
+	for p := c.pass.Parent(n); p != nil; p = c.pass.Parent(p) {
 		switch p.(type) {
 		case *ast.FuncDecl, *ast.FuncLit:
 			return p
 		}
 	}
 	return nil
-}
-
-func isPkgLevel(v *types.Var) bool {
-	return v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
 }
 
 // appendRetains reports whether append(args...) retains the scratch
@@ -297,54 +292,4 @@ func isBuiltinAppend(pass *analysis.Pass, call *ast.CallExpr) bool {
 	}
 	obj := pass.TypesInfo.Uses[id]
 	return obj != nil && obj.Parent() == types.Universe
-}
-
-func callee(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.SelectorExpr:
-		if fn, ok := pass.TypesInfo.Uses[fun.Sel].(*types.Func); ok {
-			return fn
-		}
-	case *ast.Ident:
-		if fn, ok := pass.TypesInfo.Uses[fun].(*types.Func); ok {
-			return fn
-		}
-	}
-	return nil
-}
-
-// funcLabel renders (*State).ProcsOf-style names for diagnostics.
-func funcLabel(fn *types.Func) string {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return fn.Name()
-	}
-	rt := sig.Recv().Type()
-	if p, ok := rt.(*types.Pointer); ok {
-		if n, ok := p.Elem().(*types.Named); ok {
-			return "(*" + n.Obj().Name() + ")." + fn.Name()
-		}
-	}
-	if n, ok := rt.(*types.Named); ok {
-		return n.Obj().Name() + "." + fn.Name()
-	}
-	return fn.Name()
-}
-
-// parentMap records the parent of every node in f.
-func parentMap(f *ast.File) map[ast.Node]ast.Node {
-	parents := make(map[ast.Node]ast.Node)
-	var stack []ast.Node
-	ast.Inspect(f, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		if len(stack) > 0 {
-			parents[n] = stack[len(stack)-1]
-		}
-		stack = append(stack, n)
-		return true
-	})
-	return parents
 }

@@ -105,6 +105,18 @@ func Sloppy() *Ring {
 	return &Ring{} // want `//caft:alloc-ok needs a reason`
 }
 
+// Stack is generic: diagnostics in its methods name the receiver type
+// without its type parameters.
+type Stack[T any] struct {
+	items []T
+}
+
+//caft:zeroalloc
+func (s *Stack[T]) Push(v T) {
+	s.items = append(s.items, v) // ok: field-rooted
+	_ = make([]T, 1)             // want `make allocates in //caft:zeroalloc \(\*Stack\)\.Push;`
+}
+
 func NotHot() {
 	_ = 1 //caft:alloc-ok unused // want `stale //caft:alloc-ok: no suppressed allocation site`
 }

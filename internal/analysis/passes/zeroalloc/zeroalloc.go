@@ -77,8 +77,8 @@ var allowFuncs = map[string]map[string]bool{
 }
 
 func run(pass *analysis.Pass) (any, error) {
+	c := &checker{pass: pass}
 	for _, f := range pass.Files {
-		c := &checker{pass: pass, parents: parentMap(f)}
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if ok && fd.Body != nil && pass.Directives.ZeroallocDecl(pass.Pkg.Path(), fd) {
@@ -96,8 +96,7 @@ func run(pass *analysis.Pass) (any, error) {
 }
 
 type checker struct {
-	pass    *analysis.Pass
-	parents map[ast.Node]ast.Node
+	pass *analysis.Pass
 
 	// per-function state, reset by checkFunc
 	fnLabel  string
@@ -108,7 +107,7 @@ type checker struct {
 }
 
 func (c *checker) checkFunc(fd *ast.FuncDecl) {
-	c.fnLabel = declLabel(fd)
+	c.fnLabel = analysis.FuncLabel(c.pass.TypesInfo.Defs[fd.Name].(*types.Func))
 	c.rooted = make(map[*types.Var]bool)
 	c.bindings = make(map[*types.Var][]ast.Expr)
 	c.walking = make(map[*types.Var]bool)
@@ -142,7 +141,7 @@ func (c *checker) checkFunc(fd *ast.FuncDecl) {
 				}
 			}
 		case *ast.CallExpr:
-			if fn := callee(c.pass, n); fn != nil && fn.Pkg() != nil {
+			if fn := c.pass.Callee(n); fn != nil && fn.Pkg() != nil {
 				if m := allowFuncs[fn.Pkg().Path()]; m != nil && m[fn.Name()] {
 					for _, arg := range n.Args {
 						if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
@@ -224,14 +223,14 @@ func (c *checker) checkCall(call *ast.CallExpr) {
 			return
 		}
 	}
-	fn := callee(c.pass, call)
+	fn := c.pass.Callee(call)
 	if fn == nil {
 		c.report(call.Pos(), "call through a function value cannot be proven zero-alloc")
 		return
 	}
 	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
 		if types.IsInterface(sig.Recv().Type()) {
-			c.report(call.Pos(), "dynamic call to "+funcLabel(fn)+" through an interface cannot be proven zero-alloc")
+			c.report(call.Pos(), "dynamic call to "+calleeLabel(fn)+" through an interface cannot be proven zero-alloc")
 			return
 		}
 	}
@@ -246,7 +245,7 @@ func (c *checker) checkCall(call *ast.CallExpr) {
 			return
 		}
 	}
-	c.report(call.Pos(), "call to "+funcLabel(fn)+", which is not marked //caft:zeroalloc (nor known allocation-free)")
+	c.report(call.Pos(), "call to "+calleeLabel(fn)+", which is not marked //caft:zeroalloc (nor known allocation-free)")
 }
 
 // checkConv flags the conversions that copy or box.
@@ -328,7 +327,7 @@ func (c *checker) checkLit(lit *ast.CompositeLit) {
 		c.report(lit.Pos(), "map literal allocates")
 		return
 	}
-	if u, ok := c.parents[lit].(*ast.UnaryExpr); ok && u.Op == token.AND {
+	if u, ok := c.pass.Parent(lit).(*ast.UnaryExpr); ok && u.Op == token.AND {
 		c.report(u.Pos(), "&composite literal allocates")
 	}
 }
@@ -337,7 +336,7 @@ func (c *checker) localVar(id *ast.Ident) *types.Var {
 	if v, ok := c.pass.TypesInfo.Defs[id].(*types.Var); ok {
 		return v
 	}
-	if v, ok := c.pass.TypesInfo.Uses[id].(*types.Var); ok && !isPkgLevel(v) {
+	if v, ok := c.pass.TypesInfo.Uses[id].(*types.Var); ok && !analysis.IsPkgLevel(v) {
 		return v
 	}
 	return nil
@@ -357,78 +356,11 @@ func isByteish(t types.Type) bool {
 	return ok && (b.Kind() == types.Byte || b.Kind() == types.Rune)
 }
 
-func isPkgLevel(v *types.Var) bool {
-	return v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
-}
-
-// callee resolves the called function or method, if statically known.
-func callee(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.SelectorExpr:
-		if fn, ok := pass.TypesInfo.Uses[fun.Sel].(*types.Func); ok {
-			return fn
-		}
-	case *ast.Ident:
-		if fn, ok := pass.TypesInfo.Uses[fun].(*types.Func); ok {
-			return fn
-		}
+// calleeLabel renders sched.(*State).ProcsOf-style names for the
+// functions a checked body calls.
+func calleeLabel(fn *types.Func) string {
+	if fn.Pkg() == nil {
+		return analysis.FuncLabel(fn)
 	}
-	return nil
-}
-
-// declLabel renders (*State).ProbeReplica-style names from syntax.
-func declLabel(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return fd.Name.Name
-	}
-	t := fd.Recv.List[0].Type
-	if st, ok := t.(*ast.StarExpr); ok {
-		if id, ok := st.X.(*ast.Ident); ok {
-			return "(*" + id.Name + ")." + fd.Name.Name
-		}
-	}
-	if id, ok := t.(*ast.Ident); ok {
-		return id.Name + "." + fd.Name.Name
-	}
-	return fd.Name.Name
-}
-
-// funcLabel renders (*State).ProcsOf-style names for diagnostics.
-func funcLabel(fn *types.Func) string {
-	prefix := ""
-	if fn.Pkg() != nil {
-		prefix = fn.Pkg().Name() + "."
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return prefix + fn.Name()
-	}
-	rt := sig.Recv().Type()
-	if p, ok := rt.(*types.Pointer); ok {
-		if n, ok := p.Elem().(*types.Named); ok {
-			return prefix + "(*" + n.Obj().Name() + ")." + fn.Name()
-		}
-	}
-	if n, ok := rt.(*types.Named); ok {
-		return prefix + n.Obj().Name() + "." + fn.Name()
-	}
-	return prefix + fn.Name()
-}
-
-// parentMap records the parent of every node in f.
-func parentMap(f *ast.File) map[ast.Node]ast.Node {
-	parents := make(map[ast.Node]ast.Node)
-	var stack []ast.Node
-	ast.Inspect(f, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		if len(stack) > 0 {
-			parents[n] = stack[len(stack)-1]
-		}
-		stack = append(stack, n)
-		return true
-	})
-	return parents
+	return fn.Pkg().Name() + "." + analysis.FuncLabel(fn)
 }

@@ -106,7 +106,7 @@ type Stats struct {
 }
 
 func init() {
-	caps := sched.Caps{AcceptsEps: true, Deterministic: true, Append: true, Insertion: true}
+	caps := sched.Caps{AcceptsEps: true, Append: true, Insertion: true}
 	sched.Register(sched.Descriptor{Name: "caft", ID: 1, Caps: caps, New: Schedule})
 	sched.Register(sched.Descriptor{
 		Name: "caft-greedy", ID: 2, Caps: caps,

@@ -124,15 +124,15 @@ type Engine struct {
 	opt         Options
 }
 
-// NewEngine builds the wiring for s (see sim.NewWiring for the
-// schedules it rejects) and the scheduler state reactive placements
-// extend.
+// NewEngine builds the scheduler state reactive placements extend and
+// the wiring for s over the state's resource layout (see sched.StateOf
+// and sim.NewWiring for the schedules they reject).
 func NewEngine(s *sched.Schedule) (*Engine, error) {
-	w, err := sim.NewWiring(s)
+	st, err := sched.StateOf(s)
 	if err != nil {
 		return nil, err
 	}
-	st, err := sched.StateOf(s)
+	w, err := sim.NewWiring(s, st.Layout())
 	if err != nil {
 		return nil, err
 	}

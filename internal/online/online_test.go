@@ -15,6 +15,7 @@ import (
 	"caft/internal/sim"
 	"caft/internal/sim/simtest"
 	"caft/internal/timeline"
+	"caft/internal/topology"
 )
 
 // randomProblem mirrors the sim test fixture: a random layered graph on
@@ -398,29 +399,40 @@ func TestOnlineEventAllocPin(t *testing.T) {
 	}
 }
 
-// oneshotEngineAllocs bounds a fresh NewEngine on the
-// TestNewEngineAllocPin schedule: the maximum over 25 runs of the
-// logged measurement (go test -count=25 -v -run TestNewEngineAllocPin)
-// when the pin was set.
-const oneshotEngineAllocs = 1253
-
 // TestNewEngineAllocPin pins the one-shot cost of building an engine
 // (wiring, rebuilt scheduler state and per-op tables) on a CAFT ε=1
-// schedule of 100 tasks on 10 processors.
+// schedule of 100 tasks on 10 processors, over the clique and a 2×5
+// mesh. Each bound is the maximum over 25 runs of the logged
+// measurement (go test -count=25 -v -run TestNewEngineAllocPin) when
+// the pin was set.
 func TestNewEngineAllocPin(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	p := randomProblem(rng, 100, 10, timeline.Append)
-	s, err := core.Schedule(p, 1, rng)
+	mesh, err := topology.Mesh2D(2, 5, 0.75)
 	if err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err = NewEngine(s); err != nil {
+	for _, c := range []struct {
+		name  string
+		net   sched.Network
+		bound float64
+	}{
+		{"clique", nil, 1253},
+		{"mesh", mesh, 1417},
+	} {
+		rng := rand.New(rand.NewSource(6))
+		p := randomProblem(rng, 100, 10, timeline.Append)
+		p.Net = c.net
+		s, err := core.Schedule(p, 1, rng)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	t.Logf("one-shot NewEngine allocates %.0f/op", allocs)
-	if allocs > oneshotEngineAllocs {
-		t.Errorf("one-shot NewEngine allocates %.0f/op, want <= %d", allocs, oneshotEngineAllocs)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err = NewEngine(s); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: one-shot NewEngine allocates %.0f/op", c.name, allocs)
+		if allocs > c.bound {
+			t.Errorf("%s: one-shot NewEngine allocates %.0f/op, want <= %.0f", c.name, allocs, c.bound)
+		}
 	}
 }

@@ -139,6 +139,10 @@ func (st *State) removeReservation(id int32, start, dur float64, owner int32) er
 // clique; see State).
 func (st *State) NumTimelines() int { return len(st.tls) }
 
+// Layout returns the resource layout the state numbers its timelines
+// by, for a replay wiring of the same schedule to share.
+func (st *State) Layout() Layout { return st.lay }
+
 // Timeline returns resource timeline i for inspection (validation
 // cross-checks, tests). The returned pointer aliases state-owned
 // storage and must not be mutated.

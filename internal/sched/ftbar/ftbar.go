@@ -43,7 +43,7 @@ import (
 func init() {
 	sched.Register(sched.Descriptor{
 		Name: "ftbar", ID: 4,
-		Caps: sched.Caps{AcceptsEps: true, Deterministic: true, Append: true, Insertion: true},
+		Caps: sched.Caps{AcceptsEps: true, Append: true, Insertion: true},
 		New:  Schedule,
 	})
 }

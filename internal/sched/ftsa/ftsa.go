@@ -26,7 +26,7 @@ import (
 func init() {
 	sched.Register(sched.Descriptor{
 		Name: "ftsa", ID: 3,
-		Caps: sched.Caps{AcceptsEps: true, Deterministic: true, Append: true, Insertion: true},
+		Caps: sched.Caps{AcceptsEps: true, Append: true, Insertion: true},
 		New:  Schedule,
 	})
 }

@@ -37,7 +37,7 @@ import (
 func init() {
 	sched.Register(sched.Descriptor{
 		Name: "hoft", ID: 5,
-		Caps: sched.Caps{Deterministic: true, Append: true, Insertion: true},
+		Caps: sched.Caps{Append: true, Insertion: true},
 		New: func(p *sched.Problem, eps int, rng *rand.Rand) (*sched.Schedule, error) {
 			if eps != 0 {
 				return nil, fmt.Errorf("hoft: fault-free reference takes eps 0, got %d", eps)

@@ -118,7 +118,7 @@ func TestHOFTRegistryEntry(t *testing.T) {
 	if !ok {
 		t.Fatal("hoft not registered")
 	}
-	if d.ID != 5 || d.Caps.AcceptsEps || !d.Caps.Deterministic {
+	if d.ID != 5 || d.Caps.AcceptsEps {
 		t.Fatalf("descriptor wrong: %+v", d)
 	}
 	p, rng := randomProblem(7)

@@ -109,16 +109,6 @@ func (s *Schedule) ReplicaCount() int {
 	return n
 }
 
-// FindReplica returns the replica (t, copy) or nil.
-func (s *Schedule) FindReplica(t dag.TaskID, copy int) *Replica {
-	for i := range s.Reps[t] {
-		if s.Reps[t][i].Copy == copy {
-			return &s.Reps[t][i]
-		}
-	}
-	return nil
-}
-
 // Validate checks that the schedule is well formed and obeys the
 // communication model:
 //
@@ -181,7 +171,7 @@ func (v *Validator) Validate(s *Schedule) error {
 		return fmt.Errorf("schedule: %d tasks recorded, want %d", len(s.Reps), n) //caft:alloc-ok rejection path; the accept path allocates nothing
 	}
 	m := p.Plat.M
-	v.seen = growBool(v.seen, m)
+	v.seen = grow(v.seen, m)
 	for i := range v.seen {
 		v.seen[i] = false
 	}
@@ -208,8 +198,8 @@ func (v *Validator) Validate(s *Schedule) error {
 	}
 	// Replica cells: one slot per (task, copy) up to each task's largest
 	// copy index, with parallel arrival cells per predecessor slot.
-	v.repOff = growI32(v.repOff, n+1)
-	v.arrOff = growI32(v.arrOff, n+1)
+	v.repOff = grow(v.repOff, n+1)
+	v.arrOff = grow(v.arrOff, n+1)
 	v.repOff[0], v.arrOff[0] = 0, 0
 	for t := range s.Reps {
 		maxCopy := -1
@@ -222,20 +212,20 @@ func (v *Validator) Validate(s *Schedule) error {
 		v.arrOff[t+1] = v.arrOff[t] + int32((maxCopy+1)*cg.InDegree(dag.TaskID(t)))
 	}
 	nCells := int(v.repOff[n])
-	v.repPtr = growI32(v.repPtr, nCells)
+	v.repPtr = grow(v.repPtr, nCells)
 	for i := 0; i < nCells; i++ {
 		v.repPtr[i] = -1
 	}
 	for t := range s.Reps {
 		for i, r := range s.Reps[t] {
 			if cell := int(v.repOff[t]) + r.Copy; r.Copy >= 0 && v.repPtr[cell] < 0 {
-				v.repPtr[cell] = int32(i) // first match wins, as FindReplica scans
+				v.repPtr[cell] = int32(i) // the first replica recorded as (t, copy) wins
 			}
 		}
 	}
 	nArr := int(v.arrOff[n])
-	v.arrival = growF64(v.arrival, nArr)
-	v.hasArr = growBool(v.hasArr, nArr)
+	v.arrival = grow(v.arrival, nArr)
+	v.hasArr = grow(v.hasArr, nArr)
 	for i := 0; i < nArr; i++ {
 		v.hasArr[i] = false
 	}
@@ -305,8 +295,8 @@ func (v *Validator) Validate(s *Schedule) error {
 	return v.validateCompute(s)
 }
 
-// replica is the dense counterpart of Schedule.FindReplica: the first
-// replica recorded as (t, copy), or nil.
+// replica returns the first replica recorded as (t, copy), or nil, by
+// the offset table Validate fills.
 //
 //caft:zeroalloc
 func (v *Validator) replica(s *Schedule, t dag.TaskID, copy int) *Replica {
@@ -330,14 +320,14 @@ func (v *Validator) bucketReset(nRes int) {
 		v.ivOff[r+1] += v.ivOff[r]
 		v.ivNext[r] = v.ivOff[r]
 	}
-	v.ivs = growIv(v.ivs, int(v.ivOff[nRes]))
+	v.ivs = grow(v.ivs, int(v.ivOff[nRes]))
 }
 
 //caft:zeroalloc
 func (v *Validator) validateCompute(s *Schedule) error {
 	m := s.P.Plat.M
-	v.ivOff = growI32(v.ivOff, m+1)
-	v.ivNext = growI32(v.ivNext, m)
+	v.ivOff = grow(v.ivOff, m+1)
+	v.ivNext = grow(v.ivNext, m)
 	for r := 0; r <= m; r++ {
 		v.ivOff[r] = 0
 	}
@@ -367,8 +357,8 @@ func (v *Validator) validateOnePort(s *Schedule) error {
 	net := s.P.Network() //caft:alloc-ok interface construction for the default clique network; amortized, not per-comm
 	// Resources: send ports [0,m), receive ports [m,2m), links [2m,..).
 	nRes := 2*m + net.NumLinks() //caft:alloc-ok interface dispatch; in-tree networks answer with pure arithmetic
-	v.ivOff = growI32(v.ivOff, nRes+1)
-	v.ivNext = growI32(v.ivNext, nRes)
+	v.ivOff = grow(v.ivOff, nRes+1)
+	v.ivNext = grow(v.ivNext, nRes)
 	for r := 0; r <= nRes; r++ {
 		v.ivOff[r] = 0
 	}
@@ -453,37 +443,13 @@ func (s *intervalsByStart) Len() int           { return len(s.ivs) }
 func (s *intervalsByStart) Less(i, j int) bool { return s.ivs[i].Start < s.ivs[j].Start }
 func (s *intervalsByStart) Swap(i, j int)      { s.ivs[i], s.ivs[j] = s.ivs[j], s.ivs[i] }
 
-// growI32/growF64/growBool/growIv return a slice of the requested
-// length, reusing the given backing array when it is large enough.
+// grow returns a slice of the requested length, reusing the given
+// backing array when it is large enough.
 //
 //caft:zeroalloc
-func growI32(s []int32, n int) []int32 {
+func grow[T any](s []T, n int) []T {
 	if cap(s) >= n {
 		return s[:n]
 	}
-	return make([]int32, n) //caft:alloc-ok scratch warm-up; reused afterwards
-}
-
-//caft:zeroalloc
-func growF64(s []float64, n int) []float64 {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]float64, n) //caft:alloc-ok scratch warm-up; reused afterwards
-}
-
-//caft:zeroalloc
-func growBool(s []bool, n int) []bool {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]bool, n) //caft:alloc-ok scratch warm-up; reused afterwards
-}
-
-//caft:zeroalloc
-func growIv(s []timeline.Interval, n int) []timeline.Interval {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]timeline.Interval, n) //caft:alloc-ok scratch warm-up; reused afterwards
+	return make([]T, n) //caft:alloc-ok scratch warm-up; reused afterwards
 }

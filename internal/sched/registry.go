@@ -18,11 +18,6 @@ type Caps struct {
 	// replicas per task. Fault-free references (HEFT, HOFT) must be
 	// called with eps = 0 and their New rejects anything else.
 	AcceptsEps bool
-	// Deterministic promises the schedule is a pure function of
-	// (problem, eps, rng seed) — true for every in-tree scheduler; the
-	// jitter-predictability harness refuses entries that cannot promise
-	// it.
-	Deterministic bool
 	// Append and Insertion flag the supported timeline reservation
 	// policies.
 	Append    bool

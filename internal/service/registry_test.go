@@ -26,7 +26,7 @@ func TestRegisteredSchedulerServableWithoutServiceEdits(t *testing.T) {
 	// sibling tests.
 	sched.Register(sched.Descriptor{
 		Name: "test-drift-pin", ID: 9000,
-		Caps: sched.Caps{AcceptsEps: true, Deterministic: true, Append: true, Insertion: true},
+		Caps: sched.Caps{AcceptsEps: true, Append: true, Insertion: true},
 		New: func(p *sched.Problem, eps int, rng *rand.Rand) (*sched.Schedule, error) {
 			return ftsa.Schedule(p, eps, rng)
 		},

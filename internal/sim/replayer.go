@@ -43,7 +43,7 @@ type opRun struct {
 // NewReplayer builds the replay tables for s (see NewWiring for the
 // schedules it rejects).
 func NewReplayer(s *sched.Schedule) (*Replayer, error) {
-	w, err := NewWiring(s)
+	w, err := NewWiring(s, sched.NewLayout(s.P))
 	if err != nil {
 		return nil, err
 	}

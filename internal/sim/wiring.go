@@ -80,16 +80,17 @@ type Wiring struct {
 }
 
 // NewWiring builds the constraint graph of s over the graph's compiled
-// view. It is the one place that assigns op indices, slot numbers and
+// view, numbering resources by lay, which must be the layout of s.P.
+// It is the one place that assigns op indices, slot numbers and
 // resource IDs from a schedule. A communication naming a replica the
 // schedule does not hold is rejected, and so is a constraint pointing
 // to a later-placed operation (ErrPlacementOrder).
-func NewWiring(s *sched.Schedule) (*Wiring, error) {
+func NewWiring(s *sched.Schedule, lay sched.Layout) (*Wiring, error) {
 	cg, err := s.P.G.Compile()
 	if err != nil {
 		return nil, err
 	}
-	w := &Wiring{S: s, CG: cg, lay: sched.NewLayout(s.P)}
+	w := &Wiring{S: s, CG: cg, lay: lay}
 	n := cg.NumTasks()
 	w.Ops = make([]Op, 0, s.ReplicaCount()+len(s.Comms))
 	w.RepOf = make([][]int32, n)

@@ -51,11 +51,11 @@ func TestWiringMatchesStateLayout(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w, err := NewWiring(s)
+		st, err := sched.StateOf(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := sched.StateOf(s)
+		w, err := NewWiring(s, st.Layout())
 		if err != nil {
 			t.Fatal(err)
 		}

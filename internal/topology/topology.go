@@ -365,17 +365,3 @@ func RandomConnected(rng *rand.Rand, m, extra int, lo, hi float64) (*Graph, erro
 	}
 	return New(m, edges)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
