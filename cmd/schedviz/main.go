@@ -17,14 +17,11 @@ import (
 	"strconv"
 	"strings"
 
-	"caft/internal/core"
 	"caft/internal/dag"
 	"caft/internal/gen"
 	"caft/internal/platform"
 	"caft/internal/sched"
-	"caft/internal/sched/ftbar"
-	"caft/internal/sched/ftsa"
-	"caft/internal/sched/heft"
+	_ "caft/internal/sched/all" // populate the scheduler registry
 	"caft/internal/sim"
 	"caft/internal/timeline"
 	"caft/internal/viz"
@@ -32,8 +29,8 @@ import (
 
 func main() {
 	var (
-		algo  = flag.String("algo", "caft", "scheduler: caft, ftsa, ftbar, heft")
-		eps   = flag.Int("eps", 1, "number of tolerated failures")
+		algo  = flag.String("algo", "caft", "scheduler: "+strings.Join(sched.Names(), ", "))
+		eps   = flag.Int("eps", 1, "number of tolerated failures (fault-free schedulers run with 0)")
 		m     = flag.Int("m", 6, "number of processors")
 		kind  = flag.String("kind", "", "generate a graph instead of reading JSON from stdin: random, montage, fork, diamond")
 		gran  = flag.Float64("granularity", 1.0, "target granularity of the generated execution times")
@@ -79,19 +76,14 @@ func run(out io.Writer, in io.Reader, algo string, eps, m int, kind string, gran
 	exec := platform.GenExecForGranularity(rng, g, plat, gran, platform.DefaultHeterogeneity)
 	p := &sched.Problem{G: g, Plat: plat, Exec: exec, Model: sched.OnePort, Policy: timeline.Append}
 
-	var s *sched.Schedule
-	switch algo {
-	case "caft":
-		s, err = core.Schedule(p, eps, rng)
-	case "ftsa":
-		s, err = ftsa.Schedule(p, eps, rng)
-	case "ftbar":
-		s, err = ftbar.Schedule(p, eps, rng)
-	case "heft":
-		s, err = heft.Schedule(p, rng)
-	default:
+	d, ok := sched.Lookup(algo)
+	if !ok {
 		return fmt.Errorf("unknown algorithm %q", algo)
 	}
+	if !d.Caps.AcceptsEps {
+		eps = 0
+	}
+	s, err := d.New(p, eps, rng)
 	if err != nil {
 		return err
 	}
@@ -122,11 +114,7 @@ func run(out io.Writer, in io.Reader, algo string, eps, m int, kind string, gran
 		return err
 	}
 	if crash == "" {
-		r, err := rep.Replay(sim.Options{})
-		if err != nil {
-			return err
-		}
-		return writeTrace(tracePath, r)
+		return writeTrace(tracePath, rep.Replay(nil))
 	}
 	crashed := map[int]bool{}
 	for _, part := range strings.Split(crash, ",") {
@@ -150,11 +138,7 @@ func run(out io.Writer, in io.Reader, algo string, eps, m int, kind string, gran
 	}
 	fmt.Fprintf(out, "\nreplay: latency %.2f with 0 crashes, %.2f with crashes %v (upper bound %.2f)\n", lat0, latC, keys(crashed), ub)
 	if tracePath != "" {
-		r, err := rep.Replay(sim.Options{Crashed: crashed})
-		if err != nil {
-			return err
-		}
-		return writeTrace(tracePath, r)
+		return writeTrace(tracePath, rep.Replay(crashed))
 	}
 	return nil
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"caft/internal/gen"
+	"caft/internal/sched"
 )
 
 // -update regenerates the golden files from the current engine (the
@@ -49,7 +50,7 @@ func TestGoldenGantt(t *testing.T) {
 }
 
 func TestRunEveryAlgoAndStdin(t *testing.T) {
-	for _, algo := range []string{"caft", "ftsa", "ftbar", "heft"} {
+	for _, algo := range sched.Names() {
 		var out bytes.Buffer
 		if err := run(&out, strings.NewReader(""), algo, 1, 4, "fork", 1.0, 1, 60, false, "", "", ""); err != nil {
 			t.Fatalf("algo %s: %v", algo, err)

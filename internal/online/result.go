@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"caft/internal/dag"
 	"caft/internal/sim"
 )
 
@@ -63,37 +62,11 @@ func (e *Engine) Run(trace map[int]float64, opt Options) (*sim.Result, error) {
 	if err := e.replay(trace, opt); err != nil {
 		return nil, err
 	}
-	w := e.w
-	res := &sim.Result{
-		Reps:        make([][]sim.RepOutcome, len(w.TaskOps)),
-		Comms:       make([]sim.CommOutcome, 0, len(w.Ops)-w.S.ReplicaCount()),
-		Rescheduled: e.rescheduled,
-		Crashes:     len(e.crashes),
-		Events:      e.events,
-	}
-	for t, ops := range w.TaskOps {
-		res.Reps[t] = make([]sim.RepOutcome, 0, len(ops))
-		for _, i := range ops {
-			o := &e.ops[i]
-			res.Reps[t] = append(res.Reps[t], sim.RepOutcome{
-				Rep: w.Ops[i].Rep, Alive: o.state == opDone, Reactive: o.reactive,
-				PlacedAt: o.placedAt, Start: o.start, Finish: o.finish,
-			})
-		}
-		if !e.taskDone[t] {
-			res.TasksLost = append(res.TasksLost, dag.TaskID(t))
-		}
-	}
-	for i := range w.Ops {
-		if w.Ops[i].Kind != sim.OpComm {
-			continue
-		}
+	res := e.w.Result(func(i int32) sim.Fate {
 		o := &e.ops[i]
-		res.Comms = append(res.Comms, sim.CommOutcome{
-			Comm: w.Ops[i].Comm, Alive: o.state == opDone, Reactive: o.reactive,
-			Start: o.start, Finish: o.finish,
-		})
-	}
+		return sim.Fate{Alive: o.state == opDone, Reactive: o.reactive, PlacedAt: o.placedAt, Start: o.start, Finish: o.finish}
+	})
+	res.Rescheduled, res.Crashes, res.Events = e.rescheduled, len(e.crashes), e.events
 	return res, nil
 }
 

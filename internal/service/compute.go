@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -142,6 +143,9 @@ func (s *Service) compute(sc *scratch, req *Request) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scheduling failed: %w", err)
 	}
+	if err := checkFinite(schedule); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
 
 	policy, _ := req.policy()
 	model, _ := req.model()
@@ -234,9 +238,32 @@ func (s *Service) compute(sc *scratch, req *Request) ([]byte, error) {
 	sc.buf.Reset()
 	enc := json.NewEncoder(&sc.buf)
 	if err := enc.Encode(&resp); err != nil {
+		var nonFinite *json.UnsupportedValueError
+		if errors.As(err, &nonFinite) {
+			// A Monte-Carlo mean overflowed on finite but huge times.
+			return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		}
 		return nil, err
 	}
 	return append([]byte(nil), sc.buf.Bytes()...), nil
+}
+
+// checkFinite rejects a schedule whose times overflowed float64 (huge
+// execution times or volumes): JSON cannot carry an infinite time.
+func checkFinite(s *sched.Schedule) error {
+	for t := range s.Reps {
+		for _, r := range s.Reps[t] {
+			if math.IsInf(r.Finish, 0) || math.IsNaN(r.Finish) {
+				return fmt.Errorf("replica (%d,%d) finishes at %v", r.Task, r.Copy, r.Finish)
+			}
+		}
+	}
+	for _, c := range s.Comms {
+		if math.IsInf(c.Finish, 0) || math.IsNaN(c.Finish) {
+			return fmt.Errorf("transfer %d->%d finishes at %v", c.From, c.To, c.Finish)
+		}
+	}
+	return nil
 }
 
 // formatKey renders the 128-bit cache key as 32 hex digits.

@@ -161,6 +161,10 @@ func TestValidationRejects(t *testing.T) {
 		"bad failure kind":      func(r *Request) { r.Reliability.Kind = "lognormal" },
 		"weibull without shape": func(r *Request) { r.Reliability.Kind = "weibull" },
 		"shape on exponential":  func(r *Request) { r.Reliability.Shape = 2 },
+		// (2^62+1) x 4 wraps to the platform's 4 processors in int
+		// arithmetic; accepted, it would build a 2^62-row grid.
+		"mesh size overflow":  func(r *Request) { r.Topology = &TopologySpec{Shape: "mesh", Rows: 1<<62 + 1, Cols: 4} },
+		"torus size overflow": func(r *Request) { r.Topology = &TopologySpec{Shape: "torus", Rows: 4, Cols: 1<<62 + 1} },
 	}
 	for name, mutate := range mutations {
 		req := quickReq()
@@ -172,6 +176,35 @@ func TestValidationRejects(t *testing.T) {
 	}
 	if got := svc.Stats().BadRequests; got != int64(len(mutations)) {
 		t.Errorf("badRequests counter %d, want %d", got, len(mutations))
+	}
+}
+
+// Execution times that overflow float64 are the client's error, not
+// the server's: JSON cannot carry the infinite times a 2-chain of
+// 1e308-long tasks reaches, nor the mean latency that overflows over
+// the Monte-Carlo samples of 6e307-long ones.
+func TestNonFiniteTimesRejected(t *testing.T) {
+	svc := mustNew(t, Config{Workers: 1})
+	defer svc.Close()
+	for name, req := range map[string]*Request{
+		"schedule": {
+			Alg:       "heft",
+			Generator: &gen.Spec{Kind: "chain", N: 2},
+			Platform:  PlatformSpec{M: 2, Delay: 1},
+			Exec:      [][]float64{{1e308, 1e308}, {1e308, 1e308}},
+		},
+		"mean latency": {
+			Alg:         "caft",
+			Eps:         1,
+			Generator:   &gen.Spec{Kind: "chain", N: 2},
+			Platform:    PlatformSpec{M: 2, Delay: 1},
+			Exec:        [][]float64{{6e307, 6e307}, {6e307, 6e307}},
+			Reliability: &ReliabilitySpec{Samples: 64, MTBF: 1e308},
+		},
+	} {
+		if _, err := svc.Do(context.Background(), req); !errors.Is(err, ErrBadRequest) {
+			t.Errorf("%s: got %v, want ErrBadRequest", name, err)
+		}
 	}
 }
 

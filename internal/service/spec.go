@@ -406,7 +406,7 @@ func (t *TopologySpec) validate(m int) error {
 		if t.Rows < 1 || t.Cols < 1 {
 			return fmt.Errorf("%s topology needs positive rows x cols, got %dx%d", t.Shape, t.Rows, t.Cols)
 		}
-		if t.Rows*t.Cols != m {
+		if t.Rows > m || t.Cols > m || t.Rows*t.Cols != m {
 			return fmt.Errorf("%dx%d %s has %d processors, platform has %d", t.Rows, t.Cols, t.Shape, t.Rows*t.Cols, m)
 		}
 	case "hypercube":

@@ -16,13 +16,13 @@ import (
 )
 
 // TestReplaysPassOracle runs the executed-schedule oracle over
-// clairvoyant replays of CAFT, FTSA and FTBAR schedules under both
-// input semantics: timed replays of random traces (crash instants
-// spanning before, during and past the run, up to m-1 crashed
-// processors, so beyond ε too), and static replays of the same crash
-// sets checked as the trace with every crash at 0. Precedence, crash
-// deadlines, endpoints and resource exclusivity, on every link of every
-// route, must hold on the replayed times, on each of sim.WitnessNets.
+// clairvoyant replays of CAFT, FTSA and FTBAR schedules: timed replays
+// of random traces (crash instants spanning before, during and past the
+// run, up to m-1 crashed processors, so beyond ε too), and static
+// replays of the same crash sets checked as the trace with every crash
+// at 0. Precedence, crash deadlines, endpoints and resource
+// exclusivity, on every link of every route, must hold on the replayed
+// times, on each of sim.WitnessNets.
 func TestReplaysPassOracle(t *testing.T) {
 	const m = 5
 	for _, nc := range sim.WitnessNets(t, m) {
@@ -63,21 +63,15 @@ func replaysPassOracle(t *testing.T, name string, net sched.Network, m int) {
 					atZero[proc] = 0
 					crashed[proc] = true
 				}
-				for _, sem := range []sim.Semantics{sim.FirstArrival, sim.LastArrival} {
-					timed, err := rep.ReplayTimed(trace, sem)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := simtest.Validate(p, timed, trace); err != nil {
-						t.Fatalf("%s trial %d schedule %d %v timed %v: %v", name, trial, si, sem, trace, err)
-					}
-					static, err := rep.Replay(sim.Options{Crashed: crashed, Sem: sem})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := simtest.Validate(p, static, atZero); err != nil {
-						t.Fatalf("%s trial %d schedule %d %v static %v: %v", name, trial, si, sem, crashed, err)
-					}
+				timed, err := rep.ReplayTimed(trace)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := simtest.Validate(p, timed, trace); err != nil {
+					t.Fatalf("%s trial %d schedule %d timed %v: %v", name, trial, si, trace, err)
+				}
+				if err := simtest.Validate(p, rep.Replay(crashed), atZero); err != nil {
+					t.Fatalf("%s trial %d schedule %d static %v: %v", name, trial, si, crashed, err)
 				}
 			}
 		}

@@ -29,13 +29,10 @@ type refOp struct {
 }
 
 // refReplay is the original Replay: one liveness+timing pass over
-// map-indexed operations, rebuilding every index per call.
-func refReplay(s *sched.Schedule, opt Options) (*Result, error) {
-	return refReplayOnce(s, opt, nil, nil)
-}
-
-func refReplayOnce(s *sched.Schedule, opt Options, deadReps map[[2]int]bool, deadComms map[int32]bool) (*Result, error) {
-	crashed := opt.Crashed
+// map-indexed operations, rebuilding every index per call. last selects
+// last-arrival inputs (a replica waits for every surviving message of
+// every predecessor) instead of first-arrival ones.
+func refReplay(s *sched.Schedule, crashed map[int]bool, last bool) (*Result, error) {
 	isCrashed := func(p int) bool { return crashed != nil && crashed[p] }
 	g := s.P.G
 	order, err := g.TopoOrder()
@@ -70,14 +67,14 @@ func refReplayOnce(s *sched.Schedule, opt Options, deadReps map[[2]int]bool, dea
 	for _, t := range order {
 		for _, r := range s.Reps[t] {
 			ri := repIdx[[2]int{int(t), r.Copy}]
-			alive := !isCrashed(r.Proc) && !deadReps[[2]int{int(t), r.Copy}]
+			alive := !isCrashed(r.Proc)
 			if alive {
 				for _, e := range g.Pred(t) {
 					ok := false
 					for _, ci := range inputsOf[[2]int{int(t), r.Copy}][e.From] {
 						c := &ops[ci].comm
 						si, exists := repIdx[[2]int{int(c.From), c.SrcCopy}]
-						if exists && ops[si].alive && !isCrashed(c.DstProc) && !deadComms[c.Seq] {
+						if exists && ops[si].alive && !isCrashed(c.DstProc) {
 							ok = true
 							break
 						}
@@ -93,7 +90,7 @@ func refReplayOnce(s *sched.Schedule, opt Options, deadReps map[[2]int]bool, dea
 	}
 	for i, c := range s.Comms {
 		si, exists := repIdx[[2]int{int(c.From), c.SrcCopy}]
-		ops[commAt[i]].alive = exists && ops[si].alive && !isCrashed(c.DstProc) && !deadComms[c.Seq]
+		ops[commAt[i]].alive = exists && ops[si].alive && !isCrashed(c.DstProc)
 	}
 
 	// --- Build per-resource sequences of surviving ops. ---
@@ -173,7 +170,7 @@ func refReplayOnce(s *sched.Schedule, opt Options, deadReps map[[2]int]bool, dea
 				ins := inputsOf[[2]int{int(o.rep.Task), o.rep.Copy}]
 				for _, e := range g.Pred(o.rep.Task) {
 					agg := math.Inf(1)
-					if opt.Sem == LastArrival {
+					if last {
 						agg = 0
 					}
 					for _, ci := range ins[e.From] {
@@ -181,7 +178,7 @@ func refReplayOnce(s *sched.Schedule, opt Options, deadReps map[[2]int]bool, dea
 							continue
 						}
 						f := ops[ci].finish
-						if opt.Sem == FirstArrival {
+						if !last {
 							if f < agg {
 								agg = f
 							}
@@ -215,14 +212,14 @@ func refReplayOnce(s *sched.Schedule, opt Options, deadReps map[[2]int]bool, dea
 	res := &Result{Reps: make([][]RepOutcome, len(s.Reps))}
 	for i := range s.Comms {
 		o := ops[commAt[i]]
-		res.Comms = append(res.Comms, CommOutcome{Comm: o.comm, Alive: o.alive, Start: o.start, Finish: o.finish})
+		res.Comms = append(res.Comms, CommOutcome{Comm: o.comm, Fate: Fate{Alive: o.alive, Start: o.start, Finish: o.finish}})
 	}
 	for t := range s.Reps {
 		anyAlive := false
 		for _, r := range s.Reps[t] {
 			i := repIdx[[2]int{int(t), r.Copy}]
 			o := ops[i]
-			out := RepOutcome{Rep: r, Alive: o.alive, Start: o.start, Finish: o.finish}
+			out := RepOutcome{Rep: r, Fate: Fate{Alive: o.alive, Start: o.start, Finish: o.finish}}
 			if o.alive {
 				anyAlive = true
 			}

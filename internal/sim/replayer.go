@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 
-	"caft/internal/dag"
 	"caft/internal/sched"
 )
 
@@ -28,10 +27,12 @@ type Replayer struct {
 	x        []opRun   // per op: liveness and times of the latest run
 	resFree  []float64 // per resource: finish of its latest surviving member
 	slotAt   []float64 // per slot: aggregated arrival of its surviving feeders
-	crashed  []bool
 	dead     []bool    // per op: forced dead by the timed-crash fixpoint
 	deadline []float64 // per op: crash instant it must beat this timed replay
-	crashAt  []float64 // per processor: crash instant of this timed replay, +Inf if none
+	// crashAt is the per-processor crash instant of this replay: -Inf
+	// for a processor crashed from the start (a static crash set), +Inf
+	// for one that never crashes.
+	crashAt []float64
 }
 
 // opRun is the replayed fate of one op.
@@ -55,47 +56,48 @@ func NewReplayer(s *sched.Schedule) (*Replayer, error) {
 	r.x = make([]opRun, len(w.Ops))
 	r.resFree = make([]float64, len(w.Members))
 	r.slotAt = make([]float64, len(w.SlotOf))
-	r.crashed = make([]bool, s.P.Plat.M)
 	r.dead = make([]bool, len(w.Ops))
 	r.deadline = make([]float64, len(w.Ops))
 	r.crashAt = make([]float64, s.P.Plat.M)
 	return r, nil
 }
 
-// setCrashed loads the crash set into the scratch bitmap.
+// setCrashed loads a static crash set into crashAt.
 //
 //caft:zeroalloc
 func (r *Replayer) setCrashed(crashed map[int]bool) {
-	for i := range r.crashed {
-		r.crashed[i] = false
+	for i := range r.crashAt {
+		r.crashAt[i] = math.Inf(1)
 	}
-	for p, c := range crashed { //caft:unordered-ok bitmap store is order-insensitive
-		if c && p >= 0 && p < len(r.crashed) {
-			r.crashed[p] = true
+	for p, c := range crashed { //caft:unordered-ok dense store, one slot per key
+		if c && p >= 0 && p < len(r.crashAt) {
+			r.crashAt[p] = math.Inf(-1)
 		}
 	}
 }
 
-// run replays the schedule against the current crash bitmap in one
-// forward pass over the ops in placement order, deciding each op's
-// liveness and times together. The pass is exact because every
-// constraint points to an earlier-placed op — a resource's previous
-// surviving member, a transfer's source replica, a replica's feeding
-// transfers (NewWiring rejects schedules where it does not) — so each
-// op starts as early as its constraints allow, the least fixpoint of
-// the constraint system. dead (indexed like the ops) forces additional
-// operations dead, used by the timed-crash fixpoint of ReplayTimed; it
-// may be nil.
+// run replays the schedule in one forward pass over the ops in
+// placement order, deciding each op's liveness and times together. The
+// pass is exact because every constraint points to an earlier-placed
+// op — a resource's previous surviving member, a transfer's source
+// replica, a replica's feeding transfers (NewWiring rejects schedules
+// where it does not) — so each op starts as early as its constraints
+// allow, the least fixpoint of the constraint system. Operations on a
+// processor crashed from the start (crashAt -Inf) are dead; dead
+// (indexed like the ops) forces additional operations dead, used by
+// the timed-crash fixpoint of ReplayTimed, and may be nil. A replica
+// starts at the first surviving arrival from each predecessor; last,
+// used only by UpperBound, makes it wait for the last one instead.
 //
 //caft:zeroalloc
-func (r *Replayer) run(sem Semantics, dead []bool) {
+func (r *Replayer) run(last bool, dead []bool) {
 	w := r.w
 	for i := range r.resFree {
 		r.resFree[i] = 0
 	}
-	none := math.Inf(1) // FirstArrival keeps each slot's earliest arrival
-	if sem == LastArrival {
-		none = math.Inf(-1) // ...LastArrival its latest
+	none := math.Inf(1) // first arrival keeps each slot's earliest arrival
+	if last {
+		none = math.Inf(-1) // ...last arrival its latest
 	}
 	for i := range r.slotAt {
 		r.slotAt[i] = none
@@ -109,7 +111,7 @@ func (r *Replayer) run(sem Semantics, dead []bool) {
 		}
 		st := 0.0
 		if o.Kind == OpRep {
-			if r.crashed[o.Rep.Proc] {
+			if r.crashAt[o.Rep.Proc] == math.Inf(-1) {
 				continue
 			}
 			fed := true
@@ -128,7 +130,7 @@ func (r *Replayer) run(sem Semantics, dead []bool) {
 			}
 		} else {
 			src := &r.x[o.Src]
-			if !src.alive || r.crashed[o.Comm.DstProc] {
+			if !src.alive || r.crashAt[o.Comm.DstProc] == math.Inf(-1) {
 				continue
 			}
 			st = src.finish
@@ -144,47 +146,31 @@ func (r *Replayer) run(sem Semantics, dead []bool) {
 		}
 		for k := o.FeedBase; k < o.FeedBase+o.NFeeds; k++ {
 			sl := w.Feeds[k]
-			if a := r.slotAt[sl]; sem == FirstArrival && x.finish < a || sem == LastArrival && x.finish > a {
+			if a := r.slotAt[sl]; !last && x.finish < a || last && x.finish > a {
 				r.slotAt[sl] = x.finish
 			}
 		}
 	}
 }
 
-// materialize copies the scratch tables of the latest run into a fresh
-// Result (the only allocating step of a steady-state replay).
+// materialize copies the fates of the latest run into a fresh Result
+// (the only allocating step of a steady-state replay).
 func (r *Replayer) materialize() *Result {
-	w, s := r.w, r.w.S
-	res := &Result{Reps: make([][]RepOutcome, len(s.Reps)), Comms: make([]CommOutcome, 0, len(s.Comms))}
-	for i, o := range w.Ops {
-		if o.Kind == OpComm {
-			x := r.x[i]
-			res.Comms = append(res.Comms, CommOutcome{Comm: o.Comm, Alive: x.alive, Start: x.start, Finish: x.finish})
-		}
-	}
-	for t, ops := range w.TaskOps {
-		anyAlive := false
-		res.Reps[t] = make([]RepOutcome, 0, len(ops))
-		for _, i := range ops {
-			x := r.x[i]
-			anyAlive = anyAlive || x.alive
-			res.Reps[t] = append(res.Reps[t], RepOutcome{Rep: w.Ops[i].Rep, Alive: x.alive, Start: x.start, Finish: x.finish})
-		}
-		if !anyAlive {
-			res.TasksLost = append(res.TasksLost, dag.TaskID(t))
-		}
-	}
-	return res
+	return r.w.Result(func(i int32) Fate {
+		x := &r.x[i]
+		return Fate{Alive: x.alive, Start: x.start, Finish: x.finish}
+	})
 }
 
-// Replay recomputes the schedule's execution under the given options
-// and materializes every operation's fate into a fresh Result.
+// Replay recomputes the schedule's execution with the given processors
+// crashed from the start (nil means no failures) and materializes every
+// operation's fate into a fresh Result.
 //
 //caft:zeroalloc
-func (r *Replayer) Replay(opt Options) (*Result, error) {
-	r.setCrashed(opt.Crashed)
-	r.run(opt.Sem, nil)
-	return r.materialize(), nil //caft:alloc-ok the Result is the caller's one deliberate allocation
+func (r *Replayer) Replay(crashed map[int]bool) *Result {
+	r.setCrashed(crashed)
+	r.run(false, nil)
+	return r.materialize() //caft:alloc-ok the Result is the caller's one deliberate allocation
 }
 
 // latency computes Result.Latency directly from the scratch tables.
@@ -209,33 +195,33 @@ func (r *Replayer) latency() (float64, error) {
 	return lat, nil
 }
 
-// CrashLatency replays with the given crashed processors under
-// first-arrival semantics and returns the achieved latency without
-// allocating a Result. A lost task reports an error satisfying
-// errors.Is(err, ErrTaskLost).
+// CrashLatency replays with the given processors crashed from the
+// start and returns the achieved latency without allocating a Result.
+// A lost task reports an error satisfying errors.Is(err, ErrTaskLost).
 //
 //caft:zeroalloc
 func (r *Replayer) CrashLatency(crashed map[int]bool) (float64, error) {
 	r.setCrashed(crashed)
-	r.run(FirstArrival, nil)
+	r.run(false, nil)
 	return r.latency()
 }
 
-// LowerBound replays with no crashes under first-arrival semantics: the
-// latency achieved if no processor fails.
+// LowerBound replays with no crashes: the latency achieved if no
+// processor fails.
 //
 //caft:zeroalloc
 func (r *Replayer) LowerBound() (float64, error) {
 	return r.CrashLatency(nil)
 }
 
-// UpperBound replays with no crashes under last-arrival semantics and
-// returns the completion time of the last replica of any task.
+// UpperBound replays with no crashes, each replica waiting for the last
+// arrival from every predecessor, and returns the completion time of
+// the last replica of any task.
 //
 //caft:zeroalloc
 func (r *Replayer) UpperBound() (float64, error) {
 	r.setCrashed(nil)
-	r.run(LastArrival, nil)
+	r.run(true, nil)
 	lat := 0.0
 	for i := range r.w.Ops {
 		if x := &r.x[i]; r.w.Ops[i].Kind == OpRep && x.alive && x.finish > lat {

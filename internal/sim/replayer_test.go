@@ -51,10 +51,11 @@ func resultsEqual(t *testing.T, label string, got, want *Result) {
 }
 
 // TestReplayerMatchesReference drives the dense scratch-buffer engine
-// and the original map-based engine over the same schedules, semantics
-// and crash sets (including crash sets beyond ε for the loss path, and
-// one Replayer reused across every replay of a schedule) and requires
-// identical results, on each of the WitnessNets. The reference
+// and the original map-based engine over the same schedules and crash
+// sets (including crash sets beyond ε for the loss path, and one
+// Replayer reused across every replay of a schedule) and requires
+// identical results, and UpperBound to match the reference's
+// last-arrival replay, on each of the WitnessNets. The reference
 // serializes every link of every route, so equality on the star and
 // the mesh shows that the port-implied links the wiring leaves out
 // change no replayed time.
@@ -85,33 +86,43 @@ func TestReplayerMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, sem := range []Semantics{FirstArrival, LastArrival} {
-					// No crash, single crashes, and an over-ε triple crash.
-					crashSets := []map[int]bool{nil, {0: true}, {m - 1: true}, {0: true, 2: true, 4: true}}
-					for ci, crashed := range crashSets {
-						opt := Options{Crashed: crashed, Sem: sem}
-						want, err := refReplay(s, opt)
-						if err != nil {
-							t.Fatal(err)
+				label := nc.Name + "/" + bld.name
+				// No crash, single crashes, and an over-ε triple crash.
+				crashSets := []map[int]bool{nil, {0: true}, {m - 1: true}, {0: true, 2: true, 4: true}}
+				for ci, crashed := range crashSets {
+					want, err := refReplay(s, crashed, false)
+					if err != nil {
+						t.Fatal(err)
+					}
+					resultsEqual(t, label, rep.Replay(crashed), want)
+					if ci > 0 {
+						// Latency-only fast path agrees too.
+						lat, err := rep.CrashLatency(crashed)
+						wantLat, wantErr := want.Latency()
+						if (err == nil) != (wantErr == nil) || lat != wantLat {
+							t.Fatalf("%s: CrashLatency %v (%v) vs %v (%v)", label, lat, err, wantLat, wantErr)
 						}
-						got, err := rep.Replay(opt)
-						if err != nil {
-							t.Fatal(err)
-						}
-						label := nc.Name + "/" + bld.name + "/" + sem.String()
-						resultsEqual(t, label, got, want)
-						if ci > 0 && sem == FirstArrival {
-							// Latency-only fast path agrees too.
-							lat, err := rep.CrashLatency(crashed)
-							wantLat, wantErr := want.Latency()
-							if (err == nil) != (wantErr == nil) || lat != wantLat {
-								t.Fatalf("%s: CrashLatency %v (%v) vs %v (%v)", label, lat, err, wantLat, wantErr)
-							}
-							if err != nil && !errors.Is(err, ErrTaskLost) {
-								t.Fatalf("%s: lost-task error %v does not satisfy ErrTaskLost", label, err)
-							}
+						if err != nil && !errors.Is(err, ErrTaskLost) {
+							t.Fatalf("%s: lost-task error %v does not satisfy ErrTaskLost", label, err)
 						}
 					}
+				}
+				// UpperBound is the latest replica finish of the
+				// last-arrival, no-crash replay.
+				last, err := refReplay(s, nil, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantUB := 0.0
+				for _, reps := range last.Reps {
+					for _, o := range reps {
+						if o.Alive && o.Finish > wantUB {
+							wantUB = o.Finish
+						}
+					}
+				}
+				if ub, err := rep.UpperBound(); err != nil || ub != wantUB {
+					t.Fatalf("%s: UpperBound %v (%v), reference last-arrival replay %v", label, ub, err, wantUB)
 				}
 			}
 		}
@@ -169,7 +180,7 @@ func replayBenchSchedule(tb testing.TB) (*sched.Schedule, map[int]bool) {
 // on the replayBenchSchedule schedule: the maximum over 25 runs of the
 // logged measurement (go test -count=25 -v -run TestReplayerAllocPin)
 // when the pin was set.
-const oneshotReplayAllocs = 709
+const oneshotReplayAllocs = 708
 
 // TestReplayerAllocPin pins the Replayer's allocation profile on the
 // BenchmarkReplay schedule: steady-state CrashLatency and
@@ -216,7 +227,7 @@ func BenchmarkReplay(b *testing.B) {
 	b.Run("map-reference", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			r, err := refReplay(s, Options{Crashed: crashed})
+			r, err := refReplay(s, crashed, false)
 			if err != nil {
 				b.Fatal(err)
 			}

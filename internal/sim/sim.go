@@ -13,15 +13,14 @@
 // early message can push a replica later; both directions are observed
 // in the paper (Figures 1(b) and 2(b)) and reproduced here.
 //
-// Two input semantics are supported:
-//
-//   - FirstArrival: a replica starts once, for each predecessor, the
-//     earliest surviving message has arrived. With zero crashes this
-//     reproduces the scheduler's own times (the latency lower bound).
-//   - LastArrival: a replica waits for every surviving message of every
-//     predecessor. With zero crashes, taking the completion time of the
-//     last replica of each task yields the paper's upper bound, the
-//     latency guaranteed even if ε processors fail.
+// Replays are first-arrival: a replica starts once, for each
+// predecessor, the earliest surviving message has arrived, so with zero
+// crashes a replay reproduces the scheduler's own times (the latency
+// lower bound). Replayer.UpperBound is the one last-arrival evaluation:
+// with zero crashes, a replica waits for every message of every
+// predecessor, and the completion of the last replica of any task is
+// the paper's upper bound, the latency guaranteed even if ε processors
+// fail.
 //
 // A schedule's constraints are built once into a Wiring — the op
 // table, one input slot per (replica, predecessor edge), and every
@@ -45,23 +44,6 @@ import (
 	"caft/internal/sched"
 )
 
-// Semantics selects when a replica's inputs are considered available.
-type Semantics int
-
-const (
-	// FirstArrival starts a replica at the earliest complete input set.
-	FirstArrival Semantics = iota
-	// LastArrival waits for all surviving input messages.
-	LastArrival
-)
-
-func (s Semantics) String() string {
-	if s == FirstArrival {
-		return "first-arrival"
-	}
-	return "last-arrival"
-}
-
 // ErrTaskLost reports that a crash set killed every replica of some
 // task. It distinguishes a genuine task loss (possible for the unsafe
 // PaperLocking ablation, never for the resilient variants when at most
@@ -69,34 +51,28 @@ func (s Semantics) String() string {
 // fixpoint; test with errors.Is.
 var ErrTaskLost = errors.New("task lost")
 
-// Options configures a replay.
-type Options struct {
-	// Crashed marks fail-stop processors. Nil means no failures.
-	Crashed map[int]bool
-	// Sem is the input-availability semantics (default FirstArrival).
-	Sem Semantics
-}
-
-// RepOutcome is the replayed fate of one replica. For Alive replicas
-// Start/Finish are the replayed times. A dead replica of a clairvoyant
-// replay has zero times; an online replay records the aborted attempt
-// of a replica that had started before its crash.
-type RepOutcome struct {
-	Rep      sched.Replica
+// Fate is the replayed fate of one operation. For Alive operations
+// Start/Finish are the replayed times. A dead operation of a
+// clairvoyant replay has zero times; an online replay records the
+// aborted attempt of an operation that had started before its crash.
+type Fate struct {
 	Alive    bool
 	Reactive bool    // online: placed by the rescheduler at runtime
-	PlacedAt float64 // online, reactive replicas: the crash instant that placed them
+	PlacedAt float64 // online, reactive operations: the crash instant that placed them
 	Start    float64
 	Finish   float64
+}
+
+// RepOutcome is the replayed fate of one replica.
+type RepOutcome struct {
+	Rep sched.Replica
+	Fate
 }
 
 // CommOutcome is the replayed fate of one communication.
 type CommOutcome struct {
-	Comm     sched.Comm
-	Alive    bool
-	Reactive bool // online: placed by the rescheduler at runtime
-	Start    float64
-	Finish   float64
+	Comm sched.Comm
+	Fate
 }
 
 // Result holds the replayed times of every operation, of a clairvoyant

@@ -51,10 +51,7 @@ func TestReplayNoCrashReproducesSchedule(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := mustReplayer(t, s).Replay(Options{Sem: FirstArrival})
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := mustReplayer(t, s).Replay(nil)
 		for ti := range s.Reps {
 			for i, rep := range s.Reps[ti] {
 				o := r.Reps[ti][i]
@@ -112,10 +109,7 @@ func TestCrashKillsReplicaOtherSurvives(t *testing.T) {
 	}
 	// Crash the processor hosting copy 0 of t1.
 	victim := s.Reps[1][0].Proc
-	r, err := mustReplayer(t, s).Replay(Options{Crashed: map[int]bool{victim: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustReplayer(t, s).Replay(map[int]bool{victim: true})
 	if _, err := r.Latency(); err != nil {
 		t.Fatalf("single crash lost a task in a 1-fault-tolerant schedule: %v", err)
 	}
@@ -147,10 +141,7 @@ func TestCrashCascadeKillsDependents(t *testing.T) {
 	st.PlaceReplica(1, 0, 2, []sched.SourceSet{{Pred: 0, Volume: 5, Sources: []sched.Replica{r00}}})
 	st.PlaceReplica(1, 1, 3, []sched.SourceSet{{Pred: 0, Volume: 5, Sources: []sched.Replica{r01}}})
 	s := st.Snapshot()
-	r, err := mustReplayer(t, s).Replay(Options{Crashed: map[int]bool{0: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustReplayer(t, s).Replay(map[int]bool{0: true})
 	if r.Reps[1][0].Alive {
 		t.Fatal("replica starved of its only input still alive")
 	}
@@ -183,20 +174,14 @@ func TestCrashCanShiftRemainingEarlier(t *testing.T) {
 	s := st.Snapshot()
 	// Replay with no crash: all four messages serialize into P4's
 	// receive port; first-arrival start for t2 needs one per pred.
-	base, err := mustReplayer(t, s).Replay(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := mustReplayer(t, s).Replay(nil)
 	baseStart := base.Reps[2][0].Start
 	if baseStart != rep.Start {
 		t.Fatalf("baseline replay start %v != scheduled %v", baseStart, rep.Start)
 	}
 	// Crash P1 (a redundant copy of t0): P4 receives fewer messages, so
 	// the needed t1 message can only arrive earlier or at the same time.
-	r2, err := mustReplayer(t, s).Replay(Options{Crashed: map[int]bool{1: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r2 := mustReplayer(t, s).Replay(map[int]bool{1: true})
 	if r2.Reps[2][0].Start > baseStart+sched.Eps {
 		t.Fatalf("removing a redundant message delayed the replica: %v > %v", r2.Reps[2][0].Start, baseStart)
 	}
@@ -241,10 +226,7 @@ func TestTooManyCrashesLosesTask(t *testing.T) {
 	for _, r := range s.Reps[0] {
 		crashed[r.Proc] = true
 	}
-	r, err := mustReplayer(t, s).Replay(Options{Crashed: crashed})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustReplayer(t, s).Replay(crashed)
 	if len(r.TasksLost) == 0 {
 		t.Fatal("killing every replica of a task should lose it")
 	}
@@ -261,22 +243,13 @@ func TestReplayMacroDataflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := mustReplayer(t, s).Replay(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustReplayer(t, s).Replay(nil)
 	lat, err := r.Latency()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(lat-s.ScheduledLatency()) > sched.Eps {
 		t.Fatalf("macro-dataflow replay latency %v vs scheduled %v", lat, s.ScheduledLatency())
-	}
-}
-
-func TestSemanticsString(t *testing.T) {
-	if FirstArrival.String() != "first-arrival" || LastArrival.String() != "last-arrival" {
-		t.Error("Semantics.String broken")
 	}
 }
 

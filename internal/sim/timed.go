@@ -9,15 +9,13 @@ import (
 
 // runTimed grows the dead set of the timed-crash fixpoint on the
 // Replayer's scratch buffers: crashTimes is walked once into the dense
-// per-processor crashAt table (+Inf for a processor that never
-// crashes), per-op deadlines are loaded from it, then replay passes run
-// until no surviving operation violates its deadline. It allocates
-// nothing.
+// per-processor crashAt table, per-op deadlines are loaded from it,
+// then replay passes run until no surviving operation violates its
+// deadline. It allocates nothing.
 //
 //caft:zeroalloc
-func (r *Replayer) runTimed(crashTimes map[int]float64, sem Semantics) error {
-	for i := range r.crashed {
-		r.crashed[i] = false
+func (r *Replayer) runTimed(crashTimes map[int]float64) error {
+	for i := range r.crashAt {
 		r.crashAt[i] = math.Inf(1)
 	}
 	for p, tau := range crashTimes { //caft:unordered-ok dense store, one slot per key
@@ -42,7 +40,7 @@ func (r *Replayer) runTimed(crashTimes map[int]float64, sem Semantics) error {
 	}
 	limit := len(r.w.Ops) + 2
 	for iter := 0; iter < limit; iter++ {
-		r.run(sem, r.dead)
+		r.run(false, r.dead)
 		changed := false
 		for i := range r.x {
 			if x := &r.x[i]; x.alive && x.finish > r.deadline[i]+sched.Eps {
@@ -65,34 +63,34 @@ func (r *Replayer) runTimed(crashTimes map[int]float64, sem Semantics) error {
 // message is delivered only if its transfer completes before both its
 // sender's and its receiver's crash instants.
 //
-// A static crash (Replay with Options.Crashed) is the special case
-// crashTime = 0. Replay with no crashes is the special case of an empty
-// map. Timed semantics require a fixpoint: killing an operation frees
-// its resources, which can pull other operations earlier and let them
-// beat the deadline, so the dead set is grown iteratively — starting
-// from the optimistic no-extra-deaths schedule — until no surviving
-// operation violates a crash instant; each round is one
-// placement-order replay pass. The result is the least such dead set
+// A static crash (Replay) is the crash instant -Inf, which kills even
+// an operation of zero length at time 0; crashing at 0 gives the same
+// replay whenever no such operation runs there. Replay with no crashes
+// is the special case of an empty map. Timed semantics require a
+// fixpoint: killing an operation frees its resources, which can pull
+// other operations earlier and let them beat the deadline, so the dead
+// set is grown iteratively — starting from the optimistic
+// no-extra-deaths schedule — until no surviving operation violates a
+// crash instant; each round is one placement-order replay pass. The result is the least such dead set
 // under the optimistic ordering, matching an execution in which the
 // system never waits for work that will never arrive.
 //
 //caft:zeroalloc
-func (r *Replayer) ReplayTimed(crashTimes map[int]float64, sem Semantics) (*Result, error) {
-	if err := r.runTimed(crashTimes, sem); err != nil {
+func (r *Replayer) ReplayTimed(crashTimes map[int]float64) (*Result, error) {
+	if err := r.runTimed(crashTimes); err != nil {
 		return nil, err
 	}
 	return r.materialize(), nil //caft:alloc-ok the Result is the caller's one deliberate allocation
 }
 
-// CrashLatencyAt replays timed crashes under first-arrival semantics
-// and returns the achieved latency without materializing a Result —
-// the Monte-Carlo entry point of the reliability experiments; a
-// steady-state call allocates nothing. A lost task reports an error
+// CrashLatencyAt replays timed crashes and returns the achieved latency
+// without materializing a Result — the Monte-Carlo entry point of the
+// reliability experiments; a steady-state call allocates nothing. A lost task reports an error
 // satisfying errors.Is(err, ErrTaskLost).
 //
 //caft:zeroalloc
 func (r *Replayer) CrashLatencyAt(crashTimes map[int]float64) (float64, error) {
-	if err := r.runTimed(crashTimes, FirstArrival); err != nil {
+	if err := r.runTimed(crashTimes); err != nil {
 		return 0, err
 	}
 	return r.latency()

@@ -87,11 +87,8 @@ func TestTimedZeroBitIdenticalToStatic(t *testing.T) {
 				crashed[p] = true
 				times[p] = 0
 			}
-			static, err := rep.Replay(Options{Crashed: crashed})
-			if err != nil {
-				t.Fatal(err)
-			}
-			timed, err := rep.ReplayTimed(times, FirstArrival)
+			static := rep.Replay(crashed)
+			timed, err := rep.ReplayTimed(times)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,10 +103,7 @@ func TestTimedPastMakespanBitIdenticalToNoFailure(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		clean, err := rep.Replay(Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		clean := rep.Replay(nil)
 		// The horizon must cover every operation, comms included: FTSA
 		// ships redundant messages that may legitimately finish after the
 		// last replica (their destination already started from an earlier
@@ -125,7 +119,7 @@ func TestTimedPastMakespanBitIdenticalToNoFailure(t *testing.T) {
 		for proc := 0; proc < s.P.Plat.M; proc++ {
 			times[proc] = horizon + 1 + float64(proc)
 		}
-		timed, err := rep.ReplayTimed(times, FirstArrival)
+		timed, err := rep.ReplayTimed(times)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,11 +166,11 @@ func TestTimedDeadSetMonotone(t *testing.T) {
 				late[p] = tau
 				early[p] = tau * rng.Float64()
 			}
-			rLate, err := rep.ReplayTimed(late, FirstArrival)
+			rLate, err := rep.ReplayTimed(late)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rEarly, err := rep.ReplayTimed(early, FirstArrival)
+			rEarly, err := rep.ReplayTimed(early)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -207,19 +201,17 @@ func TestTimedScratchReuseMatchesThrowaway(t *testing.T) {
 				rng.Intn(s.P.Plat.M): rng.Float64() * horizon,
 				rng.Intn(s.P.Plat.M): rng.Float64() * horizon,
 			}
-			reused, err := rep.ReplayTimed(times, FirstArrival)
+			reused, err := rep.ReplayTimed(times)
 			if err != nil {
 				t.Fatal(err)
 			}
-			oneshot, err := mustReplayer(t, s).ReplayTimed(times, FirstArrival)
+			oneshot, err := mustReplayer(t, s).ReplayTimed(times)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sameResult(t, "reused-vs-oneshot", reused, oneshot)
 			// A static replay in between must not poison the timed scratch.
-			if _, err := rep.Replay(Options{Crashed: map[int]bool{draw % s.P.Plat.M: true}}); err != nil {
-				t.Fatal(err)
-			}
+			rep.Replay(map[int]bool{draw % s.P.Plat.M: true})
 		}
 	}
 }

@@ -87,14 +87,14 @@ func TestTimedCrashReplicaSurvivesIfFinished(t *testing.T) {
 	}
 	// Every replica of t0 finishes at 2 (entry task, exec 2).
 	victim := s.Reps[0][0].Proc
-	r, err := mustReplayer(t, s).ReplayTimed(map[int]float64{victim: 2}, FirstArrival)
+	r, err := mustReplayer(t, s).ReplayTimed(map[int]float64{victim: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !r.Reps[0][0].Alive {
 		t.Fatal("replica finishing exactly at the crash instant must survive")
 	}
-	r2, err := mustReplayer(t, s).ReplayTimed(map[int]float64{victim: 1.9}, FirstArrival)
+	r2, err := mustReplayer(t, s).ReplayTimed(map[int]float64{victim: 1.9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,10 +134,7 @@ func TestReplayExposesCommOutcomes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := mustReplayer(t, s).Replay(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustReplayer(t, s).Replay(nil)
 	if len(r.Comms) != len(s.Comms) {
 		t.Fatalf("comm outcomes %d != comms %d", len(r.Comms), len(s.Comms))
 	}

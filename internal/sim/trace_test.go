@@ -18,10 +18,7 @@ func TestWriteTraceCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := mustReplayer(t, s).Replay(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustReplayer(t, s).Replay(nil)
 	var buf bytes.Buffer
 	if err := r.WriteTraceCSV(&buf); err != nil {
 		t.Fatal(err)
@@ -62,10 +59,7 @@ func TestWriteTraceCSVWithCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := mustReplayer(t, s).Replay(Options{Crashed: map[int]bool{0: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustReplayer(t, s).Replay(map[int]bool{0: true})
 	var buf bytes.Buffer
 	if err := r.WriteTraceCSV(&buf); err != nil {
 		t.Fatal(err)

@@ -246,3 +246,31 @@ func (w *Wiring) Truncate() {
 		w.Members[r] = w.Members[r][:w.members0[r]]
 	}
 }
+
+// Result materializes a replay from each op's fate, as reported by
+// fate: Reps indexed like TaskOps, Comms in op order, and TasksLost the
+// tasks none of whose replicas is alive. It is the one Result builder
+// of the Replayer and online.Engine.
+func (w *Wiring) Result(fate func(i int32) Fate) *Result {
+	res := &Result{Reps: make([][]RepOutcome, len(w.TaskOps))}
+	nReps := 0
+	for t, ops := range w.TaskOps {
+		res.Reps[t] = make([]RepOutcome, len(ops))
+		lost := true
+		for k, i := range ops {
+			res.Reps[t][k] = RepOutcome{Rep: w.Ops[i].Rep, Fate: fate(i)}
+			lost = lost && !res.Reps[t][k].Alive
+		}
+		if lost {
+			res.TasksLost = append(res.TasksLost, dag.TaskID(t))
+		}
+		nReps += len(ops)
+	}
+	res.Comms = make([]CommOutcome, 0, len(w.Ops)-nReps)
+	for i := range w.Ops {
+		if w.Ops[i].Kind == OpComm {
+			res.Comms = append(res.Comms, CommOutcome{Comm: w.Ops[i].Comm, Fate: fate(int32(i))})
+		}
+	}
+	return res
+}

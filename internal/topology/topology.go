@@ -24,6 +24,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -253,11 +254,21 @@ func Star(m int, delay float64) (*Graph, error) {
 	return New(m, edges)
 }
 
-// Mesh2D builds a rows x cols grid; both dimensions must be positive
-// and the grid must hold at least 2 processors.
+// checkGrid rejects a rows x cols grid unless both dimensions are
+// positive and the grid holds at least 2 and at most math.MaxInt
+// processors.
+func checkGrid(shape string, rows, cols int) error {
+	if rows < 1 || cols < 1 || rows > math.MaxInt/cols || rows*cols < 2 {
+		return fmt.Errorf("topology: invalid %dx%d %s", rows, cols, shape)
+	}
+	return nil
+}
+
+// Mesh2D builds a rows x cols grid (see checkGrid for the sizes it
+// accepts).
 func Mesh2D(rows, cols int, delay float64) (*Graph, error) {
-	if rows < 1 || cols < 1 || rows*cols < 2 {
-		return nil, fmt.Errorf("topology: invalid %dx%d mesh", rows, cols)
+	if err := checkGrid("mesh", rows, cols); err != nil {
+		return nil, err
 	}
 	id := func(r, c int) int { return r*cols + c }
 	var edges []Edge
@@ -274,12 +285,11 @@ func Mesh2D(rows, cols int, delay float64) (*Graph, error) {
 	return New(rows*cols, edges)
 }
 
-// Torus2D builds a rows x cols grid with wraparound links; both
-// dimensions must be positive and the grid must hold at least 2
-// processors.
+// Torus2D builds a rows x cols grid with wraparound links (see
+// checkGrid for the sizes it accepts).
 func Torus2D(rows, cols int, delay float64) (*Graph, error) {
-	if rows < 1 || cols < 1 || rows*cols < 2 {
-		return nil, fmt.Errorf("topology: invalid %dx%d torus", rows, cols)
+	if err := checkGrid("torus", rows, cols); err != nil {
+		return nil, err
 	}
 	id := func(r, c int) int { return r*cols + c }
 	seen := map[[2]int]bool{}

@@ -35,6 +35,9 @@ func TestConstructorsRejectInvalidSizes(t *testing.T) {
 		{"star", func() (*Graph, error) { return Star(1, 1) }},
 		{"mesh", func() (*Graph, error) { return Mesh2D(0, 4, 1) }},
 		{"torus", func() (*Graph, error) { return Torus2D(2, 0, 1) }},
+		// (2^62+1) x 4 wraps to 4 processors in int arithmetic.
+		{"mesh-overflow", func() (*Graph, error) { return Mesh2D(1<<62+1, 4, 1) }},
+		{"torus-overflow", func() (*Graph, error) { return Torus2D(4, 1<<62+1, 1) }},
 		{"hypercube", func() (*Graph, error) { return Hypercube(0, 1) }},
 		{"random", func() (*Graph, error) { return RandomConnected(rng, 1, 2, 0.5, 1.0) }},
 		{"random-delay", func() (*Graph, error) { return RandomConnected(rng, 4, 2, 0, 1.0) }},

@@ -1,8 +1,10 @@
 package viz
 
 import (
+	"encoding/xml"
 	"fmt"
 	"io"
+	"strings"
 
 	"caft/internal/sched"
 )
@@ -27,7 +29,9 @@ var palette = []string{
 
 // RenderSVG writes the schedule as a self-contained SVG Gantt chart:
 // one lane per processor (plus optional port lanes), colored bars per
-// task with replica labels, and a time axis.
+// task with replica labels, and a time axis. The title and the task
+// names are escaped, so the output is well-formed XML whatever they
+// hold.
 func RenderSVG(w io.Writer, s *sched.Schedule, opt SVGOptions) error {
 	if opt.Width <= 0 {
 		opt.Width = 960
@@ -60,7 +64,7 @@ func RenderSVG(w io.Writer, s *sched.Schedule, opt SVGOptions) error {
 
 	fmt.Fprintf(w, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" font-family="monospace" font-size="11">`+"\n", opt.Width, height)
 	if opt.Title != "" {
-		fmt.Fprintf(w, `<text x="%d" y="18" font-size="14">%s</text>`+"\n", labelW, opt.Title)
+		fmt.Fprintf(w, `<text x="%d" y="18" font-size="14">%s</text>`+"\n", labelW, xmlText(opt.Title))
 	}
 	// Lane backgrounds and labels.
 	for proc := 0; proc < m; proc++ {
@@ -88,7 +92,7 @@ func RenderSVG(w io.Writer, s *sched.Schedule, opt SVGOptions) error {
 			y := laneY(row)
 			x0, x1 := x(r.Start), x(r.Finish)
 			fmt.Fprintf(w, `<rect x="%.1f" y="%d" width="%.1f" height="%d" fill="%s" stroke="#333" stroke-width="0.5"><title>%s copy %d on P%d [%.2f, %.2f)</title></rect>`+"\n",
-				x0, y+1, x1-x0, opt.RowHeight-4, color, s.P.G.Name(r.Task), r.Copy, r.Proc, r.Start, r.Finish)
+				x0, y+1, x1-x0, opt.RowHeight-4, color, xmlText(s.P.G.Name(r.Task)), r.Copy, r.Proc, r.Start, r.Finish)
 			if x1-x0 > 18 {
 				fmt.Fprintf(w, `<text x="%.1f" y="%d" fill="#fff">%d</text>`+"\n", x0+2, y+opt.RowHeight-8, r.Task)
 			}
@@ -119,4 +123,12 @@ func RenderSVG(w io.Writer, s *sched.Schedule, opt SVGOptions) error {
 	}
 	fmt.Fprintln(w, `</svg>`)
 	return nil
+}
+
+// xmlText escapes s as XML character data: markup characters become
+// entities, and characters XML cannot hold become U+FFFD.
+func xmlText(s string) string {
+	var b strings.Builder
+	xml.EscapeText(&b, []byte(s)) // writing to a strings.Builder cannot fail
+	return b.String()
 }

@@ -86,10 +86,7 @@ func TestOnlineStaticEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s engine: %v", label, err)
 				}
-				want, err := rep.Replay(sim.Options{})
-				if err != nil {
-					t.Fatalf("%s static replay: %v", label, err)
-				}
+				want := rep.Replay(nil)
 				if len(want.TasksLost) != 0 {
 					t.Fatalf("%s: lost tasks %v in a no-failure replay", label, want.TasksLost)
 				}
@@ -102,10 +99,7 @@ func TestOnlineStaticEquivalence(t *testing.T) {
 				}
 				for _, crashed := range crashSets {
 					clabel := fmt.Sprintf("%s/crash%v", label, crashed)
-					want, err := rep.Replay(sim.Options{Crashed: crashed})
-					if err != nil {
-						t.Fatalf("%s static replay: %v", clabel, err)
-					}
+					want := rep.Replay(crashed)
 					trace := map[int]float64{}
 					for proc := range crashed {
 						trace[proc] = 0
