@@ -99,7 +99,7 @@ func BenchmarkAblationOneToOne(b *testing.B) {
 		b.Run(v.name, func(b *testing.B) {
 			var lat, msgs float64
 			for i := 0; i < b.N; i++ {
-				s, _, err := core.ScheduleOpts(p, 3, rand.New(rand.NewSource(7)), v.opts)
+				s, err := core.ScheduleOpts(p, 3, rand.New(rand.NewSource(7)), v.opts)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -211,7 +211,7 @@ func BenchmarkCAFTComplexity(b *testing.B) {
 			p := &sched.Problem{G: g, Plat: plat, Exec: exec, Model: sched.OnePort, Policy: timeline.Append}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := core.ScheduleOpts(p, c.eps, rand.New(rand.NewSource(7)), core.Options{Greedy: true}); err != nil {
+				if _, err := core.ScheduleOpts(p, c.eps, rand.New(rand.NewSource(7)), core.Options{Greedy: true}); err != nil {
 					b.Fatal(err)
 				}
 			}

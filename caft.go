@@ -124,8 +124,7 @@ func ScheduleCAFT(p *Problem, eps int, rng *rand.Rand) (*Schedule, error) {
 // ScheduleCAFTOpts runs a specific CAFT variant (greedy one-to-one,
 // replicated-only, or the literal paper locking for ablations).
 func ScheduleCAFTOpts(p *Problem, eps int, rng *rand.Rand, opts CAFTOptions) (*Schedule, error) {
-	s, _, err := core.ScheduleOpts(p, eps, rng, opts)
-	return s, err
+	return core.ScheduleOpts(p, eps, rng, opts)
 }
 
 // ScheduleBatchCAFT runs the windowed batch variant (paper §7).

@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"strconv"
@@ -49,8 +50,21 @@ func main() {
 }
 
 // run builds and renders one schedule, writing the chart and replay
-// summary to out; in is only consulted when no -kind is given.
+// summary to out; in is only consulted when no -kind is given. Flag
+// values are validated up front, as in caftsim: the platform generator
+// panics on a negative -m, the renderer silently draws its default width
+// for a non-positive -width, and the execution-time generator leaves the
+// matrix unscaled for a non-positive -granularity.
 func run(out io.Writer, in io.Reader, algo string, eps, m int, kind string, gran float64, seed int64, width int, ports bool, crash, svgPath, tracePath string) error {
+	if m < 1 {
+		return fmt.Errorf("-m must be positive, got %d", m)
+	}
+	if width < 1 {
+		return fmt.Errorf("-width must be positive, got %d", width)
+	}
+	if gran <= 0 || math.IsNaN(gran) || math.IsInf(gran, 1) {
+		return fmt.Errorf("-granularity must be positive and finite, got %v", gran)
+	}
 	rng := rand.New(rand.NewSource(seed))
 	var g *dag.DAG
 	var err error

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"flag"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -87,6 +88,27 @@ func TestRunValidation(t *testing.T) {
 	// Garbage on stdin with no -kind must fail cleanly.
 	if err := run(io.Discard, strings.NewReader("not json"), "caft", 1, 4, "", 1.0, 1, 60, false, "", "", ""); err == nil {
 		t.Error("garbage stdin accepted")
+	}
+}
+
+func TestRunRejectsBadFlags(t *testing.T) {
+	cases := []struct {
+		m, width int
+		gran     float64
+	}{
+		{-1, 60, 1},
+		{0, 60, 1},
+		{4, -5, 1},
+		{4, 0, 1},
+		{4, 60, 0},
+		{4, 60, -1},
+		{4, 60, math.NaN()},
+		{4, 60, math.Inf(1)},
+	}
+	for _, c := range cases {
+		if err := run(io.Discard, strings.NewReader(""), "caft", 1, c.m, "fork", c.gran, 1, c.width, false, "", "", ""); err == nil {
+			t.Errorf("-m %d -width %d -granularity %v accepted", c.m, c.width, c.gran)
+		}
 	}
 }
 

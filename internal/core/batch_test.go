@@ -60,7 +60,7 @@ func TestBatchWindowOneMatchesGreedy(t *testing.T) {
 				if err != nil {
 					t.Fatalf("trial %d width %d eps %d: window=1: %v", trial, width, eps, err)
 				}
-				sg, _, err := ScheduleOpts(&p, eps, rand.New(rand.NewSource(9)), Options{Greedy: true})
+				sg, err := ScheduleOpts(&p, eps, rand.New(rand.NewSource(9)), Options{Greedy: true})
 				if err != nil {
 					t.Fatalf("trial %d width %d eps %d: greedy: %v", trial, width, eps, err)
 				}

@@ -72,13 +72,6 @@ const (
 	PaperLocking
 )
 
-func (l Locking) String() string {
-	if l == PaperLocking {
-		return "paper"
-	}
-	return "support"
-}
-
 // Options tunes CAFT variants.
 //
 // When neither Greedy nor FullOnly is set, CAFT runs both complete
@@ -99,20 +92,13 @@ type Options struct {
 	FullOnly bool
 }
 
-// Stats reports how the replicas of a run were placed.
-type Stats struct {
-	OneToOneRounds int // replicas placed by One-To-One-Mapping
-	FullRounds     int // replicas placed with fully replicated inputs
-}
-
 func init() {
 	caps := sched.Caps{AcceptsEps: true, Append: true, Insertion: true}
 	sched.Register(sched.Descriptor{Name: "caft", ID: 1, Caps: caps, New: Schedule})
 	sched.Register(sched.Descriptor{
 		Name: "caft-greedy", ID: 2, Caps: caps,
 		New: func(p *sched.Problem, eps int, rng *rand.Rand) (*sched.Schedule, error) {
-			s, _, err := ScheduleOpts(p, eps, rng, Options{Greedy: true})
-			return s, err
+			return ScheduleOpts(p, eps, rng, Options{Greedy: true})
 		},
 	})
 }
@@ -121,44 +107,38 @@ func init() {
 // tolerates eps arbitrary fail-stop processor failures. eps = 0 reduces
 // to HEFT (paper §6).
 func Schedule(p *sched.Problem, eps int, rng *rand.Rand) (*sched.Schedule, error) {
-	s, _, err := ScheduleOpts(p, eps, rng, Options{})
-	return s, err
+	return ScheduleOpts(p, eps, rng, Options{})
 }
 
-// ScheduleOpts runs CAFT with explicit options and returns placement
-// statistics alongside the schedule.
-func ScheduleOpts(p *sched.Problem, eps int, rng *rand.Rand, opts Options) (*sched.Schedule, *Stats, error) {
+// ScheduleOpts runs CAFT with explicit options.
+func ScheduleOpts(p *sched.Problem, eps int, rng *rand.Rand, opts Options) (*sched.Schedule, error) {
 	if !opts.Greedy && !opts.FullOnly {
 		// Portfolio mode: build both resilient schedules with identical
 		// tie-breaking streams and keep the better one.
 		if err := validate(p, eps); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		seedA, seedB := rng.Int63(), rng.Int63()
 		og, of := opts, opts
 		og.Greedy, of.FullOnly = true, true
-		sg, statsG, err := ScheduleOpts(p, eps, rand.New(rand.NewSource(seedA)), og)
+		sg, err := ScheduleOpts(p, eps, rand.New(rand.NewSource(seedA)), og)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		sf, statsF, err := ScheduleOpts(p, eps, rand.New(rand.NewSource(seedB)), of)
+		sf, err := ScheduleOpts(p, eps, rand.New(rand.NewSource(seedB)), of)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if sg.ScheduledLatency() <= sf.ScheduledLatency() {
-			return sg, statsG, nil
+			return sg, nil
 		}
-		return sf, statsF, nil
+		return sf, nil
 	}
 	var c scheduler
 	if err := c.init(p, eps, opts); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	s, err := c.run(sched.NewLister(p, rng), 1)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s, c.stats, nil
+	return c.run(sched.NewLister(p, rng), 1)
 }
 
 type repKey struct {
@@ -174,7 +154,6 @@ type scheduler struct {
 	m        int
 	allProcs []int // 0..m-1, the unbounded fallback candidate list
 	supports map[repKey]procSet
-	stats    *Stats
 }
 
 // validate checks the problem and that its platform can host eps+1
@@ -203,7 +182,6 @@ func (c *scheduler) init(p *sched.Problem, eps int, opts Options) error {
 		m:        p.Plat.M,
 		allProcs: make([]int, p.Plat.M),
 		supports: map[repKey]procSet{},
-		stats:    &Stats{},
 	}
 	for i := range c.allProcs {
 		c.allProcs[i] = i
@@ -298,27 +276,18 @@ func (c *scheduler) rounds(batch []batchTask) error {
 	for copyIdx := 0; copyIdx <= c.eps; copyIdx++ {
 		for i := range batch {
 			bt := &batch[i]
-			var po *o2oPlan
-			if copyIdx < bt.theta {
-				var err error
-				if po, err = c.bestOneToOne(bt.t, copyIdx, bt.preds, bt.pools, bt.locked); err != nil {
-					return err
-				}
+			var pl plan
+			found, err := c.bestOneToOne(bt, copyIdx, &pl)
+			if !found && err == nil {
+				found, err = c.bestFull(bt, copyIdx, &pl)
 			}
-			if po != nil {
-				if err := c.commitOneToOne(bt.t, copyIdx, po, bt.pools, bt.locked); err != nil {
-					return err
-				}
-				continue
+			if !found && err == nil {
+				err = fmt.Errorf("caft: no processor available for replica %d of task %d", copyIdx, bt.t)
 			}
-			pf, err := c.bestFull(bt.t, copyIdx, bt.locked)
 			if err != nil {
 				return err
 			}
-			if pf == nil {
-				return fmt.Errorf("caft: no processor available for replica %d of task %d", copyIdx, bt.t)
-			}
-			if err := c.commitFull(bt.t, copyIdx, pf, bt.locked); err != nil {
+			if err := c.commit(bt, copyIdx, &pl); err != nil {
 				return err
 			}
 		}
@@ -360,78 +329,87 @@ func (c *scheduler) lockFootprint(r sched.Replica) procSet {
 	return c.support(r)
 }
 
-// headChoice records the source replica selected for one predecessor in
-// a one-to-one round.
-type headChoice struct {
-	rep     sched.Replica
-	predIdx int
-}
-
-// o2oPlan is the best candidate placement found by One-To-One-Mapping.
-type o2oPlan struct {
-	proc    int
-	heads   []headChoice
-	sources []sched.SourceSet
-	supp    procSet
-	finish  float64
+// plan is the best candidate placement found for one replica, either
+// by One-To-One-Mapping (oneToOne: each source set holds the one head
+// replica chosen for its predecessor) or with fully replicated inputs.
+// supp is the processor set committing it locks.
+type plan struct {
+	proc     int
+	oneToOne bool
+	sources  []sched.SourceSet
+	supp     procSet
+	finish   float64
 }
 
 // bestOneToOne evaluates One-To-One-Mapping (Algorithm 5.2) on every
 // unlocked candidate processor: per predecessor it selects the head
 // replica — the pool replica whose message would finish earliest on the
 // links (the sort of line 3), or a co-located replica if one exists —
-// simulates the mapping and returns the earliest-finishing plan, or nil
-// when no candidate is eligible.
-func (c *scheduler) bestOneToOne(t dag.TaskID, copyIdx int, preds []dag.Edge, pools [][]sched.Replica, locked procSet) (*o2oPlan, error) {
+// simulates the mapping. It stores the earliest-finishing plan in best
+// and reports whether any candidate was eligible; none is once the θ
+// one-to-one rounds of the task are used up.
+func (c *scheduler) bestOneToOne(bt *batchTask, copyIdx int, best *plan) (bool, error) {
+	if copyIdx >= bt.theta {
+		return false, nil
+	}
 	st := c.st
-	cands := st.Candidates(t, c.eps+1)
-	hosting := st.ProcsOf(t)
+	cands := st.Candidates(bt.t, c.eps+1)
+	hosting := st.ProcsOf(bt.t)
 	remaining := c.eps - copyIdx // replicas still to place after this one
-	var best *o2oPlan
+	found := false
 	for _, proc := range cands {
-		if locked.has(proc) || hosting[proc] {
+		if bt.locked.has(proc) || hosting[proc] {
 			continue
 		}
-		heads, sources, supp, ok := c.planFor(proc, preds, pools, locked, remaining)
+		sources, supp, ok := c.planFor(proc, bt, remaining)
 		if !ok {
 			continue
 		}
-		rep, err := st.ProbeReplica(t, copyIdx, proc, sources)
+		rep, err := st.ProbeReplica(bt.t, copyIdx, proc, sources)
 		if err != nil {
-			return nil, err
+			return false, err
 		}
-		if best == nil || rep.Finish < best.finish {
-			best = &o2oPlan{proc: proc, heads: heads, sources: sources, supp: supp, finish: rep.Finish}
+		if !found || rep.Finish < best.finish {
+			*best = plan{proc: proc, oneToOne: true, sources: sources, supp: supp, finish: rep.Finish}
+			found = true
 		}
 	}
-	return best, nil
+	return found, nil
 }
 
-// commitOneToOne places the replica of a one-to-one plan, records its
-// support, locks P* together with the head footprints (eq. (7)) and
-// consumes the pool replicas that became unusable. A locked processor
-// can neither host another replica of t nor feed one, so no two
-// replicas of t ever share a point of failure.
-func (c *scheduler) commitOneToOne(t dag.TaskID, copyIdx int, pl *o2oPlan, pools [][]sched.Replica, locked procSet) error {
-	if _, err := c.st.PlaceReplica(t, copyIdx, pl.proc, pl.sources); err != nil {
+// commit places the replica of a plan, records its support and locks
+// the plan's processor set (eq. (7)). A locked processor can neither
+// host another replica of t nor feed one, so no two replicas of t ever
+// share a point of failure. A fully replicated replica records its
+// support only when it inherited a chain. A one-to-one replica's
+// support is its processor plus its heads' supports, and committing it
+// consumes the pool replicas the new lock made unusable.
+func (c *scheduler) commit(bt *batchTask, copyIdx int, pl *plan) error {
+	if _, err := c.st.PlaceReplica(bt.t, copyIdx, pl.proc, pl.sources); err != nil {
 		return err
 	}
-	c.stats.OneToOneRounds++
+	key := repKey{bt.t, copyIdx}
+	bt.locked.union(pl.supp)
+	if !pl.oneToOne {
+		if pl.supp.count() > 1 {
+			c.supports[key] = pl.supp
+		}
+		return nil
+	}
 	repSupp := newProcSet(c.m)
 	repSupp.add(pl.proc)
-	for _, h := range pl.heads {
-		repSupp.union(c.support(h.rep))
+	for _, set := range pl.sources {
+		repSupp.union(c.support(set.Sources[0]))
 	}
-	c.supports[repKey{t, copyIdx}] = repSupp
-	locked.union(pl.supp)
-	for j := range pools {
-		kept := pools[j][:0]
-		for _, r := range pools[j] {
-			if !c.lockFootprint(r).intersects(locked) {
+	c.supports[key] = repSupp
+	for j := range bt.pools {
+		kept := bt.pools[j][:0]
+		for _, r := range bt.pools[j] {
+			if !c.lockFootprint(r).intersects(bt.locked) {
 				kept = append(kept, r)
 			}
 		}
-		pools[j] = kept
+		bt.pools[j] = kept
 	}
 	return nil
 }
@@ -444,27 +422,27 @@ func (c *scheduler) commitOneToOne(t dag.TaskID, copyIdx int, pl *o2oPlan, pools
 // budget, heads are reselected among trivial-support replicas only —
 // replicas that die only with their own processor — which keeps the
 // replica chains shallow on small platforms.
-func (c *scheduler) planFor(proc int, preds []dag.Edge, pools [][]sched.Replica, locked procSet, remaining int) ([]headChoice, []sched.SourceSet, procSet, bool) {
+func (c *scheduler) planFor(proc int, bt *batchTask, remaining int) ([]sched.SourceSet, procSet, bool) {
 	for _, trivialOnly := range []bool{false, true} {
-		heads, sources, ok := c.chooseHeads(proc, preds, pools, locked, trivialOnly)
+		sources, ok := c.chooseHeads(proc, bt, trivialOnly)
 		if !ok {
 			continue
 		}
 		supp := newProcSet(c.m)
 		supp.add(proc)
-		for _, h := range heads {
-			supp.union(c.lockFootprint(h.rep))
+		for _, set := range sources {
+			supp.union(c.lockFootprint(set.Sources[0]))
 		}
 		if c.opts.Locking == SupportLocking {
-			after := locked.clone()
+			after := bt.locked.clone()
 			after.union(supp)
 			if c.m-after.count() < remaining {
 				continue
 			}
 		}
-		return heads, sources, supp, true
+		return sources, supp, true
 	}
-	return nil, nil, procSet{}, false
+	return nil, procSet{}, false
 }
 
 // chooseHeads picks, for candidate processor proc, one head replica per
@@ -473,32 +451,32 @@ func (c *scheduler) planFor(proc int, preds []dag.Edge, pools [][]sched.Replica,
 // otherwise the eligible singleton-pool replica with the earliest
 // tentative message arrival on proc. With trivialOnly, heads are
 // restricted to replicas whose support is their own processor. It
-// reports false when some predecessor has no eligible head.
-func (c *scheduler) chooseHeads(proc int, preds []dag.Edge, pools [][]sched.Replica, locked procSet, trivialOnly bool) ([]headChoice, []sched.SourceSet, bool) {
+// returns one single-source set per predecessor, or false when some
+// predecessor has no eligible head.
+func (c *scheduler) chooseHeads(proc int, bt *batchTask, trivialOnly bool) ([]sched.SourceSet, bool) {
 	st := c.st
-	heads := make([]headChoice, 0, len(preds))
-	sources := make([]sched.SourceSet, 0, len(preds))
-	for j, e := range preds {
-		var chosen headChoice
+	sources := make([]sched.SourceSet, 0, len(bt.preds))
+	for j, e := range bt.preds {
+		var chosen sched.Replica
 		found := false
 		// Prefer the earliest-finishing co-located replica whose own
 		// chain is still disjoint from the locked set.
 		for _, r := range st.Reps[e.From] {
-			if r.Proc != proc || c.lockFootprint(r).intersects(locked) {
+			if r.Proc != proc || c.lockFootprint(r).intersects(bt.locked) {
 				continue
 			}
 			if trivialOnly && c.chained(r) {
 				continue
 			}
-			if !found || r.Finish < chosen.rep.Finish {
-				chosen = headChoice{rep: r, predIdx: j}
+			if !found || r.Finish < chosen.Finish {
+				chosen = r
 				found = true
 			}
 		}
 		if !found {
 			bestArr := math.Inf(1)
-			for _, r := range pools[j] {
-				if c.lockFootprint(r).intersects(locked) {
+			for _, r := range bt.pools[j] {
+				if c.lockFootprint(r).intersects(bt.locked) {
 					continue
 				}
 				if trivialOnly && c.chained(r) {
@@ -507,32 +485,24 @@ func (c *scheduler) chooseHeads(proc int, preds []dag.Edge, pools [][]sched.Repl
 				_, fin := st.ProbeComm(r.Proc, proc, r.Finish, e.Volume)
 				if fin < bestArr {
 					bestArr = fin
-					chosen = headChoice{rep: r, predIdx: j}
+					chosen = r
 					found = true
 				}
 			}
 		}
 		if !found {
-			return nil, nil, false
+			return nil, false
 		}
-		heads = append(heads, chosen)
-		sources = append(sources, sched.SourceSet{Pred: e.From, Volume: e.Volume, Sources: []sched.Replica{chosen.rep}})
+		sources = append(sources, sched.SourceSet{Pred: e.From, Volume: e.Volume, Sources: []sched.Replica{chosen}})
 	}
-	return heads, sources, true
-}
-
-// fullPlan is the best fully replicated placement for one replica.
-type fullPlan struct {
-	proc    int
-	sources []sched.SourceSet
-	supp    procSet
-	finish  float64
+	return sources, true
 }
 
 // bestFull evaluates an FTSA-style round: inputs from every replica of
 // every predecessor, candidate processors restricted to unlocked ones
 // (relaxed to all processors not hosting t if locking exhausted the
-// platform), minimum finish time wins.
+// platform), minimum finish time wins. It stores the winning plan in
+// best and reports whether any processor was available.
 //
 // The paper's intra-suppression rule ("no other copy needs to send to
 // P") is only safe as-is when the co-located replica dies exclusively
@@ -546,8 +516,8 @@ type fullPlan struct {
 //     enough processors for later rounds);
 //   - AllSend: keep the free intra transfer but let every remote replica
 //     of the predecessor send a backup (ε extra messages).
-func (c *scheduler) bestFull(t dag.TaskID, copyIdx int, locked procSet) (*fullPlan, error) {
-	st := c.st
+func (c *scheduler) bestFull(bt *batchTask, copyIdx int, best *plan) (bool, error) {
+	st, t, locked := c.st, bt.t, bt.locked
 	base := st.FullSources(t)
 	// The run closure below is invoked twice with ProbeReplica calls in
 	// between, which recycle the ProcsOf scratch buffer.
@@ -585,8 +555,8 @@ func (c *scheduler) bestFull(t dag.TaskID, copyIdx int, locked procSet) (*fullPl
 		}
 		return out, supp
 	}
-	run := func(procs []int, skipLocked bool) (*fullPlan, error) {
-		var best *fullPlan
+	found := false
+	run := func(procs []int, skipLocked bool) error {
 		for _, proc := range procs {
 			if hosting[proc] || (skipLocked && locked.has(proc)) {
 				continue
@@ -594,13 +564,14 @@ func (c *scheduler) bestFull(t dag.TaskID, copyIdx int, locked procSet) (*fullPl
 			sources, supp := planFor(proc)
 			rep, err := st.ProbeReplica(t, copyIdx, proc, sources)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			if best == nil || rep.Finish < best.finish {
-				best = &fullPlan{proc: proc, sources: sources, supp: supp, finish: rep.Finish}
+			if !found || rep.Finish < best.finish {
+				*best = plan{proc: proc, sources: sources, supp: supp, finish: rep.Finish}
+				found = true
 			}
 		}
-		return best, nil
+		return nil
 	}
 	// Bounded probing first; when it yields nothing, widen to the full
 	// processor set before relaxing the lock constraint — bounding must
@@ -608,33 +579,12 @@ func (c *scheduler) bestFull(t dag.TaskID, copyIdx int, locked procSet) (*fullPl
 	// candidate list already is the full set and the middle stage is a
 	// no-op, preserving the historical two-stage behavior bit-for-bit.
 	cands := st.Candidates(t, c.eps+1)
-	best, err := run(cands, true)
-	if err != nil {
-		return nil, err
+	err := run(cands, true)
+	if err == nil && !found && len(cands) < c.m {
+		err = run(c.allProcs, true)
 	}
-	if best == nil && len(cands) < c.m {
-		if best, err = run(c.allProcs, true); err != nil {
-			return nil, err
-		}
+	if err == nil && !found {
+		err = run(c.allProcs, false)
 	}
-	if best == nil {
-		if best, err = run(c.allProcs, false); err != nil {
-			return nil, err
-		}
-	}
-	return best, nil
-}
-
-// commitFull places the replica of a fully replicated plan, records its
-// support when it inherited a chain, and locks its support.
-func (c *scheduler) commitFull(t dag.TaskID, copyIdx int, pl *fullPlan, locked procSet) error {
-	if _, err := c.st.PlaceReplica(t, copyIdx, pl.proc, pl.sources); err != nil {
-		return err
-	}
-	c.stats.FullRounds++
-	if pl.supp.count() > 1 {
-		c.supports[repKey{t, copyIdx}] = pl.supp
-	}
-	locked.union(pl.supp)
-	return nil
+	return found, err
 }

@@ -15,6 +15,7 @@ package dag
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 )
@@ -196,7 +197,7 @@ func (g *DAG) TopoOrder() ([]TaskID, error) {
 }
 
 // Validate checks structural invariants: acyclicity, consistent adjacency,
-// and non-negative volumes.
+// and non-negative finite volumes.
 func (g *DAG) Validate() error {
 	if _, err := g.TopoOrder(); err != nil {
 		return err
@@ -206,8 +207,8 @@ func (g *DAG) Validate() error {
 			if e.From != TaskID(t) {
 				return fmt.Errorf("dag: succ list of %d holds edge %d->%d", t, e.From, e.To)
 			}
-			if e.Volume < 0 {
-				return fmt.Errorf("dag: negative volume on edge %d->%d", e.From, e.To)
+			if e.Volume < 0 || math.IsNaN(e.Volume) || math.IsInf(e.Volume, 1) {
+				return fmt.Errorf("dag: volume %v on edge %d->%d is not non-negative and finite", e.Volume, e.From, e.To)
 			}
 		}
 		for _, e := range g.pred[t] {

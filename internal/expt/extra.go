@@ -125,7 +125,7 @@ func RunAblation(w io.Writer, graphs int, seed int64, workers int) error {
 		def := defs[cell]
 		rng := rand.New(rand.NewSource(unitSeed(seed, cell, gi)))
 		p := randomProblem(rng, 10, def.g)
-		s, _, err := core.ScheduleOpts(p, def.eps, rng, variants[def.variant].opts)
+		s, err := core.ScheduleOpts(p, def.eps, rng, variants[def.variant].opts)
 		if err != nil {
 			return meas{}, err
 		}

@@ -2,6 +2,7 @@ package platform
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"caft/internal/dag"
@@ -22,7 +23,7 @@ func NewExecMatrix(v, m int) ExecMatrix {
 }
 
 // Validate checks the matrix shape against a DAG and platform and that
-// all execution times are strictly positive.
+// all execution times are strictly positive and finite.
 func (e ExecMatrix) Validate(g *dag.DAG, p *Platform) error {
 	if len(e) != g.NumTasks() {
 		return fmt.Errorf("exec: %d rows, want %d tasks", len(e), g.NumTasks())
@@ -32,8 +33,8 @@ func (e ExecMatrix) Validate(g *dag.DAG, p *Platform) error {
 			return fmt.Errorf("exec: row %d has %d cols, want %d", t, len(e[t]), p.M)
 		}
 		for k, c := range e[t] {
-			if c <= 0 {
-				return fmt.Errorf("exec: non-positive E(t%d, P%d) = %v", t, k, c)
+			if c <= 0 || math.IsNaN(c) || math.IsInf(c, 1) {
+				return fmt.Errorf("exec: E(t%d, P%d) = %v is not positive and finite", t, k, c)
 			}
 		}
 	}

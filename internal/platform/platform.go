@@ -12,6 +12,7 @@ package platform
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -54,7 +55,8 @@ func NewRandom(rng *rand.Rand, m int, lo, hi float64) *Platform {
 	return p
 }
 
-// Validate checks matrix shape, zero diagonal and non-negative delays.
+// Validate checks matrix shape, zero diagonal and non-negative finite
+// delays.
 func (p *Platform) Validate() error {
 	if len(p.Delay) != p.M {
 		return fmt.Errorf("platform: delay matrix has %d rows, want %d", len(p.Delay), p.M)
@@ -67,8 +69,8 @@ func (p *Platform) Validate() error {
 			return fmt.Errorf("platform: non-zero self delay on P%d", k)
 		}
 		for h, d := range p.Delay[k] {
-			if d < 0 {
-				return fmt.Errorf("platform: negative delay P%d->P%d", k, h)
+			if d < 0 || math.IsNaN(d) || math.IsInf(d, 1) {
+				return fmt.Errorf("platform: delay P%d->P%d = %v is not non-negative and finite", k, h, d)
 			}
 		}
 	}

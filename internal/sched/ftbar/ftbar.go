@@ -115,14 +115,13 @@ func placeWithMST(st *sched.State, t dag.TaskID, copy, proc int) (sched.Replica,
 		return sched.Replica{}, err
 	}
 	if crit, ok := criticalPred(st, proc, sources, base.Start); ok {
-		if cand, dupFinish, err2 := probeWithDuplicate(st, t, copy, proc, crit); err2 == nil && cand.Finish < base.Finish {
+		if cand, err2 := probeWithDuplicate(st, t, copy, proc, crit); err2 == nil && cand.Finish < base.Finish {
 			// Commit the duplicate, then the replica; FullSources now
 			// includes the duplicate, so the intra rule kicks in.
 			dupCopy := len(st.Reps[crit])
 			if _, err := st.PlaceReplica(crit, dupCopy, proc, st.FullSources(crit)); err != nil {
 				return sched.Replica{}, err
 			}
-			_ = dupFinish
 			return st.PlaceReplica(t, copy, proc, st.FullSources(t))
 		}
 	}
@@ -159,22 +158,16 @@ func criticalPred(st *sched.State, proc int, sources []sched.SourceSet, start fl
 // what-if runs inside one speculative transaction on the real state:
 // the duplicate's record is visible to the second placement and both
 // are rolled back.
-func probeWithDuplicate(st *sched.State, t dag.TaskID, copy, proc int, pred dag.TaskID) (sched.Replica, float64, error) {
+func probeWithDuplicate(st *sched.State, t dag.TaskID, copy, proc int, pred dag.TaskID) (sched.Replica, error) {
 	var rep sched.Replica
-	var dupFinish float64
 	err := st.Speculate(func() error {
-		dup, err := st.PlaceReplica(pred, len(st.Reps[pred]), proc, st.FullSources(pred))
-		if err != nil {
-			return err
+		_, err := st.PlaceReplica(pred, len(st.Reps[pred]), proc, st.FullSources(pred))
+		if err == nil {
+			rep, err = st.PlaceReplica(t, copy, proc, st.FullSources(t))
 		}
-		dupFinish = dup.Finish
-		rep, err = st.PlaceReplica(t, copy, proc, st.FullSources(t))
 		return err
 	})
-	if err != nil {
-		return sched.Replica{}, 0, err
-	}
-	return rep, dupFinish, nil
+	return rep, err
 }
 
 type procPressure struct {

@@ -26,7 +26,8 @@ import (
 // cloned. Under the Append policy single-shot probes take an even
 // cheaper special case: a timeline's whole state under Append is its
 // ready time, so the probe runs on a flat overlay of 3m+S ready times.
-// Tests check every probe against PlaceReplica on a deep Clone.
+// Tests check every probe against PlaceReplica on a copy of the state
+// rebuilt from its snapshot with StateOf.
 //
 //caft:confined
 type State struct {
@@ -116,22 +117,6 @@ func NewState(p *Problem) *State {
 		tls:  make([]timeline.Timeline, lay.Size()),
 		Reps: make([][]Replica, p.G.NumTasks()),
 	}
-}
-
-// Clone deep-copies the state. Scratch buffers and the speculation
-// journal are not carried over: the clone starts with a clean journal.
-func (st *State) Clone() *State {
-	c := &State{P: st.P, lay: st.lay, seq: st.seq, floor: st.floor}
-	c.tls = make([]timeline.Timeline, len(st.tls))
-	for i := range st.tls {
-		c.tls[i] = *st.tls[i].Clone()
-	}
-	c.Reps = make([][]Replica, len(st.Reps))
-	for t := range st.Reps {
-		c.Reps[t] = append([]Replica(nil), st.Reps[t]...)
-	}
-	c.Comms = append([]Comm(nil), st.Comms...)
-	return c
 }
 
 // overlayForProbe returns the reusable Append-policy probe overlay: a
@@ -471,8 +456,8 @@ func (st *State) ProbeComm(src, dst int, readyAt, volume float64) (start, finish
 }
 
 // placeComm reserves the transfer and records it (recording is skipped
-// on probe-overlay and clone-probe states). The caller passes the source
-// replica and destination task/copy for bookkeeping.
+// on probe-overlay states). The caller passes the source replica and
+// destination task/copy for bookkeeping.
 //
 //caft:zeroalloc
 func (st *State) placeComm(srcRep Replica, to dag.TaskID, dstCopy, dst int, volume float64) Comm {

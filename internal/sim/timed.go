@@ -71,9 +71,11 @@ func (r *Replayer) runTimed(crashTimes map[int]float64) error {
 // other operations earlier and let them beat the deadline, so the dead
 // set is grown iteratively — starting from the optimistic
 // no-extra-deaths schedule — until no surviving operation violates a
-// crash instant; each round is one placement-order replay pass. The result is the least such dead set
-// under the optimistic ordering, matching an execution in which the
-// system never waits for work that will never arrive.
+// crash instant. Each round is one placement-order replay pass that
+// kills every violator at once, including an operation that misses its
+// deadline only because an earlier violator of the same pass still held
+// its resource. The result is therefore not the least dead set: killing
+// violators one by one inside a pass would spare such operations.
 //
 //caft:zeroalloc
 func (r *Replayer) ReplayTimed(crashTimes map[int]float64) (*Result, error) {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"caft/internal/core"
+	"caft/internal/dag"
 	"caft/internal/gen"
 	"caft/internal/sched"
 	"caft/internal/sched/ftsa"
@@ -103,6 +104,42 @@ func TestTimedCrashReplicaSurvivesIfFinished(t *testing.T) {
 	}
 	if _, err := r2.Latency(); err != nil {
 		t.Fatalf("1-fault-tolerant schedule lost a task: %v", err)
+	}
+}
+
+// TestTimedRoundKillsEveryViolator pins the round rule of the timed
+// fixpoint: each pass kills every operation that misses its crash
+// instant at once, so the dead set is not the least one. Two
+// independent tasks share P0, which crashes at 5: t0 runs [0,10) and
+// t1 waits for it, [10,12). Both miss the crash, so the first pass
+// kills both, although t1 alone on P0 would have run [0,2) and beaten
+// it. A rule killing violators one by one inside the pass would spare
+// t1; this replay must not.
+func TestTimedRoundKillsEveryViolator(t *testing.T) {
+	p := prob(dag.New(2), 2, 10)
+	p.Exec[1][0], p.Exec[1][1] = 2, 2
+	st := sched.NewState(p)
+	for _, pl := range []struct{ task, copy, proc int }{{0, 0, 0}, {1, 0, 0}, {0, 1, 1}, {1, 1, 1}} {
+		if _, err := st.PlaceReplica(dag.TaskID(pl.task), pl.copy, pl.proc, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := st.Snapshot()
+	if r := s.Reps[1][0]; r.Proc != 0 || r.Start != 10 {
+		t.Fatalf("fixture: t1 copy 0 placed at %+v, want P0 from 10", r)
+	}
+	res, err := mustReplayer(t, s).ReplayTimed(map[int]float64{0: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Reps[0][0].Alive {
+		t.Fatal("t0 on P0 finishes at 10, past the crash at 5, yet survived")
+	}
+	if res.Reps[1][0].Alive {
+		t.Fatal("t1 on P0 survived: the fixpoint no longer kills every violator of a round at once")
+	}
+	if _, err := res.Latency(); err != nil {
+		t.Fatalf("the P1 replicas must survive: %v", err)
 	}
 }
 

@@ -384,17 +384,6 @@ func (tl *Timeline) UndoAdd(start float64, owner int32, prevMax float64) {
 	panic(fmt.Sprintf("timeline: UndoAdd of unknown reservation (%v, owner %d)", start, owner)) //caft:alloc-ok invariant-violation panic, unreachable on consistent state
 }
 
-// Clone returns a deep copy.
-func (tl *Timeline) Clone() *Timeline {
-	c := &Timeline{ivs: make([]Interval, len(tl.ivs)), maxEnd: tl.maxEnd, posEnd: tl.posEnd}
-	copy(c.ivs, tl.ivs)
-	if len(tl.gaps) > 0 {
-		c.gaps = make([]gap, len(tl.gaps))
-		copy(c.gaps, tl.gaps)
-	}
-	return c
-}
-
 // Validate checks ordering and non-overlap among positive-length
 // intervals (zero-length markers may sit anywhere), that the ready time
 // is the latest reservation end, and that the gap index matches the

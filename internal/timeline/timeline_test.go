@@ -2,6 +2,7 @@ package timeline
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -114,16 +115,6 @@ func TestRemoveDisambiguatesByOwner(t *testing.T) {
 	}
 	if tl.Len() != 1 || tl.Intervals()[0].Owner != 1 {
 		t.Fatalf("wrong interval removed: %+v", tl.Intervals())
-	}
-}
-
-func TestClone(t *testing.T) {
-	var tl Timeline
-	tl.MustAdd(0, 1, 1)
-	c := tl.Clone()
-	c.MustAdd(5, 1, 2)
-	if tl.Len() != 1 || c.Len() != 2 {
-		t.Fatalf("clone not independent: %d vs %d", tl.Len(), c.Len())
 	}
 }
 
@@ -244,7 +235,7 @@ func TestQuickUndoAddRestoresExactly(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		tl := randomTimeline(rng, 25)
-		before := tl.Clone()
+		beforeReady, beforeIvs := tl.Ready(), tl.IntervalsCopy()
 		var journal []entry
 		for i := 0; i < 15; i++ {
 			ready := rng.Float64() * 100
@@ -267,15 +258,7 @@ func TestQuickUndoAddRestoresExactly(t *testing.T) {
 			t.Log(err)
 			return false
 		}
-		if tl.Ready() != before.Ready() || tl.Len() != before.Len() {
-			return false
-		}
-		for i, iv := range tl.Intervals() {
-			if iv != before.Intervals()[i] {
-				return false
-			}
-		}
-		return true
+		return tl.Ready() == beforeReady && slices.Equal(tl.Intervals(), beforeIvs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)

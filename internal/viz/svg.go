@@ -1,6 +1,7 @@
 package viz
 
 import (
+	"bufio"
 	"encoding/xml"
 	"fmt"
 	"io"
@@ -31,8 +32,9 @@ var palette = []string{
 // one lane per processor (plus optional port lanes), colored bars per
 // task with replica labels, and a time axis. The title and the task
 // names are escaped, so the output is well-formed XML whatever they
-// hold.
-func RenderSVG(w io.Writer, s *sched.Schedule, opt SVGOptions) error {
+// hold. It returns the first error writing to out.
+func RenderSVG(out io.Writer, s *sched.Schedule, opt SVGOptions) error {
+	w := bufio.NewWriter(out) // keeps the first write error for Flush
 	if opt.Width <= 0 {
 		opt.Width = 960
 	}
@@ -122,7 +124,7 @@ func RenderSVG(w io.Writer, s *sched.Schedule, opt SVGOptions) error {
 		fmt.Fprintf(w, `<text x="%.1f" y="%d" fill="#333">%.0f</text>`+"\n", x(tv)-8, axisY+4, tv)
 	}
 	fmt.Fprintln(w, `</svg>`)
-	return nil
+	return w.Flush()
 }
 
 // xmlText escapes s as XML character data: markup characters become

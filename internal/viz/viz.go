@@ -7,6 +7,7 @@
 package viz
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"sort"
@@ -24,8 +25,10 @@ type Options struct {
 	Ports bool
 }
 
-// Render writes an ASCII Gantt chart of the schedule.
-func Render(w io.Writer, s *sched.Schedule, opt Options) error {
+// Render writes an ASCII Gantt chart of the schedule to out and returns
+// the first write error.
+func Render(out io.Writer, s *sched.Schedule, opt Options) error {
+	w := bufio.NewWriter(out) // keeps the first write error for Flush
 	width := opt.Width
 	if width <= 0 {
 		width = 100
@@ -112,7 +115,7 @@ func Render(w io.Writer, s *sched.Schedule, opt Options) error {
 		fmt.Fprintf(w, "%s|%s|\n", snd.label, string(snd.cells))
 		fmt.Fprintf(w, "%s|%s|\n", rcv.label, string(rcv.cells))
 	}
-	return nil
+	return w.Flush()
 }
 
 // Summary writes a one-paragraph textual summary of the schedule.

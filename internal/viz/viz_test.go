@@ -2,6 +2,7 @@ package viz
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -91,5 +92,22 @@ func TestSummary(t *testing.T) {
 	}
 	if !strings.Contains(out, "latency:") || !strings.Contains(out, "copy0@P") {
 		t.Errorf("summary incomplete:\n%s", out)
+	}
+}
+
+// failWriter fails every write, as a full disk or closed pipe does.
+type failWriter struct{}
+
+var errWrite = errors.New("write failed")
+
+func (failWriter) Write([]byte) (int, error) { return 0, errWrite }
+
+func TestRenderReportsWriteErrors(t *testing.T) {
+	s := testSchedule(t)
+	if err := Render(failWriter{}, s, Options{Ports: true}); !errors.Is(err, errWrite) {
+		t.Errorf("Render to a failing writer returned %v, want %v", err, errWrite)
+	}
+	if err := RenderSVG(failWriter{}, s, SVGOptions{Ports: true}); !errors.Is(err, errWrite) {
+		t.Errorf("RenderSVG to a failing writer returned %v, want %v", err, errWrite)
 	}
 }

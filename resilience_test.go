@@ -144,7 +144,7 @@ func TestExhaustiveResilience(t *testing.T) {
 			return core.Schedule(p, eps, rng)
 		}},
 		{"caft-greedy", func(p *sched.Problem, eps int, rng *rand.Rand) (*sched.Schedule, error) {
-			s, _, err := core.ScheduleOpts(p, eps, rng, core.Options{Greedy: true})
+			s, err := core.ScheduleOpts(p, eps, rng, core.Options{Greedy: true})
 			return s, err
 		}},
 		{"ftsa", ftsa.Schedule},
@@ -189,7 +189,7 @@ func TestExhaustivePaperLockingGap(t *testing.T) {
 		})
 		for _, eps := range []int{1, 2} {
 			p := verifierProblem(rng, g, 6)
-			s, _, err := core.ScheduleOpts(p, eps, rng, core.Options{Greedy: true, Locking: core.PaperLocking})
+			s, err := core.ScheduleOpts(p, eps, rng, core.Options{Greedy: true, Locking: core.PaperLocking})
 			if err != nil {
 				t.Fatal(err)
 			}
