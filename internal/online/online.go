@@ -179,10 +179,11 @@ func waitsOf(o *sim.Op) int32 {
 }
 
 // reset restores every dynamic table to the static prefix and loads the
-// failure trace. It allocates nothing once the scratch has warmed up.
+// failure trace, rejecting a NaN crash instant. It allocates nothing
+// once the scratch has warmed up.
 //
 //caft:zeroalloc
-func (e *Engine) reset(trace map[int]float64) {
+func (e *Engine) reset(trace map[int]float64) error {
 	e.w.Truncate()
 	n0, nSlots := len(e.w.Ops), len(e.w.SlotOf)
 	e.ops = e.ops[:n0]
@@ -221,6 +222,9 @@ func (e *Engine) reset(trace map[int]float64) {
 	// keeps the steady-state path allocation-free.
 	e.crashes = e.crashes[:0]
 	for p, tau := range trace { //caft:unordered-ok sorted by (time, proc) just below
+		if math.IsNaN(tau) {
+			return fmt.Errorf("online: crash instant of P%d is NaN", p) //caft:alloc-ok rejection path; the accept path allocates nothing
+		}
 		if p >= 0 && p < e.m {
 			e.crashes = append(e.crashes, crashEv{tau: tau, proc: p})
 		}
@@ -235,6 +239,7 @@ func (e *Engine) reset(trace map[int]float64) {
 			}
 		}
 	}
+	return nil
 }
 
 // exec runs the event loop: completions in time order, interleaved with

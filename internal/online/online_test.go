@@ -2,6 +2,7 @@ package online
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -287,6 +288,54 @@ func TestOnlineStaticLossMatchesTimedSim(t *testing.T) {
 	_, _, err = e.Makespan(all, Options{Reschedule: true})
 	if err == nil || !errors.Is(err, sim.ErrTaskLost) {
 		t.Fatalf("crashing every processor reported %v, want ErrTaskLost", err)
+	}
+}
+
+// TestNaNCrashInstantRejected pins that both replay engines refuse a
+// NaN crash instant instead of answering: ordering comparisons with NaN
+// are all false, so the Replayer used to treat the processor as never
+// crashing while the engine lost a task. Every timed entry point of
+// both engines must return an error that is not a task loss.
+func TestNaNCrashInstantRejected(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	p := randomProblem(rng, 100, 10, timeline.Append)
+	s, err := core.Schedule(p, 1, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := sim.NewReplayer(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan := math.NaN()
+	for _, trace := range []map[int]float64{{0: nan, 1: nan}, {3: 5, 7: nan}} {
+		check := func(what string, got float64, err error) {
+			t.Helper()
+			if err == nil || errors.Is(err, sim.ErrTaskLost) {
+				t.Errorf("%s(%v) = %v, %v; want a NaN rejection", what, trace, got, err)
+			}
+		}
+		lat, err := r.CrashLatencyAt(trace)
+		check("Replayer.CrashLatencyAt", lat, err)
+		_, err = r.ReplayTimed(trace)
+		check("Replayer.ReplayTimed", 0, err)
+		for _, opt := range []Options{{}, {Reschedule: true}} {
+			lat, _, err := e.Makespan(trace, opt)
+			check(fmt.Sprintf("Engine.Makespan[%+v]", opt), lat, err)
+			_, err = e.Run(trace, opt)
+			check(fmt.Sprintf("Engine.Run[%+v]", opt), 0, err)
+		}
+	}
+	// The engines still answer afterwards.
+	if _, err := r.CrashLatencyAt(map[int]float64{0: 0}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := e.Makespan(map[int]float64{0: 0}, Options{Reschedule: true}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -45,7 +45,9 @@ func (e *Engine) replay(trace map[int]float64, opt Options) error {
 			}
 		}
 	}
-	e.reset(trace)
+	if err := e.reset(trace); err != nil {
+		return err
+	}
 	e.opt = opt
 	if opt.Reschedule {
 		return e.st.Speculate(e.body)
@@ -54,8 +56,9 @@ func (e *Engine) replay(trace map[int]float64, opt Options) error {
 }
 
 // Run replays the schedule against a failure trace (processor -> crash
-// instant; processors absent from the map never fail, and entries
-// outside [0, m) are ignored, matching sim's crash-set handling) and
+// instant; processors absent from the map never fail, entries outside
+// [0, m) are ignored, matching sim's crash-set handling, and a NaN
+// instant is an error) and
 // materializes the full outcome. An empty trace reproduces
 // sim.Replayer's no-crash replay bit for bit.
 func (e *Engine) Run(trace map[int]float64, opt Options) (*sim.Result, error) {
@@ -75,7 +78,8 @@ func (e *Engine) Run(trace map[int]float64, opt Options) (*sim.Result, error) {
 // and the number of reactively placed replicas, without materializing a
 // Result — the Monte-Carlo entry point; a steady-state no-crash call
 // allocates nothing. A task that never completes reports an error
-// satisfying errors.Is(err, sim.ErrTaskLost).
+// satisfying errors.Is(err, sim.ErrTaskLost); a NaN crash instant is an
+// error too.
 //
 //caft:zeroalloc
 func (e *Engine) Makespan(trace map[int]float64, opt Options) (float64, int, error) {

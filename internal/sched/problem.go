@@ -61,7 +61,9 @@ type Network interface {
 	// to dst, in order. It must return nil when src == dst.
 	Route(src, dst int) []int
 	// Dur returns the transfer time of volume units from src to dst
-	// (zero when src == dst).
+	// (zero when src == dst). It must be monotone (non-decreasing) in
+	// volume: State bounds every transfer on a port or link from below
+	// by the duration of the smallest edge volume.
 	Dur(src, dst int, volume float64) float64
 	// MeanUnitDelay returns the average unit-volume transfer time over
 	// distinct processor pairs; it drives priority path lengths.

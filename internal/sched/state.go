@@ -111,11 +111,60 @@ type probeMark struct {
 // NewState returns an empty state for the problem.
 func NewState(p *Problem) *State {
 	lay := NewLayout(p)
-	return &State{
+	st := &State{
 		P:    p,
 		lay:  lay,
 		tls:  make([]timeline.Timeline, lay.Size()),
 		Reps: make([][]Replica, p.G.NumTasks()),
+	}
+	st.setMinDurs()
+	return st
+}
+
+// setMinDurs declares on every timeline the shortest reservation the
+// problem can ask it for (timeline.SetMinDur), so gap indexes skip the
+// gaps no reservation fits. Compute timeline q gets the smallest
+// Exec[t][q]. Ports and shared links get the smallest Dur(a, b, vmin)
+// over processor pairs a != b, vmin the smallest edge volume; this
+// bounds every transfer because Network.Dur is monotone in the volume.
+// Under Append no query reads the gap index, so every timeline gets
+// +Inf and skips its upkeep.
+func (st *State) setMinDurs() {
+	p := st.P
+	inf := math.Inf(1)
+	if p.Policy == timeline.Append {
+		for i := range st.tls {
+			st.tls[i].SetMinDur(inf)
+		}
+		return
+	}
+	m := st.lay.Procs()
+	for q := 0; q < m; q++ {
+		d := inf
+		for t := range p.Exec {
+			d = min(d, p.Exec[t][q])
+		}
+		st.tls[st.lay.Compute(q)].SetMinDur(d)
+	}
+	vmin := inf
+	for t := 0; t < p.G.NumTasks(); t++ {
+		for _, e := range p.G.Pred(dag.TaskID(t)) {
+			vmin = min(vmin, e.Volume)
+		}
+	}
+	comm := inf
+	if vmin < inf {
+		net := st.lay.Network()
+		for a := 0; a < m; a++ {
+			for b := 0; b < m; b++ {
+				if a != b {
+					comm = min(comm, net.Dur(a, b, vmin))
+				}
+			}
+		}
+	}
+	for i := m; i < len(st.tls); i++ {
+		st.tls[i].SetMinDur(comm)
 	}
 }
 
@@ -457,10 +506,12 @@ func (st *State) ProbeComm(src, dst int, readyAt, volume float64) (start, finish
 
 // placeComm reserves the transfer and records it (recording is skipped
 // on probe-overlay states). The caller passes the source replica and
-// destination task/copy for bookkeeping.
+// destination task/copy for bookkeeping, and from, where the slot
+// search starts: the source's finish or the transfer's probed start
+// (see PlaceReplica).
 //
 //caft:zeroalloc
-func (st *State) placeComm(srcRep Replica, to dag.TaskID, dstCopy, dst int, volume float64) Comm {
+func (st *State) placeComm(srcRep Replica, to dag.TaskID, dstCopy, dst int, volume, from float64) Comm {
 	st.seq++
 	c := Comm{
 		From: srcRep.Task, To: to,
@@ -475,7 +526,7 @@ func (st *State) placeComm(srcRep Replica, to dag.TaskID, dstCopy, dst int, volu
 	} else {
 		c.Dur = st.lay.Network().Dur(srcRep.Proc, dst, volume) //caft:alloc-ok cost-model interface call; in-tree models are pure arithmetic
 		ids := st.commResources(srcRep.Proc, dst)
-		c.Start = st.commonSlot(srcRep.Finish, c.Dur, ids)
+		c.Start = st.commonSlot(from, c.Dur, ids)
 		c.Finish = c.Start + c.Dur
 		for _, id := range ids {
 			st.reserve(id, c.Start, c.Dur, c.Seq)
@@ -487,11 +538,12 @@ func (st *State) placeComm(srcRep Replica, to dag.TaskID, dstCopy, dst int, volu
 	return c
 }
 
-// pendingComm is one tentative remote transfer of a PlaceReplica call.
+// pendingComm is one tentative remote transfer of a PlaceReplica call:
+// its probed start and finish.
 type pendingComm struct {
-	setIdx    int
-	src       Replica
-	tentative float64
+	setIdx           int
+	src              Replica
+	start, tentative float64
 }
 
 // PlaceReplica schedules copy `copy` of task t on processor proc,
@@ -509,6 +561,11 @@ type pendingComm struct {
 //
 // The replica's start time is the earliest slot on the processor's
 // compute timeline at or after all inputs are available (eq. (5)).
+//
+// Each transfer's slot search resumes from its probed start: between
+// the probe and the placement the state only gains reservations, so
+// the first feasible start at or after the source's finish is the
+// first one at or after the probed start.
 //
 //caft:zeroalloc
 func (st *State) PlaceReplica(t dag.TaskID, copy, proc int, sources []SourceSet) (Replica, error) {
@@ -540,7 +597,7 @@ func (st *State) PlaceReplica(t dag.TaskID, copy, proc int, sources []SourceSet)
 		}
 		if intra >= 0 {
 			srcRep := set.Sources[intra]
-			st.placeComm(srcRep, t, copy, proc, set.Volume)
+			st.placeComm(srcRep, t, copy, proc, set.Volume, srcRep.Finish)
 			arrival[i] = srcRep.Finish
 			if !set.AllSend {
 				continue
@@ -550,8 +607,8 @@ func (st *State) PlaceReplica(t dag.TaskID, copy, proc int, sources []SourceSet)
 			if srcRep.Proc == proc {
 				continue // intra transfer already recorded
 			}
-			_, fin := st.ProbeComm(srcRep.Proc, proc, srcRep.Finish, set.Volume)
-			pending = append(pending, pendingComm{setIdx: i, src: srcRep, tentative: fin})
+			start, fin := st.ProbeComm(srcRep.Proc, proc, srcRep.Finish, set.Volume)
+			pending = append(pending, pendingComm{setIdx: i, src: srcRep, start: start, tentative: fin})
 		}
 	}
 	// Serialize transfers in non-decreasing tentative finish order. The
@@ -563,7 +620,7 @@ func (st *State) PlaceReplica(t dag.TaskID, copy, proc int, sources []SourceSet)
 		}
 	}
 	for _, pc := range pending {
-		c := st.placeComm(pc.src, t, copy, proc, sources[pc.setIdx].Volume)
+		c := st.placeComm(pc.src, t, copy, proc, sources[pc.setIdx].Volume, pc.start)
 		if c.Finish < arrival[pc.setIdx] {
 			arrival[pc.setIdx] = c.Finish
 		}

@@ -11,7 +11,8 @@ import (
 // Replayer's scratch buffers: crashTimes is walked once into the dense
 // per-processor crashAt table, per-op deadlines are loaded from it,
 // then replay passes run until no surviving operation violates its
-// deadline. It allocates nothing.
+// deadline. A NaN crash instant is rejected before any pass. It
+// allocates nothing.
 //
 //caft:zeroalloc
 func (r *Replayer) runTimed(crashTimes map[int]float64) error {
@@ -19,6 +20,9 @@ func (r *Replayer) runTimed(crashTimes map[int]float64) error {
 		r.crashAt[i] = math.Inf(1)
 	}
 	for p, tau := range crashTimes { //caft:unordered-ok dense store, one slot per key
+		if math.IsNaN(tau) {
+			return fmt.Errorf("sim: crash instant of P%d is NaN", p) //caft:alloc-ok rejection path; the accept path allocates nothing
+		}
 		if p >= 0 && p < len(r.crashAt) {
 			r.crashAt[p] = tau
 		}
@@ -57,7 +61,8 @@ func (r *Replayer) runTimed(crashTimes map[int]float64) error {
 
 // ReplayTimed replays the schedule under timed fail-stop failures,
 // reusing this Replayer's tables and scratch: each entry of crashTimes
-// maps a processor to the instant it permanently stops. Work the
+// maps a processor to the instant it permanently stops; a NaN instant
+// is an error. Work the
 // processor completed before that instant survives — a replica counts
 // as executed only if it finishes no later than the crash, and a
 // message is delivered only if its transfer completes before both its
@@ -88,7 +93,8 @@ func (r *Replayer) ReplayTimed(crashTimes map[int]float64) (*Result, error) {
 // CrashLatencyAt replays timed crashes and returns the achieved latency
 // without materializing a Result — the Monte-Carlo entry point of the
 // reliability experiments; a steady-state call allocates nothing. A lost task reports an error
-// satisfying errors.Is(err, ErrTaskLost).
+// satisfying errors.Is(err, ErrTaskLost); a NaN crash instant is an
+// error too.
 //
 //caft:zeroalloc
 func (r *Replayer) CrashLatencyAt(crashTimes map[int]float64) (float64, error) {

@@ -2,13 +2,15 @@ package timeline
 
 import (
 	"encoding/binary"
+	"math"
 	"sort"
 	"testing"
 )
 
 // rebuild re-adds the timeline's current intervals into a fresh
 // Timeline — the from-scratch reference for the incrementally
-// maintained gap index.
+// maintained gap index. The reference indexes every gap (minimum
+// duration 0).
 func rebuild(t *testing.T, tl *Timeline) *Timeline {
 	t.Helper()
 	var fresh Timeline
@@ -26,7 +28,9 @@ func rebuild(t *testing.T, tl *Timeline) *Timeline {
 // means the incremental gap-index maintenance of Add/Remove/UndoAdd
 // drifted from the interval list. The probe points ascend, and for
 // each duration one cursor is carried from point to point: the resumed
-// scan must give the cold answer too.
+// scan must give the cold answer too. Insertion is asked only durations
+// at or above the live timeline's minimum (none when it is infinite),
+// Append any duration.
 func crossCheck(t *testing.T, tl *Timeline) {
 	t.Helper()
 	fresh := rebuild(t, tl)
@@ -38,8 +42,15 @@ func crossCheck(t *testing.T, tl *Timeline) {
 		readies = append(readies, iv.Start, iv.End)
 	}
 	sort.Float64s(readies)
-	for _, dur := range []float64{0, 1, 5, 31} {
+	durs := []float64{0, 1, 5, 31}
+	if tl.indexed() {
+		durs = append(durs, tl.minDur)
+	}
+	for _, dur := range durs {
 		for _, pol := range []Policy{Append, Insertion} {
+			if pol == Insertion && dur < tl.minDur {
+				continue
+			}
 			var cur Cursor
 			for _, ready := range readies {
 				got := tl.EarliestSlot(ready, dur, pol)
@@ -61,6 +72,12 @@ func crossCheck(t *testing.T, tl *Timeline) {
 // maintained gap index always answers exactly like a timeline rebuilt
 // from scratch from the surviving intervals, cold or resumed from a
 // cursor (crossCheck, after every operation).
+//
+// The live timeline's minimum duration (SetMinDur) comes from the input
+// length: len(data)%3 — the count of trailing bytes no operation reads —
+// picks 0, 4 or +Inf. Insertion searches ask for at least the minimum
+// and become Append searches under +Inf; the reservations themselves
+// keep their drawn durations, so short ones still split and merge gaps.
 func FuzzTimelineOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
 	f.Add([]byte{255, 0, 128, 7, 7, 7})
@@ -68,8 +85,30 @@ func FuzzTimelineOps(f *testing.F) {
 	// Three back-to-back reservations; remove the interior one (the
 	// ready time stays), then the last one (the ready time falls back).
 	f.Add([]byte{0, 0, 10, 0, 0, 12, 0, 0, 5, 2, 0, 1, 2, 0, 1, 4, 0, 0})
+	// Reservations [0,10), [12,20) and [25,30): under the minimum 4 the
+	// 2-unit gap is unindexed and the 5-unit one indexed. Removing
+	// [12,20) merges both into [10,25); an insertion then splits it,
+	// and a journaled 3-unit reservation, shorter than the minimum, is
+	// added and undone. The same operations run again with an infinite
+	// minimum.
+	minSeed := []byte{0, 0, 10, 0, 12, 8, 0, 25, 5, 2, 0, 1, 1, 0, 4, 3, 0, 3, 4, 0, 0}
+	f.Add(append(minSeed[:len(minSeed):len(minSeed)], 0))
+	f.Add(append(minSeed[:len(minSeed):len(minSeed)], 0, 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var tl Timeline
+		tl.SetMinDur([]float64{0, 4, math.Inf(1)}[len(data)%3])
+		// query returns the slot an Insertion search (or Append, when
+		// Insertion is disallowed) finds for a reservation of dur.
+		query := func(ready, dur float64, pol Policy) float64 {
+			if pol == Insertion {
+				if !tl.indexed() {
+					pol = Append
+				} else if dur < tl.minDur {
+					dur = tl.minDur
+				}
+			}
+			return tl.EarliestSlot(ready, dur, pol)
+		}
 		var placed []Interval
 		nextOwner := int32(0)
 		type journaled struct {
@@ -87,7 +126,7 @@ func FuzzTimelineOps(f *testing.F) {
 			pol := Policy(int(op) % 2)
 			switch op {
 			case 0, 1:
-				s := tl.EarliestSlot(ready, dur, pol)
+				s := query(ready, dur, pol)
 				if s < ready {
 					t.Fatalf("slot %v before ready %v", s, ready)
 				}
@@ -107,7 +146,7 @@ func FuzzTimelineOps(f *testing.F) {
 				// Journaled add, undone immediately after a validity probe:
 				// UndoAdd must restore intervals, gap index and ready time.
 				prev := tl.Ready()
-				s := tl.EarliestSlot(ready, dur, Insertion)
+				s := query(ready, dur, Insertion)
 				if err := tl.Add(s, dur, nextOwner); err != nil {
 					t.Fatalf("journaled add rejected: %v", err)
 				}

@@ -22,6 +22,11 @@
 // lets a caller that asks one timeline again with a larger ready time
 // resume the scan where the previous call stopped.
 //
+// SetMinDur declares the shortest duration any Insertion query will ask
+// for, so the index holds only the gaps such a query can fill. With an
+// infinite minimum the index is not maintained at all, which is what
+// Append-only timelines want.
+//
 // UndoAdd is the rollback half of a journaled reservation: callers that
 // probe speculatively record (start, owner, previous ready time) for
 // every Add and undo them in reverse order, restoring the timeline —
@@ -34,6 +39,7 @@ package timeline
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -88,6 +94,56 @@ type Timeline struct {
 	// does.
 	gaps   []gap
 	posEnd float64
+	// minDur is the shortest duration an Insertion query may ask for
+	// (SetMinDur): the index keeps only gaps g with g.start+minDur <=
+	// g.end. +Inf leaves the index unmaintained.
+	minDur float64
+}
+
+// SetMinDur declares d as the shortest duration any later Insertion
+// query asks for, and rebuilds the gap index to hold only the gaps g
+// with g.start+d <= g.end. That is the scan's own fit test, so for
+// every query with dur >= d the dropped gaps are exactly ones the scan
+// would reject, and EarliestSlot answers as without the filter. An
+// Insertion query with a dur below d panics. The zero value (d = 0)
+// indexes every gap. d = +Inf disallows Insertion queries of any finite
+// duration, and Add, Remove and UndoAdd then skip index upkeep. It
+// panics on a negative or NaN d.
+func (tl *Timeline) SetMinDur(d float64) {
+	if !(d >= 0) {
+		panic("timeline: negative or NaN minimum duration")
+	}
+	tl.minDur = d
+	tl.gaps, tl.posEnd = tl.usableGaps(tl.gaps[:0])
+}
+
+// indexed reports whether the gap index is maintained (the minimum
+// duration is finite).
+//
+//caft:zeroalloc
+func (tl *Timeline) indexed() bool { return tl.minDur <= math.MaxFloat64 }
+
+// usable reports whether the free interval [s, e) belongs in the gap
+// index: a query of the minimum duration fits in it.
+//
+//caft:zeroalloc
+func (tl *Timeline) usable(s, e float64) bool { return s < e && s+tl.minDur <= e }
+
+// usableGaps appends the gaps the index should hold to dst, computed
+// from the interval list, and returns them with the end of the last
+// positive-length reservation. Positive intervals must not overlap.
+func (tl *Timeline) usableGaps(dst []gap) ([]gap, float64) {
+	prevEnd := 0.0
+	for _, iv := range tl.ivs {
+		if iv.End == iv.Start {
+			continue
+		}
+		if tl.usable(prevEnd, iv.Start) {
+			dst = append(dst, gap{prevEnd, iv.Start})
+		}
+		prevEnd = iv.End
+	}
+	return dst, prevEnd
 }
 
 // Len returns the number of reservations.
@@ -132,11 +188,13 @@ func (tl *Timeline) EarliestSlot(ready, dur float64, pol Policy) float64 {
 
 // Cursor carries an Insertion gap scan from one EarliestSlotFrom call
 // to the next. The zero Cursor is cold: the call binary-searches the
-// gap index. After a call it names the gap the scan stopped at, and a
-// later call on the unchanged timeline with the same dur and a ready
-// time no smaller resumes there: every gap before it either ended by
-// the earlier ready time or was too short from it, and a larger ready
-// time only makes it shorter.
+// gap index. After a call it names the indexed gap the scan stopped at,
+// and a later call on the unchanged timeline with the same dur and a
+// ready time no smaller resumes there: every gap before it either ended
+// by the earlier ready time or was too short from it, and a larger
+// ready time only makes it shorter. Gaps shorter than the minimum
+// duration (SetMinDur) are not in the index, so neither scan visits
+// them.
 type Cursor int
 
 // EarliestSlotFrom is EarliestSlot resuming the Insertion scan at cur,
@@ -148,6 +206,9 @@ type Cursor int
 func (tl *Timeline) EarliestSlotFrom(ready, dur float64, pol Policy, cur *Cursor) float64 {
 	if dur < 0 {
 		panic("timeline: negative duration")
+	}
+	if pol == Insertion && dur < tl.minDur {
+		panic("timeline: Insertion query below the minimum duration")
 	}
 	if pol == Append || len(tl.ivs) == 0 {
 		if r := tl.Ready(); r > ready {
@@ -223,7 +284,7 @@ func (tl *Timeline) Add(start, dur float64, owner int32) error {
 	if end > tl.maxEnd {
 		tl.maxEnd = end
 	}
-	if dur > 0 {
+	if dur > 0 && tl.indexed() {
 		tl.gapsOnAdd(start, end)
 	}
 	return nil
@@ -238,27 +299,36 @@ func (tl *Timeline) gapsOnAdd(start, end float64) {
 		// Tail region: a new gap opens between the previous last positive
 		// end and the reservation. Its end exceeds every indexed gap's,
 		// so appending keeps the index sorted.
-		if start > tl.posEnd {
+		if tl.usable(tl.posEnd, start) {
 			tl.gaps = append(tl.gaps, gap{tl.posEnd, start})
 		}
 		tl.posEnd = end
 		return
 	}
 	// Interior: the reservation lies inside exactly one gap; split it.
+	// That gap is unindexed only if it is too short for the minimum
+	// duration, and then so is the reservation, and so are the pieces.
 	i := sort.Search(len(tl.gaps), func(i int) bool { return tl.gaps[i].end > start })
-	if i >= len(tl.gaps) || tl.gaps[i].start > start || tl.gaps[i].end < end {
+	if i == len(tl.gaps) || tl.gaps[i].start > start {
+		if start+tl.minDur > end && (i == len(tl.gaps) || tl.gaps[i].start >= end) {
+			return
+		}
 		panic(fmt.Sprintf("timeline: gap index lost [%v,%v)", start, end)) //caft:alloc-ok invariant-violation panic, unreachable on consistent state
 	}
 	g := tl.gaps[i]
+	if g.end < end {
+		panic(fmt.Sprintf("timeline: gap index lost [%v,%v)", start, end)) //caft:alloc-ok invariant-violation panic, unreachable on consistent state
+	}
 	left, right := gap{g.start, start}, gap{end, g.end}
+	lu, ru := tl.usable(left.start, left.end), tl.usable(right.start, right.end)
 	switch {
-	case left.start < left.end && right.start < right.end:
+	case lu && ru:
 		tl.gaps = append(tl.gaps, gap{})
 		copy(tl.gaps[i+1:], tl.gaps[i:])
 		tl.gaps[i], tl.gaps[i+1] = left, right
-	case left.start < left.end:
+	case lu:
 		tl.gaps[i] = left
-	case right.start < right.end:
+	case ru:
 		tl.gaps[i] = right
 	default:
 		tl.gaps = append(tl.gaps[:i], tl.gaps[i+1:]...)
@@ -267,6 +337,9 @@ func (tl *Timeline) gapsOnAdd(start, end float64) {
 
 // gapsOnRemove re-merges the free space exposed by deleting the positive
 // reservation at index i of the interval list (not yet spliced out).
+// The merged gap runs between the nearest positive neighbours: the
+// pieces on either side of the reservation may be too short to be
+// indexed, so the index alone does not know where they start or end.
 //
 //caft:zeroalloc
 func (tl *Timeline) gapsOnRemove(i int) {
@@ -280,10 +353,10 @@ func (tl *Timeline) gapsOnRemove(i int) {
 			break
 		}
 	}
-	hasNext := false
+	hasNext, nextStart := false, 0.0
 	for j := i + 1; j < len(tl.ivs); j++ {
 		if tl.ivs[j].End > tl.ivs[j].Start {
-			hasNext = true
+			hasNext, nextStart = true, tl.ivs[j].Start
 			break
 		}
 	}
@@ -296,25 +369,26 @@ func (tl *Timeline) gapsOnRemove(i int) {
 		tl.posEnd = prevEnd
 		return
 	}
-	merged := gap{iv.Start, iv.End}
-	j := sort.Search(len(tl.gaps), func(j int) bool { return tl.gaps[j].end >= iv.Start })
-	lo, hi := j, j // gaps[lo:hi] will be replaced by merged
-	if j < len(tl.gaps) && tl.gaps[j].end == iv.Start {
-		merged.start = tl.gaps[j].start
-		hi = j + 1
-	}
-	if hi < len(tl.gaps) && tl.gaps[hi].start == iv.End {
-		merged.end = tl.gaps[hi].end
+	// gaps[lo:hi] are the indexed pieces on either side of iv; the
+	// merged gap replaces them, or they just go if it is unusable too.
+	lo := sort.Search(len(tl.gaps), func(j int) bool { return tl.gaps[j].end >= iv.Start })
+	hi := lo
+	if hi < len(tl.gaps) && tl.gaps[hi].end == iv.Start {
 		hi++
 	}
-	if lo == hi {
-		tl.gaps = append(tl.gaps, gap{})
-		copy(tl.gaps[lo+1:], tl.gaps[lo:])
-		tl.gaps[lo] = merged
-	} else {
-		tl.gaps[lo] = merged
-		tl.gaps = append(tl.gaps[:lo+1], tl.gaps[hi:]...)
+	if hi < len(tl.gaps) && tl.gaps[hi].start == iv.End {
+		hi++
 	}
+	if tl.usable(prevEnd, nextStart) {
+		if lo == hi {
+			tl.gaps = append(tl.gaps, gap{})
+			copy(tl.gaps[lo+1:], tl.gaps[lo:])
+			hi++
+		}
+		tl.gaps[lo] = gap{prevEnd, nextStart}
+		lo++
+	}
+	tl.gaps = append(tl.gaps[:lo], tl.gaps[hi:]...)
 }
 
 // deleteAt removes the reservation at index i, maintaining the gap
@@ -322,7 +396,7 @@ func (tl *Timeline) gapsOnRemove(i int) {
 //
 //caft:zeroalloc
 func (tl *Timeline) deleteAt(i int) {
-	if tl.ivs[i].End > tl.ivs[i].Start {
+	if tl.ivs[i].End > tl.ivs[i].Start && tl.indexed() {
 		tl.gapsOnRemove(i)
 	}
 	tl.ivs = append(tl.ivs[:i], tl.ivs[i+1:]...)
@@ -386,12 +460,12 @@ func (tl *Timeline) UndoAdd(start float64, owner int32, prevMax float64) {
 
 // Validate checks ordering and non-overlap among positive-length
 // intervals (zero-length markers may sit anywhere), that the ready time
-// is the latest reservation end, and that the gap index matches the
-// interval list exactly.
+// is the latest reservation end, and that the gap index holds exactly
+// the usable gaps of the interval list (none when it is not
+// maintained).
 func (tl *Timeline) Validate() error {
 	prevEnd, maxEnd := 0.0, 0.0
 	hasPrev := false
-	var wantGaps []gap
 	for i := range tl.ivs {
 		if tl.ivs[i].End > maxEnd {
 			maxEnd = tl.ivs[i].End
@@ -403,15 +477,13 @@ func (tl *Timeline) Validate() error {
 			return fmt.Errorf("timeline: interval %d [%v,%v) overlaps a predecessor ending at %v",
 				i, tl.ivs[i].Start, tl.ivs[i].End, prevEnd)
 		}
-		if tl.ivs[i].Start > prevEnd {
-			wantGaps = append(wantGaps, gap{prevEnd, tl.ivs[i].Start})
-		}
 		prevEnd, hasPrev = tl.ivs[i].End, true
 	}
 	if tl.maxEnd != maxEnd {
 		return fmt.Errorf("timeline: ready time %v, want %v", tl.maxEnd, maxEnd)
 	}
-	if tl.posEnd != prevEnd {
+	wantGaps, _ := tl.usableGaps(nil)
+	if tl.indexed() && tl.posEnd != prevEnd {
 		return fmt.Errorf("timeline: gap index posEnd %v, want %v", tl.posEnd, prevEnd)
 	}
 	if len(wantGaps) != len(tl.gaps) {

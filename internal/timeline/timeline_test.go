@@ -1,6 +1,7 @@
 package timeline
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -129,6 +130,59 @@ func TestNegativeDuration(t *testing.T) {
 		}
 	}()
 	tl.EarliestSlot(0, -1, Append)
+}
+
+// An Insertion query shorter than the declared minimum duration
+// panics, since the gap index may lack the gaps it could fill; with an
+// infinite minimum every Insertion query panics. Append queries of any
+// duration stay allowed, and a query at the minimum itself is fine.
+func TestInsertionBelowMinDurPanics(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	var tl Timeline
+	tl.MustAdd(0, 2, 1)
+	tl.MustAdd(3, 2, 2) // [2,3) is too short for the minimum of 1.5
+	tl.MustAdd(8, 2, 3)
+	tl.SetMinDur(1.5)
+	if err := tl.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if s := tl.EarliestSlot(0, 1.5, Insertion); s != 5 {
+		t.Errorf("slot at the minimum = %v, want 5", s)
+	}
+	if s := tl.EarliestSlot(0, 0.5, Append); s != 10 {
+		t.Errorf("append slot below the minimum = %v, want 10", s)
+	}
+	mustPanic("Insertion below the minimum", func() { tl.EarliestSlot(0, 1, Insertion) })
+	// A reservation placed directly into the unindexed gap, then the
+	// removal of its right neighbour, which merges [2.75,8) into the
+	// index.
+	tl.MustAdd(2.25, 0.5, 4)
+	if !tl.Remove(3, 2) {
+		t.Fatal("Remove missed [3,5)")
+	}
+	if err := tl.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if s := tl.EarliestSlot(0, 1.5, Insertion); s != 2.75 {
+		t.Errorf("slot after the merge = %v, want 2.75", s)
+	}
+	tl.SetMinDur(math.Inf(1))
+	if err := tl.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if s := tl.EarliestSlot(0, 1, Append); s != 10 {
+		t.Errorf("append slot under an infinite minimum = %v, want 10", s)
+	}
+	mustPanic("Insertion under an infinite minimum", func() { tl.EarliestSlot(0, 5, Insertion) })
+	mustPanic("negative minimum", func() { tl.SetMinDur(-1) })
 }
 
 func TestPolicyString(t *testing.T) {
