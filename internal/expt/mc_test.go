@@ -111,3 +111,34 @@ func TestEstimateReliabilityRegimes(t *testing.T) {
 		t.Error("negative sample count accepted")
 	}
 }
+
+// TestEstimatorsAgreeWithoutRemapping pins the one timed-crash
+// semantics: EstimateReliability (the Replayer's pass) and
+// EstimateOnline with re-mapping off (the event engine) draw the same
+// traces, so they must report the same tally field for field, LatSum
+// included. The schedules are paper-regime CAFT ε = 1 builds (random
+// layered, m = 10, g = 1) under exponential crashes with mean
+// lifetimes of 2–8 scheduled latencies.
+func TestEstimatorsAgreeWithoutRemapping(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for i := 0; i < 4; i++ {
+		s, err := core.Schedule(randomProblem(rng, 10, 1), 1, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		T := s.ScheduledLatency()
+		model := &failure.Exponential{MTBF: failure.UniformMTBF(rng, 10, 2*T, 8*T)}
+		const samples = 256
+		rel, err := EstimateReliability(s, model, samples, int64(i), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		onl, err := EstimateOnline(s, model, samples, int64(i), 1, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rel != onl.MCTally {
+			t.Errorf("schedule %d: EstimateReliability %+v, EstimateOnline without re-mapping %+v", i, rel, onl.MCTally)
+		}
+	}
+}

@@ -6,23 +6,28 @@ import (
 	"testing"
 
 	"caft/internal/core"
+	"caft/internal/failure"
 	"caft/internal/gen"
 	"caft/internal/online"
 	"caft/internal/platform"
 	"caft/internal/sched"
 	"caft/internal/sim"
 	"caft/internal/timeline"
+	"caft/internal/topology"
 )
 
 // TestOnlineStaticEquivalence is the differential pin of the online
 // event-driven engine against the clairvoyant sim.Replayer, for every
 // registered scheduler (plus CAFT's batched variant) under both
-// reservation policies. Two inputs must replay bit for bit alike:
+// reservation policies, on the clique, a star, a 2×3 mesh and one
+// macro-dataflow problem. Three inputs must replay bit for bit alike:
 //
 //   - an EMPTY failure trace, with and without the reactive re-mapper
 //     armed, against the no-crash static replay;
 //   - crashes at τ=0 of every single processor and every pair, with the
-//     re-mapper off, against the static replay of the same crash set.
+//     re-mapper off, against the static replay of the same crash set;
+//   - timed traces (see timedTraces), with the re-mapper off, against
+//     Replayer.ReplayTimed of the same trace.
 //
 // "Alike" means the same lost tasks, the same liveness for every
 // replica and communication, and the same start and finish for every
@@ -30,7 +35,9 @@ import (
 // different orders — sim in one forward pass in placement order, the
 // online engine by discharging constraints from a time-ordered event
 // heap — so agreement pins the event semantics (DESIGN.md S7) to the
-// established replay semantics. The map engine of
+// replay semantics (S4). Every timed trace is also checked for static
+// domination: no operation dies under the timed crash of a processor
+// set that the static crash of the same set spares. The map engine of
 // internal/sim/reference_test.go stays the independent oracle for the
 // wiring itself.
 func TestOnlineStaticEquivalence(t *testing.T) {
@@ -61,16 +68,40 @@ func TestOnlineStaticEquivalence(t *testing.T) {
 			crashSets = append(crashSets, map[int]bool{a: true, b: true})
 		}
 	}
-	for _, pol := range []timeline.Policy{timeline.Append, timeline.Insertion} {
-		for seed := int64(1); seed <= 10; seed++ {
+	star, err := topology.Star(m, 0.75)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mesh, err := topology.Mesh2D(2, 3, 0.75)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type setup struct {
+		name  string
+		net   sched.Network
+		model sched.Model
+		pol   timeline.Policy
+		seeds int64
+	}
+	setups := []setup{
+		{"clique", nil, sched.OnePort, timeline.Append, 10},
+		{"clique", nil, sched.OnePort, timeline.Insertion, 10},
+		{"star", star, sched.OnePort, timeline.Append, 2},
+		{"star", star, sched.OnePort, timeline.Insertion, 2},
+		{"mesh", mesh, sched.OnePort, timeline.Append, 2},
+		{"mesh", mesh, sched.OnePort, timeline.Insertion, 2},
+		{"macro", nil, sched.MacroDataflow, timeline.Append, 2},
+	}
+	for _, su := range setups {
+		for seed := int64(1); seed <= su.seeds; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			params := gen.RandomParams{MinTasks: 30, MaxTasks: 40, MinDegree: 1, MaxDegree: 3, MinVolume: 50, MaxVolume: 150}
 			g := gen.RandomLayered(rng, params)
 			plat := platform.NewRandom(rng, m, 0.5, 1.0)
 			exec := platform.GenExecForGranularity(rng, g, plat, 1.0, platform.DefaultHeterogeneity)
 			for _, s := range schedulers {
-				label := fmt.Sprintf("%s/%v/seed%d", s.name, pol, seed)
-				p := sched.Problem{G: g, Plat: plat, Exec: exec, Model: sched.OnePort, Policy: pol}
+				label := fmt.Sprintf("%s/%s/%v/seed%d", s.name, su.name, su.pol, seed)
+				p := sched.Problem{G: g, Plat: plat, Exec: exec, Model: su.model, Policy: su.pol, Net: su.net}
 				schedule, err := s.run(&p)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
@@ -110,14 +141,85 @@ func TestOnlineStaticEquivalence(t *testing.T) {
 					}
 					compareOnlineToStatic(t, clabel, got, want)
 				}
+				for _, trace := range timedTraces(want, m, seed) {
+					tlabel := fmt.Sprintf("%s/timed%v", label, trace)
+					timed, err := rep.ReplayTimed(trace)
+					if err != nil {
+						t.Fatalf("%s replay: %v", tlabel, err)
+					}
+					got, err := eng.Run(trace, online.Options{})
+					if err != nil {
+						t.Fatalf("%s online: %v", tlabel, err)
+					}
+					compareOnlineToStatic(t, tlabel, got, timed)
+					crashed := map[int]bool{}
+					for proc := range trace {
+						crashed[proc] = true
+					}
+					assertDominated(t, tlabel, timed, rep.Replay(crashed))
+				}
 			}
 		}
 	}
 }
 
+// timedTraces returns the timed failure traces replayed against a
+// schedule whose fault-free replay is clean, on m processors:
+// exponential draws with a mean lifetime of twice the fault-free
+// makespan, and, for every fifth replica, its processor crashing at
+// the replica's fault-free finish f, at f ± sched.Eps and at
+// f + 2·sched.Eps, plus that processor and the next one crashing
+// together at f.
+func timedTraces(clean *sim.Result, m int, seed int64) []map[int]float64 {
+	var traces []map[int]float64
+	horizon, _ := clean.Latency()
+	mtbf := make([]float64, m)
+	for p := range mtbf {
+		mtbf[p] = 2 * horizon
+	}
+	model := &failure.Exponential{MTBF: mtbf}
+	rng := rand.New(rand.NewSource(seed))
+	for draw := 0; draw < 16; draw++ {
+		traces = append(traces, model.Sample(rng, nil))
+	}
+	k := 0
+	for _, reps := range clean.Reps {
+		for _, o := range reps {
+			if k++; k%5 != 0 {
+				continue
+			}
+			p, f := o.Rep.Proc, o.Finish
+			for _, tau := range []float64{f - sched.Eps, f, f + sched.Eps, f + 2*sched.Eps} {
+				traces = append(traces, map[int]float64{p: tau})
+			}
+			traces = append(traces, map[int]float64{p: f, (p + 1) % m: f})
+		}
+	}
+	return traces
+}
+
+// assertDominated asserts static domination: every replica and
+// communication alive under a static crash set is alive under a timed
+// crash of the same set.
+func assertDominated(t *testing.T, label string, timed, static *sim.Result) {
+	t.Helper()
+	for task := range static.Reps {
+		for i, s := range static.Reps[task] {
+			if s.Alive && !timed.Reps[task][i].Alive {
+				t.Fatalf("%s: replica (%d,%d) dies under the timed crash but survives the static one", label, task, s.Rep.Copy)
+			}
+		}
+	}
+	for i, s := range static.Comms {
+		if s.Alive && !timed.Comms[i].Alive {
+			t.Fatalf("%s: comm %d dies under the timed crash but survives the static one", label, i)
+		}
+	}
+}
+
 // compareOnlineToStatic asserts an online result without reactive
-// placements is bit-identical to a static replay result in every
-// outcome the two engines share: lost tasks, liveness, and the start
+// placements is bit-identical to a clairvoyant replay result (static
+// or timed) in every outcome the two engines share: lost tasks, liveness, and the start
 // and finish of every surviving operation. Dead operations are not
 // timed alike — the online engine records an attempt aborted by a crash,
 // the static replay reports zero — so their times are not compared.
