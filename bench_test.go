@@ -254,85 +254,6 @@ func BenchmarkSchedulers(b *testing.B) {
 	})
 }
 
-// BenchmarkCrashReplay measures the runtime replay engine: a one-shot
-// replay (which builds a Replayer and its tables per call) against a
-// reused Replayer, the allocation-lean path the experiment engine uses
-// for its Monte-Carlo loops.
-func BenchmarkCrashReplay(b *testing.B) {
-	rng := rand.New(rand.NewSource(6))
-	p := benchProblem(rng, 10, 1.0, timeline.Append)
-	s, err := core.Schedule(p, 3, rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	crashed := map[int]bool{1: true, 4: true}
-	b.Run("oneshot", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			rep, err := sim.NewReplayer(s)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := rep.CrashLatency(crashed); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("reused", func(b *testing.B) {
-		rep, err := sim.NewReplayer(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := rep.CrashLatency(crashed); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkReplayTimed measures the timed fail-stop replay: a one-shot
-// replay (which builds a Replayer and its tables on every call)
-// against the reused scratch path the reliability
-// experiments drive. Run with -benchmem: the fixpoint replays the whole
-// schedule several times per call, so the reused path's flat buffers
-// cut allocs/op by well over an order of magnitude.
-func BenchmarkReplayTimed(b *testing.B) {
-	rng := rand.New(rand.NewSource(10))
-	p := benchProblem(rng, 10, 1.0, timeline.Append)
-	s, err := core.Schedule(p, 3, rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	horizon := s.MakespanAll()
-	crashTimes := map[int]float64{1: horizon / 3, 4: horizon / 2}
-	b.Run("oneshot", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			rep, err := sim.NewReplayer(s)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := rep.CrashLatencyAt(crashTimes); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("reused", func(b *testing.B) {
-		rep, err := sim.NewReplayer(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := rep.CrashLatencyAt(crashTimes); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkSparseTopology runs CAFT on routed sparse interconnects (X1).
 func BenchmarkSparseTopology(b *testing.B) {
 	nets := []struct {

@@ -123,7 +123,7 @@ type Point struct {
 	// draws are excluded from the crash averages.
 	TasksLost int
 	// ReplayErrors counts crash replays the simulator failed to evaluate
-	// (e.g. a non-converging timing fixpoint). Kept separate from
+	// (a NaN crash instant is the one such input). Kept separate from
 	// TasksLost: a lost task is a property of the schedule under test, an
 	// engine failure is not.
 	ReplayErrors int

@@ -10,7 +10,7 @@
 // soon as every constraint is resolved — the per-resource reservation
 // order committed by the scheduler, the source replica of a transfer,
 // and one input arrival per predecessor (first-arrival semantics) — so
-// with an empty failure trace, or crashes at time zero and no
+// with an empty failure trace, or any failure trace and no
 // rescheduling, the engine computes exactly sim.Replayer's times, and
 // the root TestOnlineStaticEquivalence pins the two bit for bit.
 //
@@ -19,9 +19,8 @@
 // transitively starved of inputs. The semantics is causal: a resource
 // freed by a cancellation becomes available at tau, never earlier, and
 // reactive re-placements may not start before tau — the past is never
-// rewritten, unlike sim.Replayer.ReplayTimed's omniscient fixpoint,
-// which lets survivors move into slots vacated before the crash was
-// observable.
+// rewritten. sim.Replayer.ReplayTimed computes the same causal fates
+// in one placement-order pass, without events.
 //
 // With Options.Reschedule, each crash additionally triggers the
 // reactive re-mapper: reservations of lost and unstarted work are

@@ -25,20 +25,21 @@ type Replayer struct {
 
 	// Per-replay scratch.
 	x        []opRun   // per op: liveness and times of the latest run
-	resFree  []float64 // per resource: finish of its latest surviving member
+	resFree  []float64 // per resource: free time after its latest member
 	slotAt   []float64 // per slot: aggregated arrival of its surviving feeders
-	dead     []bool    // per op: forced dead by the timed-crash fixpoint
-	deadline []float64 // per op: crash instant it must beat this timed replay
+	slotDied []float64 // per slot: latest death instant of its feeders
 	// crashAt is the per-processor crash instant of this replay: -Inf
 	// for a processor crashed from the start (a static crash set), +Inf
 	// for one that never crashes.
 	crashAt []float64
 }
 
-// opRun is the replayed fate of one op.
+// opRun is the replayed fate of one op. A dead op keeps zero times and
+// the instant its death becomes observable.
 type opRun struct {
 	alive         bool
 	start, finish float64
+	died          float64
 }
 
 // NewReplayer builds the replay tables for s (see NewWiring for the
@@ -56,8 +57,7 @@ func NewReplayer(s *sched.Schedule) (*Replayer, error) {
 	r.x = make([]opRun, len(w.Ops))
 	r.resFree = make([]float64, len(w.Members))
 	r.slotAt = make([]float64, len(w.SlotOf))
-	r.dead = make([]bool, len(w.Ops))
-	r.deadline = make([]float64, len(w.Ops))
+	r.slotDied = make([]float64, len(w.SlotOf))
 	r.crashAt = make([]float64, s.P.Plat.M)
 	return r, nil
 }
@@ -79,18 +79,27 @@ func (r *Replayer) setCrashed(crashed map[int]bool) {
 // run replays the schedule in one forward pass over the ops in
 // placement order, deciding each op's liveness and times together. The
 // pass is exact because every constraint points to an earlier-placed
-// op — a resource's previous surviving member, a transfer's source
-// replica, a replica's feeding transfers (NewWiring rejects schedules
-// where it does not) — so each op starts as early as its constraints
-// allow, the least fixpoint of the constraint system. Operations on a
-// processor crashed from the start (crashAt -Inf) are dead; dead
-// (indexed like the ops) forces additional operations dead, used by
-// the timed-crash fixpoint of ReplayTimed, and may be nil. A replica
-// starts at the first surviving arrival from each predecessor; last,
-// used only by UpperBound, makes it wait for the last one instead.
+// op — a resource's previous member, a transfer's source replica, a
+// replica's feeding transfers (NewWiring rejects schedules where it
+// does not) — so each op starts as early as its constraints allow.
+//
+// An op dies when it would finish more than sched.Eps after its crash
+// instant (crashAt of its processor; the earlier of its endpoints' for
+// a transfer) or loses its input: a transfer whose source replica is dead, a replica one of
+// whose input slots has no surviving feeder. A dead op records the
+// instant its death becomes observable — the missed crash, the
+// source's instant, the slot's last feeder death, whichever comes
+// first — and holds its resources until then: a resource it occupies
+// is free no earlier than that instant, the causal clamp of
+// online.Engine. A static crash is the instant -Inf, which kills every
+// op on the processor and frees its resources at once.
+//
+// A replica starts at the first surviving arrival from each
+// predecessor; last, used only by UpperBound, makes it wait for the
+// last one instead.
 //
 //caft:zeroalloc
-func (r *Replayer) run(last bool, dead []bool) {
+func (r *Replayer) run(last bool) {
 	w := r.w
 	for i := range r.resFree {
 		r.resFree[i] = 0
@@ -101,54 +110,57 @@ func (r *Replayer) run(last bool, dead []bool) {
 	}
 	for i := range r.slotAt {
 		r.slotAt[i] = none
+		r.slotDied[i] = math.Inf(-1)
 	}
 	for _, i := range r.order {
 		o := &w.Ops[i]
 		x := &r.x[i]
-		*x = opRun{}
-		if dead != nil && dead[i] {
-			continue
-		}
-		st := 0.0
+		st, died := 0.0, math.Inf(1) // died: the instant an input loss is observable
+		var crash float64
 		if o.Kind == OpRep {
-			if r.crashAt[o.Rep.Proc] == math.Inf(-1) {
-				continue
-			}
-			fed := true
+			crash = r.crashAt[o.Rep.Proc]
 			for sl := o.SlotBase; sl < o.SlotBase+o.NSlots; sl++ {
-				a := r.slotAt[sl]
-				if a == none {
-					fed = false // no surviving input from this predecessor
-					break
-				}
-				if a > st {
+				if a := r.slotAt[sl]; a == none {
+					died = min(died, r.slotDied[sl]) // starved of this predecessor
+				} else if a > st {
 					st = a
 				}
 			}
-			if !fed {
-				continue
-			}
 		} else {
-			src := &r.x[o.Src]
-			if !src.alive || r.crashAt[o.Comm.DstProc] == math.Inf(-1) {
+			crash = min(r.crashAt[o.Comm.SrcProc], r.crashAt[o.Comm.DstProc])
+			if src := &r.x[o.Src]; src.alive {
+				st = src.finish
+			} else {
+				died = src.died
+			}
+		}
+		if math.IsInf(died, 1) {
+			for k := o.ResBase; k < o.ResBase+o.NRes; k++ {
+				st = max(st, r.resFree[w.ResIDs[k]])
+			}
+			if st+o.Dur <= crash+sched.Eps {
+				*x = opRun{alive: true, start: st, finish: st + o.Dur}
+				for k := o.ResBase; k < o.ResBase+o.NRes; k++ {
+					r.resFree[w.ResIDs[k]] = x.finish
+				}
+				for k := o.FeedBase; k < o.FeedBase+o.NFeeds; k++ {
+					sl := w.Feeds[k]
+					if a := r.slotAt[sl]; !last && x.finish < a || last && x.finish > a {
+						r.slotAt[sl] = x.finish
+					}
+				}
 				continue
 			}
-			st = src.finish
 		}
+		died = min(died, crash)
+		*x = opRun{died: died}
 		for k := o.ResBase; k < o.ResBase+o.NRes; k++ {
-			if f := r.resFree[w.ResIDs[k]]; f > st {
-				st = f
-			}
-		}
-		*x = opRun{alive: true, start: st, finish: st + o.Dur}
-		for k := o.ResBase; k < o.ResBase+o.NRes; k++ {
-			r.resFree[w.ResIDs[k]] = x.finish
+			id := w.ResIDs[k]
+			r.resFree[id] = max(r.resFree[id], died)
 		}
 		for k := o.FeedBase; k < o.FeedBase+o.NFeeds; k++ {
 			sl := w.Feeds[k]
-			if a := r.slotAt[sl]; !last && x.finish < a || last && x.finish > a {
-				r.slotAt[sl] = x.finish
-			}
+			r.slotDied[sl] = max(r.slotDied[sl], died)
 		}
 	}
 }
@@ -169,7 +181,7 @@ func (r *Replayer) materialize() *Result {
 //caft:zeroalloc
 func (r *Replayer) Replay(crashed map[int]bool) *Result {
 	r.setCrashed(crashed)
-	r.run(false, nil)
+	r.run(false)
 	return r.materialize() //caft:alloc-ok the Result is the caller's one deliberate allocation
 }
 
@@ -202,7 +214,7 @@ func (r *Replayer) latency() (float64, error) {
 //caft:zeroalloc
 func (r *Replayer) CrashLatency(crashed map[int]bool) (float64, error) {
 	r.setCrashed(crashed)
-	r.run(false, nil)
+	r.run(false)
 	return r.latency()
 }
 
@@ -221,7 +233,7 @@ func (r *Replayer) LowerBound() (float64, error) {
 //caft:zeroalloc
 func (r *Replayer) UpperBound() (float64, error) {
 	r.setCrashed(nil)
-	r.run(true, nil)
+	r.run(true)
 	lat := 0.0
 	for i := range r.w.Ops {
 		if x := &r.x[i]; r.w.Ops[i].Kind == OpRep && x.alive && x.finish > lat {

@@ -221,7 +221,9 @@ func TestReplayerAllocPin(t *testing.T) {
 
 // BenchmarkReplay compares a one-shot replay (a fresh Replayer per
 // call), the reused scratch-buffer Replayer, and the original map-based
-// engine on the same crash replay.
+// engine on the same crash replay; timed replays the same schedule
+// with TestReplayerAllocPin's timed crashes through the reused
+// Replayer.
 func BenchmarkReplay(b *testing.B) {
 	s, crashed := replayBenchSchedule(b)
 	b.Run("map-reference", func(b *testing.B) {
@@ -257,6 +259,21 @@ func BenchmarkReplay(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := rep.CrashLatency(crashed); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("timed", func(b *testing.B) {
+		rep, err := NewReplayer(s)
+		if err != nil {
+			b.Fatal(err)
+		}
+		h := s.MakespanAll()
+		times := map[int]float64{1: h / 3, 4: h / 2}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := rep.CrashLatencyAt(times); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -11,7 +11,10 @@
 // operation run as early as its constraints allow. Dropping a dead
 // operation can therefore pull later operations earlier, and losing an
 // early message can push a replica later; both directions are observed
-// in the paper (Figures 1(b) and 2(b)) and reproduced here.
+// in the paper (Figures 1(b) and 2(b)) and reproduced here. Under timed
+// crashes (Replayer.ReplayTimed) a dead operation holds its resources
+// until its death is observable, the causal semantics of package
+// online's event engine.
 //
 // Replays are first-arrival: a replica starts once, for each
 // predecessor, the earliest surviving message has arrived, so with zero
@@ -47,8 +50,8 @@ import (
 // ErrTaskLost reports that a crash set killed every replica of some
 // task. It distinguishes a genuine task loss (possible for the unsafe
 // PaperLocking ablation, never for the resilient variants when at most
-// ε processors crash) from an engine failure such as a non-converging
-// fixpoint; test with errors.Is.
+// ε processors crash) from an engine error, such as a NaN crash
+// instant; test with errors.Is.
 var ErrTaskLost = errors.New("task lost")
 
 // Fate is the replayed fate of one operation. For Alive operations

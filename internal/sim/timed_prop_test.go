@@ -2,9 +2,10 @@ package sim
 
 // Boundary properties of the timed fail-stop semantics: the timed
 // replay must degenerate bit-identically to the static replay at crash
-// time 0, to the no-failure replay past the makespan, and its dead set
-// must be monotone in the crash times (earlier crashes never revive an
-// operation).
+// time 0 and to the no-failure replay past the makespan. Its dead set
+// is not monotone in the crash times (DESIGN.md S4); the properties it
+// does have, static domination and timed ε-resilience, are pinned by
+// the root TestOnlineStaticEquivalence and TestExhaustiveResilience.
 
 import (
 	"math/rand"
@@ -124,64 +125,6 @@ func TestTimedPastMakespanBitIdenticalToNoFailure(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameResult(t, "crash@past-makespan", timed, clean)
-	}
-}
-
-// aliveSet flattens which operations survived a replay.
-func aliveSet(r *Result) []bool {
-	var out []bool
-	for t := range r.Reps {
-		for _, o := range r.Reps[t] {
-			out = append(out, o.Alive)
-		}
-	}
-	for _, o := range r.Comms {
-		out = append(out, o.Alive)
-	}
-	return out
-}
-
-// TestTimedDeadSetMonotone checks the fixpoint's defining property on
-// randomized schedules: lowering crash times (crashing earlier) can
-// only kill more — every operation alive under the earlier crashes is
-// alive under the later ones.
-func TestTimedDeadSetMonotone(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for _, s := range schedulesUnderTest(t, 13) {
-		rep, err := NewReplayer(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		horizon := s.MakespanAll()
-		for draw := 0; draw < 40; draw++ {
-			late := map[int]float64{}
-			early := map[int]float64{}
-			nCrash := 1 + rng.Intn(s.P.Plat.M)
-			for len(late) < nCrash {
-				p := rng.Intn(s.P.Plat.M)
-				if _, ok := late[p]; ok {
-					continue
-				}
-				tau := rng.Float64() * 1.2 * horizon
-				late[p] = tau
-				early[p] = tau * rng.Float64()
-			}
-			rLate, err := rep.ReplayTimed(late)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rEarly, err := rep.ReplayTimed(early)
-			if err != nil {
-				t.Fatal(err)
-			}
-			aLate, aEarly := aliveSet(rLate), aliveSet(rEarly)
-			for i := range aEarly {
-				if aEarly[i] && !aLate[i] {
-					t.Fatalf("draw %d: op %d alive under earlier crashes %v but dead under later %v",
-						draw, i, early, late)
-				}
-			}
-		}
 	}
 }
 

@@ -107,14 +107,13 @@ func TestTimedCrashReplicaSurvivesIfFinished(t *testing.T) {
 	}
 }
 
-// TestTimedRoundKillsEveryViolator pins the round rule of the timed
-// fixpoint: each pass kills every operation that misses its crash
-// instant at once, so the dead set is not the least one. Two
-// independent tasks share P0, which crashes at 5: t0 runs [0,10) and
-// t1 waits for it, [10,12). Both miss the crash, so the first pass
-// kills both, although t1 alone on P0 would have run [0,2) and beaten
-// it. A rule killing violators one by one inside the pass would spare
-// t1; this replay must not.
+// TestTimedRoundKillsEveryViolator pins the causal clamp: a dead op
+// holds its resources until its death is observable. Two independent
+// tasks share P0, which crashes at 5: t0 runs [0,10) and t1 waits for
+// it, [10,12). t0 misses the crash and dies at 5, which is when it
+// frees P0, so t1 runs [5,7), misses the crash too and dies. A replay
+// that let t1 take P0 from 0, before the crash was observable, would
+// run it [0,2) and spare it; this one must not.
 func TestTimedRoundKillsEveryViolator(t *testing.T) {
 	p := prob(dag.New(2), 2, 10)
 	p.Exec[1][0], p.Exec[1][1] = 2, 2
@@ -136,7 +135,7 @@ func TestTimedRoundKillsEveryViolator(t *testing.T) {
 		t.Fatal("t0 on P0 finishes at 10, past the crash at 5, yet survived")
 	}
 	if res.Reps[1][0].Alive {
-		t.Fatal("t1 on P0 survived: the fixpoint no longer kills every violator of a round at once")
+		t.Fatal("t1 on P0 survived: it took P0 before t0's death at the crash instant 5 freed it")
 	}
 	if _, err := res.Latency(); err != nil {
 		t.Fatalf("the P1 replicas must survive: %v", err)

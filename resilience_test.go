@@ -109,22 +109,52 @@ func verifierProblem(rng *rand.Rand, g *dag.DAG, m int) *sched.Problem {
 }
 
 // exhaustLosses replays every C(m, eps) crash subset against the
-// schedule and returns how many subsets lost a task, failing the test
-// on any engine error.
+// schedule, statically and at timed instants, and returns how many
+// subsets lost a task in any of their replays, failing the test on any
+// engine error. The timed replays crash the subset at each instant of
+// the list 0, then every fault-free replica finish ± sched.Eps: the
+// i-th processor of the subset crashes at the (k·(i+1))-th instant in
+// replay k, so the processors of a pair crash both together and apart.
 func exhaustLosses(t *testing.T, s *sched.Schedule, m, eps int) int {
 	t.Helper()
 	rep, err := sim.NewReplayer(s)
 	if err != nil {
 		t.Fatal(err)
 	}
+	instants := []float64{0}
+	for _, reps := range rep.Replay(nil).Reps {
+		for _, o := range reps {
+			instants = append(instants, o.Finish-sched.Eps, o.Finish+sched.Eps)
+		}
+	}
 	losses := 0
+	trace := map[int]float64{}
 	forEachSubset(m, eps, func(crashed map[int]bool) {
+		lost := false
+		check := func(lat float64, err error, what any) {
+			switch {
+			case errors.Is(err, sim.ErrTaskLost) || math.IsInf(lat, 1):
+				lost = true
+			case err != nil:
+				t.Fatalf("crash %v: engine error: %v", what, err)
+			}
+		}
 		lat, err := rep.CrashLatency(crashed)
-		switch {
-		case errors.Is(err, sim.ErrTaskLost) || math.IsInf(lat, 1):
+		check(lat, err, crashed)
+		for k := range instants {
+			clear(trace)
+			i := 0
+			for p := 0; p < m; p++ {
+				if crashed[p] {
+					i++
+					trace[p] = instants[k*i%len(instants)]
+				}
+			}
+			lat, err := rep.CrashLatencyAt(trace)
+			check(lat, err, trace)
+		}
+		if lost {
 			losses++
-		case err != nil:
-			t.Fatalf("crash subset %v: engine error: %v", crashed, err)
 		}
 	})
 	return losses
@@ -133,7 +163,9 @@ func exhaustLosses(t *testing.T, s *sched.Schedule, m, eps int) int {
 // TestExhaustiveResilience is the headline verifier: for every covered
 // family, m ≤ 6 and ε ∈ {1, 2}, no schedule from CAFT (support
 // locking, both the portfolio and the literal greedy mode), FTSA or
-// FTBAR may lose a task under ANY of the C(m, ε) crash subsets.
+// FTBAR may lose a task under ANY of the C(m, ε) crash subsets, crashed
+// from the start or at timed instants (timed ε-resilience, which
+// follows from static domination; DESIGN.md S4).
 func TestExhaustiveResilience(t *testing.T) {
 	type schedFn struct {
 		name string
