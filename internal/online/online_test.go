@@ -188,14 +188,16 @@ func TestOnlineScratchReuseMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestOnlineCrashSupersetNeverRevives is the online counterpart of the
-// timed replay's dead-set monotonicity: adding crashes (or moving them
-// earlier) never revives an operation of the ORIGINAL schedule — every
-// original replica or transfer that completes under the larger crash
-// set also completes under the smaller one. (Makespan itself is not
-// monotone: cancelling a queued operation frees its resource at the
-// crash instant, which can legally pull later work earlier; see
-// DESIGN.md S7.)
+// TestOnlineCrashSupersetNeverRevives checks, on sampled FTSA draws,
+// that adding crashes (or moving them earlier) revives no operation of
+// the ORIGINAL schedule — every original replica or transfer that
+// completes under the larger crash set also completes under the
+// smaller one. This is not a theorem: the crash-time anomaly of
+// DESIGN.md S4 (sim's TestTimedCrashTimeAnomaly, which the engine
+// reproduces with re-mapping off) revives an operation queued behind
+// doomed work. (Makespan is not monotone either: cancelling a queued
+// operation frees its resource at the crash instant, which can legally
+// pull later work earlier; see DESIGN.md S7.)
 func TestOnlineCrashSupersetNeverRevives(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 4; trial++ {

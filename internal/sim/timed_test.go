@@ -142,6 +142,45 @@ func TestTimedRoundKillsEveryViolator(t *testing.T) {
 	}
 }
 
+// TestTimedCrashTimeAnomaly pins the counterexample to monotonicity in
+// the crash times (DESIGN.md S4): a later crash can kill an op that an
+// earlier one spares. t0 runs on P0 [0,8) and feeds t1 on P1 through
+// a transfer [8,9); t1 runs [9,11) and the independent t2 [11,13), both
+// on P1, which crashes at 6. When P0 crashes at 1, t1 starves at 1 and
+// frees P1 then, so t2 runs [1,3) and survives. When P0 crashes at 5,
+// t1 holds P1 until 5, and t2 runs [5,7) and dies.
+func TestTimedCrashTimeAnomaly(t *testing.T) {
+	g := dag.New(3)
+	g.AddEdge(0, 1, 1)
+	p := prob(g, 2, 2)
+	p.Exec[0][0] = 8
+	st := sched.NewState(p)
+	for _, pl := range []struct{ task, proc int }{{0, 0}, {1, 1}, {2, 1}} {
+		if _, err := st.PlaceReplica(dag.TaskID(pl.task), 0, pl.proc, st.FullSources(dag.TaskID(pl.task))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := st.Snapshot()
+	if r := s.Reps[2][0]; r.Proc != 1 || r.Start != 11 {
+		t.Fatalf("fixture: t2 placed at %+v, want P1 from 11", r)
+	}
+	rep := mustReplayer(t, s)
+	early, err := rep.ReplayTimed(map[int]float64{0: 1, 1: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o := early.Reps[2][0]; !o.Alive || o.Start != 1 || o.Finish != 3 {
+		t.Fatalf("P0 crashing at 1: t2 = %+v, want alive [1,3)", o.Fate)
+	}
+	late, err := rep.ReplayTimed(map[int]float64{0: 5, 1: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if late.Reps[2][0].Alive {
+		t.Fatal("P0 crashing at 5: t2 survived, but t1 holds P1 until 5, so t2 cannot finish before P1's crash at 6")
+	}
+}
+
 func TestTimedCrashResilience(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	p := randomProblem(rng, 30, 6)
