@@ -85,14 +85,15 @@ func (r *Replayer) setCrashed(crashed map[int]bool) {
 //
 // An op dies when it would finish more than sched.Eps after its crash
 // instant (crashAt of its processor; the earlier of its endpoints' for
-// a transfer) or loses its input: a transfer whose source replica is dead, a replica one of
-// whose input slots has no surviving feeder. A dead op records the
-// instant its death becomes observable — the missed crash, the
-// source's instant, the slot's last feeder death, whichever comes
-// first — and holds its resources until then: a resource it occupies
-// is free no earlier than that instant, the causal clamp of
-// online.Engine. A static crash is the instant -Inf, which kills every
-// op on the processor and frees its resources at once.
+// a transfer) or loses its input: a transfer whose source replica is
+// dead, a replica one of whose input slots has no surviving feeder. A
+// dead op records the instant its death becomes observable — the
+// missed crash, the source's instant, the slot's last feeder death,
+// whichever comes first — and holds its resources until then: a
+// resource it occupies is free no earlier than that instant, the
+// causal clamp of online.Engine. A static crash is the instant -Inf,
+// which kills every op on the processor and frees its resources at
+// once.
 //
 // A replica starts at the first surviving arrival from each
 // predecessor; last, used only by UpperBound, makes it wait for the
@@ -115,28 +116,37 @@ func (r *Replayer) run(last bool) {
 	for _, i := range r.order {
 		o := &w.Ops[i]
 		x := &r.x[i]
-		st, died := 0.0, math.Inf(1) // died: the instant an input loss is observable
 		var crash float64
 		if o.Kind == OpRep {
 			crash = r.crashAt[o.Rep.Proc]
+		} else if crash = r.crashAt[o.Comm.SrcProc]; r.crashAt[o.Comm.DstProc] < crash {
+			crash = r.crashAt[o.Comm.DstProc]
+		}
+		if crash == math.Inf(-1) {
+			*x = opRun{died: crash} // a static crash holds nothing
+			continue
+		}
+		st, died := 0.0, math.Inf(1) // died: the instant an input loss is observable
+		if o.Kind == OpRep {
 			for sl := o.SlotBase; sl < o.SlotBase+o.NSlots; sl++ {
 				if a := r.slotAt[sl]; a == none {
-					died = min(died, r.slotDied[sl]) // starved of this predecessor
+					if d := r.slotDied[sl]; d < died {
+						died = d // starved of this predecessor
+					}
 				} else if a > st {
 					st = a
 				}
 			}
+		} else if src := &r.x[o.Src]; src.alive {
+			st = src.finish
 		} else {
-			crash = min(r.crashAt[o.Comm.SrcProc], r.crashAt[o.Comm.DstProc])
-			if src := &r.x[o.Src]; src.alive {
-				st = src.finish
-			} else {
-				died = src.died
-			}
+			died = src.died
 		}
-		if math.IsInf(died, 1) {
+		if died == math.Inf(1) {
 			for k := o.ResBase; k < o.ResBase+o.NRes; k++ {
-				st = max(st, r.resFree[w.ResIDs[k]])
+				if f := r.resFree[w.ResIDs[k]]; f > st {
+					st = f
+				}
 			}
 			if st+o.Dur <= crash+sched.Eps {
 				*x = opRun{alive: true, start: st, finish: st + o.Dur}
@@ -152,15 +162,19 @@ func (r *Replayer) run(last bool) {
 				continue
 			}
 		}
-		died = min(died, crash)
+		if crash < died {
+			died = crash
+		}
 		*x = opRun{died: died}
 		for k := o.ResBase; k < o.ResBase+o.NRes; k++ {
-			id := w.ResIDs[k]
-			r.resFree[id] = max(r.resFree[id], died)
+			if id := w.ResIDs[k]; died > r.resFree[id] {
+				r.resFree[id] = died
+			}
 		}
 		for k := o.FeedBase; k < o.FeedBase+o.NFeeds; k++ {
-			sl := w.Feeds[k]
-			r.slotDied[sl] = max(r.slotDied[sl], died)
+			if sl := w.Feeds[k]; died > r.slotDied[sl] {
+				r.slotDied[sl] = died
+			}
 		}
 	}
 }
