@@ -5,11 +5,11 @@ import (
 	"math"
 )
 
-// setCrashTimes loads a failure trace into crashAt, rejecting a NaN
-// crash instant. It allocates nothing.
+// runTimed loads a failure trace into crashAt, rejecting a NaN crash
+// instant, and runs the replay pass. It allocates nothing.
 //
 //caft:zeroalloc
-func (r *Replayer) setCrashTimes(crashTimes map[int]float64) error {
+func (r *Replayer) runTimed(crashTimes map[int]float64) error {
 	for i := range r.crashAt {
 		r.crashAt[i] = math.Inf(1)
 	}
@@ -21,6 +21,7 @@ func (r *Replayer) setCrashTimes(crashTimes map[int]float64) error {
 			r.crashAt[p] = tau
 		}
 	}
+	r.run(false)
 	return nil
 }
 
@@ -42,10 +43,9 @@ func (r *Replayer) setCrashTimes(crashTimes map[int]float64) error {
 //
 //caft:zeroalloc
 func (r *Replayer) ReplayTimed(crashTimes map[int]float64) (*Result, error) {
-	if err := r.setCrashTimes(crashTimes); err != nil {
+	if err := r.runTimed(crashTimes); err != nil {
 		return nil, err
 	}
-	r.run(false)
 	return r.materialize(), nil //caft:alloc-ok the Result is the caller's one deliberate allocation
 }
 
@@ -57,9 +57,8 @@ func (r *Replayer) ReplayTimed(crashTimes map[int]float64) (*Result, error) {
 //
 //caft:zeroalloc
 func (r *Replayer) CrashLatencyAt(crashTimes map[int]float64) (float64, error) {
-	if err := r.setCrashTimes(crashTimes); err != nil {
+	if err := r.runTimed(crashTimes); err != nil {
 		return 0, err
 	}
-	r.run(false)
 	return r.latency()
 }
