@@ -180,64 +180,76 @@ func TestQuickstartResponseSchema(t *testing.T) {
 }
 
 // TestOnlineModeEndToEnd covers the "mode":"online" request through
-// the HTTP surface: a deterministic response served identically from
-// compute and cache across worker configurations and pinned to
-// testdata/online_response.json, with the singleflight accounting
-// observable via /statsz, and the documented distribution schema
-// present.
+// the HTTP surface, with the reactive re-mapper armed (online.json) and
+// with replication alone (online_static.json, "static": true): each
+// response is deterministic, served identically from compute and cache
+// across worker configurations and pinned to its golden file, with the
+// singleflight accounting observable via /statsz, and the documented
+// distribution schema present.
 func TestOnlineModeEndToEnd(t *testing.T) {
-	spec, err := os.ReadFile(filepath.Join("testdata", "online.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var first []byte
-	for _, cfg := range []service.Config{
-		{Workers: 1, MCWorkers: 1},
-		{Workers: 8, MCWorkers: 4},
+	for _, c := range []struct {
+		spec, golden string
+		static       bool
+	}{
+		{"online.json", "online_response.json", false},
+		{"online_static.json", "online_static_response.json", true},
 	} {
-		srv := startServer(t, cfg)
-		status, body := post(t, srv.URL, spec)
-		if status != http.StatusOK {
-			t.Fatalf("status %d: %s", status, body)
-		}
-		if _, again := post(t, srv.URL, spec); !bytes.Equal(body, again) {
-			t.Fatal("cached online response differs from the computed one")
-		}
-		if first == nil {
-			first = body
-		} else if !bytes.Equal(first, body) {
-			t.Fatal("online response differs between worker configs")
-		}
-		// One compute, one hit — the online mode rides the same
-		// content-addressed singleflight cache.
-		resp, err := http.Get(srv.URL + "/statsz")
+		spec, err := os.ReadFile(filepath.Join("testdata", c.spec))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var st service.StatsSnapshot
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
+		var first []byte
+		for _, cfg := range []service.Config{
+			{Workers: 1, MCWorkers: 1},
+			{Workers: 8, MCWorkers: 4},
+		} {
+			srv := startServer(t, cfg)
+			status, body := post(t, srv.URL, spec)
+			if status != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", c.spec, status, body)
+			}
+			if _, again := post(t, srv.URL, spec); !bytes.Equal(body, again) {
+				t.Fatalf("%s: cached online response differs from the computed one", c.spec)
+			}
+			if first == nil {
+				first = body
+			} else if !bytes.Equal(first, body) {
+				t.Fatalf("%s: online response differs between worker configs", c.spec)
+			}
+			// One compute, one hit — the online mode rides the same
+			// content-addressed singleflight cache.
+			resp, err := http.Get(srv.URL + "/statsz")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var st service.StatsSnapshot
+			err = json.NewDecoder(resp.Body).Decode(&st)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Misses != 1 || st.Hits != 1 {
+				t.Fatalf("%s: statsz misses=%d hits=%d, want 1/1", c.spec, st.Misses, st.Hits)
+			}
+		}
+		checkGolden(t, c.golden, first)
+		var resp service.Response
+		if err := json.Unmarshal(first, &resp); err != nil {
 			t.Fatal(err)
 		}
-		if st.Misses != 1 || st.Hits != 1 {
-			t.Fatalf("statsz misses=%d hits=%d, want 1/1", st.Misses, st.Hits)
+		o := resp.Online
+		if o == nil {
+			t.Fatalf("%s: online section missing", c.spec)
 		}
-	}
-	checkGolden(t, "online_response.json", first)
-	var resp service.Response
-	if err := json.Unmarshal(first, &resp); err != nil {
-		t.Fatal(err)
-	}
-	o := resp.Online
-	if o == nil {
-		t.Fatal("online section missing")
-	}
-	if o.Samples+o.ReplayErrors != 96 || o.MeanMakespan == nil || o.P90Makespan == nil {
-		t.Fatalf("online distribution incomplete: %+v", o)
-	}
-	if o.MeanRescheduled <= 0 {
-		t.Fatalf("reactive re-mapper never fired: %+v", o)
+		if o.Samples+o.ReplayErrors != 96 || o.MeanMakespan == nil || o.P90Makespan == nil {
+			t.Fatalf("%s: online distribution incomplete: %+v", c.spec, o)
+		}
+		if c.static && o.MeanRescheduled != 0 {
+			t.Fatalf("%s: static replay re-placed work: %+v", c.spec, o)
+		}
+		if !c.static && o.MeanRescheduled <= 0 {
+			t.Fatalf("%s: reactive re-mapper never fired: %+v", c.spec, o)
+		}
 	}
 }
 
