@@ -6,8 +6,8 @@ import (
 	"math/rand"
 	"strings"
 
-	"caft/internal/online"
 	"caft/internal/sched"
+	"caft/internal/sim"
 )
 
 // The jitter experiment probes execution-time predictability, in the
@@ -16,12 +16,12 @@ import (
 // separates two levels, for every scheduler in the registry:
 //
 //   - replay level: the committed schedule — placements, reservation
-//     orders, communications — is frozen, and the online engine replays
-//     it with per-task duration factors (online.Options.ExecScale).
-//     This level is predictable by construction: every start time is a
-//     monotone function of the durations, so shrink factors in [lo, 1]
-//     can only move the makespan down and stretch factors in [1, hi]
-//     can only move it up. The table documents the zero counts.
+//     orders, communications — is frozen, and replayed with per-task
+//     duration factors (scaledCopy). This level is predictable by
+//     construction: every start time is a monotone function of the
+//     durations, so shrink factors in [lo, 1] can only move the
+//     makespan down and stretch factors in [1, hi] can only move it
+//     up. The table documents the zero counts.
 //
 //   - dispatch level: the scheduler is *re-run* on the shrunk execution
 //     estimates. List schedulers are not monotone in their input — a
@@ -87,11 +87,14 @@ func runJitterUnit(d sched.Descriptor, useed int64) (jitterUnit, error) {
 		return out, err
 	}
 	nominalSched := s.ScheduledLatency()
-	eng, err := online.NewEngine(s)
-	if err != nil {
-		return out, err
+	makespan := func(s *sched.Schedule) (float64, error) { // fault-free replay
+		rep, err := sim.NewReplayer(s)
+		if err != nil {
+			return 0, err
+		}
+		return rep.LowerBound()
 	}
-	nominal, _, err := eng.Makespan(nil, online.Options{})
+	nominal, err := makespan(s)
 	if err != nil {
 		return out, err
 	}
@@ -104,7 +107,7 @@ func runJitterUnit(d sched.Descriptor, useed int64) (jitterUnit, error) {
 		for t := range scale {
 			scale[t] = jitterShrinkLo + rng.Float64()*(1-jitterShrinkLo)
 		}
-		lat, _, err := eng.Makespan(nil, online.Options{ExecScale: scale})
+		lat, err := makespan(scaledCopy(s, scale))
 		if err != nil {
 			return out, err
 		}
@@ -137,7 +140,7 @@ func runJitterUnit(d sched.Descriptor, useed int64) (jitterUnit, error) {
 		for t := range scale {
 			scale[t] = 1 + rng.Float64()*(jitterStretchHi-1)
 		}
-		lat, _, err = eng.Makespan(nil, online.Options{ExecScale: scale})
+		lat, err = makespan(scaledCopy(s, scale))
 		if err != nil {
 			return out, err
 		}
@@ -147,6 +150,23 @@ func runJitterUnit(d sched.Descriptor, useed int64) (jitterUnit, error) {
 		out.trials++
 	}
 	return out, nil
+}
+
+// scaledCopy returns a copy of s with Finish = Start + (Finish-Start)·f[t]
+// for every replica of task t, all else shared. The wiring takes a
+// replica's duration as Finish - Start, so replaying the copy replays s
+// with jittered execution times.
+func scaledCopy(s *sched.Schedule, f []float64) *sched.Schedule {
+	c := *s
+	c.Reps = make([][]sched.Replica, len(s.Reps))
+	for t, reps := range s.Reps {
+		c.Reps[t] = append([]sched.Replica(nil), reps...)
+		for i := range c.Reps[t] {
+			r := &c.Reps[t][i]
+			r.Finish = r.Start + (r.Finish-r.Start)*f[t]
+		}
+	}
+	return &c
 }
 
 // RunJitter sweeps every registered scheduler (or just `only`, when

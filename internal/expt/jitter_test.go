@@ -3,10 +3,12 @@ package expt
 import (
 	"bytes"
 	"io"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"caft/internal/sched"
+	"caft/internal/sim"
 )
 
 // Replay-level predictability must hold for every scheduler in the
@@ -33,6 +35,62 @@ func TestJitterReplayMonotoneEveryRegisteredScheduler(t *testing.T) {
 		}
 		if r.Verdict() != "predictable" {
 			t.Errorf("%s: verdict %q", r.Alg, r.Verdict())
+		}
+	}
+}
+
+// Jittered replays of a frozen schedule are monotone in the durations:
+// factors <= 1 may only move completions (and the makespan) down,
+// factors >= 1 only up. This is the replay-level predictability claim
+// of DESIGN.md S9 — checked here per completion, not just for the
+// makespan, on scaled copies of HEFT and CAFT ε = 1 schedules. Shrink
+// factors are all below 1, so the shrunk makespan must also drop
+// strictly, and the copies must leave the original schedule intact.
+func TestScaledReplayMonotonePerCompletion(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	replay := func(s *sched.Schedule) *sim.Result {
+		rep, err := sim.NewReplayer(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.Replay(nil)
+	}
+	for trial := 0; trial < 4; trial++ {
+		alg, eps := "heft", 0
+		if trial%2 == 1 {
+			alg, eps = "caft", 1
+		}
+		p := randomProblem(rng, 6, 1)
+		s, err := algo(alg).New(p, eps, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := p.G.NumTasks()
+		shrink, stretch := make([]float64, n), make([]float64, n)
+		for i := range shrink {
+			shrink[i] = 0.5 + 0.5*rng.Float64()
+			stretch[i] = 1 + 0.5*rng.Float64()
+		}
+		base, committed := replay(s), s.ScheduledLatency()
+		down := replay(scaledCopy(s, shrink))
+		up := replay(scaledCopy(s, stretch))
+		if s.ScheduledLatency() != committed {
+			t.Fatalf("trial %d (%s): scaling a copy changed the original schedule", trial, alg)
+		}
+		bl, _ := base.Latency()
+		if dl, _ := down.Latency(); dl >= bl {
+			t.Fatalf("trial %d (%s): shrinking every task did not lower the makespan", trial, alg)
+		}
+		for ti := range base.Reps {
+			for ri := range base.Reps[ti] {
+				b, d, u := base.Reps[ti][ri], down.Reps[ti][ri], up.Reps[ti][ri]
+				if d.Finish > b.Finish+1e-9 {
+					t.Fatalf("trial %d (%s): shrunk replica (%d,%d) finishes at %v, after nominal %v", trial, alg, ti, ri, d.Finish, b.Finish)
+				}
+				if u.Finish < b.Finish-1e-9 {
+					t.Fatalf("trial %d (%s): stretched replica (%d,%d) finishes at %v, before nominal %v", trial, alg, ti, ri, u.Finish, b.Finish)
+				}
+			}
 		}
 	}
 }

@@ -12,11 +12,9 @@ import (
 )
 
 // This file is the Monte-Carlo core shared by the figures and the caftd
-// scheduling service: MCTally.Record sorts every replayed scenario of
-// every scenario loop, replaySamples replays crash-time scenarios with
-// timed fail-stop semantics (`caftsim -figure reliability`), and
-// estimate batches the service's two estimators, EstimateReliability
-// here and EstimateOnline in online.go.
+// scheduling service: replaySamples is the one scenario loop, MCTally.Record
+// sorts every replayed scenario, and estimate batches the service's two
+// estimators, EstimateReliability here and EstimateOnline in online.go.
 
 // MCTally accumulates the outcome of replayed crash scenarios for one
 // schedule. LatSum is the sum of (normalized) latencies over the
@@ -80,20 +78,16 @@ func (t MCTally) MeanLatency() float64 {
 	return t.LatSum / float64(t.Survived)
 }
 
-// replaySamples draws n crash-time scenarios from model and replays
-// every scenario against every replayer (common random numbers: one
-// draw scores all schedules, so per-draw contrasts share their noise),
-// folding outcomes into the matching tallies entry. Latencies are
-// divided by norm before summing. The rng stream layout is one Sample
-// per draw — fixed regardless of the number of replayers.
-func replaySamples(reps []*sim.Replayer, tallies []MCTally, model failure.Model, n int, norm float64, rng *rand.Rand) {
+// replaySamples is the one scenario loop: it draws n crash-time
+// scenarios from model, one Sample per draw whatever score replays, and
+// hands each to score, which replays it against every schedule and
+// strategy the caller compares (common random numbers: per-draw
+// contrasts share their noise) and records what the caller needs.
+func replaySamples(model failure.Model, n int, rng *rand.Rand, score func(scenario map[int]float64)) {
 	var scenario map[int]float64
 	for draw := 0; draw < n; draw++ {
 		scenario = model.Sample(rng, scenario)
-		for a := range reps {
-			lat, err := reps[a].CrashLatencyAt(scenario)
-			tallies[a].Record(lat/norm, err)
-		}
+		score(scenario)
 	}
 }
 
@@ -144,12 +138,14 @@ func estimate[T any, P tally[T]](samples int, seed int64, workers int, batch fun
 // (Exponential, Weibull, Rack are; failure.Trace is not).
 func EstimateReliability(s *sched.Schedule, model failure.Model, samples int, seed int64, workers int) (MCTally, error) {
 	return estimate(samples, seed, workers, func(n int, rng *rand.Rand) (MCTally, error) {
+		var tally MCTally
 		rep, err := sim.NewReplayer(s)
 		if err != nil {
-			return MCTally{}, err
+			return tally, err
 		}
-		var tally [1]MCTally
-		replaySamples([]*sim.Replayer{rep}, tally[:], model, n, 1, rng)
-		return tally[0], nil
+		replaySamples(model, n, rng, func(scenario map[int]float64) {
+			tally.Record(rep.CrashLatencyAt(scenario))
+		})
+		return tally, nil
 	})
 }

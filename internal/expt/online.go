@@ -9,11 +9,12 @@ import (
 	"caft/internal/failure"
 	"caft/internal/online"
 	"caft/internal/sched"
+	"caft/internal/sim"
 )
 
 // The online experiment compares four fault-tolerance strategies under
-// the event-driven causal execution engine (package online, DESIGN.md
-// S7) across the same MTBF sweep as the reliability figure:
+// causal crashes (DESIGN.md S7), static on sim.Replayer and the rest on
+// package online's re-mapping engine, across the reliability MTBF sweep:
 //
 //   - static:   CAFT at ε=1 — replication only; crashes kill work and
 //               whatever replication cannot absorb is lost.
@@ -82,37 +83,26 @@ func runOnlineUnit(rng *rand.Rand, useed int64, mult float64) ([4]OnlineTally, e
 	if err != nil {
 		return out, err
 	}
-	engHEFT, err := online.NewEngine(sHEFT)
+	repCA, err := sim.NewReplayer(sCA)
 	if err != nil {
 		return out, err
 	}
-	engCA, err := online.NewEngine(sCA)
-	if err != nil {
-		return out, err
-	}
-	engHO, err := online.NewEngine(sHO)
-	if err != nil {
-		return out, err
+	var engs [3]*online.Engine // reactive, hybrid, hoft
+	for i, s := range []*sched.Schedule{sHEFT, sCA, sHO} {
+		if engs[i], err = online.NewEngine(s); err != nil {
+			return out, err
+		}
 	}
 	model := &failure.Exponential{MTBF: failure.UniformMTBF(rng, m, 0.75*mult*T, 1.25*mult*T)}
 
-	runs := [4]struct {
-		eng *online.Engine //caft:share-ok local run table; the engines never leave this work unit's goroutine
-		opt online.Options
-	}{
-		{engCA, online.Options{}},
-		{engHEFT, online.Options{Reschedule: true}},
-		{engCA, online.Options{Reschedule: true}},
-		{engHO, online.Options{Reschedule: true}},
-	}
-	trace := map[int]float64{}
-	for draw := 0; draw < onlineSamples; draw++ {
-		trace = model.Sample(rng, trace)
-		for k, run := range runs {
-			lat, resched, err := run.eng.Makespan(trace, run.opt)
-			out[k].record(lat/DefaultNorm, resched, err)
+	replaySamples(model, onlineSamples, rng, func(trace map[int]float64) {
+		lat, err := repCA.CrashLatencyAt(trace)
+		out[0].record(lat/DefaultNorm, 0, err)
+		for k, eng := range engs {
+			lat, resched, err := eng.Makespan(trace, online.Options{Reschedule: true})
+			out[k+1].record(lat/DefaultNorm, resched, err)
 		}
-	}
+	})
 	return out, nil
 }
 
@@ -219,22 +209,32 @@ func (t OnlineTally) meanRescheduled() float64 {
 }
 
 // EstimateOnline replays `samples` failure traces drawn from model
-// through the online engine and tallies the makespan distribution,
-// batched by estimate: the tally is a pure function of (schedule,
-// model, samples, seed, reschedule) for any worker count. The model
-// must be stateless across Sample calls (failure.Trace is not).
+// through the online engine's re-mapper (reschedule) or the Replayer's
+// timed replay and tallies the makespan distribution, batched by
+// estimate: the tally is a pure function of (schedule, model, samples,
+// seed, reschedule) for any worker count. The model must be stateless
+// across Sample calls (failure.Trace is not).
 func EstimateOnline(s *sched.Schedule, model failure.Model, samples int, seed int64, workers int, reschedule bool) (OnlineTally, error) {
 	return estimate(samples, seed, workers, func(n int, rng *rand.Rand) (OnlineTally, error) {
 		var b OnlineTally
+		if !reschedule {
+			rep, err := sim.NewReplayer(s)
+			if err != nil {
+				return b, err
+			}
+			replaySamples(model, n, rng, func(trace map[int]float64) {
+				lat, err := rep.CrashLatencyAt(trace)
+				b.record(lat, 0, err)
+			})
+			return b, nil
+		}
 		eng, err := online.NewEngine(s)
 		if err != nil {
 			return b, err
 		}
-		trace := map[int]float64{}
-		for draw := 0; draw < n; draw++ {
-			trace = model.Sample(rng, trace)
-			b.record(eng.Makespan(trace, online.Options{Reschedule: reschedule}))
-		}
+		replaySamples(model, n, rng, func(trace map[int]float64) {
+			b.record(eng.Makespan(trace, online.Options{Reschedule: true}))
+		})
 		return b, nil
 	})
 }

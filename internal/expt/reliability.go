@@ -156,7 +156,12 @@ func runReliabilityUnit(rng *rand.Rand, useed int64, mult float64, build func(*r
 	if err != nil {
 		return out, err
 	}
-	replaySamples(reps[:], out.algs[:], model, reliabilitySamples, DefaultNorm, rng)
+	replaySamples(model, reliabilitySamples, rng, func(scenario map[int]float64) {
+		for a, rep := range reps {
+			lat, err := rep.CrashLatencyAt(scenario)
+			out.algs[a].Record(lat/DefaultNorm, err)
+		}
+	})
 	return out, nil
 }
 

@@ -1,5 +1,5 @@
 // Package online executes a committed schedule as a causal, event-driven
-// process and reacts to processor crashes while it runs — the reactive
+// process and re-maps lost work while it runs — the reactive
 // counterpart of package sim's clairvoyant replays (see DESIGN.md S7).
 //
 // The engine evaluates the same constraint graph as sim.Replayer — a
@@ -9,18 +9,14 @@
 // failure trace, processor -> fail-stop instant). Operations start as
 // soon as every constraint is resolved — the per-resource reservation
 // order committed by the scheduler, the source replica of a transfer,
-// and one input arrival per predecessor (first-arrival semantics) — so
-// with an empty failure trace, or any failure trace and no
-// rescheduling, the engine computes exactly sim.Replayer's times, and
-// the root TestOnlineStaticEquivalence pins the two bit for bit.
+// and one input arrival per predecessor (first-arrival semantics).
 //
 // When a crash arrives at time tau, work that finished by tau survives;
 // unfinished work on the crashed processor dies, along with everything
 // transitively starved of inputs. The semantics is causal: a resource
 // freed by a cancellation becomes available at tau, never earlier, and
 // reactive re-placements may not start before tau — the past is never
-// rewritten. sim.Replayer.ReplayTimed computes the same causal fates
-// in one placement-order pass, without events.
+// rewritten.
 //
 // With Options.Reschedule, each crash additionally triggers the
 // reactive re-mapper: reservations of lost and unstarted work are
@@ -32,7 +28,10 @@
 // scope, so the engine's state is pristine after every Run, and a
 // single Engine replays many traces — crashes, cancellations and
 // reactive placements included — without allocating once its scratch
-// has warmed up (TestOnlineEventAllocPin).
+// has warmed up (TestOnlineEventAllocPin). Without re-mapping the
+// engine computes exactly sim.Replayer.ReplayTimed's fates: static
+// callers use the Replayer, and this mode stays as the reference the
+// root TestOnlineStaticEquivalence pins it against bit for bit.
 //
 //caft:deterministic
 package online
@@ -120,7 +119,7 @@ type Engine struct {
 	probes      []probe           // bestSurvivor: live candidates by (bound, proc)
 	rescheduled int
 	events      int
-	opt         Options
+	remap       bool // this replay's Options.Reschedule
 }
 
 // NewEngine builds the scheduler state reactive placements extend and
@@ -324,11 +323,7 @@ func (e *Engine) resolve(i int32, v float64) {
 			o.start = o.minStart
 		}
 		w := &e.w.Ops[i]
-		dur := w.Dur
-		if w.Kind == sim.OpRep && e.opt.ExecScale != nil {
-			dur *= e.opt.ExecScale[w.Rep.Task]
-		}
-		o.finish = o.start + dur
+		o.finish = o.start + w.Dur
 		o.state = opRunning
 		e.push(ev{t: o.finish, seq: w.Seq, idx: i})
 	}
@@ -440,7 +435,7 @@ func (e *Engine) crash(q int, tau float64) error {
 			}
 		}
 	}
-	if e.opt.Reschedule {
+	if e.remap {
 		return e.reschedule(tau)
 	}
 	return nil

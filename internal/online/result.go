@@ -11,21 +11,10 @@ import (
 type Options struct {
 	// Reschedule enables the reactive re-mapper: on each crash, lost and
 	// unstarted work is cancelled and re-placed onto the surviving
-	// processors. False replays the static schedule's fate — losses are
-	// reported, nothing moves.
+	// processors. Every production replay sets it; false replays the
+	// static fate, which sim.Replayer computes, and stays as the
+	// reference the Replayer is pinned against.
 	Reschedule bool
-	// ExecScale, when non-nil, multiplies the execution duration of every
-	// replica of task t (original and reactive alike) by ExecScale[t] as
-	// it starts — execution-time jitter injected at run time, while the
-	// committed placements, reservation orders and communication volumes
-	// stay those of the nominal schedule. It must hold one non-negative
-	// factor per task. This is the probe behind the jitter-predictability
-	// harness (expt.RunJitter, DESIGN.md S9): replaying a fixed schedule
-	// with shrunk durations can only move completions earlier, so
-	// schedules are execution-predictable in the sense of Cucu-Grosjean &
-	// Goossens; re-running a *scheduler* on jittered estimates is where
-	// Graham's timing anomalies live.
-	ExecScale []float64
 }
 
 // replay resets the engine, loads the trace and runs the event loop.
@@ -35,20 +24,10 @@ type Options struct {
 //
 //caft:zeroalloc
 func (e *Engine) replay(trace map[int]float64, opt Options) error {
-	if opt.ExecScale != nil {
-		if len(opt.ExecScale) != e.w.CG.NumTasks() {
-			return fmt.Errorf("online: ExecScale has %d entries, want one per task (%d)", len(opt.ExecScale), e.w.CG.NumTasks()) //caft:alloc-ok option-validation rejection path; the accept path allocates nothing
-		}
-		for t, f := range opt.ExecScale {
-			if f < 0 || math.IsNaN(f) {
-				return fmt.Errorf("online: ExecScale[%d] = %v, want non-negative", t, f) //caft:alloc-ok option-validation rejection path; the accept path allocates nothing
-			}
-		}
-	}
 	if err := e.reset(trace); err != nil {
 		return err
 	}
-	e.opt = opt
+	e.remap = opt.Reschedule
 	if opt.Reschedule {
 		return e.st.Speculate(e.body)
 	}

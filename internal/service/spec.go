@@ -155,16 +155,16 @@ type ReliabilitySpec struct {
 
 // OnlineSpec configures the online-mode Monte Carlo: Samples failure
 // traces drawn from the embedded failure model are replayed through the
-// event-driven engine, by default with the reactive re-mapper armed.
+// event-driven engine with the reactive re-mapper armed, unless Static.
 // The embedded ReliabilitySpec's fields appear inline on the wire, and
 // its Seed drives the trace draws, independently of the scheduling
-// seed. Samples is capped at 2^16 traces rather than 2^20, since every
-// trace runs the full event engine.
+// seed. Samples is capped at 2^16 traces rather than 2^20, since
+// re-mapping traces run the event engine.
 type OnlineSpec struct {
 	ReliabilitySpec
-	// Static disables the reactive re-mapper: the distribution then
-	// reflects what replication alone achieves under the causal online
-	// semantics.
+	// Static replays each trace without re-mapping, on the causal timed
+	// replay of the reliability estimate: the distribution reflects what
+	// replication alone achieves, with zero re-placements.
 	Static bool `json:"static,omitempty"`
 }
 
@@ -172,9 +172,9 @@ type OnlineSpec struct {
 // may demand.
 const maxReliabilitySamples = 1 << 20
 
-// maxOnlineSamples bounds online-mode replays, which run the full event
-// engine (and possibly rescheduling) per trace — heavier than a timed
-// replay, so the cap sits lower.
+// maxOnlineSamples bounds online-mode replays. A re-mapping trace runs
+// the event engine and the rescheduler — heavier than a timed replay,
+// so the cap sits lower.
 const maxOnlineSamples = 1 << 16
 
 // modeNames lists the serving modes; the index is the canonical enum
