@@ -139,13 +139,13 @@ func TestLazyNameConstructionAllocs(t *testing.T) {
 	}
 }
 
-// compileAllocs bounds one Compile of the BenchmarkCompile graph,
+// compileAllocs bounds one Compile of a random 10⁴-task DAG,
 // measured when the pin was set: the compiled view is a fixed number of
 // flat arrays, independent of the task count.
 const compileAllocs = 26
 
-// TestCompileAllocPin pins Compile's allocation count on the
-// BenchmarkCompile graph (10⁴ tasks).
+// TestCompileAllocPin pins Compile's allocation count on a random
+// 10⁴-task DAG.
 func TestCompileAllocPin(t *testing.T) {
 	g := randomDAG(rand.New(rand.NewSource(41)), 10000)
 	var err error
@@ -158,18 +158,5 @@ func TestCompileAllocPin(t *testing.T) {
 	}
 	if allocs > compileAllocs {
 		t.Errorf("Compile allocates %.0f/op, want <= %d", allocs, compileAllocs)
-	}
-}
-
-func BenchmarkCompile(b *testing.B) {
-	rng := rand.New(rand.NewSource(41))
-	g := randomDAG(rng, 10000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.compiled = nil
-		if _, err := g.Compile(); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

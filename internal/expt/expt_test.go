@@ -99,45 +99,72 @@ func TestDrawCrashes(t *testing.T) {
 	}
 }
 
-// Miniature end-to-end figure: sane values, no task losses, expected
-// orderings between the series.
+// Miniature end-to-end figures: every figure of the paper runs without
+// error or task loss at the lowest, middle and highest granularity of
+// its sweep, and figure 1 shows sane values and the expected orderings
+// between the series.
 func TestRunFigureMiniature(t *testing.T) {
-	cfg, _ := FigureConfig(1, 3, 7)
-	cfg.Granularities = []float64{0.4, 1.6}
-	points, err := cfg.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 2 {
-		t.Fatalf("%d points", len(points))
-	}
-	for _, pt := range points {
-		if pt.TasksLost != 0 {
-			t.Errorf("g=%v: %d crash replays lost tasks", pt.G, pt.TasksLost)
+	for _, in := range []struct {
+		figure, graphs int
+		seed           int64
+		gs             []int // indices into the figure's granularity sweep
+		// orderings also checks the expected orderings between the
+		// series. One graph per point is too few for them: at ε = 3
+		// and g = 0.2 a single instance can put CAFT0 below the
+		// fault-free CAFT.
+		orderings bool
+	}{
+		{1, 3, 7, []int{1, 7}, true}, // g = 0.4, 1.6
+		{2, 1, 1, []int{0, 4, 9}, false},
+		{3, 1, 1, []int{0, 4, 9}, false},
+		{4, 1, 1, []int{0, 4, 9}, false},
+		{5, 1, 1, []int{0, 4, 9}, false},
+		{6, 1, 1, []int{0, 4, 9}, false},
+	} {
+		cfg, _ := FigureConfig(in.figure, in.graphs, in.seed)
+		var gs []float64
+		for _, i := range in.gs {
+			gs = append(gs, cfg.Granularities[i])
 		}
-		// Fault-tolerant latencies dominate the fault-free reference.
-		if pt.CAFT0 < pt.FFCAFT-1e-9 {
-			t.Errorf("g=%v: CAFT0 %v below fault-free %v", pt.G, pt.CAFT0, pt.FFCAFT)
+		cfg.Granularities = gs
+		points, err := cfg.Run()
+		if err != nil {
+			t.Fatalf("figure %d: %v", in.figure, err)
 		}
-		// Upper bounds dominate the 0-crash latencies.
-		if pt.CAFTUB < pt.CAFT0-1e-9 || pt.FTSAUB < pt.FTSA0-1e-9 || pt.FTBARUB < pt.FTBAR0-1e-9 {
-			t.Errorf("g=%v: an upper bound fell below its latency", pt.G)
+		if len(points) != len(gs) {
+			t.Fatalf("figure %d: %d points", in.figure, len(points))
 		}
-		// Overheads of fault-tolerant schedules are positive.
-		if pt.OvCAFT0 < 0 || pt.OvFTSA0 < 0 {
-			t.Errorf("g=%v: negative overhead", pt.G)
+		for _, pt := range points {
+			if pt.TasksLost != 0 {
+				t.Errorf("figure %d g=%v: %d crash replays lost tasks", in.figure, pt.G, pt.TasksLost)
+			}
+			if !in.orderings {
+				continue
+			}
+			// Fault-tolerant latencies dominate the fault-free reference.
+			if pt.CAFT0 < pt.FFCAFT-1e-9 {
+				t.Errorf("figure %d g=%v: CAFT0 %v below fault-free %v", in.figure, pt.G, pt.CAFT0, pt.FFCAFT)
+			}
+			// Upper bounds dominate the 0-crash latencies.
+			if pt.CAFTUB < pt.CAFT0-1e-9 || pt.FTSAUB < pt.FTSA0-1e-9 || pt.FTBARUB < pt.FTBAR0-1e-9 {
+				t.Errorf("figure %d g=%v: an upper bound fell below its latency", in.figure, pt.G)
+			}
+			// Overheads of fault-tolerant schedules are positive.
+			if pt.OvCAFT0 < 0 || pt.OvFTSA0 < 0 {
+				t.Errorf("figure %d g=%v: negative overhead", in.figure, pt.G)
+			}
+			// Crash latencies are positive and finite.
+			if pt.CAFTc <= 0 || pt.FTSAc <= 0 || pt.FTBARc <= 0 {
+				t.Errorf("figure %d g=%v: bad crash latency", in.figure, pt.G)
+			}
+			if pt.MsgCAFT <= 0 || pt.MsgCAFT > pt.MsgFTSA*1.2 {
+				t.Errorf("figure %d g=%v: message counts CAFT %v vs FTSA %v", in.figure, pt.G, pt.MsgCAFT, pt.MsgFTSA)
+			}
 		}
-		// Crash latencies are positive and finite.
-		if pt.CAFTc <= 0 || pt.FTSAc <= 0 || pt.FTBARc <= 0 {
-			t.Errorf("g=%v: bad crash latency", pt.G)
+		// Latency grows with granularity (computation dominates).
+		if first, last := points[0], points[len(points)-1]; in.orderings && last.CAFT0 <= first.CAFT0 {
+			t.Errorf("figure %d: latency did not grow with granularity: %v -> %v", in.figure, first.CAFT0, last.CAFT0)
 		}
-		if pt.MsgCAFT <= 0 || pt.MsgCAFT > pt.MsgFTSA*1.2 {
-			t.Errorf("g=%v: message counts CAFT %v vs FTSA %v", pt.G, pt.MsgCAFT, pt.MsgFTSA)
-		}
-	}
-	// Latency grows with granularity (computation dominates).
-	if points[1].CAFT0 <= points[0].CAFT0 {
-		t.Errorf("latency did not grow with granularity: %v -> %v", points[0].CAFT0, points[1].CAFT0)
 	}
 }
 

@@ -85,8 +85,7 @@ var raceEnabled bool
 
 // TestServeMissAllocPin pins the miss path's allocation count: each
 // call builds quickReq without reliability under a fresh seed, so every
-// request is a full compute (schedule + encode), as in
-// BenchmarkServeMiss.
+// request is a full compute (schedule + encode).
 func TestServeMissAllocPin(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool items at random, so the standard library's pooled buffers reallocate")
@@ -107,21 +106,5 @@ func TestServeMissAllocPin(t *testing.T) {
 	}
 	if allocs > serveMissAllocs {
 		t.Errorf("cache miss allocates %.0f per request, want <= %d", allocs, serveMissAllocs)
-	}
-}
-
-// BenchmarkServeMiss measures a full compute (schedule + encode) for
-// scale: the denominator that makes the cached path's win visible.
-func BenchmarkServeMiss(b *testing.B) {
-	svc := mustNew(b, Config{Workers: 2})
-	defer svc.Close()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		req := quickReq()
-		req.Reliability = nil
-		req.Seed = int64(i + 1) // unique problem per iteration
-		if _, err := svc.Do(context.Background(), req); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
