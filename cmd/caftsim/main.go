@@ -31,7 +31,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -137,15 +136,6 @@ func run(w io.Writer, figure string, graphs int, seed int64, plotDir string, wor
 	return runFigure(w, n, panel, graphs, seed, plotDir, workers)
 }
 
-// col renders one TSV value; an empty series (NaN mean) prints as the
-// missing marker rather than a number.
-func col(v float64, prec int) string {
-	if math.IsNaN(v) {
-		return "-"
-	}
-	return strconv.FormatFloat(v, 'f', prec, 64)
-}
-
 // timed runs f and reports its wall-clock time on stderr: stdout must
 // stay byte-identical for any -workers value.
 func timed(name string, f func() error) error {
@@ -185,7 +175,7 @@ func runFigure(w io.Writer, n int, panel string, graphs int, seed int64, plotDir
 		fmt.Fprintln(w, "g\tFTSA0\tFTSAc\tFTBAR0\tFTBARc\tCAFT0\tCAFTc")
 		for _, p := range points {
 			fmt.Fprintf(w, "%.1f\t%.2f\t%s\t%.2f\t%s\t%.2f\t%s\n",
-				p.G, p.FTSA0, col(p.FTSAc, 2), p.FTBAR0, col(p.FTBARc, 2), p.CAFT0, col(p.CAFTc, 2))
+				p.G, p.FTSA0, expt.Col(p.FTSAc, 2), p.FTBAR0, expt.Col(p.FTBARc, 2), p.CAFT0, expt.Col(p.CAFTc, 2))
 		}
 	}
 	if panel == "" || panel == "c" {
@@ -193,7 +183,7 @@ func runFigure(w io.Writer, n int, panel string, graphs int, seed int64, plotDir
 		fmt.Fprintln(w, "g\tFTSA0\tFTSAc\tFTBAR0\tFTBARc\tCAFT0\tCAFTc")
 		for _, p := range points {
 			fmt.Fprintf(w, "%.1f\t%.1f\t%s\t%.1f\t%s\t%.1f\t%s\n",
-				p.G, p.OvFTSA0, col(p.OvFTSAc, 1), p.OvFTBAR0, col(p.OvFTBARc, 1), p.OvCAFT0, col(p.OvCAFTc, 1))
+				p.G, p.OvFTSA0, expt.Col(p.OvFTSAc, 1), p.OvFTBAR0, expt.Col(p.OvFTBARc, 1), p.OvCAFT0, expt.Col(p.OvCAFTc, 1))
 		}
 	}
 	// Crash diagnostics concern the crash panels only; panel-a output

@@ -8,6 +8,15 @@ import (
 	"strings"
 )
 
+// Col renders one TSV value at fixed precision; an empty series (NaN
+// mean) prints as the missing marker "-" rather than a number.
+func Col(v float64, prec int) string {
+	if math.IsNaN(v) {
+		return "-"
+	}
+	return strconv.FormatFloat(v, 'f', prec, 64)
+}
+
 // gnuplotMissing marks an empty series value (NaN mean) in the data
 // file; the emitted script declares it via `set datafile missing`.
 const gnuplotMissing = "?"

@@ -146,9 +146,9 @@ func RunOnline(w io.Writer, graphs int, seed int64, workers int) ([]OnlinePoint,
 	for _, pt := range points {
 		row := pt.Label
 		for k := range OnlineStrategies {
-			row += "\t" + onlineCol(pt.Lat[k], 2) + "\t" + onlineCol(pt.Unrel[k], 3)
+			row += "\t" + Col(pt.Lat[k], 2) + "\t" + Col(pt.Unrel[k], 3)
 			if k > 0 {
-				row += "\t" + onlineCol(pt.Resched[k], 2)
+				row += "\t" + Col(pt.Resched[k], 2)
 			}
 		}
 		fmt.Fprintln(w, row)
@@ -161,13 +161,6 @@ func RunOnline(w io.Writer, graphs int, seed int64, workers int) ([]OnlinePoint,
 		fmt.Fprintf(w, "# %d online replay(s) failed to evaluate and were excluded\n", errs)
 	}
 	return points, nil
-}
-
-func onlineCol(v float64, prec int) string {
-	if math.IsNaN(v) {
-		return "-"
-	}
-	return fmt.Sprintf("%.*f", prec, v)
 }
 
 // OnlineTally is the outcome of EstimateOnline: the loss accounting

@@ -3,7 +3,6 @@ package expt
 import (
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 
 	"caft/internal/failure"
@@ -241,15 +240,7 @@ func RunReliability(w io.Writer, graphs int, seed int64, workers int) ([]Reliabi
 func reliabilityRow(label string, pt ReliabilityPoint) string {
 	row := label
 	for a := range pt.Lat {
-		lat := "-"
-		if !math.IsNaN(pt.Lat[a]) {
-			lat = fmt.Sprintf("%.2f", pt.Lat[a])
-		}
-		unrel := "-"
-		if !math.IsNaN(pt.Unrel[a]) {
-			unrel = fmt.Sprintf("%.3f", pt.Unrel[a])
-		}
-		row += "\t" + lat + "\t" + unrel
+		row += "\t" + Col(pt.Lat[a], 2) + "\t" + Col(pt.Unrel[a], 3)
 	}
 	return row
 }
