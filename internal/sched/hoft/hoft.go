@@ -86,21 +86,9 @@ func Schedule(p *sched.Problem, rng *rand.Rand) (*sched.Schedule, error) {
 	scheduled := 0
 	for len(free) > 0 {
 		// Pop the free task with the highest priority; ties are broken
-		// uniformly, mirroring sched.Lister.
-		best, ties := 0, 1
-		for i := 1; i < len(free); i++ {
-			switch pi, pb := prio[free[i]], prio[free[best]]; {
-			case pi > pb:
-				best, ties = i, 1
-			case pi == pb:
-				ties++
-				if rng.Intn(ties) == 0 {
-					best = i
-				}
-			}
-		}
-		t := free[best]
-		free = append(free[:best], free[best+1:]...)
+		// uniformly, as in sched.Lister.
+		var t dag.TaskID
+		t, free = sched.PopHighest(free, prio, rng)
 
 		// Place on the processor minimizing EFT + optimistic remaining
 		// path (OFT minus the local execution already counted in EFT).

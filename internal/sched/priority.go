@@ -16,9 +16,12 @@ import (
 // are static. Ties are broken randomly (paper: "ties are broken
 // randomly") with the caller-provided source for reproducibility.
 type Lister struct {
-	c         *dag.Compiled
-	bl        []float64
-	tl        []float64
+	c  *dag.Compiled
+	bl []float64
+	// prio holds tℓ(t) + bℓ(t). Raising a top level raises the sum
+	// instead: rounding is monotone, so max(prio, cand+bℓ) is the sum
+	// of the raised top level bit for bit.
+	prio      []float64
 	meanDelay float64 // mean communication cost per unit volume
 	free      []dag.TaskID
 	unsched   []int // unscheduled predecessor count
@@ -42,7 +45,7 @@ func NewLister(p *Problem, rng *rand.Rand) *Lister {
 	l := &Lister{
 		c:         c,
 		bl:        c.BottomLevelsInto(make([]float64, n), meanExec, meanDelay),
-		tl:        c.TopLevelsInto(make([]float64, n), meanExec, meanDelay),
+		prio:      c.TopLevelsInto(make([]float64, n), meanExec, meanDelay),
 		meanDelay: meanDelay,
 		unsched:   make([]int, n),
 		scheduled: make([]bool, n),
@@ -50,6 +53,7 @@ func NewLister(p *Problem, rng *rand.Rand) *Lister {
 		rng:       rng,
 	}
 	for t := 0; t < n; t++ {
+		l.prio[t] += l.bl[t]
 		l.unsched[t] = c.InDegree(dag.TaskID(t))
 		if l.unsched[t] == 0 {
 			l.free = append(l.free, dag.TaskID(t))
@@ -68,7 +72,7 @@ func (l *Lister) Remaining() int { return l.remaining }
 func (l *Lister) Free() []dag.TaskID { return l.free }
 
 // Priority returns the current priority tℓ(t)+bℓ(t) of a task.
-func (l *Lister) Priority(t dag.TaskID) float64 { return l.tl[t] + l.bl[t] }
+func (l *Lister) Priority(t dag.TaskID) float64 { return l.prio[t] }
 
 // BottomLevel returns the static bottom level of a task.
 func (l *Lister) BottomLevel(t dag.TaskID) float64 { return l.bl[t] }
@@ -80,22 +84,31 @@ func (l *Lister) Pop() (dag.TaskID, bool) {
 	if len(l.free) == 0 {
 		return 0, false
 	}
+	var t dag.TaskID
+	t, l.free = PopHighest(l.free, l.prio, l.rng)
+	return t, true
+}
+
+// PopHighest removes the task with the highest prio[t] from the
+// non-empty free list and returns it with the shortened list, which
+// reuses free's storage. Ties are broken uniformly: the scan draws
+// rng.Intn(k) at the k-th task tied with the best so far.
+func PopHighest(free []dag.TaskID, prio []float64, rng *rand.Rand) (dag.TaskID, []dag.TaskID) {
 	best, ties := 0, 1
-	for i := 1; i < len(l.free); i++ {
-		pi, pb := l.Priority(l.free[i]), l.Priority(l.free[best])
-		switch {
+	pb := prio[free[0]]
+	for i := 1; i < len(free); i++ {
+		switch pi := prio[free[i]]; {
 		case pi > pb:
-			best, ties = i, 1
+			best, ties, pb = i, 1, pi
 		case pi == pb:
 			ties++
-			if l.rng.Intn(ties) == 0 {
+			if rng.Intn(ties) == 0 {
 				best = i
 			}
 		}
 	}
-	t := l.free[best]
-	l.free = append(l.free[:best], l.free[best+1:]...)
-	return t, true
+	t := free[best]
+	return t, append(free[:best], free[best+1:]...)
 }
 
 // Take removes a specific task from the free list (used by FTBAR, which
@@ -123,8 +136,8 @@ func (l *Lister) MarkScheduled(t dag.TaskID, earliestFinish float64) {
 	to, vol := l.c.Succ(t)
 	for k, s := range to {
 		cand := earliestFinish + vol[k]*l.meanDelay
-		if cand > l.tl[s] {
-			l.tl[s] = cand
+		if p := cand + l.bl[s]; p > l.prio[s] {
+			l.prio[s] = p
 		}
 		l.unsched[s]--
 		if l.unsched[s] == 0 {
