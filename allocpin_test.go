@@ -21,10 +21,10 @@ import (
 var schedulerBuildAllocs = map[string]float64{
 	"heft/append":           757,
 	"heft/insertion":        892,
-	"caft/append":           11445,
-	"caft/insertion":        11288,
-	"caft-greedy/append":    7089,
-	"caft-greedy/insertion": 6778,
+	"caft/append":           11228,
+	"caft/insertion":        11073,
+	"caft-greedy/append":    7039,
+	"caft-greedy/insertion": 6730,
 	"ftsa/append":           910,
 	"ftsa/insertion":        1056,
 	"ftbar/append":          2568,

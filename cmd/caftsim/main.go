@@ -22,8 +22,10 @@
 // -vmax extends the tail through successive doublings to 100000 tasks,
 // where schedulers run with bounded candidate probing and without
 // FTBAR (see internal/expt.ScaleSizes); existing rows never move.
-// Wall-clock scheduling times and allocation counts go to stderr;
-// stdout stays a pure function of (-graphs, -seed, -vmax).
+//
+// Stdout is a pure function of the flags, byte-identical for any
+// -workers value; stderr carries errors only. Scheduler build times
+// come from perfbench, not from this command.
 package main
 
 import (
@@ -35,7 +37,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"time"
 
 	"caft/internal/expt"
 	"caft/internal/sched"
@@ -58,10 +59,10 @@ func main() {
 	}
 }
 
-// run dispatches one -figure invocation, writing all reproducible
-// output (everything but wall-clock timing) to w. Flag values are
-// validated up front: nonsense like -graphs 0 used to fall through to
-// the engine and produce empty or degenerate TSV instead of an error.
+// run dispatches one -figure invocation, writing its output to w. Flag
+// values are validated up front: nonsense like -graphs 0 used to fall
+// through to the engine and produce empty or degenerate TSV instead of
+// an error, and a flag the chosen table ignores is an error too.
 func run(w io.Writer, figure string, graphs int, seed int64, plotDir string, workers, vmax int, alg string) error {
 	if graphs < 1 {
 		return fmt.Errorf("-graphs must be positive, got %d", graphs)
@@ -70,8 +71,17 @@ func run(w io.Writer, figure string, graphs int, seed int64, plotDir string, wor
 		return fmt.Errorf("-workers must be non-negative (0 = all cores), got %d", workers)
 	}
 	if alg != "" {
+		if figure != "jitter" {
+			return fmt.Errorf("-alg applies to -figure jitter only, not %s", figure)
+		}
 		if _, ok := sched.Lookup(alg); !ok {
 			return fmt.Errorf("-alg %q is not a registered scheduler (want %s)", alg, strings.Join(sched.Names(), ", "))
+		}
+	}
+	if plotDir != "" {
+		switch figure {
+		case "messages", "ablation", "accuracy", "sparse", "scale", "online", "jitter":
+			return fmt.Errorf("-plot applies to figures 1-6, all and reliability only, not %s", figure)
 		}
 	}
 	switch figure {
@@ -91,16 +101,14 @@ func run(w io.Writer, figure string, graphs int, seed int64, plotDir string, wor
 	case "sparse":
 		return expt.RunSparse(w, graphs, seed, workers)
 	case "reliability":
-		return timed("reliability", func() error {
-			points, err := expt.RunReliability(w, graphs, seed, workers)
-			if err != nil || plotDir == "" {
-				return err
-			}
-			// The MTBF sweep only; the model-comparison rows have no x axis.
-			return writePlot(plotDir, "reliability",
-				func(w io.Writer) error { return expt.WriteReliabilityGnuplotData(w, points) },
-				expt.WriteReliabilityGnuplotScript)
-		})
+		points, err := expt.RunReliability(w, graphs, seed, workers)
+		if err != nil || plotDir == "" {
+			return err
+		}
+		// The MTBF sweep only; the model-comparison rows have no x axis.
+		return writePlot(plotDir, "reliability",
+			func(w io.Writer) error { return expt.WriteReliabilityGnuplotData(w, points) },
+			expt.WriteReliabilityGnuplotScript)
 	case "scale":
 		var sizes []int
 		for _, v := range expt.ScaleSizes {
@@ -111,18 +119,13 @@ func run(w io.Writer, figure string, graphs int, seed int64, plotDir string, wor
 		if len(sizes) == 0 {
 			return fmt.Errorf("-vmax %d is below the smallest scale size %d", vmax, expt.ScaleSizes[0])
 		}
-		// Wall-clock scheduling times go to stderr so w stays deterministic.
-		return timed("scale", func() error { return expt.RunScale(w, os.Stderr, sizes, graphs, seed, workers) })
+		return expt.RunScale(w, sizes, graphs, seed, workers)
 	case "online":
-		return timed("online", func() error {
-			_, err := expt.RunOnline(w, graphs, seed, workers)
-			return err
-		})
+		_, err := expt.RunOnline(w, graphs, seed, workers)
+		return err
 	case "jitter":
-		return timed("jitter", func() error {
-			_, err := expt.RunJitter(w, graphs, seed, workers, alg)
-			return err
-		})
+		_, err := expt.RunJitter(w, graphs, seed, workers, alg)
+		return err
 	}
 	panel := ""
 	num := figure
@@ -136,17 +139,6 @@ func run(w io.Writer, figure string, graphs int, seed int64, plotDir string, wor
 	return runFigure(w, n, panel, graphs, seed, plotDir, workers)
 }
 
-// timed runs f and reports its wall-clock time on stderr: stdout must
-// stay byte-identical for any -workers value.
-func timed(name string, f func() error) error {
-	start := time.Now()
-	if err := f(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "# %s: elapsed %s\n", name, time.Since(start).Round(time.Millisecond))
-	return nil
-}
-
 func runFigure(w io.Writer, n int, panel string, graphs int, seed int64, plotDir string, workers int) error {
 	cfg, err := expt.FigureConfig(n, graphs, seed)
 	if err != nil {
@@ -155,11 +147,8 @@ func runFigure(w io.Writer, n int, panel string, graphs int, seed int64, plotDir
 	cfg.Workers = workers
 	fmt.Fprintf(w, "# Figure %d%s: m=%d eps=%d crashes=%d graphs/point=%d seed=%d\n",
 		n, panel, cfg.M, cfg.Eps, cfg.Crashes, cfg.Graphs, seed)
-	var points []expt.Point
-	if err := timed(fmt.Sprintf("figure %d", n), func() (err error) {
-		points, err = cfg.Run()
-		return err
-	}); err != nil {
+	points, err := cfg.Run()
+	if err != nil {
 		return err
 	}
 	if panel == "" || panel == "a" {

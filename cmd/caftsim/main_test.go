@@ -26,27 +26,38 @@ func TestRunRejectsUnknownFigure(t *testing.T) {
 
 // Nonsense flag values must be rejected with a pointed message instead
 // of producing empty or degenerate TSV (the pre-fix behavior for
-// -graphs 0, negative -workers and an undershooting -vmax).
+// -graphs 0, negative -workers and an undershooting -vmax), and so must
+// a flag the chosen table ignores.
 func TestRunRejectsBadFlagValues(t *testing.T) {
 	cases := []struct {
 		name    string
 		figure  string
 		graphs  int
+		plotDir string
 		workers int
 		vmax    int
 		alg     string
 		wantMsg string
 	}{
-		{"zero graphs", "1a", 0, 1, 3200, "", "-graphs must be positive, got 0"},
-		{"negative graphs", "1a", -3, 1, 3200, "", "-graphs must be positive, got -3"},
-		{"zero graphs special figure", "messages", 0, 1, 3200, "", "-graphs must be positive, got 0"},
-		{"negative workers", "1a", 1, -2, 3200, "", "-workers must be non-negative (0 = all cores), got -2"},
-		{"vmax below smallest size", "scale", 1, 1, 50, "", "-vmax 50 is below the smallest scale size 100"},
-		{"unknown alg", "jitter", 1, 1, 3200, "nope", `-alg "nope" is not a registered scheduler (want heft, caft, caft-greedy, ftsa, ftbar, hoft)`},
+		{"zero graphs", "1a", 0, "", 1, 3200, "", "-graphs must be positive, got 0"},
+		{"negative graphs", "1a", -3, "", 1, 3200, "", "-graphs must be positive, got -3"},
+		{"zero graphs special figure", "messages", 0, "", 1, 3200, "", "-graphs must be positive, got 0"},
+		{"negative workers", "1a", 1, "", -2, 3200, "", "-workers must be non-negative (0 = all cores), got -2"},
+		{"vmax below smallest size", "scale", 1, "", 1, 50, "", "-vmax 50 is below the smallest scale size 100"},
+		{"unknown alg", "jitter", 1, "", 1, 3200, "nope", `-alg "nope" is not a registered scheduler (want heft, caft, caft-greedy, ftsa, ftbar, hoft)`},
+		{"alg on figure", "1a", 1, "", 1, 3200, "hoft", "-alg applies to -figure jitter only, not 1a"},
+		{"alg on reliability", "reliability", 1, "", 1, 3200, "hoft", "-alg applies to -figure jitter only, not reliability"},
+		{"plot on messages", "messages", 1, "plots", 1, 3200, "", "-plot applies to figures 1-6, all and reliability only, not messages"},
+		{"plot on ablation", "ablation", 1, "plots", 1, 3200, "", "-plot applies to figures 1-6, all and reliability only, not ablation"},
+		{"plot on accuracy", "accuracy", 1, "plots", 1, 3200, "", "-plot applies to figures 1-6, all and reliability only, not accuracy"},
+		{"plot on sparse", "sparse", 1, "plots", 1, 3200, "", "-plot applies to figures 1-6, all and reliability only, not sparse"},
+		{"plot on scale", "scale", 1, "plots", 1, 3200, "", "-plot applies to figures 1-6, all and reliability only, not scale"},
+		{"plot on online", "online", 1, "plots", 1, 3200, "", "-plot applies to figures 1-6, all and reliability only, not online"},
+		{"plot on jitter", "jitter", 1, "plots", 1, 3200, "", "-plot applies to figures 1-6, all and reliability only, not jitter"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := run(io.Discard, c.figure, c.graphs, 1, "", c.workers, c.vmax, c.alg)
+			err := run(io.Discard, c.figure, c.graphs, 1, c.plotDir, c.workers, c.vmax, c.alg)
 			if err == nil {
 				t.Fatal("accepted")
 			}
@@ -111,6 +122,7 @@ func TestRunWritesPlots(t *testing.T) {
 // header wording — fails here instead of silently changing plots, and
 // running every case at two worker counts pins the engine's
 // determinism guarantee: the bytes must not depend on scheduling.
+// Stderr must stay empty: it carries errors only.
 func TestGoldenOutput(t *testing.T) {
 	cases := []struct {
 		golden string
@@ -136,8 +148,14 @@ func TestGoldenOutput(t *testing.T) {
 			var first []byte
 			for _, workers := range []int{1, 8} {
 				var buf bytes.Buffer
+				stderr := captureStderr(t)
 				if err := run(&buf, c.figure, c.graphs, 1, "", workers, c.vmax, ""); err != nil {
 					t.Fatal(err)
+				}
+				if got, err := os.ReadFile(stderr.Name()); err != nil {
+					t.Fatal(err)
+				} else if len(got) > 0 {
+					t.Fatalf("figure %s at -workers %d wrote to stderr:\n%s", c.figure, workers, got)
 				}
 				if first == nil {
 					first = buf.Bytes()
@@ -161,4 +179,21 @@ func TestGoldenOutput(t *testing.T) {
 			}
 		})
 	}
+}
+
+// captureStderr points os.Stderr at a fresh temporary file until t ends
+// and returns that file.
+func captureStderr(t *testing.T) *os.File {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stderr
+	os.Stderr = f
+	t.Cleanup(func() {
+		os.Stderr = saved
+		f.Close()
+	})
+	return f
 }

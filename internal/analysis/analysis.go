@@ -118,7 +118,7 @@ func IsPkgLevel(v *types.Var) bool {
 	return v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
 }
 
-// FuncLabel renders (*State).ProcsOf-style names for diagnostics: the
+// FuncLabel renders (*State).Candidates-style names for diagnostics: the
 // function's name, qualified by its receiver's type name (type
 // arguments dropped) for a method.
 func FuncLabel(fn *types.Func) string {

@@ -4,7 +4,7 @@
 // so it may only be consumed before control leaves the statement
 // sequence that produced it.
 //
-// The hot paths of this repo (State.ProcsOf, Timeline.Intervals,
+// The hot paths of this repo (State.Candidates, Timeline.Intervals,
 // Lister.Free, State.commResources) stay allocation-free precisely by
 // returning such scratch. The contract used to live in comments and a
 // handful of pinned tests; this analyzer makes it mechanical. A call
@@ -24,7 +24,7 @@
 // Passing the value down into an ordinary call is allowed: the callee
 // receives the same obligation and returns before the caller can
 // invoke the scratch method again. When the annotation names a safe
-// variant (//caft:scratch safe=ProcsOfCopy), diagnostics steer the
+// variant (//caft:scratch safe=IntervalsCopy), diagnostics steer the
 // caller to it.
 //
 // The tracking is flow-insensitive and first-order on purpose — a

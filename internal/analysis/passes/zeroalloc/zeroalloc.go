@@ -356,7 +356,7 @@ func isByteish(t types.Type) bool {
 	return ok && (b.Kind() == types.Byte || b.Kind() == types.Rune)
 }
 
-// calleeLabel renders sched.(*State).ProcsOf-style names for the
+// calleeLabel renders sched.(*State).Candidates-style names for the
 // functions a checked body calls.
 func calleeLabel(fn *types.Func) string {
 	if fn.Pkg() == nil {

@@ -354,11 +354,12 @@ func (c *scheduler) bestOneToOne(bt *batchTask, copyIdx int, best *plan) (bool, 
 	}
 	st := c.st
 	cands := st.Candidates(bt.t, c.eps+1)
-	hosting := st.ProcsOf(bt.t)
 	remaining := c.eps - copyIdx // replicas still to place after this one
 	found := false
 	for _, proc := range cands {
-		if bt.locked.has(proc) || hosting[proc] {
+		// The lock covers every processor hosting a replica of t: each
+		// committed plan's support holds its own processor.
+		if bt.locked.has(proc) {
 			continue
 		}
 		sources, supp, ok := c.planFor(proc, bt, remaining)
@@ -498,6 +499,16 @@ func (c *scheduler) chooseHeads(proc int, bt *batchTask, trivialOnly bool) ([]sc
 	return sources, true
 }
 
+// hosts reports whether one of reps runs on proc.
+func hosts(reps []sched.Replica, proc int) bool {
+	for _, r := range reps {
+		if r.Proc == proc {
+			return true
+		}
+	}
+	return false
+}
+
 // bestFull evaluates an FTSA-style round: inputs from every replica of
 // every predecessor, candidate processors restricted to unlocked ones
 // (relaxed to all processors not hosting t if locking exhausted the
@@ -519,9 +530,6 @@ func (c *scheduler) chooseHeads(proc int, bt *batchTask, trivialOnly bool) ([]sc
 func (c *scheduler) bestFull(bt *batchTask, copyIdx int, best *plan) (bool, error) {
 	st, t, locked := c.st, bt.t, bt.locked
 	base := st.FullSources(t)
-	// The run closure below is invoked twice with ProbeReplica calls in
-	// between, which recycle the ProcsOf scratch buffer.
-	hosting := st.ProcsOfCopy(t)
 	remaining := c.eps - copyIdx
 	planFor := func(proc int) ([]sched.SourceSet, procSet) {
 		out := append([]sched.SourceSet(nil), base...)
@@ -558,7 +566,9 @@ func (c *scheduler) bestFull(bt *batchTask, copyIdx int, best *plan) (bool, erro
 	found := false
 	run := func(procs []int, skipLocked bool) error {
 		for _, proc := range procs {
-			if hosting[proc] || (skipLocked && locked.has(proc)) {
+			// The lock covers t's hosts (see bestOneToOne); the relaxed
+			// stage ignores it and checks t's replicas directly.
+			if (skipLocked && locked.has(proc)) || (!skipLocked && hosts(st.Reps[t], proc)) {
 				continue
 			}
 			sources, supp := planFor(proc)

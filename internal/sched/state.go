@@ -62,7 +62,6 @@ type State struct {
 	// Reusable scratch, never shared between states. probeScratch is the
 	// lazily built overlay state reused by Append-policy probes.
 	probeScratch *State
-	hosting      []bool
 	arrival      []float64
 	pending      []pendingComm
 	commIDs      []int32
@@ -303,38 +302,6 @@ func (st *State) Snapshot() *Schedule {
 	}
 	s.Comms = append([]Comm(nil), st.Comms...)
 	return s
-}
-
-// ProcsOf returns a bitset, indexed by processor, of the processors
-// hosting a replica of t.
-//
-// Aliasing contract: the returned slice is scratch owned by the state —
-// the next ProcsOf call on the same state overwrites it in place, so it
-// must not be retained across calls (and a caller iterating it must not
-// call ProcsOf, directly or through a helper, inside the loop). Both
-// in-tree callers (core's bestOneToOne and bestFull) consume the bitset
-// before any further ProcsOf call; callers that need a stable snapshot
-// use ProcsOfCopy.
-//
-//caft:scratch safe=ProcsOfCopy
-//caft:zeroalloc
-func (st *State) ProcsOf(t dag.TaskID) []bool {
-	if st.hosting == nil {
-		st.hosting = make([]bool, st.lay.Procs()) //caft:alloc-ok hosting bitset allocated lazily on the first call, then reused
-	}
-	for i := range st.hosting {
-		st.hosting[i] = false
-	}
-	for _, r := range st.Reps[t] {
-		st.hosting[r.Proc] = true
-	}
-	return st.hosting
-}
-
-// ProcsOfCopy returns a freshly allocated copy of ProcsOf(t), safe to
-// retain across further calls on the state.
-func (st *State) ProcsOfCopy(t dag.TaskID) []bool {
-	return append([]bool(nil), st.ProcsOf(t)...)
 }
 
 // Candidates returns the processors a scheduler should probe for the

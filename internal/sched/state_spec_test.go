@@ -218,10 +218,13 @@ func TestSpeculateRollsBackExactly(t *testing.T) {
 		// then an extra replica of one of its successors fed by it. Find
 		// a task with a free processor.
 		var tid dag.TaskID = 2
+		hosting := map[int]bool{}
+		for _, r := range st.Reps[tid] {
+			hosting[r.Proc] = true
+		}
 		free := -1
-		hosting := st.ProcsOf(tid)
-		for proc, h := range hosting {
-			if !h {
+		for proc := 0; proc < p.Plat.M; proc++ {
+			if !hosting[proc] {
 				free = proc
 				break
 			}
@@ -268,79 +271,6 @@ func TestSpeculateRollsBackExactly(t *testing.T) {
 		if !reflect.DeepEqual(before, fingerprint(st)) {
 			t.Fatalf("pol %v: failing Speculate left residue", pol)
 		}
-	}
-}
-
-// ProcsOf must report exactly the hosting processors and reuse its
-// scratch without allocating.
-func TestProcsOfScratch(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	p := randomProblem(rng, 5, timeline.Append)
-	st := NewState(p)
-	growState(t, st, 1, nil)
-	for task := 0; task < p.G.NumTasks(); task++ {
-		hosting := st.ProcsOf(dag.TaskID(task))
-		if len(hosting) != p.Plat.M {
-			t.Fatalf("ProcsOf length %d, want %d", len(hosting), p.Plat.M)
-		}
-		want := map[int]bool{}
-		for _, r := range st.Reps[task] {
-			want[r.Proc] = true
-		}
-		for proc, h := range hosting {
-			if h != want[proc] {
-				t.Fatalf("task %d: ProcsOf[%d] = %v, want %v", task, proc, h, want[proc])
-			}
-		}
-	}
-	allocs := testing.AllocsPerRun(50, func() { st.ProcsOf(3) })
-	if allocs > 0 {
-		t.Errorf("ProcsOf allocates %.1f per call after warm-up", allocs)
-	}
-}
-
-// Pin the ProcsOf aliasing contract: the returned bitset is scratch, so
-// a second call on the same state overwrites the first result in place.
-// A caller retaining the slice across calls observes silent mutation —
-// that is exactly what this regression documents — and ProcsOfCopy is
-// the retention-safe variant.
-func TestProcsOfSecondCallInvalidatesFirst(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	p := randomProblem(rng, 5, timeline.Append)
-	st := NewState(p)
-	growState(t, st, 1, nil)
-
-	// Find two tasks with different hosting sets; with ε+1 = 2 replicas
-	// over 5 processors some pair must differ.
-	var t1, t2 dag.TaskID = -1, -1
-	for a := 0; a < p.G.NumTasks() && t1 < 0; a++ {
-		for b := a + 1; b < p.G.NumTasks(); b++ {
-			if !reflect.DeepEqual(st.ProcsOfCopy(dag.TaskID(a)), st.ProcsOfCopy(dag.TaskID(b))) {
-				t1, t2 = dag.TaskID(a), dag.TaskID(b)
-				break
-			}
-		}
-	}
-	if t1 < 0 {
-		t.Fatal("no two tasks with distinct hosting sets in the fixture")
-	}
-
-	first := st.ProcsOf(t1)
-	snapshot := append([]bool(nil), first...)
-	copied := st.ProcsOfCopy(t1)
-	second := st.ProcsOf(t2)
-
-	if &first[0] != &second[0] {
-		t.Fatal("ProcsOf returned distinct backing arrays; scratch reuse contract changed")
-	}
-	if reflect.DeepEqual(snapshot, first) {
-		t.Fatal("second ProcsOf call left the first result intact; expected in-place overwrite")
-	}
-	if !reflect.DeepEqual(copied, snapshot) {
-		t.Error("ProcsOfCopy result mutated by a later ProcsOf call")
-	}
-	if !reflect.DeepEqual([]bool(second), append([]bool(nil), st.ProcsOfCopy(t2)...)) {
-		t.Error("ProcsOf disagrees with ProcsOfCopy for the same task")
 	}
 }
 
