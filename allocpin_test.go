@@ -19,18 +19,18 @@ import (
 // inside the measured window adds a few runtime allocations, which the
 // 20 runs average away. Re-measure at the parent before changing one.
 var schedulerBuildAllocs = map[string]float64{
-	"heft/append":           757,
-	"heft/insertion":        892,
-	"caft/append":           11228,
-	"caft/insertion":        11073,
-	"caft-greedy/append":    7039,
-	"caft-greedy/insertion": 6730,
-	"ftsa/append":           910,
-	"ftsa/insertion":        1056,
-	"ftbar/append":          2568,
-	"ftbar/insertion":       2533,
-	"hoft/append":           414,
-	"hoft/insertion":        532,
+	"heft/append":           739,
+	"heft/insertion":        864,
+	"caft/append":           11192,
+	"caft/insertion":        11036,
+	"caft-greedy/append":    7021,
+	"caft-greedy/insertion": 6713,
+	"ftsa/append":           893,
+	"ftsa/insertion":        1040,
+	"ftbar/append":          2550,
+	"ftbar/insertion":       2524,
+	"hoft/append":           396,
+	"hoft/insertion":        489,
 }
 
 // schedulerBuildProblem is one paper-sized instance: a random layered

@@ -22,7 +22,7 @@ import (
 // carry distinct Seq owners and pairwise-feasible intervals); a
 // schedule whose reservations overlap is rejected.
 func StateOf(s *Schedule) (*State, error) {
-	st := NewState(s.P)
+	st := newState(s.P)
 	var maxSeq int32
 	for t := range s.Reps {
 		st.Reps[t] = append([]Replica(nil), s.Reps[t]...)

@@ -53,16 +53,14 @@ func Schedule(p *sched.Problem, rng *rand.Rand) (*sched.Schedule, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	oft, err := sched.OFT(p)
-	if err != nil {
-		return nil, err
-	}
 	cg, err := p.G.Compile()
 	if err != nil {
 		return nil, err
 	}
 	m := p.Plat.M
 	n := cg.NumTasks()
+	st := sched.NewState(p)
+	oft := st.OFT()
 
 	// Priority: mean optimistic finish over processors.
 	prio := make([]float64, n)
@@ -74,7 +72,6 @@ func Schedule(p *sched.Problem, rng *rand.Rand) (*sched.Schedule, error) {
 		prio[t] = sum / float64(m)
 	}
 
-	st := sched.NewState(p)
 	unsched := make([]int, n)
 	var free []dag.TaskID
 	for t := 0; t < n; t++ {

@@ -19,15 +19,17 @@ import (
 // [3m,3m+S) the S shared links. Every other link, each clique link
 // among them, is port-implied and gets no timeline.
 //
-// Probes are transactional: ProbeReplica (and the multi-step Speculate)
-// run the real placement code on the real state while a journal records
-// every timeline reservation, replica/communication record and sequence
-// number, and the journal is rolled back before returning — no state is
-// cloned. Under the Append policy single-shot probes take an even
-// cheaper special case: a timeline's whole state under Append is its
-// ready time, so the probe runs on a flat overlay of 3m+S ready times.
-// Tests check every probe against PlaceReplica on a copy of the state
-// rebuilt from its snapshot with StateOf.
+// ProbeReplica runs the real placement code on a probe overlay that
+// reads the real timelines and records and writes none of them. Under
+// Append a timeline's whole state is its ready time, so the overlay
+// keeps a copy of the 3m+S ready times; under Insertion it asks the
+// real timelines and keeps a list of the probe's own reservations,
+// moving any answer that overlaps one of them past it. The multi-step
+// Speculate runs placements on the real state while a journal records
+// every timeline reservation, replica/communication record and
+// sequence number, and rolls the journal back before returning. No
+// state is cloned. Tests check every probe against PlaceReplica on a
+// copy of the state rebuilt from its snapshot with StateOf.
 //
 //caft:confined
 type State struct {
@@ -38,11 +40,14 @@ type State struct {
 	Comms []Comm
 	seq   int32
 
-	// Append-policy probe overlay: earliest/reserve consult ready[id]
-	// instead of the (shared, untouched) timelines, and placements are
-	// not recorded in Reps/Comms.
+	// Probe overlay (see ProbeReplica): the timelines are shared and
+	// never written, and placements are not recorded in Reps/Comms.
+	// Under Append, slot/reserve consult and raise ready[id] instead of
+	// the timelines; under Insertion, reserve appends to own and slot
+	// asks the timeline, then steps past own's reservations.
 	overlay bool
 	ready   []float64
+	own     []ownRes
 
 	// Speculation journal (see Speculate): while spec > 0, reserve and
 	// the Cancel* methods log every timeline mutation into tlog and
@@ -59,13 +64,11 @@ type State struct {
 	// new reservation may start before it (see SetFloor).
 	floor float64
 
-	// Reusable scratch, never shared between states. probeScratch is the
-	// lazily built overlay state reused by Append-policy probes.
+	// Reusable scratch. probeScratch is the lazily built overlay state
+	// reused by every probe; it shares this state's placeScratch, as a
+	// probe and a placement never run at once.
 	probeScratch *State
-	arrival      []float64
-	pending      []pendingComm
-	commIDs      []int32
-	slotCur      []timeline.Cursor
+	*placeScratch
 
 	// Bounded-probe scratch (see Candidates): the lazily built OFT
 	// table ranking processors per task, the candidate id/score pair
@@ -75,6 +78,22 @@ type State struct {
 	cands    []int
 	candSc   []float64
 	allProcs []int
+}
+
+// placeScratch is the reusable scratch of PlaceReplica and the slot
+// searches under it.
+type placeScratch struct {
+	arrival []float64
+	pending []pendingComm
+	commIDs []int32
+	slotCur []timeline.Cursor
+}
+
+// ownRes is one positive-length reservation [start, end) a probe made
+// on timeline id of an Insertion-policy overlay.
+type ownRes struct {
+	id         int32
+	start, end float64
 }
 
 // tlUndo is one journaled timeline mutation: a reservation to UndoAdd,
@@ -107,14 +126,25 @@ type probeMark struct {
 	seq               int32
 }
 
-// NewState returns an empty state for the problem.
+// NewState returns an empty state for the problem. Comms starts with
+// room for one record per edge: every placed replica records at least
+// one communication per input edge, so a complete build records at
+// least that many.
 func NewState(p *Problem) *State {
+	st := newState(p)
+	st.Comms = make([]Comm, 0, p.G.NumEdges())
+	return st
+}
+
+// newState returns an empty state for the problem with no Comms room.
+func newState(p *Problem) *State {
 	lay := NewLayout(p)
 	st := &State{
-		P:    p,
-		lay:  lay,
-		tls:  make([]timeline.Timeline, lay.Size()),
-		Reps: make([][]Replica, p.G.NumTasks()),
+		P:            p,
+		lay:          lay,
+		tls:          make([]timeline.Timeline, lay.Size()),
+		Reps:         make([][]Replica, p.G.NumTasks()),
+		placeScratch: &placeScratch{},
 	}
 	st.setMinDurs()
 	return st
@@ -167,26 +197,29 @@ func (st *State) setMinDurs() {
 	}
 }
 
-// overlayForProbe returns the reusable Append-policy probe overlay: a
-// state sharing this one's timelines and records read-only, with
-// earliest/reserve redirected to a private copy of the ready times.
+// overlayForProbe returns the reusable probe overlay: a state sharing
+// this one's timelines and records read-only, holding under Append a
+// private copy of the ready times and under Insertion an empty list of
+// its own reservations.
 //
 //caft:zeroalloc
 func (st *State) overlayForProbe() *State {
 	ps := st.probeScratch
 	if ps == nil {
-		ps = &State{overlay: true, ready: make([]float64, len(st.tls))} //caft:alloc-ok probe overlay built once per State and reused across probes
+		ps = &State{overlay: true, placeScratch: st.placeScratch} //caft:alloc-ok probe overlay built once per State and reused across probes
+		if st.P.Policy == timeline.Append {
+			ps.ready = make([]float64, len(st.tls)) //caft:alloc-ok probe overlay built once per State and reused across probes
+		}
 		st.probeScratch = ps
 	}
 	ps.P, ps.lay, ps.tls, ps.Reps, ps.seq = st.P, st.lay, st.tls, st.Reps, st.seq
 	ps.floor = st.floor
-	if st.overlay {
-		copy(ps.ready, st.ready)
-	} else {
+	if ps.ready != nil {
 		for i := range st.tls {
 			ps.ready[i] = st.tls[i].Ready()
 		}
 	}
+	ps.own = ps.own[:0]
 	return ps
 }
 
@@ -263,28 +296,51 @@ func (st *State) earliest(id int32, ready, dur float64) float64 {
 // slot is earliest resuming timeline id's gap scan at cur (see
 // timeline.Cursor).
 //
+// On an Insertion-policy overlay the timeline's answer s may overlap
+// one of the probe's own reservations [a, b) on id: s < b and either
+// s+dur > a or s >= a (half-open, so even a zero-length query inside or
+// at the start of it moves on, as in the gap index). Then no start in
+// [s, b) fits, and the query repeats from b. The timeline is unchanged
+// and the ready time only grows, so the cursor stays valid.
+//
 //caft:zeroalloc
 func (st *State) slot(id int32, ready, dur float64, cur *timeline.Cursor) float64 {
 	if ready < st.floor {
 		ready = st.floor
 	}
-	if st.overlay {
+	if st.ready != nil {
 		if r := st.ready[id]; r > ready {
 			return r
 		}
 		return ready
 	}
-	return st.tls[id].EarliestSlotFrom(ready, dur, st.P.Policy, cur)
+	s := st.tls[id].EarliestSlotFrom(ready, dur, st.P.Policy, cur)
+	for i := 0; i < len(st.own); i++ {
+		if r := st.own[i]; r.id == id && s < r.end && (s+dur > r.start || s >= r.start) {
+			s = st.tls[id].EarliestSlotFrom(r.end, dur, st.P.Policy, cur)
+			i = -1
+		}
+	}
+	return s
 }
 
 // reserve books [start, start+dur) on timeline id, journaling the
-// reservation when a speculation scope is open.
+// reservation when a speculation scope is open. A probe overlay writes
+// no timeline: under Append it raises its ready time, under Insertion
+// it lists the reservation, unless zero-length (a marker that never
+// conflicts).
 //
 //caft:zeroalloc
 func (st *State) reserve(id int32, start, dur float64, owner int32) {
 	if st.overlay {
-		if end := start + dur; end > st.ready[id] {
-			st.ready[id] = end
+		end := start + dur
+		switch {
+		case st.ready != nil:
+			if end > st.ready[id] {
+				st.ready[id] = end
+			}
+		case dur > 0:
+			st.own = append(st.own, ownRes{id: id, start: start, end: end})
 		}
 		return
 	}
@@ -315,9 +371,7 @@ func (st *State) Snapshot() *Schedule {
 // that must place several replicas on distinct processors (eps+1
 // copies) keep at least that many candidates.
 //
-// The OFT table is built lazily on first bounded use and reused for the
-// lifetime of the state; it assumes an acyclic graph (Problem.Validate
-// has run) and panics otherwise.
+// The ranking key is the state's OFT table (see State.OFT).
 //
 // Aliasing contract: the returned slice is scratch owned by the state —
 // the next Candidates call on the same state overwrites it in place, so
@@ -344,12 +398,7 @@ func (st *State) Candidates(t dag.TaskID, min int) []int {
 	if k > m {
 		k = m
 	}
-	if st.oft == nil {
-		oft, err := OFT(st.P) //caft:alloc-ok OFT ranking table built once per State on the first bounded probe, then reused
-		if err != nil {
-			panic(err)
-		}
-		st.oft = oft
+	if st.cands == nil {
 		st.cands = make([]int, 0, m)      //caft:alloc-ok candidate scratch sized once per State, then reused
 		st.candSc = make([]float64, 0, m) //caft:alloc-ok candidate scratch sized once per State, then reused
 	}
@@ -358,7 +407,7 @@ func (st *State) Candidates(t dag.TaskID, min int) []int {
 	// the tie break (first wins) deterministic.
 	cands := st.cands[:0]
 	scores := st.candSc[:0]
-	row := st.oft[t]
+	row := st.OFT()[t]
 	for proc := 0; proc < m; proc++ {
 		sc := row[proc]
 		if len(cands) == k {
@@ -385,6 +434,24 @@ func (st *State) Candidates(t dag.TaskID, min int) []int {
 	}
 	st.cands, st.candSc = cands, scores
 	return cands
+}
+
+// OFT returns the problem's optimistic finish-time table (see the
+// function OFT), built on first use and kept for the lifetime of the
+// state, so HOFT's priorities and bounded probing share one build. It
+// assumes an acyclic graph (Problem.Validate has run) and panics
+// otherwise.
+//
+//caft:zeroalloc
+func (st *State) OFT() [][]float64 {
+	if st.oft == nil {
+		oft, err := OFT(st.P) //caft:alloc-ok OFT table built once per State, then reused
+		if err != nil {
+			panic(err)
+		}
+		st.oft = oft
+	}
+	return st.oft
 }
 
 // SourceSet names, for one predecessor edge of the task being placed,
@@ -664,17 +731,11 @@ func (st *State) FinishLowerBound(t dag.TaskID, proc int, sources []SourceSet) f
 }
 
 // ProbeReplica simulates PlaceReplica without any lasting mutation of
-// the state and returns the resulting replica. The placement runs
-// journaled on the real state and is rolled back, with the
-// Append-policy ready-time overlay as the cheap special case.
+// the state and returns the resulting replica: the placement runs on
+// the probe overlay (see overlayForProbe), which reads the state and
+// writes none of it.
 //
 //caft:zeroalloc
 func (st *State) ProbeReplica(t dag.TaskID, copy, proc int, sources []SourceSet) (Replica, error) {
-	if st.P.Policy == timeline.Append || st.overlay {
-		return st.overlayForProbe().PlaceReplica(t, copy, proc, sources)
-	}
-	m := st.begin()
-	rep, err := st.PlaceReplica(t, copy, proc, sources)
-	st.rollback(m)
-	return rep, err
+	return st.overlayForProbe().PlaceReplica(t, copy, proc, sources)
 }

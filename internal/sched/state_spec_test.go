@@ -274,11 +274,11 @@ func TestSpeculateRollsBackExactly(t *testing.T) {
 	}
 }
 
-// The acceptance pin of the speculative-probe refactor: an
-// Insertion-policy probe through the journal must allocate at least 5x
-// less than a placement on a copy of the state rebuilt from its
-// snapshot, the reference the probe tests use (in practice the probe is
-// allocation-free in steady state).
+// The acceptance pin of clone-free probing: an Insertion-policy probe
+// on the probe overlay must allocate at least 5x less than a placement
+// on a copy of the state rebuilt from its snapshot, the reference the
+// probe tests use (in practice the probe is allocation-free in steady
+// state).
 func TestInsertionProbeAllocPin(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	p := randomProblem(rng, 6, timeline.Insertion)
@@ -294,7 +294,7 @@ func TestInsertionProbeAllocPin(t *testing.T) {
 		}
 	}
 	sources := st.FullSources(last)
-	if _, err := st.ProbeReplica(last, 0, 0, sources); err != nil { // warm up scratch + journal
+	if _, err := st.ProbeReplica(last, 0, 0, sources); err != nil { // warm up the overlay and its scratch
 		t.Fatal(err)
 	}
 	spec := testing.AllocsPerRun(100, func() {
