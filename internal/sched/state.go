@@ -40,11 +40,9 @@ type State struct {
 	Comms []Comm
 	seq   int32
 
-	// Probe overlay (see ProbeReplica): the timelines are shared and
-	// never written, and placements are not recorded in Reps/Comms.
-	// Under Append, slot/reserve consult and raise ready[id] instead of
-	// the timelines; under Insertion, reserve appends to own and slot
-	// asks the timeline, then steps past own's reservations.
+	// Probe overlay (see overlayForProbe, slot and reserve): ready is
+	// the Append overlay's copy of the ready times, nil under
+	// Insertion, and own lists the Insertion overlay's reservations.
 	overlay bool
 	ready   []float64
 	own     []ownRes
