@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"caft/internal/dag"
 	"caft/internal/timeline"
@@ -23,8 +24,9 @@ import (
 // reads the real timelines and records and writes none of them. Under
 // Append a timeline's whole state is its ready time, so the overlay
 // keeps a copy of the 3m+S ready times; under Insertion it asks the
-// real timelines and keeps a list of the probe's own reservations,
-// moving any answer that overlaps one of them past it. The multi-step
+// real timelines and keeps, per timeline, the sorted spans of the
+// probe's own reservations, moving any answer that overlaps one of them
+// past it. The multi-step
 // Speculate runs placements on the real state while a journal records
 // every timeline reservation, replica/communication record and
 // sequence number, and rolls the journal back before returning. No
@@ -42,10 +44,13 @@ type State struct {
 
 	// Probe overlay (see overlayForProbe, slot and reserve): ready is
 	// the Append overlay's copy of the ready times, nil under
-	// Insertion, and own lists the Insertion overlay's reservations.
+	// Insertion; own[id] holds the Insertion overlay's reservations on
+	// timeline id (see addOwn), and owned the ids whose list is not
+	// empty.
 	overlay bool
 	ready   []float64
-	own     []ownRes
+	own     [][]ownSpan
+	owned   []int32
 
 	// Speculation journal (see Speculate): while spec > 0, reserve and
 	// the Cancel* methods log every timeline mutation into tlog and
@@ -87,12 +92,20 @@ type placeScratch struct {
 	slotCur []timeline.Cursor
 }
 
-// ownRes is one positive-length reservation [start, end) a probe made
-// on timeline id of an Insertion-policy overlay.
-type ownRes struct {
-	id         int32
+// ownSpan is a time span [start, end) of positive length that one or
+// more back-to-back reservations of a probe occupy on one timeline of
+// an Insertion-policy overlay.
+type ownSpan struct {
 	start, end float64
 }
+
+// ownSpanCap is the capacity of each timeline's span list when the
+// Insertion overlay is built, all carved from one array; a list that
+// outgrows it grows on its own and keeps its capacity. 16 spans hold
+// the disjoint transfers of a probe with 16 remote sources on one port,
+// so on paper-sized graphs no list grows: at 8, an Insertion build of
+// caft allocated six more times (TestSchedulerBuildAllocPin).
+const ownSpanCap = 16
 
 // tlUndo is one journaled timeline mutation: a reservation to UndoAdd,
 // or (removed) a cancelled reservation to re-Add. Re-adding restores
@@ -197,7 +210,7 @@ func (st *State) setMinDurs() {
 
 // overlayForProbe returns the reusable probe overlay: a state sharing
 // this one's timelines and records read-only, holding under Append a
-// private copy of the ready times and under Insertion an empty list of
+// private copy of the ready times and under Insertion empty lists of
 // its own reservations.
 //
 //caft:zeroalloc
@@ -207,6 +220,12 @@ func (st *State) overlayForProbe() *State {
 		ps = &State{overlay: true, placeScratch: st.placeScratch} //caft:alloc-ok probe overlay built once per State and reused across probes
 		if st.P.Policy == timeline.Append {
 			ps.ready = make([]float64, len(st.tls)) //caft:alloc-ok probe overlay built once per State and reused across probes
+		} else {
+			ps.own = make([][]ownSpan, len(st.tls))          //caft:alloc-ok probe overlay built once per State and reused across probes
+			spans := make([]ownSpan, ownSpanCap*len(st.tls)) //caft:alloc-ok probe overlay built once per State and reused across probes
+			for i := range ps.own {
+				ps.own[i] = spans[i*ownSpanCap : i*ownSpanCap : (i+1)*ownSpanCap]
+			}
 		}
 		st.probeScratch = ps
 	}
@@ -217,7 +236,10 @@ func (st *State) overlayForProbe() *State {
 			ps.ready[i] = st.tls[i].Ready()
 		}
 	}
-	ps.own = ps.own[:0]
+	for _, id := range ps.owned {
+		ps.own[id] = ps.own[id][:0]
+	}
+	ps.owned = ps.owned[:0]
 	return ps
 }
 
@@ -295,11 +317,18 @@ func (st *State) earliest(id int32, ready, dur float64) float64 {
 // timeline.Cursor).
 //
 // On an Insertion-policy overlay the timeline's answer s may overlap
-// one of the probe's own reservations [a, b) on id: s < b and either
+// one of the probe's own spans [a, b) on id: s < b and either
 // s+dur > a or s >= a (half-open, so even a zero-length query inside or
 // at the start of it moves on, as in the gap index). Then no start in
 // [s, b) fits, and the query repeats from b. The timeline is unchanged
-// and the ready time only grows, so the cursor stays valid.
+// and the ready time only grows, so the cursor stays valid. Only the
+// first span ending after s can overlap: the spans are disjoint and
+// sorted, so every later one starts at or after that span's end. The
+// first span is binary-searched; after each step the search walks on to
+// the first span ending after the new answer. The spans it passes lie
+// in free time of the timeline too short for dur, time its gap scan
+// would pass as well. A run of back-to-back reservations is one span
+// and costs one step.
 //
 //caft:zeroalloc
 func (st *State) slot(id int32, ready, dur float64, cur *timeline.Cursor) float64 {
@@ -313,10 +342,14 @@ func (st *State) slot(id int32, ready, dur float64, cur *timeline.Cursor) float6
 		return ready
 	}
 	s := st.tls[id].EarliestSlotFrom(ready, dur, st.P.Policy, cur)
-	for i := 0; i < len(st.own); i++ {
-		if r := st.own[i]; r.id == id && s < r.end && (s+dur > r.start || s >= r.start) {
-			s = st.tls[id].EarliestSlotFrom(r.end, dur, st.P.Policy, cur)
-			i = -1
+	if st.own == nil {
+		return s
+	}
+	own := st.own[id]
+	i := sort.Search(len(own), func(k int) bool { return own[k].end > s })
+	for i < len(own) && (s+dur > own[i].start || s >= own[i].start) {
+		s = st.tls[id].EarliestSlotFrom(own[i].end, dur, st.P.Policy, cur)
+		for i++; i < len(own) && own[i].end <= s; i++ {
 		}
 	}
 	return s
@@ -325,8 +358,8 @@ func (st *State) slot(id int32, ready, dur float64, cur *timeline.Cursor) float6
 // reserve books [start, start+dur) on timeline id, journaling the
 // reservation when a speculation scope is open. A probe overlay writes
 // no timeline: under Append it raises its ready time, under Insertion
-// it lists the reservation, unless zero-length (a marker that never
-// conflicts).
+// it adds the reservation to its own spans (see addOwn), unless
+// zero-length (a marker that never conflicts).
 //
 //caft:zeroalloc
 func (st *State) reserve(id int32, start, dur float64, owner int32) {
@@ -338,7 +371,7 @@ func (st *State) reserve(id int32, start, dur float64, owner int32) {
 				st.ready[id] = end
 			}
 		case dur > 0:
-			st.own = append(st.own, ownRes{id: id, start: start, end: end})
+			st.addOwn(id, start, end)
 		}
 		return
 	}
@@ -346,6 +379,39 @@ func (st *State) reserve(id int32, start, dur float64, owner int32) {
 		st.tlog = append(st.tlog, tlUndo{id: id, start: start, prevMax: st.tls[id].Ready(), owner: owner})
 	}
 	st.tls[id].MustAdd(start, dur, owner)
+}
+
+// addOwn adds the probe reservation [start, end) to timeline id's spans
+// on an Insertion-policy overlay, keeping them sorted by start and
+// merging the reservation into a span it touches at either end. A
+// probe's reservations on one timeline are disjoint, as each takes a
+// slot that slot found clear of the others, so the spans are sorted by
+// end as well, and a start inside a merged span overlaps exactly when
+// it overlaps one of its parts.
+//
+//caft:zeroalloc
+func (st *State) addOwn(id int32, start, end float64) {
+	own := st.own[id]
+	if len(own) == 0 {
+		st.owned = append(st.owned, id)
+	}
+	i := sort.Search(len(own), func(k int) bool { return own[k].start > start })
+	joinsPrev := i > 0 && own[i-1].end == start
+	joinsNext := i < len(own) && own[i].start == end
+	switch {
+	case joinsPrev && joinsNext:
+		own[i-1].end = own[i].end
+		own = append(own[:i], own[i+1:]...)
+	case joinsPrev:
+		own[i-1].end = end
+	case joinsNext:
+		own[i].start = start
+	default:
+		own = append(own, ownSpan{})
+		copy(own[i+1:], own[i:])
+		own[i] = ownSpan{start: start, end: end}
+	}
+	st.own[id] = own
 }
 
 // Snapshot freezes the state into an immutable Schedule.

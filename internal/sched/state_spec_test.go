@@ -204,6 +204,116 @@ func TestQuickProbeMatchesCloneReference(t *testing.T) {
 	}
 }
 
+// The Insertion overlay's slots equal those of a real timeline that
+// holds the same reservations. Integer times make the overlay's
+// reservations land back to back with each other on either side, so
+// every merge case of addOwn occurs.
+func TestOverlaySlotsMatchTimeline(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const n = 8
+	exec := platform.NewExecMatrix(n, 1)
+	for task := range exec {
+		exec[task][0] = float64(1 + rng.Intn(4))
+	}
+	p := &Problem{G: dag.New(n), Plat: platform.New(1, 0), Exec: exec, Model: OnePort, Policy: timeline.Insertion}
+	for round := 0; round < 200; round++ {
+		st, ref := NewState(p), NewState(p)
+		id := st.lay.Compute(0)
+		owner := int32(0)
+		for k := rng.Intn(6); k > 0; k-- {
+			owner++
+			dur := exec[rng.Intn(n)][0]
+			s := st.earliest(id, float64(rng.Intn(30)), dur)
+			st.reserve(id, s, dur, owner)
+			ref.reserve(id, s, dur, owner)
+		}
+		ov := st.overlayForProbe()
+		for q := 0; q < 20; q++ {
+			ready, dur := float64(rng.Intn(40)), exec[rng.Intn(n)][0]
+			got, want := ov.earliest(id, ready, dur), ref.earliest(id, ready, dur)
+			if got != want {
+				t.Fatalf("round %d query %d: overlay slot(%v, %v) = %v, timeline %v; spans %v, timeline %v",
+					round, q, ready, dur, got, want, ov.own[id], ref.tls[id].Intervals())
+			}
+			if rng.Intn(2) == 0 {
+				owner++
+				ov.reserve(id, got, dur, owner)
+				ref.reserve(id, want, dur, owner)
+			}
+		}
+	}
+}
+
+// joinProblem is gen.Join(n) on m random processors: n sources
+// feeding one sink, whose receive port takes a transfer from every
+// source replica a remote sink replica does not share a processor with.
+func joinProblem(n, m int, pol timeline.Policy) *Problem {
+	rng := rand.New(rand.NewSource(5))
+	g := gen.Join(n, 100)
+	plat := platform.NewRandom(rng, m, 0.5, 1.0)
+	exec := platform.GenExecForGranularity(rng, g, plat, 1.0, platform.DefaultHeterogeneity)
+	return &Problem{G: g, Plat: plat, Exec: exec, Model: OnePort, Policy: pol}
+}
+
+// A large fan-in sink, under both policies: 300 sources with two
+// replicas each send up to 600 transfers into a probed sink replica's
+// receive port, back to back, so the Insertion overlay merges most of
+// them into one span. Every probe of the sink's first copy, of a third
+// copy (whose transfers share the send ports with the two placed ones)
+// and of a re-placement after a crash cut must match the rebuilt
+// reference.
+func TestLargeSinkProbeMatchesReference(t *testing.T) {
+	const n = 300
+	for _, pol := range []timeline.Policy{timeline.Append, timeline.Insertion} {
+		p := joinProblem(n, 6, pol)
+		st := NewState(p)
+		sink := dag.TaskID(n)
+		label := "pol " + pol.String()
+		growState(t, st, 1, func(tid dag.TaskID, sources []SourceSet) {
+			if tid == sink && !checkProbes(t, label, st, nil, tid, 0, sources) {
+				t.FailNow()
+			}
+		})
+		if !checkProbes(t, label+" third copy", st, nil, sink, 2, st.FullSources(sink)) {
+			t.FailNow()
+		}
+		victim := st.Reps[sink][0].Proc
+		cancelled := cancelAfter(t, st, victim, st.Reps[sink][0].Start)
+		if !checkProbes(t, label+" after cancel", st, cancelled, sink, len(st.Reps[sink]), st.FullSources(sink)) {
+			t.FailNow()
+		}
+	}
+}
+
+// BenchmarkProbeFanIn probes the second copy of a join(1000) sink
+// under Insertion: up to 2000 transfers per probe into one receive
+// port, sharing their send ports with the placed first copy's. It is
+// the profile recipe for high fan-in probes.
+func BenchmarkProbeFanIn(b *testing.B) {
+	const n, m = 1000, 10
+	p := joinProblem(n, m, timeline.Insertion)
+	st := NewState(p)
+	for task := 0; task < n; task++ {
+		for k := 0; k < 2; k++ {
+			if _, err := st.PlaceReplica(dag.TaskID(task), k, (task+k)%m, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	sink := dag.TaskID(n)
+	sources := st.FullSources(sink)
+	if _, err := st.PlaceReplica(sink, 0, 0, sources); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := st.ProbeReplica(sink, 1, 1+i%(m-1), sources); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // Speculate must roll back multi-step placements exactly, on success,
 // on error, and when nested.
 func TestSpeculateRollsBackExactly(t *testing.T) {
