@@ -26,10 +26,10 @@ import (
 // keeps a copy of the 3m+S ready times; under Insertion it asks the
 // real timelines and keeps, per timeline, the sorted spans of the
 // probe's own reservations, moving any answer that overlaps one of them
-// past it. The multi-step
-// Speculate runs placements on the real state while a journal records
-// every timeline reservation, replica/communication record and
-// sequence number, and rolls the journal back before returning. No
+// past it. The multi-step Speculate runs placements on the real state
+// while a journal records every timeline reservation,
+// replica/communication record and sequence number, and rolls the
+// journal back before returning. No
 // state is cloned. Tests check every probe against PlaceReplica on a
 // copy of the state rebuilt from its snapshot with StateOf.
 //
