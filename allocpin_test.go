@@ -19,16 +19,16 @@ import (
 // inside the measured window adds a few runtime allocations, which the
 // 20 runs average away. Re-measure at the parent before changing one.
 var schedulerBuildAllocs = map[string]float64{
-	"heft/append":           739,
-	"heft/insertion":        864,
+	"heft/append":           490,
+	"heft/insertion":        615,
 	"caft/append":           11192,
 	"caft/insertion":        11036,
 	"caft-greedy/append":    7021,
 	"caft-greedy/insertion": 6713,
-	"ftsa/append":           893,
-	"ftsa/insertion":        1040,
-	"ftbar/append":          2550,
-	"ftbar/insertion":       2524,
+	"ftsa/append":           644,
+	"ftsa/insertion":        791,
+	"ftbar/append":          1465,
+	"ftbar/insertion":       1555,
 	"hoft/append":           396,
 	"hoft/insertion":        489,
 }

@@ -5,7 +5,7 @@
 //
 // The library types of this repo (sched.State, sim.Replayer,
 // timeline.Timeline, online.Engine) are single-goroutine by design —
-// they share scratch buffers, speculation journals and lazily-built
+// they share scratch buffers, pristine copies and lazily-built
 // overlays that data-race the moment two goroutines touch one value.
 // That contract used to live in package comments; this analyzer makes
 // it mechanical. A value of a confined type (or a pointer, slice,

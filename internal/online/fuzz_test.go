@@ -17,13 +17,14 @@ import (
 // problems and crash sequences (processor, instant) and asserts the two
 // safety properties of the tentpole: the executed outcome is
 // validator-clean (precedence, crash deadlines, resource exclusivity on
-// executed times, every non-lost task completed), and the replay's
-// Speculate scope rolls the rebuilt scheduler state back to pristine —
-// cancellations and reactive placements leave no trace. Every input
-// runs on the clique, on a star, whose links are all port-implied, and
-// on a 2×2 mesh, whose links are shared (see sched.Layout); each
-// network draws its problem from a fresh rng seeded alike, so the
-// clique case replays what the committed corpus always did.
+// executed times, every non-lost task completed), and after the replay
+// the engine's scheduler state equals a fresh rebuild of the schedule —
+// its copy restore leaves no trace of cancellations and reactive
+// placements. Every input runs on the clique, on a star, whose links
+// are all port-implied, and on a 2×2 mesh, whose links are shared (see
+// sched.Layout); each network draws its problem from a fresh rng
+// seeded alike, so the clique case replays what the committed corpus
+// always did.
 func FuzzOnlineReschedule(f *testing.F) {
 	star, err := topology.Star(4, 0.75)
 	if err != nil {

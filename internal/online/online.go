@@ -20,18 +20,20 @@
 //
 // With Options.Reschedule, each crash additionally triggers the
 // reactive re-mapper: reservations of lost and unstarted work are
-// cancelled through the journaled sched.State cancel machinery, and
+// cancelled on the engine's sched.State (its cancel machinery), and
 // every task left without a finished-and-reachable or still-live
 // replica is re-placed onto the surviving processors with HEFT-style
 // minimum-finish probes (sched.State probes on the real state — no
-// clones). The whole replay runs inside one sched.State.Speculate
-// scope, so the engine's state is pristine after every Run, and a
-// single Engine replays many traces — crashes, cancellations and
-// reactive placements included — without allocating once its scratch
-// has warmed up (TestOnlineEventAllocPin). Without re-mapping the
-// engine computes exactly sim.Replayer.ReplayTimed's fates: static
-// callers use the Replayer, and this mode stays as the reference the
-// root TestOnlineStaticEquivalence pins it against bit for bit.
+// clones). After a replay that cancelled or placed work the engine
+// copies a pristine state, kept since its first re-mapping replay, back
+// into its working one (sched.State.CopyFrom), so the state is pristine
+// after every Run, and a single Engine replays many traces — crashes,
+// cancellations and reactive placements included — without allocating
+// once its scratch has warmed up (TestOnlineEventAllocPin). Without
+// re-mapping the engine computes exactly sim.Replayer.ReplayTimed's
+// fates: static callers use the Replayer, and this mode stays as the
+// reference the root TestOnlineStaticEquivalence pins it against bit
+// for bit.
 //
 //caft:deterministic
 package online
@@ -86,10 +88,15 @@ type crashEv struct {
 //
 //caft:confined
 type Engine struct {
-	w    *sim.Wiring // static prefix + this replay's reactive suffix
-	m    int
-	st   *sched.State
-	body func() error // prebuilt Speculate body (alloc-free Run)
+	w  *sim.Wiring // static prefix + this replay's reactive suffix
+	m  int
+	st *sched.State // rebuilt from the schedule; re-mapping works on it
+
+	// pristine is st as rebuilt, built at the first re-mapping replay;
+	// dirty records that this replay cancelled or placed work on st,
+	// which then gets pristine copied back (see replay).
+	pristine *sched.State
+	dirty    bool
 
 	ops      []opRun   // per op of w
 	out      [][]int32 // per replica op: comm ops it feeds
@@ -135,7 +142,6 @@ func NewEngine(s *sched.Schedule) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{w: w, m: s.P.Plat.M, st: st}
-	e.body = func() error { return e.exec() }
 
 	n0 := len(w.Ops)
 	e.ops = make([]opRun, n0)

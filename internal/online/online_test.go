@@ -399,7 +399,7 @@ func sameOutcome(t *testing.T, label string, got, want *sim.Result) {
 
 // TestOnlineEventAllocPin pins the steady-state event loop: after
 // warm-up, a full replay through the alloc-free Makespan entry point —
-// event queue, token passing, slot resolution, Speculate scope
+// event queue, token passing, slot resolution, state restore
 // included — allocates nothing, both without crashes and on a
 // two-crash trace whose re-mapper cancels and re-places work.
 func TestOnlineEventAllocPin(t *testing.T) {

@@ -8,10 +8,10 @@ import (
 )
 
 // verifyPristine checks the engine's rebuilt state equals a fresh
-// rebuild of the original schedule: the Speculate scope wrapping every
-// reactive replay must leave no trace — records, sequence counter,
-// timeline intervals and ready times all bit-identical. Test support
-// for the fuzz harness's "clean rollback" property.
+// rebuild of the original schedule: the copy restore after every
+// reactive replay must leave no trace — records, timeline intervals and
+// ready times all bit-identical. Test support for the fuzz harness's
+// "clean restore" property.
 func (e *Engine) verifyPristine() error {
 	fresh, err := sched.StateOf(e.w.S)
 	if err != nil {

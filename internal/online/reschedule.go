@@ -11,11 +11,11 @@ import (
 
 // reschedule is the reactive re-mapper, run after the death cascade of
 // a crash at tau. It cancels the reservations of everything that just
-// died (journaled — the enclosing Speculate scope restores the state
-// after the replay), computes the set of tasks that must be (re-)
-// executed, and places one new replica per task on the surviving
-// processors with minimum-finish probes, in topological order so that
-// re-executed predecessors feed re-executed successors.
+// died (marking the state dirty: replay restores it afterwards),
+// computes the set of tasks that must be (re-)executed, and places one
+// new replica per task on the surviving processors with minimum-finish
+// probes, in topological order so that re-executed predecessors feed
+// re-executed successors.
 //
 // A task needs re-execution when it has neither a live replica nor a
 // finished replica whose data is still reachable (its processor alive).
@@ -30,6 +30,9 @@ import (
 //
 //caft:zeroalloc
 func (e *Engine) reschedule(tau float64) error {
+	if len(e.deadList) > 0 {
+		e.dirty = true
+	}
 	for _, i := range e.deadList {
 		o := &e.w.Ops[i]
 		var err error
@@ -70,6 +73,7 @@ func (e *Engine) reschedule(tau float64) error {
 		return nil
 	}
 
+	e.dirty = true
 	e.st.SetFloor(tau)
 	defer e.st.SetFloor(0)
 	for _, t := range e.w.CG.Topo() {

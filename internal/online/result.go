@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"caft/internal/sched"
 	"caft/internal/sim"
 )
 
@@ -18,9 +19,11 @@ type Options struct {
 }
 
 // replay resets the engine, loads the trace and runs the event loop.
-// With rescheduling enabled the whole run executes inside one
-// speculation scope on the rebuilt state, so cancellations and reactive
-// placements roll back and the engine is pristine for the next replay.
+// With rescheduling enabled the run cancels and places work on the
+// rebuilt state; whenever it did, the pristine copy is copied back, so
+// the engine is pristine for the next replay, on errors too. The copy
+// costs Θ(schedule size), the order of what reset already costs per
+// replay.
 //
 //caft:zeroalloc
 func (e *Engine) replay(trace map[int]float64, opt Options) error {
@@ -28,10 +31,16 @@ func (e *Engine) replay(trace map[int]float64, opt Options) error {
 		return err
 	}
 	e.remap = opt.Reschedule
-	if opt.Reschedule {
-		return e.st.Speculate(e.body)
+	if e.remap && e.pristine == nil {
+		e.pristine = sched.NewState(e.st.P) //caft:alloc-ok pristine copy built once per Engine, at its first re-mapping replay
+		e.pristine.CopyFrom(e.st)
 	}
-	return e.exec()
+	err := e.exec()
+	if e.dirty {
+		e.st.CopyFrom(e.pristine)
+		e.dirty = false
+	}
+	return err
 }
 
 // Run replays the schedule against a failure trace (processor -> crash

@@ -26,9 +26,9 @@ func checkBound(t *testing.T, label string, st *State, tid dag.TaskID, copy int,
 
 // TestFinishLowerBoundBelowProbe checks the bound against every probe
 // while random states grow, then on the grown state with a positive
-// floor, and inside a Speculate scope after the cancellations of a
-// mid-schedule crash — under both policies, both communication models,
-// on the clique and on a sparse mesh.
+// floor, and after the cancellations of a mid-schedule crash — under
+// both policies, both communication models, on the clique and on a
+// sparse mesh.
 func TestFinishLowerBoundBelowProbe(t *testing.T) {
 	mesh, err := topology.Mesh2D(2, 2, 0.75)
 	if err != nil {
@@ -56,14 +56,8 @@ func TestFinishLowerBoundBelowProbe(t *testing.T) {
 					st.SetFloor(tau)
 					checkAll("floor")
 					st.SetFloor(0)
-					err := st.Speculate(func() error {
-						cancelAfter(t, st, rng.Intn(p.Plat.M), tau)
-						checkAll("cancelled")
-						return nil
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
+					cancelAfter(t, st, rng.Intn(p.Plat.M), tau)
+					checkAll("cancelled")
 				}
 			}
 		}

@@ -7,12 +7,12 @@ import (
 )
 
 // This file is the online-rescheduling surface of State: rebuilding a
-// state from a committed schedule, cancelling the reservations of work
-// lost to a crash, and the time floor that keeps reactive placements
-// from rewriting the past. Cancellations are journaled exactly like
-// reservations, so a Speculate scope that cancels and re-places work
-// rolls back to the pristine state (the online engine runs every replay
-// inside one such scope; see internal/online).
+// state from a committed schedule, copying one state into another,
+// cancelling the reservations of work lost to a crash, and the time
+// floor that keeps reactive placements from rewriting the past. The
+// online engine cancels and re-places work on its state during a
+// replay and then restores the state with CopyFrom from a pristine copy
+// (see internal/online).
 
 // StateOf rebuilds the mutable resource state a schedule was committed
 // from: every replica and every inter-processor communication is
@@ -50,6 +50,32 @@ func StateOf(s *Schedule) (*State, error) {
 	return st, nil
 }
 
+// CopyFrom makes st a copy of src, a state of the same problem: its
+// replica and communication records, sequence counter, floor and every
+// timeline (see Timeline.CopyFrom). It reuses st's buffers, so once
+// they have grown to src's sizes it allocates nothing, and afterwards
+// st shares no memory with src. The problem-derived scratch (the probe
+// overlay, the OFT table, the candidate buffers) stays as it is. It
+// panics when either state is a probe overlay or the problems differ.
+//
+//caft:zeroalloc
+func (st *State) CopyFrom(src *State) {
+	if st.overlay || src.overlay {
+		panic("sched: CopyFrom with a probe overlay")
+	}
+	if st.P != src.P {
+		panic("sched: CopyFrom from a state of another problem")
+	}
+	for t := range src.Reps {
+		st.Reps[t] = append(st.Reps[t][:0], src.Reps[t]...)
+	}
+	st.Comms = append(st.Comms[:0], src.Comms...)
+	st.seq, st.floor = src.seq, src.floor
+	for i := range src.tls {
+		st.tls[i].CopyFrom(&src.tls[i])
+	}
+}
+
 // SetFloor sets the rescheduling time floor: while floor > 0, every new
 // reservation (probe or placement) starts at or after it. The online
 // rescheduler sets the floor to the crash instant before re-mapping
@@ -69,9 +95,7 @@ func (st *State) SetFloor(t float64) {
 
 // CancelReplica removes a placed replica record and its compute
 // reservation — the rescheduler's cancellation of work lost to a
-// crash. The replica is matched by (Task, Copy, Proc). Inside a
-// Speculate scope the removal is journaled and rolled back (record
-// re-inserted at its original position, reservation re-added).
+// crash. The replica is matched by (Task, Copy, Proc).
 //
 //caft:zeroalloc
 func (st *State) CancelReplica(rep Replica) error {
@@ -90,11 +114,8 @@ func (st *State) CancelReplica(rep Replica) error {
 		return fmt.Errorf("sched: cancel of unknown replica (%d,%d) on P%d", rep.Task, rep.Copy, rep.Proc) //caft:alloc-ok rejection path; the accept path allocates nothing
 	}
 	rec := reps[idx]
-	if err := st.removeReservation(st.lay.Compute(rec.Proc), rec.Start, rec.Finish-rec.Start, rec.Seq); err != nil {
+	if err := st.removeReservation(st.lay.Compute(rec.Proc), rec.Start, rec.Seq); err != nil {
 		return fmt.Errorf("sched: cancel replica (%d,%d): %w", rep.Task, rep.Copy, err) //caft:alloc-ok rejection path; the accept path allocates nothing
-	}
-	if st.spec > 0 {
-		st.rlog = append(st.rlog, repUndo{task: rep.Task, idx: idx, rep: rec, removed: true})
 	}
 	st.Reps[rep.Task] = append(reps[:idx], reps[idx+1:]...)
 	return nil
@@ -102,10 +123,10 @@ func (st *State) CancelReplica(rep Replica) error {
 
 // CancelComm removes a communication's send-port, receive-port and
 // shared-link reservations. The communication record itself stays in
-// Comms — the record log is append-only (rollback truncates it), and a
-// dead transfer's record is harmless to later placements, which consult
-// only the timelines. Intra and macro-dataflow communications hold no
-// resources (see Layout.AppendComm) and cancel to a no-op.
+// Comms — the record log is append-only, and a dead transfer's record
+// is harmless to later placements, which consult only the timelines.
+// Intra and macro-dataflow communications hold no resources (see
+// Layout.AppendComm) and cancel to a no-op.
 //
 //caft:zeroalloc
 func (st *State) CancelComm(c Comm) error {
@@ -113,23 +134,19 @@ func (st *State) CancelComm(c Comm) error {
 		panic("sched: CancelComm on a probe overlay")
 	}
 	for _, id := range st.commResources(c.SrcProc, c.DstProc) {
-		if err := st.removeReservation(id, c.Start, c.Dur, c.Seq); err != nil {
+		if err := st.removeReservation(id, c.Start, c.Seq); err != nil {
 			return fmt.Errorf("sched: cancel comm %d->%d seq %d: %w", c.From, c.To, c.Seq, err) //caft:alloc-ok rejection path; the accept path allocates nothing
 		}
 	}
 	return nil
 }
 
-// removeReservation deletes one timeline reservation, journaling it for
-// rollback when a speculation scope is open.
+// removeReservation deletes one timeline reservation.
 //
 //caft:zeroalloc
-func (st *State) removeReservation(id int32, start, dur float64, owner int32) error {
+func (st *State) removeReservation(id int32, start float64, owner int32) error {
 	if !st.tls[id].Remove(start, owner) {
 		return fmt.Errorf("no reservation at %v owned by %d on timeline %d", start, owner, id) //caft:alloc-ok rejection path; the accept path allocates nothing
-	}
-	if st.spec > 0 {
-		st.tlog = append(st.tlog, tlUndo{id: id, start: start, dur: dur, owner: owner, removed: true})
 	}
 	return nil
 }

@@ -35,7 +35,7 @@ func buildSmallState(t *testing.T, pol timeline.Policy) *State {
 	return st
 }
 
-// fingerprint captures everything rollback must restore: records,
+// statePrint captures everything CopyFrom must restore: records,
 // sequence counter and every timeline's interval list and ready time.
 type statePrint struct {
 	reps  [][]Replica
@@ -114,53 +114,59 @@ func TestCancelCommFreesPorts(t *testing.T) {
 	}
 }
 
-// TestSpeculateRollsBackCancels is the journal pin of the cancel
-// machinery: a speculation that cancels replicas and comms, places new
-// work into the freed slots, and cancels some of the newly placed work
-// again must roll back to a bit-identical state — including the
-// interleaving case (place then cancel the same task's replicas) that a
-// truncate-only record log cannot restore.
-func TestSpeculateRollsBackCancels(t *testing.T) {
+// TestCopyFromRestoresCancels is the restore pin of the cancel
+// machinery, as the online engine uses it: a working copy of a state
+// cancels replicas and comms, places new work into the freed slots, and
+// cancels some of the newly placed work again (a reactive replica dying
+// at a later crash); copying the base state back must then give a state
+// identical to the base, with consistent timelines, and the base must
+// never have changed.
+func TestCopyFromRestoresCancels(t *testing.T) {
 	for _, pol := range []timeline.Policy{timeline.Append, timeline.Insertion} {
-		st := buildSmallState(t, pol)
-		before := printState(st)
-		err := st.Speculate(func() error {
-			// Cancel one replica of each successor and one comm.
-			if err := st.CancelReplica(st.Reps[1][0]); err != nil {
-				return err
-			}
-			if err := st.CancelReplica(st.Reps[2][1]); err != nil {
-				return err
-			}
-			for _, c := range st.Comms {
-				if !c.Intra {
-					if err := st.CancelComm(c); err != nil {
-						return err
-					}
-					break
-				}
-			}
-			// Re-place task 1 on the freed processor, then cancel the new
-			// replica again (reactive replica dying at a later crash).
-			rep, err := st.PlaceReplica(1, 2, 0, st.FullSources(1))
-			if err != nil {
-				return err
-			}
-			if _, err := st.PlaceReplica(2, 2, 0, st.FullSources(2)); err != nil {
-				return err
-			}
-			return st.CancelReplica(rep)
-		})
-		if err != nil {
-			t.Fatalf("%v: %v", pol, err)
+		base := buildSmallState(t, pol)
+		before := printState(base)
+		st := NewState(base.P)
+		st.CopyFrom(base)
+		if !reflect.DeepEqual(before, printState(st)) {
+			t.Fatalf("%v: copy differs from its source", pol)
 		}
-		after := printState(st)
-		if !reflect.DeepEqual(before, after) {
-			t.Fatalf("%v: state not restored after speculative cancel/replace:\nbefore %+v\nafter  %+v", pol, before, after)
+		// Cancel one replica of each successor and one comm.
+		if err := st.CancelReplica(st.Reps[1][0]); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.CancelReplica(st.Reps[2][1]); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range st.Comms {
+			if !c.Intra {
+				if err := st.CancelComm(c); err != nil {
+					t.Fatal(err)
+				}
+				break
+			}
+		}
+		// Re-place task 1 on the freed processor, then cancel the new
+		// replica again.
+		rep, err := st.PlaceReplica(1, 2, 0, st.FullSources(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.PlaceReplica(2, 2, 0, st.FullSources(2)); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.CancelReplica(rep); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(before, printState(base)) {
+			t.Fatalf("%v: work on the copy changed its source", pol)
+		}
+		st.CopyFrom(base)
+		if after := printState(st); !reflect.DeepEqual(before, after) {
+			t.Fatalf("%v: state not restored after cancel/replace:\nbefore %+v\nafter  %+v", pol, before, after)
 		}
 		for i := 0; i < st.NumTimelines(); i++ {
 			if err := st.Timeline(i).Validate(); err != nil {
-				t.Fatalf("%v: timeline %d after rollback: %v", pol, i, err)
+				t.Fatalf("%v: timeline %d after restore: %v", pol, i, err)
 			}
 		}
 	}

@@ -31,10 +31,11 @@
 package ftbar
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"caft/internal/dag"
 	"caft/internal/sched"
@@ -60,7 +61,8 @@ func Schedule(p *sched.Problem, npf int, rng *rand.Rand) (*sched.Schedule, error
 	}
 	st := sched.NewState(p)
 	l := sched.NewLister(p, rng)
-	prevLen := 0.0 // R(n-1)
+	one := make([]sched.Replica, 1) // probeWithDuplicate's source buffer
+	prevLen := 0.0                  // R(n-1)
 	for l.Remaining() > 0 {
 		free := append([]dag.TaskID(nil), l.Free()...)
 		if len(free) == 0 {
@@ -88,7 +90,7 @@ func Schedule(p *sched.Problem, npf int, rng *rand.Rand) (*sched.Schedule, error
 			}
 		}
 		for k := 0; k <= npf; k++ {
-			rep, err := placeWithMST(st, urgent, k, urgentProc[k].proc)
+			rep, err := placeWithMST(st, urgent, k, urgentProc[k].proc, one)
 			if err != nil {
 				return nil, err
 			}
@@ -107,15 +109,16 @@ func Schedule(p *sched.Problem, npf int, rng *rand.Rand) (*sched.Schedule, error
 // critical predecessor (the one whose earliest message arrival gates
 // the replica's start) onto proc lets the replica finish earlier, the
 // duplicate is committed alongside. Duplicates are extra replicas of
-// the predecessor and only increase redundancy.
-func placeWithMST(st *sched.State, t dag.TaskID, copy, proc int) (sched.Replica, error) {
+// the predecessor and only increase redundancy. one is the build's
+// buffer for probeWithDuplicate.
+func placeWithMST(st *sched.State, t dag.TaskID, copy, proc int, one []sched.Replica) (sched.Replica, error) {
 	sources := st.FullSources(t)
 	base, err := st.ProbeReplica(t, copy, proc, sources)
 	if err != nil {
 		return sched.Replica{}, err
 	}
 	if crit, ok := criticalPred(st, proc, sources, base.Start); ok {
-		if cand, err2 := probeWithDuplicate(st, t, copy, proc, crit); err2 == nil && cand.Finish < base.Finish {
+		if cand, err2 := probeWithDuplicate(st, t, copy, proc, crit, sources, one); err2 == nil && cand.Finish < base.Finish {
 			// Commit the duplicate, then the replica; FullSources now
 			// includes the duplicate, so the intra rule kicks in.
 			dupCopy := len(st.Reps[crit])
@@ -154,25 +157,43 @@ func criticalPred(st *sched.State, proc int, sources []sched.SourceSet, start fl
 }
 
 // probeWithDuplicate simulates duplicating pred onto proc followed by
-// the replica placement and returns the resulting replica. The two-step
-// what-if runs inside one speculative transaction on the real state:
-// the duplicate's record is visible to the second placement and both
-// are rolled back.
-func probeWithDuplicate(st *sched.State, t dag.TaskID, copy, proc int, pred dag.TaskID) (sched.Replica, error) {
-	var rep sched.Replica
-	err := st.Speculate(func() error {
-		_, err := st.PlaceReplica(pred, len(st.Reps[pred]), proc, st.FullSources(pred))
-		if err == nil {
-			rep, err = st.PlaceReplica(t, copy, proc, st.FullSources(t))
-		}
-		return err
-	})
+// the replica placement and returns the resulting replica. Both
+// placements run on one probe overlay (State.Probe), so the replica's
+// transfers and slot see the duplicate's reservations and neither
+// writes the state. The overlay keeps no records, so the replica gets
+// the duplicate as pred's only source, in one, the build's one-element
+// buffer, swapped into sources (t's full source sets) for the
+// placement and swapped out after it: with the duplicate on proc the
+// intra rule suppresses every other source of pred, as placing the
+// duplicate for real and then the replica with FullSources(t) would.
+func probeWithDuplicate(st *sched.State, t dag.TaskID, copy, proc int, pred dag.TaskID, sources []sched.SourceSet, one []sched.Replica) (sched.Replica, error) {
+	ov := st.Probe()
+	dup, err := ov.PlaceReplica(pred, len(st.Reps[pred]), proc, st.FullSources(pred))
+	if err != nil {
+		return sched.Replica{}, err
+	}
+	i := 0
+	for sources[i].Pred != pred {
+		i++
+	}
+	one[0] = dup
+	full := sources[i].Sources
+	sources[i].Sources = one
+	rep, err := ov.PlaceReplica(t, copy, proc, sources)
+	sources[i].Sources = full
 	return rep, err
 }
 
 type procPressure struct {
 	proc     int
 	pressure float64
+}
+
+// byPressure orders processors by schedule pressure, ties to the
+// smaller processor: a total order, so an unstable sort gives one
+// result.
+func byPressure(a, b procPressure) int {
+	return cmp.Or(cmp.Compare(a.pressure, b.pressure), cmp.Compare(a.proc, b.proc))
 }
 
 // bestProcessors returns the npf+1 processors with the minimum schedule
@@ -192,12 +213,7 @@ func bestProcessors(st *sched.State, l *sched.Lister, t dag.TaskID, npf int, pre
 		}
 		all = append(all, procPressure{proc: proc, pressure: rep.Start + bl - prevLen})
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].pressure != all[j].pressure {
-			return all[i].pressure < all[j].pressure
-		}
-		return all[i].proc < all[j].proc
-	})
+	slices.SortFunc(all, byPressure)
 	sel := all[:npf+1]
 	return sel, sel[len(sel)-1].pressure, nil
 }

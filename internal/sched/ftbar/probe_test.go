@@ -58,7 +58,7 @@ func TestProbeWithDuplicateMatchesCloneReference(t *testing.T) {
 				for proc := 0; proc < p.Plat.M; proc++ {
 					for _, e := range p.G.Pred(tid) {
 						pred := e.From
-						rep, err := probeWithDuplicate(st, tid, copy, proc, pred)
+						rep, err := probeWithDuplicate(st, tid, copy, proc, pred, st.FullSources(tid), make([]sched.Replica, 1))
 						if !reflect.DeepEqual(before, snap(st)) {
 							t.Fatalf("%v/seed%d: probe of task %d on P%d with duplicate of %d mutated the state", pol, seed, tid, proc, pred)
 						}

@@ -15,9 +15,10 @@
 package ftsa
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"caft/internal/dag"
 	"caft/internal/sched"
@@ -63,6 +64,12 @@ type candidate struct {
 	finish float64
 }
 
+// byFinish orders candidates by simulated finish, ties to the smaller
+// processor: a total order, so an unstable sort gives one result.
+func byFinish(a, b candidate) int {
+	return cmp.Or(cmp.Compare(a.finish, b.finish), cmp.Compare(a.proc, b.proc))
+}
+
 // scheduleTask simulates t on every candidate processor (all m by
 // default; the top ProbeWidth by optimistic finish time when bounded,
 // never fewer than the ε+1 distinct processors the replicas need) and
@@ -79,12 +86,7 @@ func scheduleTask(st *sched.State, t dag.TaskID, eps int) error {
 		}
 		cands = append(cands, candidate{proc: proc, finish: rep.Finish})
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].finish != cands[j].finish {
-			return cands[i].finish < cands[j].finish
-		}
-		return cands[i].proc < cands[j].proc
-	})
+	slices.SortFunc(cands, byFinish)
 	for k := 0; k <= eps; k++ {
 		if _, err := st.PlaceReplica(t, k, cands[k].proc, sources); err != nil {
 			return err

@@ -442,3 +442,45 @@ func TestModelString(t *testing.T) {
 		t.Error("unknown model should stringify")
 	}
 }
+
+// TestTiedTransfersKeepSourceOrder pins the stable order of transfers
+// whose tentative finishes tie. Twenty-six sources on as many
+// processors of a homogeneous platform send equal volumes to a sink on
+// one more processor; the even sources finish at 2 and the odd ones at
+// 3, so their transfers probe two tentative finishes, thirteen
+// transfers each. PlaceReplica must serialize them on the sink's
+// receive port by tentative finish and, within a tie, in source order.
+// An unstable sort reorders ties in an unsorted input of more than 12
+// elements (pdqsort past its insertion-sort cutoff).
+func TestTiedTransfersKeepSourceOrder(t *testing.T) {
+	const n = 26
+	for _, pol := range []timeline.Policy{timeline.Append, timeline.Insertion} {
+		p := prob(gen.Join(n, 4), n+1, 2)
+		p.Policy = pol
+		for task := 1; task < n; task += 2 {
+			p.Exec[task][task] = 3
+		}
+		st := NewState(p)
+		for task := 0; task < n; task++ {
+			if _, err := st.PlaceReplica(dag.TaskID(task), 0, task, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := st.PlaceReplica(n, 0, n, st.FullSources(n)); err != nil {
+			t.Fatal(err)
+		}
+		if len(st.Comms) != n {
+			t.Fatalf("%v: %d transfers, want %d", pol, len(st.Comms), n)
+		}
+		// Stable order: the even sources in order, then the odd ones.
+		for k, c := range st.Comms {
+			want := dag.TaskID(2 * k)
+			if k >= n/2 {
+				want = dag.TaskID(2*(k-n/2) + 1)
+			}
+			if c.From != want || k > 0 && c.Start <= st.Comms[k-1].Start {
+				t.Fatalf("%v: transfer %d is from task %d at %v, want from task %d after %v", pol, k, c.From, c.Start, want, st.Comms[max(k-1, 0)].Start)
+			}
+		}
+	}
+}

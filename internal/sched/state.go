@@ -1,8 +1,10 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"caft/internal/dag"
@@ -26,12 +28,14 @@ import (
 // keeps a copy of the 3m+S ready times; under Insertion it asks the
 // real timelines and keeps, per timeline, the sorted spans of the
 // probe's own reservations, moving any answer that overlaps one of them
-// past it. The multi-step Speculate runs placements on the real state
-// while a journal records every timeline reservation,
-// replica/communication record and sequence number, and rolls the
-// journal back before returning. No
-// state is cloned. Tests check every probe against PlaceReplica on a
-// copy of the state rebuilt from its snapshot with StateOf.
+// past it. Probe returns the overlay itself, so a multi-step what-if
+// (FTBAR's duplicate, then the replica it feeds) chains placements on
+// it: each sees the reservations of the earlier ones. No state is
+// cloned. Tests check every probe against PlaceReplica on a copy of the
+// state rebuilt from its snapshot with StateOf. CopyFrom restores a
+// state from another of the same problem, reusing its buffers; the
+// online engine restores its pristine state with it after each replay
+// that cancelled or placed work.
 //
 //caft:confined
 type State struct {
@@ -42,26 +46,14 @@ type State struct {
 	Comms []Comm
 	seq   int32
 
-	// Probe overlay (see overlayForProbe, slot and reserve): ready is
-	// the Append overlay's copy of the ready times, nil under
-	// Insertion; own[id] holds the Insertion overlay's reservations on
-	// timeline id (see addOwn), and owned the ids whose list is not
-	// empty.
+	// Probe overlay (see Probe, slot and reserve): ready is the Append
+	// overlay's copy of the ready times, nil under Insertion; own[id]
+	// holds the Insertion overlay's reservations on timeline id (see
+	// addOwn), and owned the ids whose list is not empty.
 	overlay bool
 	ready   []float64
 	own     [][]ownSpan
 	owned   []int32
-
-	// Speculation journal (see Speculate): while spec > 0, reserve and
-	// the Cancel* methods log every timeline mutation into tlog and
-	// every Reps mutation into rlog; rollback undoes both in reverse
-	// and truncates Comms. Each log replays its own mutations in exact
-	// reverse order, which keeps interleaved additions and removals of
-	// the same task's replicas (a reactive replica placed at one crash
-	// and cancelled at a later one) consistent.
-	spec int
-	tlog []tlUndo
-	rlog []repUndo
 
 	// floor is the online-rescheduling time floor: while positive, no
 	// new reservation may start before it (see SetFloor).
@@ -106,36 +98,6 @@ type ownSpan struct {
 // so on paper-sized graphs no list grows: at 8, an Insertion build of
 // caft allocated six more times (TestSchedulerBuildAllocPin).
 const ownSpanCap = 16
-
-// tlUndo is one journaled timeline mutation: a reservation to UndoAdd,
-// or (removed) a cancelled reservation to re-Add. Re-adding restores
-// the ready time exactly: at rollback the timeline is in its
-// immediately-post-Remove state, whose ready time r (the latest
-// remaining end) satisfies max(r, start+dur) == the pre-Remove ready
-// time.
-type tlUndo struct {
-	id      int32
-	start   float64
-	prevMax float64
-	dur     float64
-	owner   int32
-	removed bool
-}
-
-// repUndo is one journaled Reps mutation: an appended replica to
-// truncate, or (removed) a cancelled replica to re-insert at idx.
-type repUndo struct {
-	task    dag.TaskID
-	idx     int
-	rep     Replica
-	removed bool
-}
-
-// probeMark captures the journal position a rollback returns to.
-type probeMark struct {
-	tlog, rlog, comms int
-	seq               int32
-}
 
 // NewState returns an empty state for the problem. Comms starts with
 // room for one record per edge: every placed replica records at least
@@ -208,13 +170,23 @@ func (st *State) setMinDurs() {
 	}
 }
 
-// overlayForProbe returns the reusable probe overlay: a state sharing
+// Probe returns the reusable probe overlay, emptied: a state sharing
 // this one's timelines and records read-only, holding under Append a
 // private copy of the ready times and under Insertion empty lists of
-// its own reservations.
+// its own reservations. PlaceReplica on the overlay returns the replica
+// PlaceReplica on this state would, and writes neither this state nor
+// its records; placements chained on one overlay see each other's
+// reservations, but not each other's records, so a later placement
+// that reads an earlier one's replica must get it in its source sets.
+// The overlay is valid until this state changes, and the next Probe or
+// ProbeReplica call empties it again. Probe panics on an overlay.
 //
+//caft:scratch
 //caft:zeroalloc
-func (st *State) overlayForProbe() *State {
+func (st *State) Probe() *State {
+	if st.overlay {
+		panic("sched: Probe on a probe overlay")
+	}
 	ps := st.probeScratch
 	if ps == nil {
 		ps = &State{overlay: true, placeScratch: st.placeScratch} //caft:alloc-ok probe overlay built once per State and reused across probes
@@ -241,67 +213,6 @@ func (st *State) overlayForProbe() *State {
 	}
 	ps.owned = ps.owned[:0]
 	return ps
-}
-
-// begin opens a speculation scope and returns its rollback mark.
-//
-//caft:zeroalloc
-func (st *State) begin() probeMark {
-	st.spec++
-	return probeMark{tlog: len(st.tlog), rlog: len(st.rlog), comms: len(st.Comms), seq: st.seq}
-}
-
-// rollback undoes everything journaled since mark: timeline mutations
-// in reverse order (restoring each timeline's ready time), replica
-// record mutations, communication records and the sequence counter.
-//
-//caft:zeroalloc
-func (st *State) rollback(m probeMark) {
-	for i := len(st.tlog) - 1; i >= m.tlog; i-- {
-		u := st.tlog[i]
-		if u.removed {
-			st.tls[u.id].MustAdd(u.start, u.dur, u.owner)
-		} else {
-			st.tls[u.id].UndoAdd(u.start, u.owner, u.prevMax)
-		}
-	}
-	st.tlog = st.tlog[:m.tlog]
-	for i := len(st.rlog) - 1; i >= m.rlog; i-- {
-		u := st.rlog[i]
-		reps := st.Reps[u.task]
-		if u.removed {
-			reps = append(reps, Replica{})
-			copy(reps[u.idx+1:], reps[u.idx:])
-			reps[u.idx] = u.rep
-			st.Reps[u.task] = reps
-		} else {
-			st.Reps[u.task] = reps[:len(reps)-1]
-		}
-	}
-	st.rlog = st.rlog[:m.rlog]
-	st.Comms = st.Comms[:m.comms]
-	st.seq = m.seq
-	st.spec--
-}
-
-// Speculate runs fn inside a speculative transaction on the real state:
-// placements made by fn are fully visible to later placements within
-// the same fn — including their Reps and Comms records, so multi-step
-// what-ifs (place a duplicate, then place the replica that benefits)
-// compose — and every effect is rolled back before Speculate returns,
-// whether fn succeeds or fails. fn's error is returned verbatim.
-// Speculations nest. It must not be called on probe-overlay states
-// (which external callers never observe).
-//
-//caft:zeroalloc
-func (st *State) Speculate(fn func() error) error {
-	if st.overlay {
-		panic("sched: Speculate on a probe overlay")
-	}
-	m := st.begin()
-	err := fn() //caft:alloc-ok fn is the speculated body; its own allocations are accounted at their sites
-	st.rollback(m)
-	return err
 }
 
 // earliest returns the earliest start >= ready for a reservation of dur
@@ -355,8 +266,7 @@ func (st *State) slot(id int32, ready, dur float64, cur *timeline.Cursor) float6
 	return s
 }
 
-// reserve books [start, start+dur) on timeline id, journaling the
-// reservation when a speculation scope is open. A probe overlay writes
+// reserve books [start, start+dur) on timeline id. A probe overlay writes
 // no timeline: under Append it raises its ready time, under Insertion
 // it adds the reservation to its own spans (see addOwn), unless
 // zero-length (a marker that never conflicts).
@@ -374,9 +284,6 @@ func (st *State) reserve(id int32, start, dur float64, owner int32) {
 			st.addOwn(id, start, end)
 		}
 		return
-	}
-	if st.spec > 0 {
-		st.tlog = append(st.tlog, tlUndo{id: id, start: start, prevMax: st.tls[id].Ready(), owner: owner})
 	}
 	st.tls[id].MustAdd(start, dur, owner)
 }
@@ -644,6 +551,10 @@ type pendingComm struct {
 	start, tentative float64
 }
 
+// byTentative orders pending transfers by tentative finish, the sort
+// of eq. (6).
+func byTentative(a, b pendingComm) int { return cmp.Compare(a.tentative, b.tentative) }
+
 // PlaceReplica schedules copy `copy` of task t on processor proc,
 // placing the communications implied by the source sets, and returns the
 // placed replica.
@@ -710,13 +621,10 @@ func (st *State) PlaceReplica(t dag.TaskID, copy, proc int, sources []SourceSet)
 		}
 	}
 	// Serialize transfers in non-decreasing tentative finish order. The
-	// insertion sort is stable (deterministic tie break on order of
-	// appearance, as before) and allocation-free.
-	for i := 1; i < len(pending); i++ {
-		for j := i; j > 0 && pending[j].tentative < pending[j-1].tentative; j-- {
-			pending[j], pending[j-1] = pending[j-1], pending[j]
-		}
-	}
+	// sort must be stable: ties keep their order of appearance, which
+	// fixes the order of tied transfers on a port
+	// (TestTiedTransfersKeepSourceOrder).
+	slices.SortStableFunc(pending, byTentative) //caft:alloc-ok in-place insertion sort and symmerge, no buffer; the comparator is a package-level func
 	for _, pc := range pending {
 		c := st.placeComm(pc.src, t, copy, proc, sources[pc.setIdx].Volume, pc.start)
 		if c.Finish < arrival[pc.setIdx] {
@@ -742,9 +650,6 @@ func (st *State) PlaceReplica(t dag.TaskID, copy, proc int, sources []SourceSet)
 	st.reserve(st.lay.Compute(proc), start, exec, rep.Seq)
 	if !st.overlay {
 		st.Reps[t] = append(st.Reps[t], rep)
-		if st.spec > 0 {
-			st.rlog = append(st.rlog, repUndo{task: t})
-		}
 	}
 	return rep, nil
 }
@@ -795,11 +700,10 @@ func (st *State) FinishLowerBound(t dag.TaskID, proc int, sources []SourceSet) f
 }
 
 // ProbeReplica simulates PlaceReplica without any lasting mutation of
-// the state and returns the resulting replica: the placement runs on
-// the probe overlay (see overlayForProbe), which reads the state and
-// writes none of it.
+// the state and returns the resulting replica: it is
+// st.Probe().PlaceReplica, one placement on an emptied overlay.
 //
 //caft:zeroalloc
 func (st *State) ProbeReplica(t dag.TaskID, copy, proc int, sources []SourceSet) (Replica, error) {
-	return st.overlayForProbe().PlaceReplica(t, copy, proc, sources)
+	return st.Probe().PlaceReplica(t, copy, proc, sources)
 }

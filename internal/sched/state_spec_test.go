@@ -227,7 +227,7 @@ func TestOverlaySlotsMatchTimeline(t *testing.T) {
 			st.reserve(id, s, dur, owner)
 			ref.reserve(id, s, dur, owner)
 		}
-		ov := st.overlayForProbe()
+		ov := st.Probe()
 		for q := 0; q < 20; q++ {
 			ready, dur := float64(rng.Intn(40)), exec[rng.Intn(n)][0]
 			got, want := ov.earliest(id, ready, dur), ref.earliest(id, ready, dur)
@@ -310,76 +310,6 @@ func BenchmarkProbeFanIn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := st.ProbeReplica(sink, 1, 1+i%(m-1), sources); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// Speculate must roll back multi-step placements exactly, on success,
-// on error, and when nested.
-func TestSpeculateRollsBackExactly(t *testing.T) {
-	for _, pol := range []timeline.Policy{timeline.Append, timeline.Insertion} {
-		rng := rand.New(rand.NewSource(7))
-		p := randomProblem(rng, 4, pol)
-		st := NewState(p)
-		growState(t, st, 1, nil)
-		before := fingerprint(st)
-
-		// Two dependent placements: an extra replica of an entry task,
-		// then an extra replica of one of its successors fed by it. Find
-		// a task with a free processor.
-		var tid dag.TaskID = 2
-		hosting := map[int]bool{}
-		for _, r := range st.Reps[tid] {
-			hosting[r.Proc] = true
-		}
-		free := -1
-		for proc := 0; proc < p.Plat.M; proc++ {
-			if !hosting[proc] {
-				free = proc
-				break
-			}
-		}
-		if free < 0 {
-			t.Fatalf("pol %v: no free processor for task %d", pol, tid)
-		}
-		err := st.Speculate(func() error {
-			rep, err := st.PlaceReplica(tid, len(st.Reps[tid]), free, st.FullSources(tid))
-			if err != nil {
-				return err
-			}
-			if got := len(st.Reps[tid]); got < 3 {
-				t.Errorf("pol %v: speculative replica not visible inside Speculate (len %d)", pol, got)
-			}
-			// Nested speculation sees and then loses its own placements.
-			inner := st.Speculate(func() error {
-				_, err := st.PlaceReplica(rep.Task, len(st.Reps[rep.Task]), (free+1)%p.Plat.M, st.FullSources(rep.Task))
-				return err
-			})
-			// The inner placement targets a processor that may already
-			// host the task; either way the outer state must be intact.
-			_ = inner
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("pol %v: %v", pol, err)
-		}
-		if !reflect.DeepEqual(before, fingerprint(st)) {
-			t.Fatalf("pol %v: Speculate left residue", pol)
-		}
-		// Error path: a failing placement inside Speculate still rolls
-		// back whatever was reserved before the failure.
-		spErr := st.Speculate(func() error {
-			if _, err := st.PlaceReplica(tid, len(st.Reps[tid]), free, st.FullSources(tid)); err != nil {
-				return err
-			}
-			_, err := st.PlaceReplica(tid, len(st.Reps[tid]), free, st.FullSources(tid)) // same proc: rejected
-			return err
-		})
-		if spErr == nil {
-			t.Fatalf("pol %v: duplicate-processor placement accepted", pol)
-		}
-		if !reflect.DeepEqual(before, fingerprint(st)) {
-			t.Fatalf("pol %v: failing Speculate left residue", pol)
 		}
 	}
 }

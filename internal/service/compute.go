@@ -46,8 +46,8 @@ type Response struct {
 
 // ScheduleJSON carries the placed replicas and communications. The
 // wire records are service-owned (not the internal sched structs):
-// camelCase like the rest of the response, and without the journal
-// tie-break Seq counter, which has no API meaning.
+// camelCase like the rest of the response, and without the placement
+// sequence number Seq, a tie-break with no API meaning.
 type ScheduleJSON struct {
 	Replicas []ReplicaJSON `json:"replicas"`
 	Comms    []CommJSON    `json:"comms"`

@@ -3,6 +3,7 @@ package timeline
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -25,8 +26,8 @@ func rebuild(t *testing.T, tl *Timeline) *Timeline {
 // crossCheck compares the live timeline against a rebuilt one: the
 // ready time and the answers of EarliestSlot under both policies must
 // agree at a spread of probe points, interval ends included. Divergence
-// means the incremental gap-index maintenance of Add/Remove/UndoAdd
-// drifted from the interval list. The probe points ascend, and for
+// means the incremental gap-index maintenance of Add and Remove, or a
+// CopyFrom restore, drifted from the interval list. The probe points ascend, and for
 // each duration one cursor is carried from point to point: the resumed
 // scan must give the cold answer too. Insertion is asked only durations
 // at or above the live timeline's minimum (none when it is infinite),
@@ -66,12 +67,13 @@ func crossCheck(t *testing.T, tl *Timeline) {
 }
 
 // FuzzTimelineOps drives a Timeline with a fuzzer-chosen sequence of
-// EarliestSlot/Add/Remove/UndoAdd operations and checks that the
-// interval set never becomes inconsistent, that found slots are
-// honored, and — the Remove-heavy cross-check — that the incrementally
-// maintained gap index always answers exactly like a timeline rebuilt
-// from scratch from the surviving intervals, cold or resumed from a
-// cursor (crossCheck, after every operation).
+// EarliestSlot/Add/Remove operations and copy restores (CopyFrom) and
+// checks that the interval set never becomes inconsistent, that found
+// slots are honored, that a copy owns its memory and restores its
+// source exactly, and — the Remove-heavy cross-check — that the
+// incrementally maintained gap index always answers exactly like a
+// timeline rebuilt from scratch from the surviving intervals, cold or
+// resumed from a cursor (crossCheck, after every operation).
 //
 // The live timeline's minimum duration (SetMinDur) comes from the input
 // length: len(data)%3 — the count of trailing bytes no operation reads —
@@ -88,9 +90,9 @@ func FuzzTimelineOps(f *testing.F) {
 	// Reservations [0,10), [12,20) and [25,30): under the minimum 4 the
 	// 2-unit gap is unindexed and the 5-unit one indexed. Removing
 	// [12,20) merges both into [10,25); an insertion then splits it,
-	// and a journaled 3-unit reservation, shorter than the minimum, is
-	// added and undone. The same operations run again with an infinite
-	// minimum.
+	// and a 3-unit reservation, shorter than the minimum, is added
+	// between a copy and its restore. The same operations run again with
+	// an infinite minimum.
 	minSeed := []byte{0, 0, 10, 0, 12, 8, 0, 25, 5, 2, 0, 1, 1, 0, 4, 3, 0, 3, 4, 0, 0}
 	f.Add(append(minSeed[:len(minSeed):len(minSeed)], 0))
 	f.Add(append(minSeed[:len(minSeed):len(minSeed)], 0, 0))
@@ -111,12 +113,9 @@ func FuzzTimelineOps(f *testing.F) {
 		}
 		var placed []Interval
 		nextOwner := int32(0)
-		type journaled struct {
-			start   float64
-			owner   int32
-			prevMax float64
-		}
-		var journal []journaled
+		// saved is the copy restores come from; it keeps the previous
+		// copy's buffers, often longer than the timeline now is.
+		var saved Timeline
 		for len(data) >= 3 {
 			op := data[0] % 5
 			ready := float64(data[1])
@@ -143,21 +142,26 @@ func FuzzTimelineOps(f *testing.F) {
 					}
 				}
 			case 3:
-				// Journaled add, undone immediately after a validity probe:
-				// UndoAdd must restore intervals, gap index and ready time.
-				prev := tl.Ready()
+				// Copy restore: copy the timeline, add a reservation, and
+				// copy it back. The Add must leave the copy untouched, and
+				// the restore must bring back the timeline before it.
+				ivs, prev := tl.IntervalsCopy(), tl.Ready()
+				saved.CopyFrom(&tl)
 				s := query(ready, dur, Insertion)
 				if err := tl.Add(s, dur, nextOwner); err != nil {
-					t.Fatalf("journaled add rejected: %v", err)
+					t.Fatalf("add after a copy rejected: %v", err)
 				}
-				journal = append(journal, journaled{start: s, owner: nextOwner, prevMax: prev})
 				nextOwner++
 				if err := tl.Validate(); err != nil {
-					t.Fatalf("after journaled add: %v", err)
+					t.Fatalf("after an add on a copied timeline: %v", err)
 				}
-				u := journal[len(journal)-1]
-				journal = journal[:len(journal)-1]
-				tl.UndoAdd(u.start, u.owner, u.prevMax)
+				if !slices.Equal(saved.Intervals(), ivs) {
+					t.Fatalf("copy %v changed by an Add on its source, want %v", saved.Intervals(), ivs)
+				}
+				tl.CopyFrom(&saved)
+				if tl.Ready() != prev || !slices.Equal(tl.Intervals(), ivs) {
+					t.Fatalf("restored timeline %v ready %v, want %v ready %v", tl.Intervals(), tl.Ready(), ivs, prev)
+				}
 			case 4:
 				// No mutation: only the checks below run.
 			}

@@ -7,7 +7,7 @@ import (
 
 // TestIntervalsAliasingContract pins the //caft:scratch contract on
 // Timeline.Intervals: the returned slice aliases internal storage and
-// is invalidated by Add/Remove/UndoAdd, while IntervalsCopy survives
+// is invalidated by Add, Remove and CopyFrom, while IntervalsCopy survives
 // them. Remove is used as the mutator because it always shifts the
 // backing array in place (Add may grow and reallocate it).
 func TestIntervalsAliasingContract(t *testing.T) {

@@ -18,7 +18,7 @@
 // sorted list of maximal free intervals between positive-length
 // reservations. EarliestSlot under the Insertion policy binary-searches
 // that index instead of scanning the full interval list, and the index
-// is kept incrementally up to date by Add, Remove and UndoAdd. A Cursor
+// is kept incrementally up to date by Add and Remove. A Cursor
 // lets a caller that asks one timeline again with a larger ready time
 // resume the scan where the previous call stopped.
 //
@@ -27,10 +27,9 @@
 // infinite minimum the index is not maintained at all, which is what
 // Append-only timelines want.
 //
-// UndoAdd is the rollback half of a journaled reservation: callers that
-// probe speculatively record (start, owner, previous ready time) for
-// every Add and undo them in reverse order, restoring the timeline —
-// intervals, ready time and gap index — to its exact prior state.
+// CopyFrom restores a timeline — intervals, ready time and gap index —
+// from another one, reusing its buffers: a caller that changes a
+// timeline and wants the old one back keeps a copy and copies it back.
 //
 // The zero value of Timeline is an empty, ready-to-use timeline.
 //
@@ -107,7 +106,7 @@ type Timeline struct {
 // would reject, and EarliestSlot answers as without the filter. An
 // Insertion query with a dur below d panics. The zero value (d = 0)
 // indexes every gap. d = +Inf disallows Insertion queries of any finite
-// duration, and Add, Remove and UndoAdd then skip index upkeep. It
+// duration, and Add and Remove then skip index upkeep. It
 // panics on a negative or NaN d.
 func (tl *Timeline) SetMinDur(d float64) {
 	if !(d >= 0) {
@@ -156,7 +155,7 @@ func (tl *Timeline) Len() int { return len(tl.ivs) }
 func (tl *Timeline) Intervals() []Interval { return tl.ivs }
 
 // IntervalsCopy returns a freshly allocated copy of Intervals, safe to
-// retain across Add/Remove/UndoAdd.
+// retain across Add, Remove and CopyFrom.
 func (tl *Timeline) IntervalsCopy() []Interval { return append([]Interval(nil), tl.ivs...) }
 
 // Ready returns the latest reservation end (0 when empty): the
@@ -437,25 +436,16 @@ func (tl *Timeline) Remove(start float64, owner int32) bool {
 	return false
 }
 
-// UndoAdd rolls back a journaled Add: it removes the reservation
-// (start, owner) and restores the ready time to prevMax, the value
-// Ready() returned immediately before that Add. Journaled reservations
-// must be undone in reverse order of addition, which is what makes
-// Remove's ready-time rescan unnecessary. It panics if no such
-// reservation exists — a rollback journal referencing a missing
-// reservation is state corruption, not a recoverable condition.
+// CopyFrom makes tl a copy of src: intervals, ready time, gap index
+// and minimum duration. It reuses tl's buffers, so once they have grown
+// to src's sizes it allocates nothing, and afterwards tl shares no
+// memory with src.
 //
 //caft:zeroalloc
-func (tl *Timeline) UndoAdd(start float64, owner int32, prevMax float64) {
-	i := sort.Search(len(tl.ivs), func(i int) bool { return tl.ivs[i].Start >= start })
-	for ; i < len(tl.ivs) && tl.ivs[i].Start == start; i++ {
-		if tl.ivs[i].Owner == owner {
-			tl.deleteAt(i)
-			tl.maxEnd = prevMax
-			return
-		}
-	}
-	panic(fmt.Sprintf("timeline: UndoAdd of unknown reservation (%v, owner %d)", start, owner)) //caft:alloc-ok invariant-violation panic, unreachable on consistent state
+func (tl *Timeline) CopyFrom(src *Timeline) {
+	tl.ivs = append(tl.ivs[:0], src.ivs...)
+	tl.gaps = append(tl.gaps[:0], src.gaps...)
+	tl.maxEnd, tl.posEnd, tl.minDur = src.maxEnd, src.posEnd, src.minDur
 }
 
 // Validate checks ordering and non-overlap among positive-length

@@ -278,56 +278,44 @@ func TestQuickGapIndexMatchesScan(t *testing.T) {
 	}
 }
 
-// Property: a journaled batch of Adds followed by UndoAdds in reverse
-// order restores the timeline bit for bit — intervals, ready time and
-// gap index.
-func TestQuickUndoAddRestoresExactly(t *testing.T) {
-	type entry struct {
-		start, prevMax float64
-		owner          int32
-	}
+// Property: CopyFrom into a timeline with different, longer contents
+// and another minimum duration makes an exact copy — intervals, ready
+// time, gap index and minimum — that owns its memory: later Adds on the
+// copy leave the source as it was.
+func TestQuickCopyFromCopiesExactly(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		tl := randomTimeline(rng, 25)
-		beforeReady, beforeIvs := tl.Ready(), tl.IntervalsCopy()
-		var journal []entry
+		src := randomTimeline(rng, 25)
+		dst := randomTimeline(rng, 40)
+		dst.SetMinDur(2)
+		ivs, gaps, ready := src.IntervalsCopy(), slices.Clone(src.gaps), src.Ready()
+		dst.CopyFrom(src)
+		if err := dst.Validate(); err != nil {
+			t.Log(err)
+			return false
+		}
+		if dst.Ready() != ready || !slices.Equal(dst.Intervals(), ivs) || !slices.Equal(dst.gaps, gaps) ||
+			dst.posEnd != src.posEnd || dst.minDur != src.minDur {
+			t.Logf("seed %d: copy differs from its source", seed)
+			return false
+		}
 		for i := 0; i < 15; i++ {
 			ready := rng.Float64() * 100
 			dur := rng.Float64() * 8
 			if rng.Intn(6) == 0 {
 				dur = 0
 			}
-			s := tl.EarliestSlot(ready, dur, Policy(rng.Intn(2)))
-			journal = append(journal, entry{start: s, prevMax: tl.Ready(), owner: int32(1000 + i)})
-			tl.MustAdd(s, dur, 1000+int32(i))
+			dst.MustAdd(dst.EarliestSlot(ready, dur, Policy(rng.Intn(2))), dur, 1000+int32(i))
 		}
-		if err := tl.Validate(); err != nil {
+		if err := src.Validate(); err != nil {
 			t.Log(err)
 			return false
 		}
-		for i := len(journal) - 1; i >= 0; i-- {
-			tl.UndoAdd(journal[i].start, journal[i].owner, journal[i].prevMax)
-		}
-		if err := tl.Validate(); err != nil {
-			t.Log(err)
-			return false
-		}
-		return tl.Ready() == beforeReady && slices.Equal(tl.Intervals(), beforeIvs)
+		return src.Ready() == ready && slices.Equal(src.Intervals(), ivs) && slices.Equal(src.gaps, gaps)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestUndoAddUnknownPanics(t *testing.T) {
-	var tl Timeline
-	tl.MustAdd(0, 2, 1)
-	defer func() {
-		if recover() == nil {
-			t.Error("UndoAdd of a missing reservation did not panic")
-		}
-	}()
-	tl.UndoAdd(5, 9, 0)
 }
 
 // Property: insertion policy never yields a later slot than append.
