@@ -11,10 +11,10 @@ import (
 	"caft/internal/core"
 	"caft/internal/failure"
 	"caft/internal/gen"
-	"caft/internal/online"
 	"caft/internal/platform"
 	"caft/internal/sched"
 	"caft/internal/sim"
+	"caft/internal/sim/simtest"
 	"caft/internal/timeline"
 )
 
@@ -116,9 +116,9 @@ func TestEstimateReliabilityRegimes(t *testing.T) {
 
 // TestEstimatorsAgreeWithoutRemapping pins the one timed-crash
 // semantics at the estimator level: EstimateReliability and
-// EstimateOnline without re-mapping (both the Replayer's pass) and the
-// event engine with re-mapping off, fed the same batches
-// (engineStaticTally), draw the same traces, so they must report the
+// EstimateOnline without re-mapping (both the Replayer's pass) and
+// simtest.EventReplay, the causal event process, fed the same batches
+// (eventStaticTally), draw the same traces, so they must report the
 // same tally field for field, LatSum included, and the online two the
 // same makespans in draw order. The schedules are paper-regime CAFT
 // ε = 1 builds (random layered, m = 10, g = 1) under exponential
@@ -144,24 +144,20 @@ func TestEstimatorsAgreeWithoutRemapping(t *testing.T) {
 		if rel != onl.MCTally {
 			t.Errorf("schedule %d: EstimateReliability %+v, EstimateOnline without re-mapping %+v", i, rel, onl.MCTally)
 		}
-		eng := engineStaticTally(t, s, model, samples, int64(i))
+		eng := eventStaticTally(t, s, model, samples, int64(i))
 		if eng.MCTally != onl.MCTally || onl.Rescheduled != 0 || !slices.Equal(eng.Makespans, onl.Makespans) {
-			t.Errorf("schedule %d: engine without re-mapping %+v (%d makespans), EstimateOnline without re-mapping %+v (%d makespans, %d placements)",
+			t.Errorf("schedule %d: event replay %+v (%d makespans), EstimateOnline without re-mapping %+v (%d makespans, %d placements)",
 				i, eng.MCTally, len(eng.Makespans), onl.MCTally, len(onl.Makespans), onl.Rescheduled)
 		}
 	}
 }
 
-// engineStaticTally is the event-engine reference of
+// eventStaticTally is the event-replay reference of
 // EstimateOnline(…, false): the same batches of mcBatch traces, batch
 // u drawn from unitSeed(seed, 0, u) and folded in batch order, each
-// trace replayed by online.Engine with re-mapping off.
-func engineStaticTally(t *testing.T, s *sched.Schedule, model failure.Model, samples int, seed int64) OnlineTally {
+// trace replayed by simtest.EventReplay.
+func eventStaticTally(t *testing.T, s *sched.Schedule, model failure.Model, samples int, seed int64) OnlineTally {
 	t.Helper()
-	eng, err := online.NewEngine(s)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var total OnlineTally
 	for u := 0; u*mcBatch < samples; u++ {
 		rng := rand.New(rand.NewSource(unitSeed(seed, 0, u)))
@@ -169,7 +165,12 @@ func engineStaticTally(t *testing.T, s *sched.Schedule, model failure.Model, sam
 		var trace map[int]float64
 		for draw := 0; draw < min(mcBatch, samples-u*mcBatch); draw++ {
 			trace = model.Sample(rng, trace)
-			b.record(eng.Makespan(trace, online.Options{}))
+			res, err := simtest.EventReplay(s, trace)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lat, err := res.Latency()
+			b.record(lat, res.Rescheduled, err)
 		}
 		total.add(b)
 	}

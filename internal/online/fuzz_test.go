@@ -1,6 +1,7 @@
 package online
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -20,7 +21,9 @@ import (
 // executed times, every non-lost task completed), and after the replay
 // the engine's scheduler state equals a fresh rebuild of the schedule —
 // its copy restore leaves no trace of cancellations and reactive
-// placements. Every input runs on the clique, on a star, whose links
+// placements. Every replay without re-mapping must also equal
+// simtest.EventReplay of the same trace, the causal event process the
+// Replayer's timed pass is pinned against. Every input runs on the clique, on a star, whose links
 // are all port-implied, and on a 2×2 mesh, whose links are shared (see
 // sched.Layout); each network draws its problem from a fresh rng
 // seeded alike, so the clique case replays what the committed corpus
@@ -109,6 +112,13 @@ func onlineRescheduleCase(t *testing.T, net string, p *sched.Problem, alg byte, 
 		}
 		if err := e.verifyPristine(); err != nil {
 			t.Fatalf("%s reschedule=%v trace=%v: %v", net, opt.Reschedule, trace, err)
+		}
+		if !opt.Reschedule {
+			ref, err := simtest.EventReplay(s, trace)
+			if err != nil {
+				t.Fatalf("%s trace=%v: event replay: %v", net, trace, err)
+			}
+			sameOutcome(t, fmt.Sprintf("%s trace=%v", net, trace), res, ref)
 		}
 	}
 }

@@ -397,9 +397,9 @@ func sameOutcome(t *testing.T, label string, got, want *sim.Result) {
 	}
 }
 
-// TestOnlineEventAllocPin pins the steady-state event loop: after
-// warm-up, a full replay through the alloc-free Makespan entry point —
-// event queue, token passing, slot resolution, state restore
+// TestOnlineEventAllocPin pins the steady-state engine: after warm-up,
+// a full replay through the alloc-free Makespan entry point — every
+// Replayer pass, cancellation, reactive placement and state restore
 // included — allocates nothing, both without crashes and on a
 // two-crash trace whose re-mapper cancels and re-places work.
 func TestOnlineEventAllocPin(t *testing.T) {
@@ -445,7 +445,7 @@ func TestOnlineEventAllocPin(t *testing.T) {
 }
 
 // TestNewEngineAllocPin pins the one-shot cost of building an engine
-// (wiring, rebuilt scheduler state and per-op tables) on a CAFT ε=1
+// (rebuilt scheduler state, wiring and Replayer) on a CAFT ε=1
 // schedule of 100 tasks on 10 processors, over the clique and a 2×5
 // mesh. Each bound is the maximum over 25 runs of the logged
 // measurement (go test -count=25 -v -run TestNewEngineAllocPin) when
@@ -460,8 +460,8 @@ func TestNewEngineAllocPin(t *testing.T) {
 		net   sched.Network
 		bound float64
 	}{
-		{"clique", nil, 1253},
-		{"mesh", mesh, 1417},
+		{"clique", nil, 534},
+		{"mesh", mesh, 589},
 	} {
 		rng := rand.New(rand.NewSource(6))
 		p := randomProblem(rng, 100, 10, timeline.Append)

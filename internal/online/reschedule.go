@@ -9,16 +9,16 @@ import (
 	"caft/internal/sim"
 )
 
-// reschedule is the reactive re-mapper, run after the death cascade of
-// a crash at tau. It cancels the reservations of everything that just
-// died (marking the state dirty: replay restores it afterwards),
-// computes the set of tasks that must be (re-)executed, and places one
-// new replica per task on the surviving processors with minimum-finish
-// probes, in topological order so that re-executed predecessors feed
-// re-executed successors.
+// reschedule is the reactive re-mapper, run on the pass that added the
+// crash at tau. It cancels the reservations of every op that pass kills
+// and no earlier pass did (marking the state dirty: replay restores it
+// afterwards), computes the set of tasks that must be (re-)executed,
+// and places one new replica per task on the surviving processors with
+// minimum-finish probes, in topological order so that re-executed
+// predecessors feed re-executed successors.
 //
 // A task needs re-execution when it has neither a live replica nor a
-// finished replica whose data is still reachable (its processor alive).
+// done replica whose data is still reachable (its processor alive).
 // The closure extends upward: a predecessor whose result exists only on
 // crashed processors must be recomputed before its consumer can be fed.
 // Re-executing an already-completed task does not move its completion
@@ -30,10 +30,12 @@ import (
 //
 //caft:zeroalloc
 func (e *Engine) reschedule(tau float64) error {
-	if len(e.deadList) > 0 {
+	for i := range e.w.Ops {
+		if e.cancelled[i] || e.rep.Fate(int32(i)).Alive {
+			continue
+		}
+		e.cancelled[i] = true
 		e.dirty = true
-	}
-	for _, i := range e.deadList {
 		o := &e.w.Ops[i]
 		var err error
 		if o.Kind == sim.OpRep {
@@ -51,8 +53,8 @@ func (e *Engine) reschedule(tau float64) error {
 		e.inNeed[t] = false
 	}
 	e.needList = e.needList[:0]
-	for t := range e.taskDone {
-		if !e.taskDone[t] && !e.hasLive(dag.TaskID(t)) && !e.unrecover[t] {
+	for t := range e.inNeed {
+		if !e.unrecover[t] && !e.hasDone(dag.TaskID(t), tau) && !e.hasLive(dag.TaskID(t), tau) {
 			e.inNeed[t] = true
 			e.needList = append(e.needList, int32(t))
 		}
@@ -62,7 +64,7 @@ func (e *Engine) reschedule(tau float64) error {
 		from, _ := e.w.CG.Pred(t)
 		for _, f := range from {
 			p := dag.TaskID(f)
-			if e.inNeed[p] || e.unrecover[p] || e.hasData(p) {
+			if e.inNeed[p] || e.unrecover[p] || e.hasData(p, tau) {
 				continue
 			}
 			e.inNeed[p] = true
@@ -87,12 +89,25 @@ func (e *Engine) reschedule(tau float64) error {
 	return nil
 }
 
-// hasLive reports whether t has a replica still pending or running.
+// hasLive reports whether t has a replica live at tau.
 //
 //caft:zeroalloc
-func (e *Engine) hasLive(t dag.TaskID) bool {
+func (e *Engine) hasLive(t dag.TaskID, tau float64) bool {
 	for _, i := range e.w.TaskOps[t] {
-		if st := e.ops[i].state; st == opPending || st == opRunning {
+		if e.live(i, tau) {
+			return true
+		}
+	}
+	return false
+}
+
+// hasDone reports whether t has a replica done by tau: the task is
+// computed, whether or not its data survives.
+//
+//caft:zeroalloc
+func (e *Engine) hasDone(t dag.TaskID, tau float64) bool {
+	for _, i := range e.w.TaskOps[t] {
+		if e.done(i, tau) {
 			return true
 		}
 	}
@@ -100,22 +115,22 @@ func (e *Engine) hasLive(t dag.TaskID) bool {
 }
 
 // hasData reports whether t's result is (or will be) available to new
-// consumers: a finished replica on a surviving processor, or a live
+// consumers at tau: a done replica on a surviving processor, or a live
 // replica.
 //
 //caft:zeroalloc
-func (e *Engine) hasData(t dag.TaskID) bool {
+func (e *Engine) hasData(t dag.TaskID, tau float64) bool {
 	for _, i := range e.w.TaskOps[t] {
-		if e.ops[i].state == opDone && !e.procDead[e.w.Ops[i].Rep.Proc] {
+		if e.done(i, tau) && !e.down(e.w.Ops[i].Rep.Proc) {
 			return true
 		}
 	}
-	return e.hasLive(t)
+	return e.hasLive(t, tau)
 }
 
 // placeReactive places one new replica of t on the surviving processor
-// giving the earliest finish, then wires the placement into the event
-// tables. Probing consults the bounded candidate set (Problem.ProbeWidth
+// giving the earliest finish, then appends the placement to the
+// wiring. Probing consults the bounded candidate set (Problem.ProbeWidth
 // via State.Candidates; all m processors by default) and falls back to
 // the full processor set when no bounded candidate survives or accepts —
 // bounding must never turn a recoverable task unrecoverable. A task with
@@ -130,7 +145,7 @@ func (e *Engine) placeReactive(t dag.TaskID, tau float64) error {
 		from := dag.TaskID(f)
 		n := len(srcs)
 		for _, r := range e.st.Reps[from] {
-			if !e.procDead[r.Proc] {
+			if !e.down(r.Proc) {
 				srcs = append(srcs, r)
 			}
 		}
@@ -200,7 +215,7 @@ func (e *Engine) bestSurvivor(t dag.TaskID, copyIdx int, procs []int, sets []sch
 		if procs != nil {
 			proc = procs[k]
 		}
-		if e.procDead[proc] {
+		if e.down(proc) {
 			continue
 		}
 		c := probe{bound: e.st.FinishLowerBound(t, proc, sets), proc: proc}
@@ -228,64 +243,20 @@ func (e *Engine) bestSurvivor(t dag.TaskID, copyIdx int, procs []int, sets []sch
 	return bestProc
 }
 
-// wire appends the reactive placement — its input transfers first, then
-// the replica — to the wiring and registers every constraint. All new
-// operations carry minStart = tau: a reactive placement cannot occupy
-// resources before the crash that triggered it was observed.
+// wire appends the reactive placement — its input transfers first,
+// then the replica — to the wiring, each with the start floor tau: a
+// reactive placement cannot occupy resources before the crash that
+// triggered it was observed.
 //
 //caft:zeroalloc
 func (e *Engine) wire(t dag.TaskID, rep sched.Replica, newComms []sched.Comm, tau float64) {
 	w := e.w
-	slotBase := w.AddSlots(int32(len(w.Ops)+len(newComms)), w.CG.InDegree(t))
+	slotBase := w.AddSlots(w.CG.InDegree(t))
 	for _, c := range newComms {
-		ci := w.AddComm(c, slotBase)
-		e.addOp(ci, tau)
-		// Register: the source constraint resolves against the executed
-		// finish when the source already ran; otherwise it resolves on
-		// the source's completion event.
-		src := w.Ops[ci].Src
-		if e.ops[src].state == opDone {
-			e.resolve(ci, e.ops[src].finish)
-		} else {
-			e.out[src] = append(e.out[src], ci)
-		}
-		e.grant(ci)
+		w.Ops[w.AddComm(c, slotBase)].Floor = tau
 	}
-	ri := w.AddRep(rep, slotBase)
-	e.addOp(ri, tau)
-	// Feeder counts of the new replica's slots are complete only now.
-	for s := len(e.slotLeft); s < len(w.SlotOf); s++ {
-		e.slotLeft = append(e.slotLeft, w.SlotFeeds[s])
-		e.slotDone = append(e.slotDone, false)
-	}
-	e.grant(ri)
-}
-
-// addOp appends the per-replay state of the just-wired reactive op i,
-// placed at tau, reusing the out list an earlier replay left at its
-// index.
-//
-//caft:zeroalloc
-func (e *Engine) addOp(i int32, tau float64) {
-	e.ops = append(e.ops, opRun{reactive: true, waits: waitsOf(&e.w.Ops[i]), minStart: tau, placedAt: tau})
-	if n := len(e.out); n < cap(e.out) {
-		e.out = e.out[:n+1]
-		e.out[n] = e.out[n][:0]
-	} else {
-		e.out = append(e.out, nil)
-	}
-	e.live++
-}
-
-// grant hands every resource of the just-wired op i that is free to it
-// (i is the last member of each of its resources).
-//
-//caft:zeroalloc
-func (e *Engine) grant(i int32) {
-	o := &e.w.Ops[i]
-	for k := o.ResBase; k < o.ResBase+o.NRes; k++ {
-		if r := e.w.ResIDs[k]; e.holder[r] == noOp {
-			e.releaseToken(r, e.resAvail[r])
-		}
+	w.Ops[w.AddRep(rep, slotBase)].Floor = tau
+	for len(e.cancelled) < len(w.Ops) {
+		e.cancelled = append(e.cancelled, false)
 	}
 }

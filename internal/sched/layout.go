@@ -1,8 +1,8 @@
 package sched
 
 // Layout is the resource ID scheme of a problem, derived by NewLayout.
-// State (one timeline per resource) and sim.Wiring (one member chain
-// per resource) both number their resources by it. IDs [0,m) are the
+// State (one timeline per resource) and sim.Wiring (the resources each
+// op occupies) both number their resources by it. IDs [0,m) are the
 // compute resources, [m,2m) the send ports, [2m,3m) the receive ports
 // and [3m,3m+S) the S shared links.
 //

@@ -49,9 +49,10 @@ func TestServeCachedAllocFree(t *testing.T) {
 
 // BenchmarkCacheEvictMiss measures the miss path of a full bounded
 // cache — each lookup of a fresh key must evict a completed entry
-// first. Eviction pops the completed-key queue instead of scanning the
-// map under the write lock, so per-miss cost must stay flat as the
-// cache grows; before the fix it was O(cache size) per miss.
+// first. Eviction pops the completed-key queue, which complete fills as
+// each entry finishes, and never scans the map, so per-miss cost must
+// stay flat as the cache grows; a map scan made it O(cache size) per
+// miss.
 func BenchmarkCacheEvictMiss(b *testing.B) {
 	for _, size := range []int{1 << 10, 1 << 16} {
 		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
@@ -59,8 +60,7 @@ func BenchmarkCacheEvictMiss(b *testing.B) {
 			complete := func(key hashKey) {
 				e, created := c.lookup(key)
 				if created {
-					close(e.done)
-					c.markDone(key, e)
+					c.complete(key, e)
 				}
 			}
 			for i := 0; i < size; i++ {

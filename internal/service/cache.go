@@ -25,10 +25,10 @@ type entry struct {
 // waiters still observe the error but the next identical request
 // recomputes instead of being re-served a pinned failure.
 //
-// Eviction is O(1) amortized: every completed resident key is pushed
-// onto doneq (markDone), and evictLocked pops candidates instead of
-// scanning the map. The map scan survives only as a fallback for the
-// instant between close(done) and markDone.
+// Eviction is O(1) amortized: complete closes an entry's done and
+// pushes its key onto doneq under one write lock, so every completed
+// resident entry is queued from the moment it is done, and evictLocked
+// pops candidates instead of scanning the map.
 type cache struct {
 	mu  sync.RWMutex
 	m   map[hashKey]*entry
@@ -73,10 +73,8 @@ func (c *cache) lookup(key hashKey) (e *entry, created bool) {
 
 // evictLocked drops one completed entry. Candidates come off doneq in
 // completion order (oldest-completed first), skipping keys whose entry
-// was already removed or replaced; the full map scan runs only when the
-// queue is empty — either nothing resident ever completed, or a worker
-// sits between close(done) and markDone. In-flight entries are never
-// evicted, so their waiters always resolve; if every entry is in flight
+// was already removed or replaced. In-flight entries are never evicted,
+// so their waiters always resolve; if no resident entry has completed
 // the cache temporarily exceeds max rather than blocking.
 //
 //caft:zeroalloc
@@ -100,25 +98,15 @@ func (c *cache) evictLocked() {
 			// completion will re-push it.
 		}
 	}
-	for k, e := range c.m { //caft:unordered-ok fallback eviction victim is deliberately arbitrary
-		select {
-		case <-e.done:
-			delete(c.m, k)
-			return
-		default:
-		}
-	}
 }
 
-// markDone records a completed resident entry as an eviction candidate.
-// Called after close(e.done); a no-op for unbounded caches (nothing is
-// ever evicted) and for entries that already left the map.
-func (c *cache) markDone(key hashKey, e *entry) {
-	if c.max == 0 {
-		return
-	}
+// complete resolves a computed entry: it closes e.done and, in a
+// bounded cache, queues key as an eviction candidate if e is still the
+// resident entry, both under the write lock.
+func (c *cache) complete(key hashKey, e *entry) {
 	c.mu.Lock()
-	if c.m[key] == e {
+	close(e.done)
+	if c.max > 0 && c.m[key] == e {
 		if c.head > 0 && c.head == len(c.doneq) {
 			c.doneq, c.head = c.doneq[:0], 0
 		}

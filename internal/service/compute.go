@@ -94,8 +94,7 @@ type ReliabilityResult struct {
 
 // OnlineResult is the online-mode section of a response: the achieved
 // makespan distribution over sampled failure traces replayed through
-// the event-driven engine (reactive re-mapping unless the spec set
-// static).
+// the online engine (reactive re-mapping unless the spec set static).
 type OnlineResult struct {
 	// Samples is the number of evaluated traces (engine failures
 	// excluded; see ReplayErrors).

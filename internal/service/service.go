@@ -199,8 +199,7 @@ func (s *Service) fill(ctx context.Context, key hashKey, e *entry, req *Request)
 	if s.disk != nil {
 		if resp, ok := s.disk.get(key); ok {
 			e.resp = resp
-			close(e.done)
-			s.cache.markDone(key, e)
+			s.cache.complete(key, e)
 			// No scheduling run happened: a disk read is a hit (Misses
 			// documents computes), tallied separately as DiskHits.
 			s.st.hits.Add(1)
@@ -272,8 +271,7 @@ func (s *Service) worker() {
 				if s.disk != nil {
 					s.disk.put(j.key, j.e.resp)
 				}
-				close(j.e.done)
-				s.cache.markDone(j.key, j.e)
+				s.cache.complete(j.key, j.e)
 			}
 		case <-s.closing:
 			return

@@ -4,7 +4,7 @@
 // either reservation policy, and returns the schedule plus optional
 // Monte-Carlo reliability estimates — or, in "mode":"online", the
 // reactive makespan distribution of the schedule replayed through the
-// event-driven online rescheduling engine (internal/online).
+// online rescheduling engine (internal/online).
 //
 // The layer is built for serving, not for one-shot CLI runs (see
 // DESIGN.md S6):
@@ -94,7 +94,7 @@ type Request struct {
 
 	// Mode selects the serving product: "schedule" (the default) returns
 	// the static schedule; "online" additionally replays sampled failure
-	// traces through the event-driven reactive engine (internal/online)
+	// traces through the reactive online engine (internal/online)
 	// and returns the achieved makespan distribution.
 	Mode string `json:"mode,omitempty"`
 	// Online configures the online-mode Monte Carlo; required exactly
@@ -155,11 +155,11 @@ type ReliabilitySpec struct {
 
 // OnlineSpec configures the online-mode Monte Carlo: Samples failure
 // traces drawn from the embedded failure model are replayed through the
-// event-driven engine with the reactive re-mapper armed, unless Static.
-// The embedded ReliabilitySpec's fields appear inline on the wire, and
-// its Seed drives the trace draws, independently of the scheduling
-// seed. Samples is capped at 2^16 traces rather than 2^20, since
-// re-mapping traces run the event engine.
+// online engine with the reactive re-mapper armed, unless Static. The
+// embedded ReliabilitySpec's fields appear inline on the wire, and its
+// Seed drives the trace draws, independently of the scheduling seed.
+// Samples is capped at 2^16 traces rather than 2^20, since a
+// re-mapping trace runs a replay pass per crash and the re-mapper.
 type OnlineSpec struct {
 	ReliabilitySpec
 	// Static replays each trace without re-mapping, on the causal timed
@@ -173,8 +173,8 @@ type OnlineSpec struct {
 const maxReliabilitySamples = 1 << 20
 
 // maxOnlineSamples bounds online-mode replays. A re-mapping trace runs
-// the event engine and the rescheduler — heavier than a timed replay,
-// so the cap sits lower.
+// a replay pass per crash and the rescheduler — heavier than a timed
+// replay, so the cap sits lower.
 const maxOnlineSamples = 1 << 16
 
 // modeNames lists the serving modes; the index is the canonical enum

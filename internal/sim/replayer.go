@@ -20,8 +20,11 @@ import (
 //
 //caft:confined
 type Replayer struct {
-	w     *Wiring
-	order []int32 // every op index in placement order (Wiring.before)
+	w *Wiring
+	// order is the static prefix of w in placement order
+	// (Wiring.before), then every op appended after it in index order
+	// (see fit).
+	order []int32
 
 	// Per-replay scratch.
 	x        []opRun   // per op: liveness and times of the latest run
@@ -49,17 +52,51 @@ func NewReplayer(s *sched.Schedule) (*Replayer, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Replayer{w: w, order: make([]int32, len(w.Ops))}
+	return NewReplayerOf(w), nil
+}
+
+// NewReplayerOf builds a Replayer over an existing wiring, which it
+// shares: ops appended to w after its static prefix replay too, each
+// no earlier than its Op.Floor, and w.Truncate drops them again.
+func NewReplayerOf(w *Wiring) *Replayer {
+	r := &Replayer{w: w, order: make([]int32, w.nOps0)}
 	for i := range r.order {
 		r.order[i] = int32(i)
 	}
 	sort.Slice(r.order, func(a, b int) bool { return w.before(r.order[a], r.order[b]) })
-	r.x = make([]opRun, len(w.Ops))
-	r.resFree = make([]float64, len(w.Members))
-	r.slotAt = make([]float64, len(w.SlotOf))
-	r.slotDied = make([]float64, len(w.SlotOf))
-	r.crashAt = make([]float64, s.P.Plat.M)
-	return r, nil
+	r.x = make([]opRun, w.nOps0)
+	r.resFree = make([]float64, w.NumRes())
+	r.slotAt = make([]float64, w.nSlots0)
+	r.slotDied = make([]float64, w.nSlots0)
+	r.crashAt = make([]float64, w.S.P.Plat.M)
+	return r
+}
+
+// fit sizes the order and the per-op and per-slot scratch to the
+// wiring's current length. An op appended after the static prefix
+// evaluates in index order after every static op: its constraints —
+// its source replica, its feeding transfers, the previous holders of
+// its resources — are all earlier ops, static or appended before it.
+// The scratch keeps its capacity across Truncate, so replays whose
+// appended ops fit it allocate nothing.
+//
+//caft:zeroalloc
+func (r *Replayer) fit() {
+	w := r.w
+	if len(r.order) != len(w.Ops) {
+		r.order = r.order[:w.nOps0]
+		for i := int32(w.nOps0); i < int32(len(w.Ops)); i++ {
+			r.order = append(r.order, i)
+		}
+		for len(r.x) < len(w.Ops) {
+			r.x = append(r.x, opRun{})
+		}
+	}
+	for len(r.slotAt) < int(w.Slots) {
+		r.slotAt = append(r.slotAt, 0)
+		r.slotDied = append(r.slotDied, 0)
+	}
+	r.slotAt, r.slotDied = r.slotAt[:w.Slots], r.slotDied[:w.Slots]
 }
 
 // setCrashed loads a static crash set into crashAt.
@@ -91,16 +128,18 @@ func (r *Replayer) setCrashed(crashed map[int]bool) {
 // missed crash, the source's instant, the slot's last feeder death,
 // whichever comes first — and holds its resources until then: a
 // resource it occupies is free no earlier than that instant, the
-// causal clamp of online.Engine. A static crash is the instant -Inf,
+// causal clamp: no survivor moves into a slot before the crash that
+// vacated it is observable. A static crash is the instant -Inf,
 // which kills every op on the processor and frees its resources at
 // once.
 //
 // A replica starts at the first surviving arrival from each
 // predecessor; last, used only by UpperBound, makes it wait for the
-// last one instead.
+// last one instead. No op starts before its Op.Floor.
 //
 //caft:zeroalloc
 func (r *Replayer) run(last bool) {
+	r.fit()
 	w := r.w
 	for i := range r.resFree {
 		r.resFree[i] = 0
@@ -126,7 +165,7 @@ func (r *Replayer) run(last bool) {
 			*x = opRun{died: crash} // a static crash holds nothing
 			continue
 		}
-		st, died := 0.0, math.Inf(1) // died: the instant an input loss is observable
+		st, died := o.Floor, math.Inf(1) // died: the instant an input loss is observable
 		if o.Kind == OpRep {
 			for sl := o.SlotBase; sl < o.SlotBase+o.NSlots; sl++ {
 				if a := r.slotAt[sl]; a == none {
@@ -137,10 +176,10 @@ func (r *Replayer) run(last bool) {
 					st = a
 				}
 			}
-		} else if src := &r.x[o.Src]; src.alive {
-			st = src.finish
-		} else {
+		} else if src := &r.x[o.Src]; !src.alive {
 			died = src.died
+		} else if src.finish > st {
+			st = src.finish
 		}
 		if died == math.Inf(1) {
 			for k := o.ResBase; k < o.ResBase+o.NRes; k++ {
@@ -179,13 +218,33 @@ func (r *Replayer) run(last bool) {
 	}
 }
 
-// materialize copies the fates of the latest run into a fresh Result
-// (the only allocating step of a steady-state replay).
-func (r *Replayer) materialize() *Result {
-	return r.w.Result(func(i int32) Fate {
-		x := &r.x[i]
-		return Fate{Alive: x.alive, Start: x.start, Finish: x.finish}
-	})
+// Fate returns op i's fate in the latest replay. An op appended after
+// the wiring's static prefix is Reactive, placed at its Op.Floor.
+//
+//caft:zeroalloc
+func (r *Replayer) Fate(i int32) Fate {
+	x := &r.x[i]
+	f := Fate{Alive: x.alive, Start: x.start, Finish: x.finish}
+	if int(i) >= r.w.nOps0 {
+		f.Reactive, f.PlacedAt = true, r.w.Ops[i].Floor
+	}
+	return f
+}
+
+// Result materializes the fates of the latest replay into a fresh
+// Result (the only allocating step of a steady-state replay).
+func (r *Replayer) Result() *Result {
+	return r.w.Result(r.Fate)
+}
+
+// ReplayAt replays with the dense per-processor crash vector crashAt,
+// one instant per processor: +Inf never crashes, -Inf is crashed from
+// the start. Fate, Result and Latency read the replay.
+//
+//caft:zeroalloc
+func (r *Replayer) ReplayAt(crashAt []float64) {
+	copy(r.crashAt, crashAt)
+	r.run(false)
 }
 
 // Replay recomputes the schedule's execution with the given processors
@@ -196,13 +255,14 @@ func (r *Replayer) materialize() *Result {
 func (r *Replayer) Replay(crashed map[int]bool) *Result {
 	r.setCrashed(crashed)
 	r.run(false)
-	return r.materialize() //caft:alloc-ok the Result is the caller's one deliberate allocation
+	return r.Result() //caft:alloc-ok the Result is the caller's one deliberate allocation
 }
 
-// latency computes Result.Latency directly from the scratch tables.
+// Latency returns the latest replay's Result.Latency, computed directly
+// from the scratch tables.
 //
 //caft:zeroalloc
-func (r *Replayer) latency() (float64, error) {
+func (r *Replayer) Latency() (float64, error) {
 	lat := 0.0
 	for t, ops := range r.w.TaskOps {
 		min := math.Inf(1)
@@ -229,7 +289,7 @@ func (r *Replayer) latency() (float64, error) {
 func (r *Replayer) CrashLatency(crashed map[int]bool) (float64, error) {
 	r.setCrashed(crashed)
 	r.run(false)
-	return r.latency()
+	return r.Latency()
 }
 
 // LowerBound replays with no crashes: the latency achieved if no

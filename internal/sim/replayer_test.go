@@ -180,7 +180,7 @@ func replayBenchSchedule(tb testing.TB) (*sched.Schedule, map[int]bool) {
 // on the replayBenchSchedule schedule: the maximum over 25 runs of the
 // logged measurement (go test -count=25 -v -run TestReplayerAllocPin)
 // when the pin was set.
-const oneshotReplayAllocs = 708
+const oneshotReplayAllocs = 440
 
 // TestReplayerAllocPin pins the Replayer's allocation profile on the
 // BenchmarkReplay schedule: steady-state CrashLatency and

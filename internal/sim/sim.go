@@ -13,8 +13,8 @@
 // early message can push a replica later; both directions are observed
 // in the paper (Figures 1(b) and 2(b)) and reproduced here. Under timed
 // crashes (Replayer.ReplayTimed) a dead operation holds its resources
-// until its death is observable, the causal semantics of package
-// online's event engine.
+// until its death is observable: the causal semantics of an executor
+// that learns of a crash only when it happens.
 //
 // Replays are first-arrival: a replica starts once, for each
 // predecessor, the earliest surviving message has arrived, so with zero
@@ -26,14 +26,16 @@
 // fail.
 //
 // A schedule's constraints are built once into a Wiring — the op
-// table, one input slot per (replica, predecessor edge), and every
-// resource's members in placement order — which this package's
-// Replayer and package online's event engine share. Every constraint
-// points to an earlier-placed operation, so a Replayer evaluates a
-// replay in one forward pass over the operations in placement order,
-// deciding liveness and times together. Callers build one Replayer per
-// schedule and replay it as often as they need; repeated replays reuse
-// its scratch and allocate near-zero.
+// table, one input slot per (replica, predecessor edge), and the
+// resources each op occupies. Every constraint points to an
+// earlier-placed operation, so a Replayer evaluates a replay in one
+// forward pass over the operations in placement order, deciding
+// liveness and times together. Callers build one Replayer per schedule
+// and replay it as often as they need; repeated replays reuse its
+// scratch and allocate near-zero. The Replayer is the one evaluator:
+// package online's engine appends its reactive placements to the
+// wiring, each with a start floor, and replays it between crashes
+// (ReplayAt, Fate).
 //
 //caft:deterministic
 package sim
@@ -55,9 +57,9 @@ import (
 var ErrTaskLost = errors.New("task lost")
 
 // Fate is the replayed fate of one operation. For Alive operations
-// Start/Finish are the replayed times. A dead operation of a
-// clairvoyant replay has zero times; an online replay records the
-// aborted attempt of an operation that had started before its crash.
+// Start/Finish are the replayed times; a dead operation has zero
+// times, in an online replay too, where an operation that had started
+// before its crash records no aborted attempt.
 type Fate struct {
 	Alive    bool
 	Reactive bool    // online: placed by the rescheduler at runtime
@@ -94,7 +96,7 @@ type Result struct {
 	// Rescheduled counts reactively placed replicas (online).
 	Rescheduled int
 	// Crashes is the number of failure-trace events processed, Events the
-	// number of completion events (online).
+	// number of executed operations (online).
 	Crashes int
 	Events  int
 }

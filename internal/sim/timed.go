@@ -33,8 +33,8 @@ func (r *Replayer) runTimed(crashTimes map[int]float64) error {
 // than the crash, and a message is delivered only if its transfer
 // completes before both its sender's and its receiver's crash instants.
 //
-// The replay is causal, the same one online.Engine computes without
-// re-mapping: a dead operation holds its resources until its death is
+// The replay is causal, the pass online.Engine runs between crashes: a
+// dead operation holds its resources until its death is
 // observable (see run), so no survivor moves into a slot vacated before
 // the crash that vacated it. A static crash (Replay) is the crash
 // instant -Inf, which kills even an operation of zero length at time 0;
@@ -46,7 +46,7 @@ func (r *Replayer) ReplayTimed(crashTimes map[int]float64) (*Result, error) {
 	if err := r.runTimed(crashTimes); err != nil {
 		return nil, err
 	}
-	return r.materialize(), nil //caft:alloc-ok the Result is the caller's one deliberate allocation
+	return r.Result(), nil //caft:alloc-ok the Result is the caller's one deliberate allocation
 }
 
 // CrashLatencyAt replays timed crashes and returns the achieved latency
@@ -60,5 +60,5 @@ func (r *Replayer) CrashLatencyAt(crashTimes map[int]float64) (float64, error) {
 	if err := r.runTimed(crashTimes); err != nil {
 		return 0, err
 	}
-	return r.latency()
+	return r.Latency()
 }

@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"caft/internal/dag"
 	"caft/internal/sched"
@@ -30,13 +29,17 @@ const (
 
 // Op is one operation of a schedule's constraint graph: a replica
 // execution or a communication, with its static wiring. Per-replay
-// state lives with the evaluator (Replayer, online.Engine).
+// state lives with the Replayer.
 type Op struct {
 	Kind int8
 	Rep  sched.Replica // OpRep
 	Comm sched.Comm    // OpComm
 	Dur  float64
 	Seq  int32
+	// Floor is the earliest instant the op may start: 0 for the
+	// schedule's own ops, the instant of the crash that placed an op
+	// appended after the static prefix.
+	Floor float64
 
 	Src              int32 // OpComm: op index of the source replica; NoOp otherwise
 	ResBase, NRes    int32 // occupied resources: Wiring.ResIDs[ResBase:ResBase+NRes]
@@ -44,39 +47,37 @@ type Op struct {
 	FeedBase, NFeeds int32 // OpComm: fed slots, Wiring.Feeds[FeedBase:FeedBase+NFeeds]
 }
 
-// Wiring is the constraint graph of a schedule, shared by the
-// clairvoyant Replayer and the event-driven online.Engine: the op table
-// (every replica in Schedule.Reps order, then every communication in
-// Schedule.Comms order), the dense (task, copy) → op index, one input
-// slot per (replica, predecessor edge), the slots each communication
-// feeds (a comm from predecessor p feeds every slot whose edge
-// originates at p, so parallel edges share their input group), and the
-// resources each op occupies, numbered by the problem's sched.Layout,
-// with every resource's members in placement order.
+// Wiring is the constraint graph of a schedule, which the Replayer
+// evaluates: the op table (every replica in Schedule.Reps order, then
+// every communication in Schedule.Comms order), the dense (task, copy)
+// → op index, one input slot per (replica, predecessor edge), the slots
+// each communication feeds (a comm from predecessor p feeds every slot
+// whose edge originates at p, so parallel edges share their input
+// group), and the resources each op occupies, numbered by the problem's
+// sched.Layout.
 //
 // The tables built from the schedule form a static prefix. online.Engine
-// appends reactive placements after it (AddSlots, AddComm, AddRep) and
-// restores it with Truncate before every replay.
+// appends reactive placements after it (AddSlots, AddComm, AddRep, each
+// with its Op.Floor) and restores it with Truncate before every replay.
 //
 //caft:confined
 type Wiring struct {
 	S  *sched.Schedule
 	CG *dag.Compiled
 
-	Ops       []Op
-	RepOf     [][]int32 // task -> copy -> replica op index, NoOp when absent
-	TaskOps   [][]int32 // task -> replica op indices, schedule order first
-	SlotOf    []int32   // slot -> owning replica op
-	SlotFeeds []int32   // slot -> number of comms feeding it
-	Feeds     []int32   // comm feed adjacency (slot indices), see Op.FeedBase
-	ResIDs    []int32   // occupied resources, see Op.ResBase
-	Members   [][]int32 // resource -> member ops in placement order
+	Ops     []Op
+	RepOf   [][]int32 // task -> copy -> replica op index, NoOp when absent
+	TaskOps [][]int32 // task -> replica op indices, schedule order first
+	Slots   int32     // number of input slots, see Op.SlotBase
+	Feeds   []int32   // comm feed adjacency (slot indices), see Op.FeedBase
+	ResIDs  []int32   // occupied resources, see Op.ResBase
 
 	lay sched.Layout
 
 	// Static prefix lengths, restored by Truncate.
-	nOps0, nSlots0, nFeeds0, nRes0 int
-	repOf0, taskOps0, members0     []int32
+	nOps0, nFeeds0, nRes0 int
+	nSlots0               int32
+	repOf0, taskOps0      []int32
 }
 
 // NewWiring builds the constraint graph of s over the graph's compiled
@@ -95,10 +96,9 @@ func NewWiring(s *sched.Schedule, lay sched.Layout) (*Wiring, error) {
 	w.Ops = make([]Op, 0, s.ReplicaCount()+len(s.Comms))
 	w.RepOf = make([][]int32, n)
 	w.TaskOps = make([][]int32, n)
-	w.Members = make([][]int32, w.lay.Size())
 	for t := range s.Reps {
 		for _, rep := range s.Reps[t] {
-			w.AddRep(rep, w.AddSlots(int32(len(w.Ops)), cg.InDegree(dag.TaskID(t))))
+			w.AddRep(rep, w.AddSlots(cg.InDegree(dag.TaskID(t))))
 		}
 	}
 	for i, c := range s.Comms {
@@ -115,27 +115,26 @@ func NewWiring(s *sched.Schedule, lay sched.Layout) (*Wiring, error) {
 				i, c.Seq, w.Ops[src].Seq, w.Ops[dst].Seq, ErrPlacementOrder)
 		}
 	}
-	for _, mem := range w.Members {
-		sort.Slice(mem, func(a, b int) bool { return w.before(mem[a], mem[b]) })
-	}
 
-	w.nOps0, w.nSlots0, w.nFeeds0, w.nRes0 = len(w.Ops), len(w.SlotOf), len(w.Feeds), len(w.ResIDs)
+	w.nOps0, w.nSlots0, w.nFeeds0, w.nRes0 = len(w.Ops), w.Slots, len(w.Feeds), len(w.ResIDs)
 	w.repOf0 = make([]int32, n)
 	w.taskOps0 = make([]int32, n)
 	for t := range w.RepOf {
 		w.repOf0[t] = int32(len(w.RepOf[t]))
 		w.taskOps0[t] = int32(len(w.TaskOps[t]))
 	}
-	w.members0 = make([]int32, len(w.Members))
-	for r := range w.Members {
-		w.members0[r] = int32(len(w.Members[r]))
-	}
 	return w, nil
+}
+
+// NumRes is the number of resources the wiring's ops occupy: the size
+// of the problem's sched.Layout.
+func (w *Wiring) NumRes() int {
+	return w.lay.Size()
 }
 
 // before reports whether op a precedes op b in placement order: by
 // placement sequence, ties broken by op index. The order Replayer
-// evaluates in, and the order of every resource's members.
+// evaluates the static prefix in.
 //
 //caft:zeroalloc
 func (w *Wiring) before(a, b int32) bool {
@@ -155,16 +154,13 @@ func (w *Wiring) lookup(t dag.TaskID, copy int) int32 {
 	return w.RepOf[t][copy]
 }
 
-// AddSlots appends n input slots owned by replica op owner and returns
-// the first slot's index.
+// AddSlots appends the n input slots of a replica and returns the
+// first slot's index.
 //
 //caft:zeroalloc
-func (w *Wiring) AddSlots(owner int32, n int) int32 {
-	base := int32(len(w.SlotOf))
-	for j := 0; j < n; j++ {
-		w.SlotOf = append(w.SlotOf, owner)
-		w.SlotFeeds = append(w.SlotFeeds, 0)
-	}
+func (w *Wiring) AddSlots(n int) int32 {
+	base := w.Slots
+	w.Slots += int32(n)
 	return base
 }
 
@@ -182,10 +178,9 @@ func (w *Wiring) AddRep(rep sched.Replica, slotBase int32) int32 {
 	w.RepOf[t][rep.Copy] = i
 	w.TaskOps[t] = append(w.TaskOps[t], i)
 	o := Op{Kind: OpRep, Rep: rep, Dur: rep.Finish - rep.Start, Seq: rep.Seq, Src: NoOp,
-		SlotBase: slotBase, NSlots: int32(w.CG.InDegree(t)), ResBase: int32(len(w.ResIDs))}
+		SlotBase: slotBase, NSlots: int32(w.CG.InDegree(t)), ResBase: int32(len(w.ResIDs)), NRes: 1}
 	w.Ops = append(w.Ops, o)
 	w.ResIDs = append(w.ResIDs, w.lay.Compute(rep.Proc))
-	w.join(i)
 	return i
 }
 
@@ -204,28 +199,14 @@ func (w *Wiring) AddComm(c sched.Comm, dstSlots int32) int32 {
 	from, _ := w.CG.Pred(c.To)
 	for j, f := range from {
 		if dag.TaskID(f) == c.From {
-			slot := dstSlots + int32(j)
-			w.Feeds = append(w.Feeds, slot)
-			w.SlotFeeds[slot]++
+			w.Feeds = append(w.Feeds, dstSlots+int32(j))
 		}
 	}
 	o.NFeeds = int32(len(w.Feeds)) - o.FeedBase
-	w.Ops = append(w.Ops, o)
 	w.ResIDs = w.lay.AppendComm(w.ResIDs, c.SrcProc, c.DstProc)
-	w.join(i)
-	return i
-}
-
-// join makes op i, whose resources were just appended to ResIDs from
-// its ResBase on, a member of each of them and sets its NRes.
-//
-//caft:zeroalloc
-func (w *Wiring) join(i int32) {
-	o := &w.Ops[i]
 	o.NRes = int32(len(w.ResIDs)) - o.ResBase
-	for _, r := range w.ResIDs[o.ResBase:] {
-		w.Members[r] = append(w.Members[r], i)
-	}
+	w.Ops = append(w.Ops, o)
+	return i
 }
 
 // Truncate drops every appended operation, restoring the tables built
@@ -234,23 +215,18 @@ func (w *Wiring) join(i int32) {
 //caft:zeroalloc
 func (w *Wiring) Truncate() {
 	w.Ops = w.Ops[:w.nOps0]
-	w.SlotOf = w.SlotOf[:w.nSlots0]
-	w.SlotFeeds = w.SlotFeeds[:w.nSlots0]
+	w.Slots = w.nSlots0
 	w.Feeds = w.Feeds[:w.nFeeds0]
 	w.ResIDs = w.ResIDs[:w.nRes0]
 	for t := range w.RepOf {
 		w.RepOf[t] = w.RepOf[t][:w.repOf0[t]]
 		w.TaskOps[t] = w.TaskOps[t][:w.taskOps0[t]]
 	}
-	for r := range w.Members {
-		w.Members[r] = w.Members[r][:w.members0[r]]
-	}
 }
 
 // Result materializes a replay from each op's fate, as reported by
 // fate: Reps indexed like TaskOps, Comms in op order, and TasksLost the
-// tasks none of whose replicas is alive. It is the one Result builder
-// of the Replayer and online.Engine.
+// tasks none of whose replicas is alive.
 func (w *Wiring) Result(fate func(i int32) Fate) *Result {
 	res := &Result{Reps: make([][]RepOutcome, len(w.TaskOps))}
 	nReps := 0

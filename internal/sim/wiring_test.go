@@ -37,7 +37,7 @@ func WitnessNets(tb testing.TB, m int) []WitnessNet {
 }
 
 // TestWiringMatchesStateLayout pins the replay wiring to the scheduler's
-// resource layout: a wiring has exactly one member chain per State
+// resource layout: a wiring numbers exactly one resource per State
 // timeline, 3m on the clique and the star and 3m+4 on the 1×5 mesh
 // (the two inner links in each direction are shared).
 func TestWiringMatchesStateLayout(t *testing.T) {
@@ -59,7 +59,7 @@ func TestWiringMatchesStateLayout(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, tls := len(w.Members), st.NumTimelines(); got != want[nc.Name] || tls != got {
+		if got, tls := w.NumRes(), st.NumTimelines(); got != want[nc.Name] || tls != got {
 			t.Errorf("%s: wiring holds %d resources, state %d timelines, want %d", nc.Name, got, tls, want[nc.Name])
 		}
 	}

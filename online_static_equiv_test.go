@@ -12,34 +12,37 @@ import (
 	"caft/internal/platform"
 	"caft/internal/sched"
 	"caft/internal/sim"
+	"caft/internal/sim/simtest"
 	"caft/internal/timeline"
 	"caft/internal/topology"
 )
 
-// TestOnlineStaticEquivalence is the differential pin of the online
-// event-driven engine against the clairvoyant sim.Replayer, for every
-// registered scheduler (plus CAFT's batched variant) under both
-// reservation policies, on the clique, a star, a 2×3 mesh and one
-// macro-dataflow problem. Three inputs must replay bit for bit alike:
+// TestOnlineStaticEquivalence is the differential pin of the
+// clairvoyant sim.Replayer against simtest.EventReplay, a causal event
+// process over the same op table, for every registered scheduler (plus
+// CAFT's batched variant) under both reservation policies, on the
+// clique, a star, a 2×3 mesh and one macro-dataflow problem. Three
+// inputs must replay bit for bit alike:
 //
-//   - an EMPTY failure trace, with and without the reactive re-mapper
-//     armed, against the no-crash static replay;
-//   - crashes at τ=0 of every single processor and every pair, with the
-//     re-mapper off, against the static replay of the same crash set;
-//   - timed traces (see timedTraces), with the re-mapper off, against
+//   - an EMPTY failure trace, through EventReplay and through the
+//     online engine with its reactive re-mapper armed, against the
+//     no-crash static replay;
+//   - crashes at τ=0 of every single processor and every pair, through
+//     EventReplay, against the static replay of the same crash set;
+//   - timed traces (see timedTraces), through EventReplay, against
 //     Replayer.ReplayTimed of the same trace.
 //
-// "Alike" means the same lost tasks, the same liveness for every
-// replica and communication, and the same start and finish for every
-// surviving one. Both engines evaluate the same sim.Wiring, but in
-// different orders — sim in one forward pass in placement order, the
-// online engine by discharging constraints from a time-ordered event
-// heap — so agreement pins the event semantics (DESIGN.md S7) to the
-// replay semantics (S4). Every timed trace is also checked for static
-// domination: no operation dies under the timed crash of a processor
-// set that the static crash of the same set spares. The map engine of
-// internal/sim/reference_test.go stays the independent oracle for the
-// wiring itself.
+// "Alike" means the same lost tasks and the same fate — liveness,
+// start and finish — for every replica and communication. The two
+// evaluate in different orders — the Replayer in one forward pass in
+// placement order, EventReplay by discharging constraints from a
+// time-ordered completion heap with tokens handed along each
+// resource's members — so agreement pins the replay semantics
+// (DESIGN.md S4) to the causal one (S7). Every timed trace is also
+// checked for static domination: no operation dies under the timed
+// crash of a processor set that the static crash of the same set
+// spares. The map engine of internal/sim/reference_test.go stays the
+// independent oracle for the wiring itself.
 func TestOnlineStaticEquivalence(t *testing.T) {
 	type scheduler struct {
 		name string
@@ -121,13 +124,12 @@ func TestOnlineStaticEquivalence(t *testing.T) {
 				if len(want.TasksLost) != 0 {
 					t.Fatalf("%s: lost tasks %v in a no-failure replay", label, want.TasksLost)
 				}
-				for _, opt := range []online.Options{{}, {Reschedule: true}} {
-					got, err := eng.Run(nil, opt)
-					if err != nil {
-						t.Fatalf("%s online (reschedule=%v): %v", label, opt.Reschedule, err)
-					}
-					compareOnlineToStatic(t, label, got, want)
+				got, err := eng.Run(nil, online.Options{Reschedule: true})
+				if err != nil {
+					t.Fatalf("%s online: %v", label, err)
 				}
+				compareToReplayer(t, label, got, want)
+				compareToReplayer(t, label, eventReplay(t, label, schedule, nil), want)
 				for _, crashed := range crashSets {
 					clabel := fmt.Sprintf("%s/crash%v", label, crashed)
 					want := rep.Replay(crashed)
@@ -135,11 +137,7 @@ func TestOnlineStaticEquivalence(t *testing.T) {
 					for proc := range crashed {
 						trace[proc] = 0
 					}
-					got, err := eng.Run(trace, online.Options{})
-					if err != nil {
-						t.Fatalf("%s online: %v", clabel, err)
-					}
-					compareOnlineToStatic(t, clabel, got, want)
+					compareToReplayer(t, clabel, eventReplay(t, clabel, schedule, trace), want)
 				}
 				for _, trace := range timedTraces(want, m, seed) {
 					tlabel := fmt.Sprintf("%s/timed%v", label, trace)
@@ -147,11 +145,7 @@ func TestOnlineStaticEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s replay: %v", tlabel, err)
 					}
-					got, err := eng.Run(trace, online.Options{})
-					if err != nil {
-						t.Fatalf("%s online: %v", tlabel, err)
-					}
-					compareOnlineToStatic(t, tlabel, got, timed)
+					compareToReplayer(t, tlabel, eventReplay(t, tlabel, schedule, trace), timed)
 					crashed := map[int]bool{}
 					for proc := range trace {
 						crashed[proc] = true
@@ -217,19 +211,27 @@ func assertDominated(t *testing.T, label string, timed, static *sim.Result) {
 	}
 }
 
-// compareOnlineToStatic asserts an online result without reactive
-// placements is bit-identical to a clairvoyant replay result (static
-// or timed) in every outcome the two engines share: lost tasks, liveness, and the start
-// and finish of every surviving operation. Dead operations are not
-// timed alike — the online engine records an attempt aborted by a crash,
-// the static replay reports zero — so their times are not compared.
-func compareOnlineToStatic(t *testing.T, label string, got, want *sim.Result) {
+// eventReplay runs simtest.EventReplay, failing the test on an error.
+func eventReplay(t *testing.T, label string, s *sched.Schedule, trace map[int]float64) *sim.Result {
+	t.Helper()
+	res, err := simtest.EventReplay(s, trace)
+	if err != nil {
+		t.Fatalf("%s event replay: %v", label, err)
+	}
+	return res
+}
+
+// compareToReplayer asserts a result without reactive placements is
+// bit-identical to a clairvoyant replay result (static or timed): the
+// same lost tasks and the same fate for every operation, dead ones
+// included (zero times).
+func compareToReplayer(t *testing.T, label string, got, want *sim.Result) {
 	t.Helper()
 	if got.Rescheduled != 0 {
 		t.Fatalf("%s: %d reactive placements", label, got.Rescheduled)
 	}
 	if fmt.Sprint(got.TasksLost) != fmt.Sprint(want.TasksLost) {
-		t.Fatalf("%s: lost tasks: online %v, static %v", label, got.TasksLost, want.TasksLost)
+		t.Fatalf("%s: lost tasks: got %v, replayer %v", label, got.TasksLost, want.TasksLost)
 	}
 	if len(got.Reps) != len(want.Reps) || len(got.Comms) != len(want.Comms) {
 		t.Fatalf("%s: shape mismatch", label)
@@ -240,16 +242,16 @@ func compareOnlineToStatic(t *testing.T, label string, got, want *sim.Result) {
 		}
 		for i, w := range want.Reps[task] {
 			g := got.Reps[task][i]
-			if g.Rep != w.Rep || g.Alive != w.Alive || w.Alive && (g.Start != w.Start || g.Finish != w.Finish) {
-				t.Fatalf("%s: replica (%d,%d): online {alive %v [%v,%v)}, static {alive %v [%v,%v)}",
+			if g != w {
+				t.Fatalf("%s: replica (%d,%d): got {alive %v [%v,%v)}, replayer {alive %v [%v,%v)}",
 					label, task, w.Rep.Copy, g.Alive, g.Start, g.Finish, w.Alive, w.Start, w.Finish)
 			}
 		}
 	}
 	for i, w := range want.Comms {
 		g := got.Comms[i]
-		if g.Comm != w.Comm || g.Alive != w.Alive || w.Alive && (g.Start != w.Start || g.Finish != w.Finish) {
-			t.Fatalf("%s: comm %d: online {alive %v [%v,%v)}, static {alive %v [%v,%v)}",
+		if g != w {
+			t.Fatalf("%s: comm %d: got {alive %v [%v,%v)}, replayer {alive %v [%v,%v)}",
 				label, i, g.Alive, g.Start, g.Finish, w.Alive, w.Start, w.Finish)
 		}
 	}
