@@ -187,3 +187,39 @@ func foldRun(t *testing.T, put func(uint64), res *sim.Result) {
 		fold(c.Fate)
 	}
 }
+
+// TestMakespanShortcutMatchesEngine replays every trace of
+// TestOnlineMakespanDigest through Makespan, which answers a trace with
+// no crash before the fault-free latency without a pass, and through
+// the engine's full path, with re-mapping on and off, and asks for the
+// same latency bits, reactive placements and task loss.
+func TestMakespanShortcutMatchesEngine(t *testing.T) {
+	shortcuts := 0
+	digestRegimes(t, func(seed int64, e *Engine, rng *rand.Rand) {
+		horizon := horizonOf(t, e)
+		for draw := 0; draw < 40; draw++ {
+			trace := map[int]float64{}
+			for n := 1 + rng.Intn(3); len(trace) < n; {
+				trace[rng.Intn(6)] = 1.3 * horizon * rng.Float64()
+			}
+			for _, opt := range []Options{{}, {Reschedule: true}} {
+				lat, resched, err := e.Makespan(trace, opt)
+				if err := e.replay(trace, opt); err != nil {
+					t.Fatal(err)
+				}
+				want, werr := e.rep.Latency()
+				if math.Float64bits(lat) != math.Float64bits(want) || resched != e.rescheduled || (err == nil) != (werr == nil) {
+					t.Fatalf("seed %d trace %v reschedule=%v: Makespan (%v, %d, %v), full path (%v, %d, %v)",
+						seed, trace, opt.Reschedule, lat, resched, err, want, e.rescheduled, werr)
+				}
+				if ff, _ := e.rep.FaultFree(); e.crashes[0].tau >= ff {
+					shortcuts++
+				}
+			}
+		}
+	})
+	if shortcuts == 0 {
+		t.Fatal("no trace took the fault-free shortcut")
+	}
+	t.Logf("%d replays took the fault-free shortcut", shortcuts)
+}

@@ -13,19 +13,22 @@
 // start before the crash that placed them — the past is never
 // rewritten. Without re-mapping a replay is one timed Replayer pass.
 //
-// With Options.Reschedule the engine runs the fault-free pass and then
-// takes the crashes in (time, processor) order. A crash at τ kills only
-// work unfinished at τ and frees nothing before τ, so a pass over the
-// crashes seen so far splits every op exactly as a causal executor sees
-// it at τ: done (alive and finishing by τ+sched.Eps), live (alive and
-// finishing later) or dead. The re-mapper cancels the reservations of
-// the newly dead on the engine's sched.State and re-places every task
-// left without a live replica or a done replica whose data is still
-// reachable onto the surviving processors, with HEFT-style
-// minimum-finish probes (sched.State probes on the real state — no
-// clones). Its placements join the wiring with τ as their start floor,
-// and one more pass evaluates them. The engine stops at the first
-// crash that finds no live op.
+// With Options.Reschedule the engine starts from the fault-free pass,
+// which the Replayer keeps, and takes the crashes in (time, processor)
+// order. A crash at τ kills only work unfinished at τ and frees nothing
+// before τ, so a pass over the crashes seen so far splits every op
+// exactly as a causal executor sees it at τ: done (alive and finishing
+// by τ+sched.Eps), live (alive and finishing later) or dead. Each pass
+// resumes where its crashes first change the fault-free run. The
+// re-mapper cancels the newly dead on the engine's sched.State —
+// records, and the reservations a survivor can still see — and
+// re-places every task left without a live replica or a done replica
+// whose data is still reachable onto the surviving processors, with
+// HEFT-style minimum-finish probes (sched.State probes on the real
+// state — no clones). Its placements join the wiring with τ as their
+// start floor, and the pass is extended over them. The engine stops at
+// the first crash that finds no live op, and Makespan answers a trace
+// with no crash before the fault-free latency with that latency.
 //
 // After a replay that cancelled or placed work the engine copies a
 // pristine state, kept since its first re-mapping replay, back into its
@@ -65,7 +68,7 @@ type Engine struct {
 
 	// pristine is st as rebuilt, built at the first re-mapping replay;
 	// dirty records that this replay cancelled or placed work on st,
-	// which then gets pristine copied back (see replay).
+	// which then gets pristine copied back (see run).
 	pristine *sched.State
 	dirty    bool
 
@@ -154,14 +157,15 @@ func (e *Engine) reset(trace map[int]float64) error {
 }
 
 // exec replays the loaded trace. Without re-mapping that is one pass
-// over every crash. With it, the fault-free pass comes first. Then each
-// crash at τ adds itself to the crash vector for one pass, runs the
-// re-mapper on that pass, and is replayed once more when the re-mapper
-// placed work. The loop stops at the first crash that finds no live
-// op: every unfinished task is then already unrecoverable (each
-// crash's re-mapper re-placed or gave up on every task it left without
-// a live replica), so the remaining crashes could kill, cancel and
-// place nothing.
+// over every crash. With it, the fault-free pass comes first, served
+// from the Replayer's cached one. Then each crash at τ adds itself to
+// the crash vector for one pass, resumed where the crashes change the
+// fault-free run, runs the re-mapper on that pass, and extends the pass
+// over the placed work when the re-mapper placed any. The loop stops
+// at the first crash that finds no live op: every unfinished task is
+// then already unrecoverable (each crash's re-mapper re-placed or gave
+// up on every task it left without a live replica), so the remaining
+// crashes could kill, cancel and place nothing.
 //
 //caft:zeroalloc
 func (e *Engine) exec(remap bool) error {
@@ -174,8 +178,8 @@ func (e *Engine) exec(remap bool) error {
 	}
 	e.rep.ReplayAt(e.crashAt)
 	for _, c := range e.crashes {
-		if !e.anyLive(c.tau) {
-			break
+		if e.rep.MaxFinish() <= c.tau+sched.Eps {
+			break // no op is live at τ
 		}
 		e.crashAt[c.proc] = c.tau
 		e.rep.ReplayAt(e.crashAt)
@@ -184,7 +188,7 @@ func (e *Engine) exec(remap bool) error {
 			return err
 		}
 		if e.rescheduled > placed {
-			e.rep.ReplayAt(e.crashAt)
+			e.rep.Extend()
 		}
 	}
 	return nil
@@ -207,18 +211,6 @@ func (e *Engine) live(i int32, tau float64) bool {
 func (e *Engine) done(i int32, tau float64) bool {
 	f := e.rep.Fate(i)
 	return f.Alive && f.Finish <= tau+sched.Eps
-}
-
-// anyLive reports whether the latest pass has an op live at tau.
-//
-//caft:zeroalloc
-func (e *Engine) anyLive(tau float64) bool {
-	for i := range e.w.Ops {
-		if e.live(int32(i), tau) {
-			return true
-		}
-	}
-	return false
 }
 
 // down reports whether processor p has crashed in the crashes taken so

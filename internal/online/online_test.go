@@ -460,8 +460,8 @@ func TestNewEngineAllocPin(t *testing.T) {
 		net   sched.Network
 		bound float64
 	}{
-		{"clique", nil, 534},
-		{"mesh", mesh, 589},
+		{"clique", nil, 315},
+		{"mesh", mesh, 370},
 	} {
 		rng := rand.New(rand.NewSource(6))
 		p := randomProblem(rng, 100, 10, timeline.Append)

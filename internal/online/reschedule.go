@@ -10,12 +10,16 @@ import (
 )
 
 // reschedule is the reactive re-mapper, run on the pass that added the
-// crash at tau. It cancels the reservations of every op that pass kills
-// and no earlier pass did (marking the state dirty: replay restores it
-// afterwards), computes the set of tasks that must be (re-)executed,
-// and places one new replica per task on the surviving processors with
-// minimum-finish probes, in topological order so that re-executed
-// predecessors feed re-executed successors.
+// crash at tau. It cancels every op that pass kills and no earlier pass
+// did (marking the state dirty: run restores it afterwards): it drops
+// the replica records, and frees the reservations a survivor can see —
+// not those on a crashed processor's compute timeline or on a crashed
+// endpoint's port, which no placement probes again (bestSurvivor and
+// placeReactive skip crashed processors). Then it computes the set of
+// tasks that must be (re-)executed, and places one new replica per task
+// on the surviving processors with minimum-finish probes, in
+// topological order so that re-executed predecessors feed re-executed
+// successors.
 //
 // A task needs re-execution when it has neither a live replica nor a
 // done replica whose data is still reachable (its processor alive).
@@ -30,18 +34,21 @@ import (
 //
 //caft:zeroalloc
 func (e *Engine) reschedule(tau float64) error {
-	for i := range e.w.Ops {
-		if e.cancelled[i] || e.rep.Fate(int32(i)).Alive {
+	for _, i := range e.rep.Evaluated() { // the other ops kept their fault-free fates
+		if e.cancelled[i] || e.rep.Fate(i).Alive {
 			continue
 		}
 		e.cancelled[i] = true
 		e.dirty = true
 		o := &e.w.Ops[i]
 		var err error
-		if o.Kind == sim.OpRep {
+		switch {
+		case o.Kind == sim.OpComm:
+			err = e.st.CancelCommPorts(o.Comm, !e.down(o.Comm.SrcProc), !e.down(o.Comm.DstProc))
+		case e.down(o.Rep.Proc):
+			err = e.st.DropReplica(o.Rep)
+		default:
 			err = e.st.CancelReplica(o.Rep)
-		} else {
-			err = e.st.CancelComm(o.Comm)
 		}
 		if err != nil {
 			return fmt.Errorf("online: cancel at tau=%v: %w", tau, err) //caft:alloc-ok rejection path; cancelling a wired op of a validated schedule succeeds

@@ -14,17 +14,24 @@ type Options struct {
 	Reschedule bool
 }
 
-// replay resets the engine, loads the trace and replays it. With
-// rescheduling enabled the run cancels and places work on the rebuilt
-// state; whenever it did, the pristine copy is copied back, so the
-// engine is pristine for the next replay, on errors too. The copy costs
-// Θ(schedule size), the order of one replay pass.
+// replay resets the engine, loads the trace and replays it (see run).
 //
 //caft:zeroalloc
 func (e *Engine) replay(trace map[int]float64, opt Options) error {
 	if err := e.reset(trace); err != nil {
 		return err
 	}
+	return e.run(opt)
+}
+
+// run replays the loaded trace. With rescheduling enabled the run
+// cancels and places work on the rebuilt state; whenever it did, the
+// pristine copy is copied back, so the engine is pristine for the next
+// replay, on errors too. The copy costs Θ(schedule size), the order of
+// one replay pass.
+//
+//caft:zeroalloc
+func (e *Engine) run(opt Options) error {
 	if opt.Reschedule && e.pristine == nil {
 		e.pristine = sched.NewState(e.st.P) //caft:alloc-ok pristine copy built once per Engine, at its first re-mapping replay
 		e.pristine.CopyFrom(e.st)
@@ -65,9 +72,19 @@ func (e *Engine) Run(trace map[int]float64, opt Options) (*sim.Result, error) {
 // nothing. A task that never completes reports an error satisfying
 // errors.Is(err, sim.ErrTaskLost); a NaN crash instant is an error too.
 //
+// A trace with no crash before the fault-free latency replays no pass:
+// the answer is the fault-free latency with nothing re-placed, with
+// re-mapping or without (DESIGN.md S7).
+//
 //caft:zeroalloc
 func (e *Engine) Makespan(trace map[int]float64, opt Options) (float64, int, error) {
-	if err := e.replay(trace, opt); err != nil {
+	if err := e.reset(trace); err != nil {
+		return 0, 0, err
+	}
+	if lat, err := e.rep.FaultFree(); len(e.crashes) == 0 || e.crashes[0].tau >= lat {
+		return lat, 0, err
+	}
+	if err := e.run(opt); err != nil {
 		return 0, 0, err
 	}
 	lat, err := e.rep.Latency()

@@ -99,6 +99,23 @@ func (st *State) SetFloor(t float64) {
 //
 //caft:zeroalloc
 func (st *State) CancelReplica(rep Replica) error {
+	return st.cancelReplica(rep, true)
+}
+
+// DropReplica removes a placed replica record like CancelReplica but
+// keeps its compute reservation: the rescheduler's cancellation on a
+// crashed processor, whose timeline no later placement probes.
+//
+//caft:zeroalloc
+func (st *State) DropReplica(rep Replica) error {
+	return st.cancelReplica(rep, false)
+}
+
+// cancelReplica removes a replica record, and its compute reservation
+// when free is set.
+//
+//caft:zeroalloc
+func (st *State) cancelReplica(rep Replica, free bool) error {
 	if st.overlay {
 		panic("sched: CancelReplica on a probe overlay")
 	}
@@ -113,9 +130,10 @@ func (st *State) CancelReplica(rep Replica) error {
 	if idx < 0 {
 		return fmt.Errorf("sched: cancel of unknown replica (%d,%d) on P%d", rep.Task, rep.Copy, rep.Proc) //caft:alloc-ok rejection path; the accept path allocates nothing
 	}
-	rec := reps[idx]
-	if err := st.removeReservation(st.lay.Compute(rec.Proc), rec.Start, rec.Seq); err != nil {
-		return fmt.Errorf("sched: cancel replica (%d,%d): %w", rep.Task, rep.Copy, err) //caft:alloc-ok rejection path; the accept path allocates nothing
+	if rec := reps[idx]; free {
+		if err := st.removeReservation(st.lay.Compute(rec.Proc), rec.Start, rec.Seq); err != nil {
+			return fmt.Errorf("sched: cancel replica (%d,%d): %w", rep.Task, rep.Copy, err) //caft:alloc-ok rejection path; the accept path allocates nothing
+		}
 	}
 	st.Reps[rep.Task] = append(reps[:idx], reps[idx+1:]...)
 	return nil
@@ -130,10 +148,24 @@ func (st *State) CancelReplica(rep Replica) error {
 //
 //caft:zeroalloc
 func (st *State) CancelComm(c Comm) error {
+	return st.CancelCommPorts(c, true, true)
+}
+
+// CancelCommPorts is CancelComm keeping the send-port reservation
+// unless send is set and the receive-port one unless recv is set: the
+// rescheduler keeps the port of a crashed endpoint, which no later
+// placement probes. The shared links are always freed, since transfers
+// between surviving processors may route over them.
+//
+//caft:zeroalloc
+func (st *State) CancelCommPorts(c Comm, send, recv bool) error {
 	if st.overlay {
 		panic("sched: CancelComm on a probe overlay")
 	}
-	for _, id := range st.commResources(c.SrcProc, c.DstProc) {
+	for k, id := range st.commResources(c.SrcProc, c.DstProc) {
+		if k == 0 && !send || k == 1 && !recv { // Layout.AppendComm lists the ports first
+			continue
+		}
 		if err := st.removeReservation(id, c.Start, c.Seq); err != nil {
 			return fmt.Errorf("sched: cancel comm %d->%d seq %d: %w", c.From, c.To, c.Seq, err) //caft:alloc-ok rejection path; the accept path allocates nothing
 		}

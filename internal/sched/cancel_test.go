@@ -114,6 +114,62 @@ func TestCancelCommFreesPorts(t *testing.T) {
 	}
 }
 
+// TestDropReplicaKeepsReservation drops a replica record and checks
+// its compute reservation stays.
+func TestDropReplicaKeepsReservation(t *testing.T) {
+	st := buildSmallState(t, timeline.Append)
+	victim := st.Reps[1][0]
+	if err := st.DropReplica(victim); err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Reps[1]) != 1 || st.Reps[1][0].Copy == victim.Copy {
+		t.Fatalf("record not removed: %+v", st.Reps[1])
+	}
+	held := false
+	for _, iv := range st.Timeline(victim.Proc).Intervals() {
+		held = held || iv.Owner == victim.Seq
+	}
+	if !held {
+		t.Fatalf("compute reservation of seq %d removed", victim.Seq)
+	}
+	if err := st.DropReplica(victim); err == nil {
+		t.Fatal("double drop accepted")
+	}
+}
+
+// TestCancelCommPortsKeepsUnsetPorts cancels an inter-processor
+// communication keeping one port at a time and checks exactly that
+// port still holds its reservation.
+func TestCancelCommPortsKeepsUnsetPorts(t *testing.T) {
+	for _, send := range []bool{false, true} {
+		st := buildSmallState(t, timeline.Append)
+		var victim Comm
+		for _, c := range st.Comms {
+			if !c.Intra {
+				victim = c
+				break
+			}
+		}
+		if err := st.CancelCommPorts(victim, send, !send); err != nil {
+			t.Fatal(err)
+		}
+		ports := st.lay.AppendComm(nil, victim.SrcProc, victim.DstProc) // send port, receive port
+		kept := ports[1]
+		if !send {
+			kept = ports[0]
+		}
+		for i := 0; i < st.NumTimelines(); i++ {
+			held := false
+			for _, iv := range st.Timeline(i).Intervals() {
+				held = held || iv.Owner == victim.Seq
+			}
+			if held != (int32(i) == kept) {
+				t.Fatalf("send=%v: timeline %d holds comm seq %d: %v, want %v", send, i, victim.Seq, held, int32(i) == kept)
+			}
+		}
+	}
+}
+
 // TestCopyFromRestoresCancels is the restore pin of the cancel
 // machinery, as the online engine uses it: a working copy of a state
 // cancels replicas and comms, places new work into the freed slots, and

@@ -3,7 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"caft/internal/sched"
 )
@@ -14,6 +14,12 @@ import (
 // so steady-state replays of the same schedule allocate nothing beyond
 // the caller's Result (and Latency-only entry points allocate nothing
 // at all).
+//
+// The first replay with a timed crash also keeps the static prefix's
+// fault-free pass (faultFree), and every later replay resumes from it:
+// the ops before the first one its crashes change keep their
+// fault-free fates, so the pass starts at the checkpoint before that
+// op instead of at the first op.
 //
 // A Replayer is not safe for concurrent use; each goroutine replaying
 // the same schedule needs its own (see NewReplayer).
@@ -35,7 +41,45 @@ type Replayer struct {
 	// for a processor crashed from the start (a static crash set), +Inf
 	// for one that never crashes.
 	crashAt []float64
+	// The latest replay evaluated order positions from..done-1, and
+	// Extend continues at done; every op before from kept its
+	// fault-free fate. maxFin is the latest finish of an op alive in
+	// the replay, -Inf when there is none.
+	from, done int
+	maxFin     float64
+
+	ff *faultFree // nil until the first timed replay (see buildFaultFree)
 }
+
+// faultFree is the fault-free pass of a wiring's static prefix, which
+// later replays resume from. Checkpoint j holds the pass's state before
+// order position pos[j], the first at 0 and the last at the end of the
+// prefix: each resource's free time, the latest alive finish so far,
+// and the cut — every input slot of a replica at or after pos[j] that a
+// transfer before pos[j] has fed, with its arrival. Every other slot a
+// resumed pass reads is unfed, and nothing dies without a crash, so no
+// slot has a feeder death to keep. The checkpoints hold
+// checkpoints+1 resource vectors and cuts, each cut no larger than the
+// slots: O(ops) memory for a fixed count.
+type faultFree struct {
+	x        []opRun // per static op: its fault-free fate
+	lat      float64
+	err      error
+	pos      []int
+	maxFin   []float64
+	resFree  []float64 // checkpoint j: resFree[j*NumRes : (j+1)*NumRes]
+	cutBase  []int32   // checkpoint j: cutSlot/cutAt[cutBase[j]:cutBase[j+1]]
+	cutSlot  []int32
+	cutAt    []float64
+	procBase []int32   // processor p: procPos/procMax[procBase[p]:procBase[p+1]]
+	procPos  []int32   // order positions of the static ops touching p, ascending
+	procMax  []float64 // running max of their fault-free finishes
+}
+
+// checkpoints is the number of evenly spaced checkpoints of the
+// fault-free pass a resumed replay can start from (besides the end of
+// the static prefix).
+const checkpoints = 8
 
 // opRun is the replayed fate of one op. A dead op keeps zero times and
 // the instant its death becomes observable.
@@ -60,10 +104,15 @@ func NewReplayer(s *sched.Schedule) (*Replayer, error) {
 // no earlier than its Op.Floor, and w.Truncate drops them again.
 func NewReplayerOf(w *Wiring) *Replayer {
 	r := &Replayer{w: w, order: make([]int32, w.nOps0)}
-	for i := range r.order {
-		r.order[i] = int32(i)
+	// Wiring.before's order: by (Seq, op index), packed into one key.
+	keys := make([]int64, w.nOps0)
+	for i := range keys {
+		keys[i] = int64(w.Ops[i].Seq)<<32 | int64(i)
 	}
-	sort.Slice(r.order, func(a, b int) bool { return w.before(r.order[a], r.order[b]) })
+	slices.Sort(keys)
+	for k, key := range keys {
+		r.order[k] = int32(key) // the low half is the op index
+	}
 	r.x = make([]opRun, w.nOps0)
 	r.resFree = make([]float64, w.NumRes())
 	r.slotAt = make([]float64, w.nSlots0)
@@ -113,12 +162,35 @@ func (r *Replayer) setCrashed(crashed map[int]bool) {
 	}
 }
 
-// run replays the schedule in one forward pass over the ops in
-// placement order, deciding each op's liveness and times together. The
-// pass is exact because every constraint points to an earlier-placed
-// op — a resource's previous member, a transfer's source replica, a
-// replica's feeding transfers (NewWiring rejects schedules where it
-// does not) — so each op starts as early as its constraints allow.
+// start resets the scratch for a pass from the first op: every
+// resource free at 0, every slot without an arrival or a feeder death.
+// A replica starts at the first surviving arrival from each
+// predecessor; last, used only by UpperBound, makes it wait for the
+// last one instead, so its slots start at -Inf.
+//
+//caft:zeroalloc
+func (r *Replayer) start(last bool) {
+	for i := range r.resFree {
+		r.resFree[i] = 0
+	}
+	none := math.Inf(1)
+	if last {
+		none = math.Inf(-1)
+	}
+	for i := range r.slotAt {
+		r.slotAt[i] = none
+		r.slotDied[i] = math.Inf(-1)
+	}
+	r.from, r.done, r.maxFin = 0, 0, math.Inf(-1)
+}
+
+// eval continues the pass over order positions done..to-1 with the
+// crash vector crashAt, deciding each op's liveness and times together.
+// The pass is exact because every constraint points to an
+// earlier-placed op — a resource's previous member, a transfer's source
+// replica, a replica's feeding transfers (NewWiring rejects schedules
+// where it does not) — so each op starts as early as its constraints
+// allow.
 //
 // An op dies when it would finish more than sched.Eps after its crash
 // instant (crashAt of its processor; the earlier of its endpoints' for
@@ -134,32 +206,24 @@ func (r *Replayer) setCrashed(crashed map[int]bool) {
 // once.
 //
 // A replica starts at the first surviving arrival from each
-// predecessor; last, used only by UpperBound, makes it wait for the
-// last one instead. No op starts before its Op.Floor.
+// predecessor, or the last one under last (see start). No op starts
+// before its Op.Floor.
 //
 //caft:zeroalloc
-func (r *Replayer) run(last bool) {
-	r.fit()
+func (r *Replayer) eval(to int, crashAt []float64, last bool) {
 	w := r.w
-	for i := range r.resFree {
-		r.resFree[i] = 0
-	}
-	none := math.Inf(1) // first arrival keeps each slot's earliest arrival
+	none := math.Inf(1)
 	if last {
-		none = math.Inf(-1) // ...last arrival its latest
+		none = math.Inf(-1)
 	}
-	for i := range r.slotAt {
-		r.slotAt[i] = none
-		r.slotDied[i] = math.Inf(-1)
-	}
-	for _, i := range r.order {
+	for _, i := range r.order[r.done:to] {
 		o := &w.Ops[i]
 		x := &r.x[i]
 		var crash float64
 		if o.Kind == OpRep {
-			crash = r.crashAt[o.Rep.Proc]
-		} else if crash = r.crashAt[o.Comm.SrcProc]; r.crashAt[o.Comm.DstProc] < crash {
-			crash = r.crashAt[o.Comm.DstProc]
+			crash = crashAt[o.Rep.Proc]
+		} else if crash = crashAt[o.Comm.SrcProc]; crashAt[o.Comm.DstProc] < crash {
+			crash = crashAt[o.Comm.DstProc]
 		}
 		if crash == math.Inf(-1) {
 			*x = opRun{died: crash} // a static crash holds nothing
@@ -189,6 +253,9 @@ func (r *Replayer) run(last bool) {
 			}
 			if st+o.Dur <= crash+sched.Eps {
 				*x = opRun{alive: true, start: st, finish: st + o.Dur}
+				if x.finish > r.maxFin {
+					r.maxFin = x.finish
+				}
 				for k := o.ResBase; k < o.ResBase+o.NRes; k++ {
 					r.resFree[w.ResIDs[k]] = x.finish
 				}
@@ -216,6 +283,177 @@ func (r *Replayer) run(last bool) {
 			}
 		}
 	}
+	r.done = to
+}
+
+// replay runs the first-arrival pass over the crash vector crashAt.
+// The first replay with a timed crash (a finite instant) builds the
+// fault-free pass; a replay of static crashes alone gains little from
+// it, since a static crash changes the first op on its processor. Once
+// the fault-free pass exists, replay copies its fates and resumes from
+// its latest checkpoint at or before the first static op the crashes
+// change (firstViolator): every op before that one keeps its
+// fault-free fate bit for bit (DESIGN.md S7, "Resumed passes").
+//
+//caft:zeroalloc
+func (r *Replayer) replay() {
+	r.fit()
+	if r.ff == nil && r.timed() {
+		r.buildFaultFree() //caft:alloc-ok fault-free pass built once per Replayer, then reused
+	}
+	ff := r.ff
+	if ff == nil {
+		r.start(false)
+		r.eval(len(r.order), r.crashAt, false)
+		return
+	}
+	k := r.firstViolator()
+	j := len(ff.pos) - 1
+	for ff.pos[j] > k {
+		j--
+	}
+	nRes := len(r.resFree)
+	copy(r.x, ff.x)
+	copy(r.resFree, ff.resFree[j*nRes:(j+1)*nRes])
+	for i := range r.slotAt {
+		r.slotAt[i] = math.Inf(1)
+		r.slotDied[i] = math.Inf(-1)
+	}
+	for c := ff.cutBase[j]; c < ff.cutBase[j+1]; c++ {
+		r.slotAt[ff.cutSlot[c]] = ff.cutAt[c]
+	}
+	r.from, r.done, r.maxFin = ff.pos[j], ff.pos[j], ff.maxFin[j]
+	r.eval(len(r.order), r.crashAt, false)
+}
+
+// timed reports whether the crash vector holds a finite instant.
+//
+//caft:zeroalloc
+func (r *Replayer) timed() bool {
+	for _, c := range r.crashAt {
+		if !math.IsInf(c, 0) {
+			return true
+		}
+	}
+	return false
+}
+
+// firstViolator returns the order position of the first static op
+// whose fault-free fate the crash vector changes, or the static
+// prefix's length when it changes none. An op keeps its fault-free fate
+// when its inputs do and its fault-free finish meets its deadline: its
+// crash instant plus sched.Eps, where a transfer's instant is its
+// earlier endpoint's. So the first changed op is the earliest, over the
+// crashed processors p, of the first op touching p whose fault-free
+// finish exceeds crashAt[p]+Eps, found by binary search over the
+// running max of p's fault-free finishes. A crash at -Inf hits the
+// first op on its processor.
+//
+//caft:zeroalloc
+func (r *Replayer) firstViolator() int {
+	ff := r.ff
+	k := r.w.nOps0
+	for p, c := range r.crashAt {
+		if c == math.Inf(1) {
+			continue
+		}
+		d := c + sched.Eps
+		lo, hi := int(ff.procBase[p]), int(ff.procBase[p+1])
+		for lo < hi {
+			if mid := int(uint(lo+hi) >> 1); ff.procMax[mid] > d {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		if lo < int(ff.procBase[p+1]) && int(ff.procPos[lo]) < k {
+			k = int(ff.procPos[lo])
+		}
+	}
+	return k
+}
+
+// buildFaultFree runs the fault-free pass of the static prefix,
+// keeping its fates, its latency, checkpoints+1 checkpoints and each
+// processor's ops (see faultFree). The scratch is left at the end of
+// that pass.
+func (r *Replayer) buildFaultFree() {
+	w := r.w
+	n := w.nOps0
+	nRes := len(r.resFree)
+	ff := &faultFree{
+		pos:     make([]int, 0, checkpoints+1),
+		maxFin:  make([]float64, 0, checkpoints+1),
+		resFree: make([]float64, 0, (checkpoints+1)*nRes),
+		cutBase: make([]int32, 1, checkpoints+2),
+	}
+	never := make([]float64, len(r.crashAt))
+	for p := range never {
+		never[p] = math.Inf(1)
+	}
+	r.start(false)
+	for j := 0; j <= checkpoints; j++ {
+		pos := j * n / checkpoints
+		r.eval(pos, never, false)
+		ff.pos = append(ff.pos, pos)
+		ff.maxFin = append(ff.maxFin, r.maxFin)
+		ff.resFree = append(ff.resFree, r.resFree...)
+		for _, i := range r.order[pos:n] {
+			o := &w.Ops[i]
+			for sl := o.SlotBase; o.Kind == OpRep && sl < o.SlotBase+o.NSlots; sl++ {
+				if a := r.slotAt[sl]; a != math.Inf(1) {
+					ff.cutSlot = append(ff.cutSlot, sl)
+					ff.cutAt = append(ff.cutAt, a)
+				}
+			}
+		}
+		ff.cutBase = append(ff.cutBase, int32(len(ff.cutSlot)))
+	}
+	ff.x = append([]opRun(nil), r.x[:n]...)
+	// A fault-free pass that kills an op (an input slot no transfer
+	// feeds) is never resumed: replays start at the first op, so the
+	// ops a replay evaluates (Evaluated) include every op dead in it.
+	for _, x := range ff.x {
+		if !x.alive {
+			ff.pos = ff.pos[:1]
+			break
+		}
+	}
+	ff.lat, ff.err = r.latency(true)
+
+	// Each processor's ops in placement order: count, then fill.
+	m := len(r.crashAt)
+	ff.procBase = make([]int32, m+1)
+	for _, i := range r.order[:n] {
+		a, b := w.Ops[i].procs()
+		ff.procBase[a+1]++
+		if b != a {
+			ff.procBase[b+1]++
+		}
+	}
+	for p := 0; p < m; p++ {
+		ff.procBase[p+1] += ff.procBase[p]
+	}
+	ff.procPos = make([]int32, ff.procBase[m])
+	ff.procMax = make([]float64, ff.procBase[m])
+	next := append([]int32(nil), ff.procBase[:m]...)
+	add := func(p int, pos int, fin float64) {
+		k := next[p]
+		next[p]++
+		ff.procPos[k] = int32(pos)
+		ff.procMax[k] = fin
+		if k > ff.procBase[p] && ff.procMax[k-1] > fin {
+			ff.procMax[k] = ff.procMax[k-1]
+		}
+	}
+	for pos, i := range r.order[:n] {
+		a, b := w.Ops[i].procs()
+		add(a, pos, ff.x[i].finish)
+		if b != a {
+			add(b, pos, ff.x[i].finish)
+		}
+	}
+	r.ff = ff
 }
 
 // Fate returns op i's fate in the latest replay. An op appended after
@@ -239,12 +477,62 @@ func (r *Replayer) Result() *Result {
 
 // ReplayAt replays with the dense per-processor crash vector crashAt,
 // one instant per processor: +Inf never crashes, -Inf is crashed from
-// the start. Fate, Result and Latency read the replay.
+// the start. Fate, Result, Latency and MaxFinish read the replay.
 //
 //caft:zeroalloc
 func (r *Replayer) ReplayAt(crashAt []float64) {
 	copy(r.crashAt, crashAt)
-	r.run(false)
+	r.replay()
+}
+
+// Extend continues the latest replay over the ops appended to the
+// wiring since it ran, under the same crash vector, and evaluates only
+// those. That is exact: an appended op evaluates after every earlier
+// op (see fit), so the earlier ops' fates and the scratch they leave
+// are the ones a full replay would reach it with. Fate, Result,
+// Latency and MaxFinish read the extended replay.
+//
+//caft:zeroalloc
+func (r *Replayer) Extend() {
+	n := len(r.slotAt)
+	r.fit()
+	for sl := n; sl < len(r.slotAt); sl++ {
+		r.slotAt[sl], r.slotDied[sl] = math.Inf(1), math.Inf(-1)
+	}
+	r.eval(len(r.order), r.crashAt, false)
+}
+
+// Evaluated returns the ops the latest replay evaluated, in
+// evaluation order; every other op kept its fault-free fate, alive.
+// The slice aliases the Replayer's order and is valid until its next
+// replay.
+//
+//caft:scratch
+//caft:zeroalloc
+func (r *Replayer) Evaluated() []int32 {
+	return r.order[r.from:r.done]
+}
+
+// MaxFinish returns the latest finish of an op alive in the latest
+// replay, -Inf when none is.
+//
+//caft:zeroalloc
+func (r *Replayer) MaxFinish() float64 {
+	return r.maxFin
+}
+
+// FaultFree returns the latency of the wiring's static prefix replayed
+// with no crashes, kept with the fault-free pass that timed replays
+// resume from. The first call builds that pass if no timed replay has,
+// and the latest replay is then the static prefix's fault-free one.
+//
+//caft:zeroalloc
+func (r *Replayer) FaultFree() (float64, error) {
+	if r.ff == nil {
+		r.fit()
+		r.buildFaultFree() //caft:alloc-ok fault-free pass built once per Replayer, then reused
+	}
+	return r.ff.lat, r.ff.err
 }
 
 // Replay recomputes the schedule's execution with the given processors
@@ -254,7 +542,7 @@ func (r *Replayer) ReplayAt(crashAt []float64) {
 //caft:zeroalloc
 func (r *Replayer) Replay(crashed map[int]bool) *Result {
 	r.setCrashed(crashed)
-	r.run(false)
+	r.replay()
 	return r.Result() //caft:alloc-ok the Result is the caller's one deliberate allocation
 }
 
@@ -263,8 +551,19 @@ func (r *Replayer) Replay(crashed map[int]bool) *Result {
 //
 //caft:zeroalloc
 func (r *Replayer) Latency() (float64, error) {
+	return r.latency(false)
+}
+
+// latency is Latency over every replica, or over the static prefix's
+// alone.
+//
+//caft:zeroalloc
+func (r *Replayer) latency(static bool) (float64, error) {
 	lat := 0.0
 	for t, ops := range r.w.TaskOps {
+		if static {
+			ops = ops[:r.w.taskOps0[t]]
+		}
 		min := math.Inf(1)
 		for _, i := range ops {
 			if x := &r.x[i]; x.alive && x.finish < min {
@@ -288,12 +587,13 @@ func (r *Replayer) Latency() (float64, error) {
 //caft:zeroalloc
 func (r *Replayer) CrashLatency(crashed map[int]bool) (float64, error) {
 	r.setCrashed(crashed)
-	r.run(false)
+	r.replay()
 	return r.Latency()
 }
 
 // LowerBound replays with no crashes: the latency achieved if no
-// processor fails.
+// processor fails. Once a timed replay has built the fault-free pass,
+// the replay is that pass's fates, served without re-evaluating them.
 //
 //caft:zeroalloc
 func (r *Replayer) LowerBound() (float64, error) {
@@ -307,7 +607,9 @@ func (r *Replayer) LowerBound() (float64, error) {
 //caft:zeroalloc
 func (r *Replayer) UpperBound() (float64, error) {
 	r.setCrashed(nil)
-	r.run(true)
+	r.fit()
+	r.start(true)
+	r.eval(len(r.order), r.crashAt, true)
 	lat := 0.0
 	for i := range r.w.Ops {
 		if x := &r.x[i]; r.w.Ops[i].Kind == OpRep && x.alive && x.finish > lat {

@@ -177,15 +177,21 @@ func replayBenchSchedule(tb testing.TB) (*sched.Schedule, map[int]bool) {
 }
 
 // oneshotReplayAllocs bounds a fresh NewReplayer plus one CrashLatency
-// on the replayBenchSchedule schedule: the maximum over 25 runs of the
+// on the replayBenchSchedule schedule, and oneshotTimedAllocs a fresh
+// NewReplayer plus one CrashLatencyAt, which also builds the
+// fault-free pass and its checkpoints: the maximum over 25 runs of the
 // logged measurement (go test -count=25 -v -run TestReplayerAllocPin)
 // when the pin was set.
-const oneshotReplayAllocs = 440
+const (
+	oneshotReplayAllocs = 17
+	oneshotTimedAllocs  = 37
+)
 
 // TestReplayerAllocPin pins the Replayer's allocation profile on the
 // BenchmarkReplay schedule: steady-state CrashLatency and
-// CrashLatencyAt allocate nothing, and a one-shot replay (building the
-// Replayer included) stays within oneshotReplayAllocs.
+// CrashLatencyAt allocate nothing, and one-shot replays (building the
+// Replayer included) stay within oneshotReplayAllocs and
+// oneshotTimedAllocs.
 func TestReplayerAllocPin(t *testing.T) {
 	s, crashed := replayBenchSchedule(t)
 	rep := mustReplayer(t, s)
@@ -216,6 +222,19 @@ func TestReplayerAllocPin(t *testing.T) {
 	t.Logf("one-shot NewReplayer+CrashLatency allocates %.0f/op", allocs)
 	if allocs > oneshotReplayAllocs {
 		t.Errorf("one-shot NewReplayer+CrashLatency allocates %.0f/op, want <= %d", allocs, oneshotReplayAllocs)
+	}
+	allocs = testing.AllocsPerRun(20, func() {
+		var r *Replayer
+		if r, err = NewReplayer(s); err == nil {
+			_, err = r.CrashLatencyAt(times)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("one-shot NewReplayer+CrashLatencyAt allocates %.0f/op", allocs)
+	if allocs > oneshotTimedAllocs {
+		t.Errorf("one-shot NewReplayer+CrashLatencyAt allocates %.0f/op, want <= %d", allocs, oneshotTimedAllocs)
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 )
 
 // runTimed loads a failure trace into crashAt, rejecting a NaN crash
-// instant, and runs the replay pass. It allocates nothing.
+// instant, and runs the replay pass (see replay). It allocates nothing.
 //
 //caft:zeroalloc
 func (r *Replayer) runTimed(crashTimes map[int]float64) error {
@@ -21,7 +21,7 @@ func (r *Replayer) runTimed(crashTimes map[int]float64) error {
 			r.crashAt[p] = tau
 		}
 	}
-	r.run(false)
+	r.replay()
 	return nil
 }
 

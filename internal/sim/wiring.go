@@ -47,6 +47,17 @@ type Op struct {
 	FeedBase, NFeeds int32 // OpComm: fed slots, Wiring.Feeds[FeedBase:FeedBase+NFeeds]
 }
 
+// procs returns the processors o runs on: its replica's twice, or its
+// transfer's sender and receiver.
+//
+//caft:zeroalloc
+func (o *Op) procs() (a, b int) {
+	if o.Kind == OpRep {
+		return o.Rep.Proc, o.Rep.Proc
+	}
+	return o.Comm.SrcProc, o.Comm.DstProc
+}
+
 // Wiring is the constraint graph of a schedule, which the Replayer
 // evaluates: the op table (every replica in Schedule.Reps order, then
 // every communication in Schedule.Comms order), the dense (task, copy)
@@ -93,9 +104,26 @@ func NewWiring(s *sched.Schedule, lay sched.Layout) (*Wiring, error) {
 	}
 	w := &Wiring{S: s, CG: cg, lay: lay}
 	n := cg.NumTasks()
-	w.Ops = make([]Op, 0, s.ReplicaCount()+len(s.Comms))
+	nReps := s.ReplicaCount()
+	w.Ops = make([]Op, 0, nReps+len(s.Comms))
+	w.Feeds = make([]int32, 0, len(s.Comms))
+	w.ResIDs = make([]int32, 0, nReps+2*len(s.Comms))
+	// RepOf and TaskOps are windows over two flat arrays, each capped at
+	// its task's own length plus one spare entry for a reactive replica,
+	// so a task's further reactive replicas grow only its slice (once:
+	// Truncate keeps the capacity).
+	nCopies := 0
+	for t := range s.Reps {
+		nCopies += copies(s.Reps[t]) + 1
+	}
+	repOf, taskOps := make([]int32, nCopies), make([]int32, nReps+len(s.Reps))
 	w.RepOf = make([][]int32, n)
 	w.TaskOps = make([][]int32, n)
+	for t := range s.Reps {
+		c, k := copies(s.Reps[t])+1, len(s.Reps[t])+1
+		w.RepOf[t], repOf = repOf[:0:c], repOf[c:]
+		w.TaskOps[t], taskOps = taskOps[:0:k], taskOps[k:]
+	}
 	for t := range s.Reps {
 		for _, rep := range s.Reps[t] {
 			w.AddRep(rep, w.AddSlots(cg.InDegree(dag.TaskID(t))))
@@ -117,13 +145,25 @@ func NewWiring(s *sched.Schedule, lay sched.Layout) (*Wiring, error) {
 	}
 
 	w.nOps0, w.nSlots0, w.nFeeds0, w.nRes0 = len(w.Ops), w.Slots, len(w.Feeds), len(w.ResIDs)
-	w.repOf0 = make([]int32, n)
-	w.taskOps0 = make([]int32, n)
+	lens := make([]int32, 2*n)
+	w.repOf0, w.taskOps0 = lens[:n], lens[n:]
 	for t := range w.RepOf {
 		w.repOf0[t] = int32(len(w.RepOf[t]))
 		w.taskOps0[t] = int32(len(w.TaskOps[t]))
 	}
 	return w, nil
+}
+
+// copies returns the length of a task's copy index: its largest copy
+// number plus one.
+func copies(reps []sched.Replica) int {
+	c := 0
+	for _, r := range reps {
+		if r.Copy >= c {
+			c = r.Copy + 1
+		}
+	}
+	return c
 }
 
 // NumRes is the number of resources the wiring's ops occupy: the size
