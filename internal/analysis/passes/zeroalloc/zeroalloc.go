@@ -3,7 +3,7 @@
 // not just the one a benchmark happens to drive — must be free of
 // heap allocation sites.
 //
-// The pinned hot paths of this repo (Replayer.Replay/ReplayTimed,
+// The pinned hot paths of this repo (Replayer.Replay/CrashLatencyAt,
 // State.ProbeReplica under Insertion, the caftd cache-hit path, the
 // online engine's steady-state replay) are guarded dynamically by
 // testing.AllocsPerRun pins; those pins exercise one input. This

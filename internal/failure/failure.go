@@ -1,5 +1,5 @@
 // Package failure provides stochastic models of processor failures for
-// the timed fail-stop replay (sim.Replayer.ReplayTimed). A Model
+// the timed fail-stop replay (sim.Replayer.CrashLatencyAt). A Model
 // samples crash scenarios — maps from processor index to the instant
 // the processor permanently stops — from per-processor lifetime
 // distributions.

@@ -317,8 +317,6 @@ func TestNaNCrashInstantRejected(t *testing.T) {
 		}
 		lat, err := r.CrashLatencyAt(trace)
 		check("Replayer.CrashLatencyAt", lat, err)
-		_, err = r.ReplayTimed(trace)
-		check("Replayer.ReplayTimed", 0, err)
 		for _, opt := range []Options{{}, {Reschedule: true}} {
 			lat, _, err := e.Makespan(trace, opt)
 			check(fmt.Sprintf("Engine.Makespan[%+v]", opt), lat, err)

@@ -34,7 +34,8 @@ import (
 //
 //caft:zeroalloc
 func (e *Engine) reschedule(tau float64) error {
-	for _, i := range e.rep.Evaluated() { // the other ops kept their fault-free fates
+	from, to := e.rep.Evaluated() // the other ops kept their fault-free fates
+	for i := from; i < to; i++ {
 		if e.cancelled[i] || e.rep.Fate(i).Alive {
 			continue
 		}
@@ -44,11 +45,11 @@ func (e *Engine) reschedule(tau float64) error {
 		var err error
 		switch {
 		case o.Kind == sim.OpComm:
-			err = e.st.CancelCommPorts(o.Comm, !e.down(o.Comm.SrcProc), !e.down(o.Comm.DstProc))
-		case e.down(o.Rep.Proc):
-			err = e.st.DropReplica(o.Rep)
+			err = e.st.CancelCommPorts(e.w.Comm(i), !e.down(int(o.P)), !e.down(int(o.Q)))
+		case e.down(int(o.P)):
+			err = e.st.DropReplica(e.w.Rep(i))
 		default:
-			err = e.st.CancelReplica(o.Rep)
+			err = e.st.CancelReplica(e.w.Rep(i))
 		}
 		if err != nil {
 			return fmt.Errorf("online: cancel at tau=%v: %w", tau, err) //caft:alloc-ok rejection path; cancelling a wired op of a validated schedule succeeds
@@ -128,7 +129,7 @@ func (e *Engine) hasDone(t dag.TaskID, tau float64) bool {
 //caft:zeroalloc
 func (e *Engine) hasData(t dag.TaskID, tau float64) bool {
 	for _, i := range e.w.TaskOps[t] {
-		if e.done(i, tau) && !e.down(e.w.Ops[i].Rep.Proc) {
+		if e.done(i, tau) && !e.down(int(e.w.Ops[i].P)) {
 			return true
 		}
 	}

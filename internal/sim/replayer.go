@@ -3,17 +3,15 @@ package sim
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"caft/internal/sched"
 )
 
 // Replayer replays one schedule repeatedly without rebuilding its
-// indices. The constructor builds the schedule's Wiring and its
-// placement order once; every replay reuses the same scratch buffers,
-// so steady-state replays of the same schedule allocate nothing beyond
-// the caller's Result (and Latency-only entry points allocate nothing
-// at all).
+// indices. The constructor builds the schedule's Wiring once; every
+// replay reuses the same scratch buffers, so steady-state replays of
+// the same schedule allocate nothing beyond the caller's Result (and
+// Latency-only entry points allocate nothing at all).
 //
 // The first replay with a timed crash also keeps the static prefix's
 // fault-free pass (faultFree), and every later replay resumes from it:
@@ -27,10 +25,6 @@ import (
 //caft:confined
 type Replayer struct {
 	w *Wiring
-	// order is the static prefix of w in placement order
-	// (Wiring.before), then every op appended after it in index order
-	// (see fit).
-	order []int32
 
 	// Per-replay scratch.
 	x        []opRun   // per op: liveness and times of the latest run
@@ -41,11 +35,11 @@ type Replayer struct {
 	// for a processor crashed from the start (a static crash set), +Inf
 	// for one that never crashes.
 	crashAt []float64
-	// The latest replay evaluated order positions from..done-1, and
-	// Extend continues at done; every op before from kept its
+	// The latest replay evaluated ops from..done-1, and Extend
+	// continues at done; every op before from kept its
 	// fault-free fate. maxFin is the latest finish of an op alive in
 	// the replay, -Inf when there is none.
-	from, done int
+	from, done int32
 	maxFin     float64
 
 	ff *faultFree // nil until the first timed replay (see buildFaultFree)
@@ -53,7 +47,7 @@ type Replayer struct {
 
 // faultFree is the fault-free pass of a wiring's static prefix, which
 // later replays resume from. Checkpoint j holds the pass's state before
-// order position pos[j], the first at 0 and the last at the end of the
+// op pos[j], the first at 0 and the last at the end of the
 // prefix: each resource's free time, the latest alive finish so far,
 // and the cut — every input slot of a replica at or after pos[j] that a
 // transfer before pos[j] has fed, with its arrival. Every other slot a
@@ -65,14 +59,14 @@ type faultFree struct {
 	x        []opRun // per static op: its fault-free fate
 	lat      float64
 	err      error
-	pos      []int
+	pos      []int32
 	maxFin   []float64
 	resFree  []float64 // checkpoint j: resFree[j*NumRes : (j+1)*NumRes]
 	cutBase  []int32   // checkpoint j: cutSlot/cutAt[cutBase[j]:cutBase[j+1]]
 	cutSlot  []int32
 	cutAt    []float64
-	procBase []int32   // processor p: procPos/procMax[procBase[p]:procBase[p+1]]
-	procPos  []int32   // order positions of the static ops touching p, ascending
+	procBase []int32   // processor p: procOp/procMax[procBase[p]:procBase[p+1]]
+	procOp   []int32   // the static ops touching p, ascending
 	procMax  []float64 // running max of their fault-free finishes
 }
 
@@ -103,16 +97,7 @@ func NewReplayer(s *sched.Schedule) (*Replayer, error) {
 // shares: ops appended to w after its static prefix replay too, each
 // no earlier than its Op.Floor, and w.Truncate drops them again.
 func NewReplayerOf(w *Wiring) *Replayer {
-	r := &Replayer{w: w, order: make([]int32, w.nOps0)}
-	// Wiring.before's order: by (Seq, op index), packed into one key.
-	keys := make([]int64, w.nOps0)
-	for i := range keys {
-		keys[i] = int64(w.Ops[i].Seq)<<32 | int64(i)
-	}
-	slices.Sort(keys)
-	for k, key := range keys {
-		r.order[k] = int32(key) // the low half is the op index
-	}
+	r := &Replayer{w: w}
 	r.x = make([]opRun, w.nOps0)
 	r.resFree = make([]float64, w.NumRes())
 	r.slotAt = make([]float64, w.nSlots0)
@@ -121,25 +106,19 @@ func NewReplayerOf(w *Wiring) *Replayer {
 	return r
 }
 
-// fit sizes the order and the per-op and per-slot scratch to the
-// wiring's current length. An op appended after the static prefix
-// evaluates in index order after every static op: its constraints —
-// its source replica, its feeding transfers, the previous holders of
-// its resources — are all earlier ops, static or appended before it.
-// The scratch keeps its capacity across Truncate, so replays whose
-// appended ops fit it allocate nothing.
+// fit sizes the per-op and per-slot scratch to the wiring's current
+// length. An op appended after the static prefix evaluates after every
+// static op: its constraints — its source replica, its feeding
+// transfers, the previous holders of its resources — are all earlier
+// ops, static or appended before it. The scratch keeps its capacity
+// across Truncate, so replays whose appended ops fit it allocate
+// nothing.
 //
 //caft:zeroalloc
 func (r *Replayer) fit() {
 	w := r.w
-	if len(r.order) != len(w.Ops) {
-		r.order = r.order[:w.nOps0]
-		for i := int32(w.nOps0); i < int32(len(w.Ops)); i++ {
-			r.order = append(r.order, i)
-		}
-		for len(r.x) < len(w.Ops) {
-			r.x = append(r.x, opRun{})
-		}
+	for len(r.x) < len(w.Ops) {
+		r.x = append(r.x, opRun{})
 	}
 	for len(r.slotAt) < int(w.Slots) {
 		r.slotAt = append(r.slotAt, 0)
@@ -184,8 +163,8 @@ func (r *Replayer) start(last bool) {
 	r.from, r.done, r.maxFin = 0, 0, math.Inf(-1)
 }
 
-// eval continues the pass over order positions done..to-1 with the
-// crash vector crashAt, deciding each op's liveness and times together.
+// eval continues the pass over ops done..to-1 with the crash vector
+// crashAt, deciding each op's liveness and times together.
 // The pass is exact because every constraint points to an
 // earlier-placed op — a resource's previous member, a transfer's source
 // replica, a replica's feeding transfers (NewWiring rejects schedules
@@ -193,8 +172,8 @@ func (r *Replayer) start(last bool) {
 // allow.
 //
 // An op dies when it would finish more than sched.Eps after its crash
-// instant (crashAt of its processor; the earlier of its endpoints' for
-// a transfer) or loses its input: a transfer whose source replica is
+// instant (the earlier of crashAt at its two processors, Op.P and
+// Op.Q) or loses its input: a transfer whose source replica is
 // dead, a replica one of whose input slots has no surviving feeder. A
 // dead op records the instant its death becomes observable — the
 // missed crash, the source's instant, the slot's last feeder death,
@@ -210,21 +189,16 @@ func (r *Replayer) start(last bool) {
 // before its Op.Floor.
 //
 //caft:zeroalloc
-func (r *Replayer) eval(to int, crashAt []float64, last bool) {
+func (r *Replayer) eval(to int32, crashAt []float64, last bool) {
 	w := r.w
 	none := math.Inf(1)
 	if last {
 		none = math.Inf(-1)
 	}
-	for _, i := range r.order[r.done:to] {
+	for i := r.done; i < to; i++ {
 		o := &w.Ops[i]
 		x := &r.x[i]
-		var crash float64
-		if o.Kind == OpRep {
-			crash = crashAt[o.Rep.Proc]
-		} else if crash = crashAt[o.Comm.SrcProc]; crashAt[o.Comm.DstProc] < crash {
-			crash = crashAt[o.Comm.DstProc]
-		}
+		crash := min(crashAt[o.P], crashAt[o.Q])
 		if crash == math.Inf(-1) {
 			*x = opRun{died: crash} // a static crash holds nothing
 			continue
@@ -304,7 +278,7 @@ func (r *Replayer) replay() {
 	ff := r.ff
 	if ff == nil {
 		r.start(false)
-		r.eval(len(r.order), r.crashAt, false)
+		r.eval(int32(len(r.w.Ops)), r.crashAt, false)
 		return
 	}
 	k := r.firstViolator()
@@ -323,7 +297,7 @@ func (r *Replayer) replay() {
 		r.slotAt[ff.cutSlot[c]] = ff.cutAt[c]
 	}
 	r.from, r.done, r.maxFin = ff.pos[j], ff.pos[j], ff.maxFin[j]
-	r.eval(len(r.order), r.crashAt, false)
+	r.eval(int32(len(r.w.Ops)), r.crashAt, false)
 }
 
 // timed reports whether the crash vector holds a finite instant.
@@ -338,9 +312,9 @@ func (r *Replayer) timed() bool {
 	return false
 }
 
-// firstViolator returns the order position of the first static op
-// whose fault-free fate the crash vector changes, or the static
-// prefix's length when it changes none. An op keeps its fault-free fate
+// firstViolator returns the index of the first static op whose
+// fault-free fate the crash vector changes, or the static prefix's
+// length when it changes none. An op keeps its fault-free fate
 // when its inputs do and its fault-free finish meets its deadline: its
 // crash instant plus sched.Eps, where a transfer's instant is its
 // earlier endpoint's. So the first changed op is the earliest, over the
@@ -350,9 +324,9 @@ func (r *Replayer) timed() bool {
 // first op on its processor.
 //
 //caft:zeroalloc
-func (r *Replayer) firstViolator() int {
+func (r *Replayer) firstViolator() int32 {
 	ff := r.ff
-	k := r.w.nOps0
+	k := int32(r.w.nOps0)
 	for p, c := range r.crashAt {
 		if c == math.Inf(1) {
 			continue
@@ -366,8 +340,8 @@ func (r *Replayer) firstViolator() int {
 				lo = mid + 1
 			}
 		}
-		if lo < int(ff.procBase[p+1]) && int(ff.procPos[lo]) < k {
-			k = int(ff.procPos[lo])
+		if lo < int(ff.procBase[p+1]) && ff.procOp[lo] < k {
+			k = ff.procOp[lo]
 		}
 	}
 	return k
@@ -379,10 +353,10 @@ func (r *Replayer) firstViolator() int {
 // that pass.
 func (r *Replayer) buildFaultFree() {
 	w := r.w
-	n := w.nOps0
+	n := int32(w.nOps0)
 	nRes := len(r.resFree)
 	ff := &faultFree{
-		pos:     make([]int, 0, checkpoints+1),
+		pos:     make([]int32, 0, checkpoints+1),
 		maxFin:  make([]float64, 0, checkpoints+1),
 		resFree: make([]float64, 0, (checkpoints+1)*nRes),
 		cutBase: make([]int32, 1, checkpoints+2),
@@ -392,13 +366,13 @@ func (r *Replayer) buildFaultFree() {
 		never[p] = math.Inf(1)
 	}
 	r.start(false)
-	for j := 0; j <= checkpoints; j++ {
+	for j := int32(0); j <= checkpoints; j++ {
 		pos := j * n / checkpoints
 		r.eval(pos, never, false)
 		ff.pos = append(ff.pos, pos)
 		ff.maxFin = append(ff.maxFin, r.maxFin)
 		ff.resFree = append(ff.resFree, r.resFree...)
-		for _, i := range r.order[pos:n] {
+		for i := pos; i < n; i++ {
 			o := &w.Ops[i]
 			for sl := o.SlotBase; o.Kind == OpRep && sl < o.SlotBase+o.NSlots; sl++ {
 				if a := r.slotAt[sl]; a != math.Inf(1) {
@@ -424,33 +398,31 @@ func (r *Replayer) buildFaultFree() {
 	// Each processor's ops in placement order: count, then fill.
 	m := len(r.crashAt)
 	ff.procBase = make([]int32, m+1)
-	for _, i := range r.order[:n] {
-		a, b := w.Ops[i].procs()
-		ff.procBase[a+1]++
-		if b != a {
-			ff.procBase[b+1]++
+	for _, o := range w.Ops[:n] {
+		ff.procBase[o.P+1]++
+		if o.Q != o.P {
+			ff.procBase[o.Q+1]++
 		}
 	}
 	for p := 0; p < m; p++ {
 		ff.procBase[p+1] += ff.procBase[p]
 	}
-	ff.procPos = make([]int32, ff.procBase[m])
+	ff.procOp = make([]int32, ff.procBase[m])
 	ff.procMax = make([]float64, ff.procBase[m])
 	next := append([]int32(nil), ff.procBase[:m]...)
-	add := func(p int, pos int, fin float64) {
+	add := func(p, i int32) {
 		k := next[p]
 		next[p]++
-		ff.procPos[k] = int32(pos)
-		ff.procMax[k] = fin
-		if k > ff.procBase[p] && ff.procMax[k-1] > fin {
+		ff.procOp[k] = i
+		ff.procMax[k] = ff.x[i].finish
+		if k > ff.procBase[p] && ff.procMax[k-1] > ff.procMax[k] {
 			ff.procMax[k] = ff.procMax[k-1]
 		}
 	}
-	for pos, i := range r.order[:n] {
-		a, b := w.Ops[i].procs()
-		add(a, pos, ff.x[i].finish)
-		if b != a {
-			add(b, pos, ff.x[i].finish)
+	for i, o := range w.Ops[:n] {
+		add(o.P, int32(i))
+		if o.Q != o.P {
+			add(o.Q, int32(i))
 		}
 	}
 	r.ff = ff
@@ -499,18 +471,15 @@ func (r *Replayer) Extend() {
 	for sl := n; sl < len(r.slotAt); sl++ {
 		r.slotAt[sl], r.slotDied[sl] = math.Inf(1), math.Inf(-1)
 	}
-	r.eval(len(r.order), r.crashAt, false)
+	r.eval(int32(len(r.w.Ops)), r.crashAt, false)
 }
 
-// Evaluated returns the ops the latest replay evaluated, in
-// evaluation order; every other op kept its fault-free fate, alive.
-// The slice aliases the Replayer's order and is valid until its next
-// replay.
+// Evaluated returns the range [from, to) of the ops the latest replay
+// evaluated; every other op kept its fault-free fate, alive.
 //
-//caft:scratch
 //caft:zeroalloc
-func (r *Replayer) Evaluated() []int32 {
-	return r.order[r.from:r.done]
+func (r *Replayer) Evaluated() (from, to int32) {
+	return r.from, r.done
 }
 
 // MaxFinish returns the latest finish of an op alive in the latest
@@ -609,7 +578,7 @@ func (r *Replayer) UpperBound() (float64, error) {
 	r.setCrashed(nil)
 	r.fit()
 	r.start(true)
-	r.eval(len(r.order), r.crashAt, true)
+	r.eval(int32(len(r.w.Ops)), r.crashAt, true)
 	lat := 0.0
 	for i := range r.w.Ops {
 		if x := &r.x[i]; r.w.Ops[i].Kind == OpRep && x.alive && x.finish > lat {

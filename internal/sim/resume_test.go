@@ -82,7 +82,7 @@ func (r *Replayer) fromStart(crashAt []float64) {
 	copy(r.crashAt, crashAt)
 	r.fit()
 	r.start(false)
-	r.eval(len(r.order), r.crashAt, false)
+	r.eval(int32(len(r.w.Ops)), r.crashAt, false)
 }
 
 // sameReplay fails unless two Replayers over equal wirings hold the
@@ -117,22 +117,22 @@ func checkResume(tb testing.TB, label string, r, ref *Replayer, crashAt []float6
 	r.ReplayAt(crashAt)
 	ref.fromStart(crashAt)
 	sameReplay(tb, label, r, ref)
-	first := r.w.nOps0
-	for pos, i := range r.order[:r.w.nOps0] {
+	first := int32(r.w.nOps0)
+	for i := range first {
 		if ref.x[i] != r.ff.x[i] {
-			first = pos
+			first = i
 			break
 		}
 	}
 	if k := r.firstViolator(); k != first {
-		tb.Fatalf("%s: first violator at position %d, first changed op at %d", label, k, first)
+		tb.Fatalf("%s: first violator at op %d, first changed op at %d", label, k, first)
 	}
 	j := len(r.ff.pos) - 1
 	for r.ff.pos[j] > first {
 		j--
 	}
 	if r.from != r.ff.pos[j] {
-		tb.Fatalf("%s: resumed at position %d, want the checkpoint at %d", label, r.from, r.ff.pos[j])
+		tb.Fatalf("%s: resumed at op %d, want the checkpoint at %d", label, r.from, r.ff.pos[j])
 	}
 }
 
@@ -171,9 +171,9 @@ func TestResumeMatchesFullPass(t *testing.T) {
 		}
 		for i := 0; i < r.w.nOps0; i += 2 {
 			f := r.ff.x[i].finish
-			a, b := r.w.Ops[i].procs()
+			o := &r.w.Ops[i]
 			for _, tau := range []float64{f - sched.Eps, f, f + sched.Eps/2, f + sched.Eps, f + 2*sched.Eps} {
-				for _, p := range []int{a, b} {
+				for _, p := range []int{int(o.P), int(o.Q)} {
 					never()
 					crashAt[p] = tau
 					replay("single")
@@ -232,16 +232,17 @@ func appendReactive(w *Wiring, rng *rand.Rand, down int, tau float64) {
 	t := dag.TaskID(rng.Intn(len(w.RepOf)))
 	proc := (down + 1 + rng.Intn(m-1)) % m
 	seq := int32(0)
-	for _, o := range w.Ops {
-		if o.Seq >= seq {
-			seq = o.Seq + 1
-		}
+	for _, rec := range w.Reps {
+		seq = max(seq, rec.Seq+1)
+	}
+	for _, rec := range w.Comms {
+		seq = max(seq, rec.Seq+1)
 	}
 	slots := w.AddSlots(w.CG.InDegree(t))
 	copyIdx := len(w.RepOf[t])
 	from, _ := w.CG.Pred(t)
 	for _, f := range from {
-		src := w.Ops[w.TaskOps[f][0]].Rep
+		src := w.Rep(w.TaskOps[f][0])
 		c := sched.Comm{From: src.Task, SrcCopy: src.Copy, To: t, DstCopy: copyIdx,
 			SrcProc: src.Proc, DstProc: proc, Dur: 10 * rng.Float64(), Seq: seq}
 		seq++

@@ -12,7 +12,7 @@
 // operation can therefore pull later operations earlier, and losing an
 // early message can push a replica later; both directions are observed
 // in the paper (Figures 1(b) and 2(b)) and reproduced here. Under timed
-// crashes (Replayer.ReplayTimed) a dead operation holds its resources
+// crashes (Replayer.CrashLatencyAt) a dead operation holds its resources
 // until its death is observable: the causal semantics of an executor
 // that learns of a crash only when it happens.
 //
@@ -26,11 +26,12 @@
 // fail.
 //
 // A schedule's constraints are built once into a Wiring — the op
-// table, one input slot per (replica, predecessor edge), and the
-// resources each op occupies. Every constraint points to an
+// table in placement order, one input slot per (replica, predecessor
+// edge), and the resources each op occupies; each op reaches its
+// replica or transfer record by index. Every constraint points to an
 // earlier-placed operation, so a Replayer evaluates a replay in one
-// forward pass over the operations in placement order, deciding
-// liveness and times together. Callers build one Replayer per schedule
+// pass over the op table, front to back, deciding liveness and times
+// together. Callers build one Replayer per schedule
 // and replay it as often as they need; repeated replays reuse its
 // scratch and allocate near-zero. The Replayer is the one evaluator:
 // package online's engine appends its reactive placements to the
@@ -81,11 +82,11 @@ type CommOutcome struct {
 }
 
 // Result holds the replayed times of every operation, of a clairvoyant
-// replay (Replayer) or an online one (online.Engine). Reps is indexed
-// like Schedule.Reps and Comms like Schedule.Comms; an online replay
-// appends its reactive replicas to their task's list and its reactive
-// transfers to Comms, in placement order. The online-only fields stay
-// zero for clairvoyant replays.
+// replay (Replayer) or an online one (online.Engine). Reps[t] lists
+// task t's replicas and Comms the transfers in placement order: the
+// order of Schedule.Reps[t] and Schedule.Comms for every schedule
+// sched.State builds, followed by an online replay's reactive
+// placements. The online-only fields stay zero for clairvoyant replays.
 type Result struct {
 	Reps  [][]RepOutcome
 	Comms []CommOutcome

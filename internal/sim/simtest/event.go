@@ -100,6 +100,7 @@ const (
 //caft:confined
 type eventRun struct {
 	w     *sim.Wiring
+	seq   []int32   // per op: its record's placement sequence
 	state []opState // per op
 	waits []int32   // per op: unresolved constraints
 	start []float64 // per op: running max of resolved constraints, then the start
@@ -123,7 +124,7 @@ type eventRun struct {
 func newEventRun(w *sim.Wiring) *eventRun {
 	n := len(w.Ops)
 	e := &eventRun{
-		w: w, state: make([]opState, n), waits: make([]int32, n), start: make([]float64, n),
+		w: w, seq: make([]int32, n), state: make([]opState, n), waits: make([]int32, n), start: make([]float64, n),
 		out: make([][]int32, n), members: make([][]int32, w.NumRes()), live: n,
 		slotOf: make([]int32, w.Slots), slotLeft: make([]int32, w.Slots), slotDone: make([]bool, w.Slots),
 	}
@@ -131,11 +132,13 @@ func newEventRun(w *sim.Wiring) *eventRun {
 		o := &w.Ops[i]
 		e.waits[i] = o.NRes + 1
 		if o.Kind == sim.OpRep {
+			e.seq[i] = w.Rep(int32(i)).Seq
 			e.waits[i] = o.NRes + o.NSlots
 			for sl := o.SlotBase; sl < o.SlotBase+o.NSlots; sl++ {
 				e.slotOf[sl] = int32(i)
 			}
 		} else {
+			e.seq[i] = w.Comm(int32(i)).Seq
 			e.out[o.Src] = append(e.out[o.Src], int32(i))
 			for _, sl := range w.Feeds[o.FeedBase : o.FeedBase+o.NFeeds] {
 				e.slotLeft[sl]++
@@ -146,7 +149,7 @@ func newEventRun(w *sim.Wiring) *eventRun {
 		}
 	}
 	for _, mem := range e.members {
-		sort.SliceStable(mem, func(a, b int) bool { return w.Ops[mem[a]].Seq < w.Ops[mem[b]].Seq })
+		sort.SliceStable(mem, func(a, b int) bool { return e.seq[mem[a]] < e.seq[mem[b]] })
 	}
 	e.nextIdx = make([]int, len(e.members))
 	e.resAvail = make([]float64, len(e.members))
@@ -180,7 +183,7 @@ func (e *eventRun) resolve(i int32, v float64) {
 	if e.waits[i]--; e.waits[i] == 0 {
 		e.state[i] = opRunning
 		o := &e.w.Ops[i]
-		heap.Push(&e.queue, completion{t: e.start[i] + o.Dur, seq: o.Seq, op: i})
+		heap.Push(&e.queue, completion{t: e.start[i] + o.Dur, seq: e.seq[i], op: i})
 	}
 }
 
@@ -227,8 +230,7 @@ func (e *eventRun) kill(i int32) {
 func (e *eventRun) crash(q int, tau float64) {
 	e.dead = e.dead[:0]
 	for i := range e.w.Ops {
-		o := &e.w.Ops[i]
-		if o.Kind == sim.OpRep && o.Rep.Proc == q || o.Kind == sim.OpComm && (o.Comm.SrcProc == q || o.Comm.DstProc == q) {
+		if a, b := e.procs(int32(i)); a == q || b == q {
 			e.kill(int32(i))
 		}
 	}
@@ -257,6 +259,17 @@ func (e *eventRun) crash(q int, tau float64) {
 			}
 		}
 	}
+}
+
+// procs returns the processors of op i's record: its replica's twice,
+// or its transfer's sender and receiver.
+func (e *eventRun) procs(i int32) (a, b int) {
+	if e.w.Ops[i].Kind == sim.OpRep {
+		p := e.w.Rep(i).Proc
+		return p, p
+	}
+	c := e.w.Comm(i)
+	return c.SrcProc, c.DstProc
 }
 
 // completion is one queued op completion.

@@ -89,10 +89,7 @@ func TestTimedZeroBitIdenticalToStatic(t *testing.T) {
 				times[p] = 0
 			}
 			static := rep.Replay(crashed)
-			timed, err := rep.ReplayTimed(times)
-			if err != nil {
-				t.Fatal(err)
-			}
+			timed := replayTimed(t, rep, times)
 			sameResult(t, "crash@0", timed, static)
 		}
 	}
@@ -120,10 +117,7 @@ func TestTimedPastMakespanBitIdenticalToNoFailure(t *testing.T) {
 		for proc := 0; proc < s.P.Plat.M; proc++ {
 			times[proc] = horizon + 1 + float64(proc)
 		}
-		timed, err := rep.ReplayTimed(times)
-		if err != nil {
-			t.Fatal(err)
-		}
+		timed := replayTimed(t, rep, times)
 		sameResult(t, "crash@past-makespan", timed, clean)
 	}
 }
@@ -144,14 +138,8 @@ func TestTimedScratchReuseMatchesThrowaway(t *testing.T) {
 				rng.Intn(s.P.Plat.M): rng.Float64() * horizon,
 				rng.Intn(s.P.Plat.M): rng.Float64() * horizon,
 			}
-			reused, err := rep.ReplayTimed(times)
-			if err != nil {
-				t.Fatal(err)
-			}
-			oneshot, err := mustReplayer(t, s).ReplayTimed(times)
-			if err != nil {
-				t.Fatal(err)
-			}
+			reused := replayTimed(t, rep, times)
+			oneshot := replayTimed(t, mustReplayer(t, s), times)
 			sameResult(t, "reused-vs-oneshot", reused, oneshot)
 			// A static replay in between must not poison the timed scratch.
 			rep.Replay(map[int]bool{draw % s.P.Plat.M: true})

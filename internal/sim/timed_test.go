@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -77,6 +78,16 @@ func TestTimedCrashPreservesCompletedWork(t *testing.T) {
 	}
 }
 
+// replayTimed replays the failure trace on r and returns the replay's
+// Result; a lost task is part of the outcome, any other error fails.
+func replayTimed(tb testing.TB, r *Replayer, trace map[int]float64) *Result {
+	tb.Helper()
+	if _, err := r.CrashLatencyAt(trace); err != nil && !errors.Is(err, ErrTaskLost) {
+		tb.Fatal(err)
+	}
+	return r.Result()
+}
+
 func TestTimedCrashReplicaSurvivesIfFinished(t *testing.T) {
 	// Single replica finishing at time 2; crash at 2 keeps it, crash at
 	// 1.9 kills it.
@@ -88,17 +99,11 @@ func TestTimedCrashReplicaSurvivesIfFinished(t *testing.T) {
 	}
 	// Every replica of t0 finishes at 2 (entry task, exec 2).
 	victim := s.Reps[0][0].Proc
-	r, err := mustReplayer(t, s).ReplayTimed(map[int]float64{victim: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := replayTimed(t, mustReplayer(t, s), map[int]float64{victim: 2})
 	if !r.Reps[0][0].Alive {
 		t.Fatal("replica finishing exactly at the crash instant must survive")
 	}
-	r2, err := mustReplayer(t, s).ReplayTimed(map[int]float64{victim: 1.9})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r2 := replayTimed(t, mustReplayer(t, s), map[int]float64{victim: 1.9})
 	if r2.Reps[0][0].Alive {
 		t.Fatal("replica finishing after the crash instant must die")
 	}
@@ -127,10 +132,7 @@ func TestTimedRoundKillsEveryViolator(t *testing.T) {
 	if r := s.Reps[1][0]; r.Proc != 0 || r.Start != 10 {
 		t.Fatalf("fixture: t1 copy 0 placed at %+v, want P0 from 10", r)
 	}
-	res, err := mustReplayer(t, s).ReplayTimed(map[int]float64{0: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := replayTimed(t, mustReplayer(t, s), map[int]float64{0: 5})
 	if res.Reps[0][0].Alive {
 		t.Fatal("t0 on P0 finishes at 10, past the crash at 5, yet survived")
 	}
@@ -165,17 +167,11 @@ func TestTimedCrashTimeAnomaly(t *testing.T) {
 		t.Fatalf("fixture: t2 placed at %+v, want P1 from 11", r)
 	}
 	rep := mustReplayer(t, s)
-	early, err := rep.ReplayTimed(map[int]float64{0: 1, 1: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
+	early := replayTimed(t, rep, map[int]float64{0: 1, 1: 6})
 	if o := early.Reps[2][0]; !o.Alive || o.Start != 1 || o.Finish != 3 {
 		t.Fatalf("P0 crashing at 1: t2 = %+v, want alive [1,3)", o.Fate)
 	}
-	late, err := rep.ReplayTimed(map[int]float64{0: 5, 1: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
+	late := replayTimed(t, rep, map[int]float64{0: 5, 1: 6})
 	if late.Reps[2][0].Alive {
 		t.Fatal("P0 crashing at 5: t2 survived, but t1 holds P1 until 5, so t2 cannot finish before P1's crash at 6")
 	}

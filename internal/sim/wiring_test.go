@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"caft/internal/core"
 	"caft/internal/gen"
@@ -126,5 +127,14 @@ func TestWiringRejectsMissingReplica(t *testing.T) {
 		if _, err := NewReplayer(s); err == nil {
 			t.Fatalf("%s: NewReplayer accepted the schedule", tc.name)
 		}
+	}
+}
+
+// TestOpSize pins sim.Op at 64 bytes: every replay pass walks the op
+// table front to back, and the replica and transfer records the ops
+// stand for stay in Wiring.Reps and Wiring.Comms, out of that table.
+func TestOpSize(t *testing.T) {
+	if got := unsafe.Sizeof(Op{}); got > 64 {
+		t.Fatalf("sim.Op is %d bytes, want at most 64", got)
 	}
 }

@@ -1,6 +1,7 @@
 package caft
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -30,7 +31,7 @@ import (
 //   - crashes at τ=0 of every single processor and every pair, through
 //     EventReplay, against the static replay of the same crash set;
 //   - timed traces (see timedTraces), through EventReplay, against
-//     Replayer.ReplayTimed of the same trace.
+//     Replayer.CrashLatencyAt of the same trace, read through Result.
 //
 // "Alike" means the same lost tasks and the same fate — liveness,
 // start and finish — for every replica and communication. The two
@@ -141,10 +142,10 @@ func TestOnlineStaticEquivalence(t *testing.T) {
 				}
 				for _, trace := range timedTraces(want, m, seed) {
 					tlabel := fmt.Sprintf("%s/timed%v", label, trace)
-					timed, err := rep.ReplayTimed(trace)
-					if err != nil {
+					if _, err := rep.CrashLatencyAt(trace); err != nil && !errors.Is(err, sim.ErrTaskLost) {
 						t.Fatalf("%s replay: %v", tlabel, err)
 					}
+					timed := rep.Result()
 					compareToReplayer(t, tlabel, eventReplay(t, tlabel, schedule, trace), timed)
 					crashed := map[int]bool{}
 					for proc := range trace {
