@@ -139,28 +139,21 @@ func (st *State) cancelReplica(rep Replica, free bool) error {
 	return nil
 }
 
-// CancelComm removes a communication's send-port, receive-port and
-// shared-link reservations. The communication record itself stays in
-// Comms — the record log is append-only, and a dead transfer's record
-// is harmless to later placements, which consult only the timelines.
-// Intra and macro-dataflow communications hold no resources (see
+// CancelCommPorts removes a communication's shared-link reservations,
+// and its send-port one if send is set and its receive-port one if recv
+// is set: the rescheduler keeps the port of a crashed endpoint, which
+// no later placement probes. The shared links are always freed, since
+// transfers between surviving processors may route over them. The
+// communication record itself stays in Comms — the record log is
+// append-only, and a dead transfer's record is harmless to later
+// placements, which consult only the timelines. Intra and
+// macro-dataflow communications hold no resources (see
 // Layout.AppendComm) and cancel to a no-op.
-//
-//caft:zeroalloc
-func (st *State) CancelComm(c Comm) error {
-	return st.CancelCommPorts(c, true, true)
-}
-
-// CancelCommPorts is CancelComm keeping the send-port reservation
-// unless send is set and the receive-port one unless recv is set: the
-// rescheduler keeps the port of a crashed endpoint, which no later
-// placement probes. The shared links are always freed, since transfers
-// between surviving processors may route over them.
 //
 //caft:zeroalloc
 func (st *State) CancelCommPorts(c Comm, send, recv bool) error {
 	if st.overlay {
-		panic("sched: CancelComm on a probe overlay")
+		panic("sched: CancelCommPorts on a probe overlay")
 	}
 	for k, id := range st.commResources(c.SrcProc, c.DstProc) {
 		if k == 0 && !send || k == 1 && !recv { // Layout.AppendComm lists the ports first

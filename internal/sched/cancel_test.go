@@ -96,11 +96,11 @@ func TestCancelCommFreesPorts(t *testing.T) {
 		t.Fatal("no inter-processor comm placed")
 	}
 	nComms := len(st.Comms)
-	if err := st.CancelComm(victim); err != nil {
+	if err := st.CancelCommPorts(victim, true, true); err != nil {
 		t.Fatal(err)
 	}
 	if len(st.Comms) != nComms {
-		t.Fatal("CancelComm must not drop the record")
+		t.Fatal("CancelCommPorts must not drop the record")
 	}
 	for i := 0; i < st.NumTimelines(); i++ {
 		for _, iv := range st.Timeline(i).Intervals() {
@@ -109,7 +109,7 @@ func TestCancelCommFreesPorts(t *testing.T) {
 			}
 		}
 	}
-	if err := st.CancelComm(victim); err == nil {
+	if err := st.CancelCommPorts(victim, true, true); err == nil {
 		t.Fatal("double cancel accepted")
 	}
 }
@@ -195,7 +195,7 @@ func TestCopyFromRestoresCancels(t *testing.T) {
 		}
 		for _, c := range st.Comms {
 			if !c.Intra {
-				if err := st.CancelComm(c); err != nil {
+				if err := st.CancelCommPorts(c, true, true); err != nil {
 					t.Fatal(err)
 				}
 				break

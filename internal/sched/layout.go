@@ -1,5 +1,10 @@
 package sched
 
+import (
+	"fmt"
+	"slices"
+)
+
 // Layout is the resource ID scheme of a problem, derived by NewLayout.
 // State (one timeline per resource) and sim.Wiring (the resources each
 // op occupies) both number their resources by it. IDs [0,m) are the
@@ -87,6 +92,15 @@ func (l *Layout) Procs() int { return l.m }
 //
 //caft:zeroalloc
 func (l *Layout) Network() Network { return l.net }
+
+// Name names resource id in errors: "compute P3", "send port P3",
+// "recv port P3", or "link 7" with a shared link's network link ID.
+func (l *Layout) Name(id int32) string {
+	if kind := int(id) / l.m; kind < 3 {
+		return fmt.Sprintf("%s P%d", [...]string{"compute", "send port", "recv port"}[kind], int(id)%l.m)
+	}
+	return fmt.Sprintf("link %d", slices.Index(l.linkID, id))
+}
 
 // Compute returns the resource ID of processor proc's compute timeline.
 //

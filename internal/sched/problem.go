@@ -88,21 +88,6 @@ func (c Clique) Route(src, dst int) []int {
 	return []int{src*c.Plat.M + dst}
 }
 
-// AppendRoute appends net.Route(src, to) to dst and returns the
-// extended slice. The clique's single link is computed inline, so
-// routing on the default network allocates nothing once dst has room.
-//
-//caft:zeroalloc
-func AppendRoute(dst []int, net Network, src, to int) []int {
-	if cl, ok := net.(Clique); ok {
-		if src == to {
-			return dst
-		}
-		return append(dst, src*cl.Plat.M+to)
-	}
-	return append(dst, net.Route(src, to)...) //caft:alloc-ok topology interface call; in-tree sparse networks return a cached route
-}
-
 // Dur returns volume * d(src, dst).
 func (c Clique) Dur(src, dst int, volume float64) float64 {
 	return volume * c.Plat.Delay[src][dst]

@@ -119,10 +119,10 @@ func (s *Schedule) ReplicaCount() int {
 //     and matches the placement of its endpoint replicas;
 //   - every replica has, for each predecessor, at least one input
 //     (communication or intra transfer) arriving by its start time;
-//   - under the one-port model, the send-port, receive-port and link
-//     occupations of all communications are pairwise non-overlapping
-//     (constraints (1), (2), (3) of the paper) and task executions do
-//     not overlap per processor.
+//   - task executions do not overlap per processor and, under the
+//     one-port model, the send-port, receive-port and link occupations
+//     of all communications are pairwise non-overlapping (constraints
+//     (1), (2), (3) of the paper).
 func (s *Schedule) Validate() error {
 	return NewValidator().Validate(s)
 }
@@ -131,10 +131,14 @@ func (s *Schedule) Validate() error {
 // dense scratch keyed by the graph's compiled view: per-replica input
 // arrivals live in a flat slice indexed by (replica cell, predecessor
 // slot) instead of nested maps, replica lookup is an offset table, and
-// resource-exclusion intervals are bucketed CSR-style per port and
-// link. Every table grows to the largest schedule seen and is reused,
-// so a long-lived Validator validates a stream of same-shaped schedules
-// without allocating after warm-up. It is not safe for concurrent use.
+// resource-exclusion intervals are bucketed CSR-style per resource of
+// the problem's Layout, the numbering State and sim.Wiring use (a
+// port-implied link's intervals are a subset of its port's; see
+// DESIGN.md S1). Every table grows to the largest schedule seen and is
+// reused, and the Layout is kept for the last Problem seen (which must
+// not change in between), so a long-lived Validator validates a stream
+// of same-shaped schedules without allocating after warm-up. It is not
+// safe for concurrent use.
 //
 //caft:confined
 type Validator struct {
@@ -144,10 +148,12 @@ type Validator struct {
 	arrival []float64 // earliest input arrival per (replica cell, pred slot)
 	hasArr  []bool
 	seen    []bool // per-processor bitset (replica space exclusion)
-	ivOff   []int32
-	ivNext  []int32
+	lay     Layout
+	layOf   *Problem // the problem lay was derived from
+	ids     []int32  // Layout.AppendComm scratch
+	ivOff   []int32  // resource -> first interval; len lay.Size()+1
+	ivNext  []int32  // resource -> count, then fill cursor
 	ivs     []timeline.Interval
-	route   []int // routeOf scratch
 	sorter  intervalsByStart
 }
 
@@ -182,6 +188,9 @@ func (v *Validator) Validate(s *Schedule) error {
 		for _, r := range s.Reps[t] {
 			if r.Task != dag.TaskID(t) {
 				return fmt.Errorf("schedule: replica of task %d filed under %d", r.Task, t) //caft:alloc-ok rejection path; the accept path allocates nothing
+			}
+			if r.Proc < 0 || r.Proc >= m {
+				return fmt.Errorf("schedule: replica (%d,%d) on P%d, outside P0..P%d", t, r.Copy, r.Proc, m-1) //caft:alloc-ok rejection path; the accept path allocates nothing
 			}
 			if v.seen[r.Proc] {
 				return fmt.Errorf("schedule: task %d has two replicas on P%d", t, r.Proc) //caft:alloc-ok rejection path; the accept path allocates nothing
@@ -287,12 +296,60 @@ func (v *Validator) Validate(s *Schedule) error {
 			}
 		}
 	}
-	if p.Model == OnePort {
-		if err := v.validateOnePort(s); err != nil {
-			return err
+	// Resource exclusion: count, fill and check one interval bucket per
+	// Layout resource, in resource-ID order.
+	if v.layOf != p {
+		v.lay, v.layOf = NewLayout(p), p //caft:alloc-ok a sparse network's link table, built once per problem
+	}
+	nRes := v.lay.Size()
+	v.ivOff = grow(v.ivOff, nRes+1)
+	v.ivNext = grow(v.ivNext, nRes)
+	clear(v.ivNext)
+	v.occupy(s, false)
+	for r := 0; r < nRes; r++ {
+		v.ivOff[r+1] = v.ivOff[r] + v.ivNext[r]
+		v.ivNext[r] = v.ivOff[r]
+	}
+	v.ivs = grow(v.ivs, int(v.ivOff[nRes]))
+	v.occupy(s, true)
+	for r := 0; r < nRes; r++ {
+		if err := v.nonOverlap(v.ivs[v.ivOff[r]:v.ivOff[r+1]]); err != nil {
+			return fmt.Errorf("schedule: %s: %w", v.lay.Name(int32(r)), err) //caft:alloc-ok rejection path; the accept path allocates nothing
 		}
 	}
-	return v.validateCompute(s)
+	return nil
+}
+
+// occupy walks every resource occupation of s: each replica on its
+// compute resource, each transfer on the resources Layout.AppendComm
+// lists. It counts them per resource in ivNext, or, with fill set,
+// files the intervals at the ivNext cursors.
+//
+//caft:zeroalloc
+func (v *Validator) occupy(s *Schedule, fill bool) {
+	for t := range s.Reps {
+		for _, r := range s.Reps[t] {
+			v.hold(v.lay.Compute(r.Proc), timeline.Interval{Start: r.Start, End: r.Finish, Owner: r.Seq}, fill)
+		}
+	}
+	for i := range s.Comms {
+		c := &s.Comms[i]
+		iv := timeline.Interval{Start: c.Start, End: c.Finish, Owner: c.Seq}
+		v.ids = v.lay.AppendComm(v.ids[:0], c.SrcProc, c.DstProc)
+		for _, id := range v.ids {
+			v.hold(id, iv, fill)
+		}
+	}
+}
+
+// hold counts or files one occupation of resource id (see occupy).
+//
+//caft:zeroalloc
+func (v *Validator) hold(id int32, iv timeline.Interval, fill bool) {
+	if fill {
+		v.ivs[v.ivNext[id]] = iv
+	}
+	v.ivNext[id]++
 }
 
 // replica returns the first replica recorded as (t, copy), or nil, by
@@ -300,7 +357,7 @@ func (v *Validator) Validate(s *Schedule) error {
 //
 //caft:zeroalloc
 func (v *Validator) replica(s *Schedule, t dag.TaskID, copy int) *Replica {
-	if copy < 0 || int32(copy) >= v.repOff[t+1]-v.repOff[t] {
+	if t < 0 || int(t) >= len(s.Reps) || copy < 0 || int32(copy) >= v.repOff[t+1]-v.repOff[t] {
 		return nil
 	}
 	i := v.repPtr[int(v.repOff[t])+copy]
@@ -308,114 +365,6 @@ func (v *Validator) replica(s *Schedule, t dag.TaskID, copy int) *Replica {
 		return nil
 	}
 	return &s.Reps[t][i]
-}
-
-// bucketReset prepares nRes CSR interval buckets with the given counts
-// already accumulated in v.ivOff[1:nRes+1]: offsets are prefix-summed
-// and the fill cursors initialized.
-//
-//caft:zeroalloc
-func (v *Validator) bucketReset(nRes int) {
-	for r := 0; r < nRes; r++ {
-		v.ivOff[r+1] += v.ivOff[r]
-		v.ivNext[r] = v.ivOff[r]
-	}
-	v.ivs = grow(v.ivs, int(v.ivOff[nRes]))
-}
-
-//caft:zeroalloc
-func (v *Validator) validateCompute(s *Schedule) error {
-	m := s.P.Plat.M
-	v.ivOff = grow(v.ivOff, m+1)
-	v.ivNext = grow(v.ivNext, m)
-	for r := 0; r <= m; r++ {
-		v.ivOff[r] = 0
-	}
-	for t := range s.Reps {
-		for _, r := range s.Reps[t] {
-			v.ivOff[r.Proc+1]++
-		}
-	}
-	v.bucketReset(m)
-	for t := range s.Reps {
-		for _, r := range s.Reps[t] {
-			v.ivs[v.ivNext[r.Proc]] = timeline.Interval{Start: r.Start, End: r.Finish, Owner: r.Seq}
-			v.ivNext[r.Proc]++
-		}
-	}
-	for proc := 0; proc < m; proc++ {
-		if err := v.nonOverlap(v.ivs[v.ivOff[proc]:v.ivOff[proc+1]]); err != nil {
-			return fmt.Errorf("schedule: compute P%d: %w", proc, err) //caft:alloc-ok rejection path; the accept path allocates nothing
-		}
-	}
-	return nil
-}
-
-//caft:zeroalloc
-func (v *Validator) validateOnePort(s *Schedule) error {
-	m := s.P.Plat.M
-	net := s.P.Network() //caft:alloc-ok interface construction for the default clique network; amortized, not per-comm
-	// Resources: send ports [0,m), receive ports [m,2m), links [2m,..).
-	nRes := 2*m + net.NumLinks() //caft:alloc-ok interface dispatch; in-tree networks answer with pure arithmetic
-	v.ivOff = grow(v.ivOff, nRes+1)
-	v.ivNext = grow(v.ivNext, nRes)
-	for r := 0; r <= nRes; r++ {
-		v.ivOff[r] = 0
-	}
-	for i := range s.Comms {
-		c := &s.Comms[i]
-		if c.Intra {
-			continue
-		}
-		v.ivOff[c.SrcProc+1]++
-		v.ivOff[m+c.DstProc+1]++
-		for _, l := range v.routeOf(net, c.SrcProc, c.DstProc) {
-			v.ivOff[2*m+l+1]++
-		}
-	}
-	v.bucketReset(nRes)
-	for i := range s.Comms {
-		c := &s.Comms[i]
-		if c.Intra {
-			continue
-		}
-		iv := timeline.Interval{Start: c.Start, End: c.Finish, Owner: c.Seq}
-		v.ivs[v.ivNext[c.SrcProc]] = iv
-		v.ivNext[c.SrcProc]++
-		v.ivs[v.ivNext[m+c.DstProc]] = iv
-		v.ivNext[m+c.DstProc]++
-		for _, l := range v.routeOf(net, c.SrcProc, c.DstProc) {
-			v.ivs[v.ivNext[2*m+l]] = iv
-			v.ivNext[2*m+l]++
-		}
-	}
-	for proc := 0; proc < m; proc++ {
-		if err := v.nonOverlap(v.ivs[v.ivOff[proc]:v.ivOff[proc+1]]); err != nil {
-			return fmt.Errorf("schedule: send port P%d: %w", proc, err) //caft:alloc-ok rejection path; the accept path allocates nothing
-		}
-	}
-	for proc := 0; proc < m; proc++ {
-		if err := v.nonOverlap(v.ivs[v.ivOff[m+proc]:v.ivOff[m+proc+1]]); err != nil {
-			return fmt.Errorf("schedule: recv port P%d: %w", proc, err) //caft:alloc-ok rejection path; the accept path allocates nothing
-		}
-	}
-	for l := 0; l < nRes-2*m; l++ {
-		if err := v.nonOverlap(v.ivs[v.ivOff[2*m+l]:v.ivOff[2*m+l+1]]); err != nil {
-			return fmt.Errorf("schedule: link %d: %w", l, err) //caft:alloc-ok rejection path; the accept path allocates nothing
-		}
-	}
-	return nil
-}
-
-// routeOf returns the directed links crossed by an inter-processor
-// transfer, in validator-owned scratch, so the steady-state validation
-// path allocates nothing.
-//
-//caft:zeroalloc
-//caft:scratch
-func (v *Validator) routeOf(net Network, src, dst int) []int {
-	v.route = AppendRoute(v.route[:0], net, src, dst)
-	return v.route
 }
 
 // nonOverlap sorts one resource bucket by start time in place and

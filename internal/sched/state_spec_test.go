@@ -88,7 +88,7 @@ func growState(t *testing.T, st *State, eps int, probe func(tid dag.TaskID, sour
 // rebuild returns an independent copy of st to place a reference
 // replica on: every reservation of st's snapshot is re-added through
 // StateOf, except the transfers in cancelled, whose records stay in
-// Comms after CancelComm freed their resources. The sequence counter
+// Comms after CancelCommPorts freed their resources. The sequence counter
 // and the time floor are copied from st.
 func rebuild(t *testing.T, st *State, cancelled map[int32]bool) *State {
 	t.Helper()
@@ -158,7 +158,7 @@ func cancelAfter(t *testing.T, st *State, victim int, tau float64) map[int32]boo
 	}
 	for _, c := range st.Comms {
 		if (c.SrcProc == victim || c.DstProc == victim) && c.Start >= tau {
-			if err := st.CancelComm(c); err != nil {
+			if err := st.CancelCommPorts(c, true, true); err != nil {
 				t.Fatal(err)
 			}
 			dead[c.Seq] = true

@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,6 +11,7 @@ import (
 	"caft/internal/gen"
 	"caft/internal/platform"
 	"caft/internal/timeline"
+	"caft/internal/topology"
 )
 
 // greedySchedule places every task (topological order) on the processor
@@ -98,6 +101,10 @@ func TestValidatorRejects(t *testing.T) {
 			s.Reps[3] = append(s.Reps[3], r)
 		}, "has two replicas on"},
 		{"bad duration", func(s *Schedule) { s.Reps[3][0].Finish += 5 }, "duration"},
+		{"processor past m", func(s *Schedule) { s.Reps[3][0].Proc = 4 }, "on P4, outside P0..P3"},
+		{"negative processor", func(s *Schedule) { s.Reps[3][0].Proc = -1 }, "on P-1, outside P0..P3"},
+		{"comm to unknown task", func(s *Schedule) { s.Comms[0].To = 99 }, "references missing replica"},
+		{"comm from unknown task", func(s *Schedule) { s.Comms[0].From = -1 }, "references missing replica"},
 		{"dangling comm", func(s *Schedule) {
 			if len(s.Comms) == 0 {
 				t.Fatal("fixture produced no communications")
@@ -130,25 +137,144 @@ func TestValidatorRejects(t *testing.T) {
 	}
 }
 
+// TestValidatorNamesResource moves a transfer onto another one that
+// shares only its send port, only its receive port or, on the mesh,
+// only a shared link, and a replica onto another one on its processor,
+// on the clique, a star and a 1×4 mesh. Each move breaks only resource
+// exclusion, and the error must name the resource. On the clique and
+// the star no link is shared, so the link move stays legal, and under
+// macro-dataflow every transfer move does.
+func TestValidatorNamesResource(t *testing.T) {
+	const m = 4
+	star, err := topology.Star(m, 0.75)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mesh, err := topology.Mesh2D(1, m, 0.75)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var shared []int // the links P0->P2 and P1->P3 both cross on the mesh
+	for _, k := range mesh.Route(0, 2) {
+		if slices.Contains(mesh.Route(1, 3), k) {
+			shared = append(shared, k)
+		}
+	}
+	if len(shared) != 1 {
+		t.Fatalf("mesh routes P0->P2 and P1->P3 share links %v, want one", shared)
+	}
+	g := dag.New(4)
+	g.AddEdge(0, 2, 1)
+	g.AddEdge(1, 3, 1)
+	exec := platform.NewExecMatrix(4, m)
+	for task := range exec {
+		for proc := range exec[task] {
+			exec[task][proc] = 1
+		}
+	}
+	// pair returns a valid schedule of a->c and b->d placed on the given
+	// processors (a at [0,1), b at [1,2), a->c at [2,3), b->d at [4,5),
+	// c at [5,6), d at [6,7)) under the given network and model.
+	pair := func(net Network, model Model, procs [4]int) *Schedule {
+		p := &Problem{G: g, Plat: platform.New(m, 1), Exec: exec, Model: model, Net: net}
+		s := &Schedule{P: p, Reps: make([][]Replica, 4)}
+		for task, start := range []float64{0, 1, 5, 6} {
+			s.Reps[task] = []Replica{{Task: dag.TaskID(task), Proc: procs[task], Start: start, Finish: start + 1, Seq: int32(task)}}
+		}
+		for i, e := range [][2]int{{0, 2}, {1, 3}} {
+			start := float64(2 + 2*i)
+			s.Comms = append(s.Comms, Comm{
+				From: dag.TaskID(e[0]), To: dag.TaskID(e[1]), SrcProc: procs[e[0]], DstProc: procs[e[1]],
+				Volume: 1, Dur: 1, Start: start, Finish: start + 1, Seq: int32(4 + i),
+			})
+		}
+		return s
+	}
+	moveComm := func(s *Schedule) { s.Comms[1].Start, s.Comms[1].Finish = 2, 3 }
+	moveRep := func(s *Schedule) { s.Reps[1][0].Start, s.Reps[1][0].Finish = 0.5, 1.5 }
+	v := NewValidator()
+	for _, nc := range []struct {
+		name string
+		net  Network
+	}{{"clique", nil}, {"star", star}, {"mesh", mesh}} {
+		cases := []struct {
+			name  string
+			procs [4]int
+			move  func(*Schedule)
+			want  string // "" when the move stays legal
+		}{
+			{"send port", [4]int{0, 0, 1, 2}, moveComm, "send port P0:"},
+			{"recv port", [4]int{1, 2, 0, 0}, moveComm, "recv port P0:"},
+			{"shared link", [4]int{0, 1, 2, 3}, moveComm, ""},
+			{"compute", [4]int{0, 0, 1, 2}, moveRep, "compute P0:"},
+		}
+		if nc.name == "mesh" {
+			cases[2].want = fmt.Sprintf("link %d:", shared[0])
+		}
+		for _, tc := range cases {
+			for _, model := range []Model{OnePort, MacroDataflow} {
+				s := pair(nc.net, model, tc.procs)
+				if err := v.Validate(s); err != nil {
+					t.Fatalf("%s %s %v: base schedule rejected: %v", nc.name, tc.name, model, err)
+				}
+				tc.move(s)
+				want := tc.want
+				if model == MacroDataflow && tc.name != "compute" {
+					want = ""
+				}
+				err := v.Validate(s)
+				switch {
+				case want == "" && err != nil:
+					t.Fatalf("%s %s %v: legal move rejected: %v", nc.name, tc.name, model, err)
+				case want != "" && (err == nil || !strings.Contains(err.Error(), want)):
+					t.Fatalf("%s %s %v: error %v, want one naming %q", nc.name, tc.name, model, err, want)
+				}
+			}
+		}
+	}
+}
+
 // TestValidatorAllocPin pins the steady state: after one warm-up pass, a
 // reused Validator accepts a same-shaped schedule without allocating —
 // the dense replacement for the nested maps the validator used to build
-// per call.
+// per call — on the clique and on a 1×5 mesh, whose shared links route
+// through the Layout.
 func TestValidatorAllocPin(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	p := randomValidatorProblem(rng, 40, 5)
-	s := greedySchedule(t, p)
-	v := NewValidator()
-	if err := v.Validate(s); err != nil {
+	mesh, err := topology.Mesh2D(1, 5, 0.75)
+	if err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(50, func() {
+	for _, nc := range []struct {
+		name string
+		net  Network
+	}{{"clique", nil}, {"mesh", mesh}} {
+		rng := rand.New(rand.NewSource(11))
+		p := randomValidatorProblem(rng, 40, 5)
+		p.Net = nc.net
+		s := greedySchedule(t, p)
+		if nc.net != nil {
+			lay, onLinks := NewLayout(p), 0
+			for _, c := range s.Comms {
+				if !c.Intra {
+					onLinks += len(lay.AppendComm(nil, c.SrcProc, c.DstProc)) - 2
+				}
+			}
+			if onLinks <= 0 {
+				t.Fatalf("%s: no transfer crosses a shared link", nc.name)
+			}
+		}
+		v := NewValidator()
 		if err := v.Validate(s); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state validation allocates %.1f/op, want 0", allocs)
+		allocs := testing.AllocsPerRun(50, func() {
+			if err := v.Validate(s); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: steady-state validation allocates %.1f/op, want 0", nc.name, allocs)
+		}
 	}
 }
 

@@ -1,6 +1,9 @@
 // Package simtest holds the executed-schedule oracle that the tests of
 // packages sim and online run over replay results. Only tests import
 // it; production code checks planned schedules with sched.Validator.
+// Unlike the Validator, which checks the resources of sched.Layout, it
+// checks every link of every route; FuzzValidatorMatchesOracle (package
+// sim) requires both to accept the same planned schedules.
 package simtest
 
 import (
@@ -180,7 +183,7 @@ func Validate(p *sched.Problem, res *sim.Result, trace map[int]float64) error {
 			iv := timeline.Interval{Start: o.Start, End: o.Finish, Owner: o.Comm.Seq}
 			send[o.Comm.SrcProc] = append(send[o.Comm.SrcProc], iv)
 			recv[o.Comm.DstProc] = append(recv[o.Comm.DstProc], iv)
-			for _, l := range sched.AppendRoute(nil, net, o.Comm.SrcProc, o.Comm.DstProc) {
+			for _, l := range net.Route(o.Comm.SrcProc, o.Comm.DstProc) {
 				link[l] = append(link[l], iv)
 			}
 		}
